@@ -1,7 +1,8 @@
 """Batch front-end: config in, spectra / metric matrices / residual reports out.
 
 Commands: spectrum, metric, shoot, compare, validate.  Exit codes: 0 success,
-2 validation failure, 3 solver error, 4 config error.
+2 validation failure, 3 solver error, 4 config error, 5 a compared grid mode
+failed its residual or reality gate.
 
 Heavy numeric imports are deferred until after the TOBOGGAN_THREADS
 environment variable has been applied, so BLAS thread caps take effect.
@@ -23,6 +24,7 @@ from .errors import (
     QTobogganError,
     SchemaMismatch,
     SelfOrthogonalMode,
+    UnverifiedMode,
 )
 
 __all__ = ["RunConfig", "load_config", "run", "report_render", "main"]
@@ -276,7 +278,7 @@ def _grid_eigensystem(config: RunConfig, return_raw: bool = False):
     pair = discrete.build_operators(rect, config.grid)
     es_raw = spectra.solve_generalized(pair, tol=config.tolerances["pairing"])
     es = spectra.filter_real(es_raw, tol_im=config.tolerances["filter_im"])
-    es = spectra.normalize_biorthogonal(es, pair.W, sigma_tol=config.tolerances["sigma_floor"])
+    es = spectra.normalize_biorthogonal(es, pair, sigma_tol=config.tolerances["sigma_floor"])
     if return_raw:
         return pair, es, es_raw
     return pair, es
@@ -370,22 +372,86 @@ def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
+def _pair_guesses(guesses, roots) -> Dict[int, int]:
+    """One root per guess, nearest pairs first: {guess index: root index}."""
+    import numpy as np
+
+    dist = np.abs(guesses[:, np.newaxis] - roots[np.newaxis, :])
+    pairs: Dict[int, int] = {}
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        g, r = divmod(int(flat), len(roots))
+        if g not in pairs and r not in pairs.values():
+            pairs[g] = r
+    return pairs
+
+
+def _complex_json(z) -> List[float]:
+    return [float(z.real), float(z.imag)]
+
+
 def _cmd_compare(config: RunConfig, out_dir: str) -> int:
+    """Each shooting root against the grid eigenvalue nearest it.
+
+    Only those grid modes are solved, by inverse iteration at each root, and
+    each must pass the residual and reality gates (UnverifiedMode otherwise).
+    A guess without a converged root, or whose root shares its grid mode with
+    a nearer root, is listed in compare.json and makes the command exit 2.
+    """
     import csv
+
+    import numpy as np
+
+    from . import discrete, model, spectra
 
     _require_grid(config)
     _require_shoot(config)
-    pair, es = _grid_eigensystem(config)
+    tol = config.tolerances
+    rect = model.rectify_model(config.model, config.contour.winding)
+    pair = discrete.build_operators(rect, config.grid)
     roots = _shoot_roots(config)
-    k = min(len(roots), es.m)
-    if k == 0:
-        raise ConfigError("compare found no modes on one of the two routes")
-    rel_tol = config.tolerances["compare_rel"]
+    lams, _, residuals = spectra.nearest_eigenpairs(pair, roots)
+    for root, lam, res in zip(roots, lams, residuals):
+        if not res <= tol["residual"]:
+            raise UnverifiedMode(
+                f"grid mode {lam} nearest root {root} has residual {res:.3e} > {tol['residual']}"
+            )
+        if not abs(lam.imag) < tol["filter_im"] * max(1.0, abs(lam.real)):
+            raise UnverifiedMode(f"grid mode {lam} nearest root {root} is not real")
+
+    guesses = np.asarray(config.guesses, dtype=complex)
+    root_of = _pair_guesses(guesses, roots)
+    unmatched = []
+    claimed: List[int] = []  # roots holding a grid mode, nearest first
+    for g in sorted(root_of, key=lambda g: abs(roots[root_of[g]] - lams[root_of[g]])):
+        r = root_of[g]
+        # grid modes the comparison cannot tell apart count as one mode
+        rival = next(
+            (c for c in claimed
+             if abs(lams[c] - lams[r]) <= tol["compare_rel"] * max(1.0, abs(lams[r]))),
+            None,
+        )
+        if rival is None:
+            claimed.append(r)
+        else:
+            unmatched.append({
+                "guess": _complex_json(guesses[g]),
+                "root": _complex_json(roots[r]),
+                "reason": f"grid mode {lams[r].real!r} is already matched to root {roots[rival].real!r}",
+            })
+    for g in range(len(guesses)):
+        if g not in root_of:
+            unmatched.append({
+                "guess": _complex_json(guesses[g]),
+                "root": None,
+                "reason": "no converged shooting root of its own",
+            })
+    unmatched.sort(key=lambda item: item["guess"])
+
     rows = []
     worst = 0.0
-    for j in range(k):
-        e_grid = float(es.lambdas[j].real)
-        e_shoot = float(roots[j].real)
+    for j, r in enumerate(sorted(claimed)):
+        e_grid = float(lams[r].real)
+        e_shoot = float(roots[r].real)
         delta = abs(e_grid - e_shoot)
         rel = delta / max(1.0, abs(e_grid))
         worst = max(worst, rel)
@@ -394,16 +460,30 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
         writer = csv.writer(fh)
         writer.writerow(["index", "re_E_grid", "re_E_shoot", "abs_delta", "rel_delta"])
         writer.writerows(rows)
+    rel_tol = tol["compare_rel"]
     _json_dump(
-        {"compared_modes": k, "max_rel_delta": worst, "tolerance": rel_tol},
+        {
+            "compared_modes": len(rows),
+            "requested_modes": len(guesses),
+            "max_rel_delta": worst if rows else None,
+            "tolerance": rel_tol,
+            "unmatched_guesses": unmatched,
+        },
         os.path.join(out_dir, "compare.json"),
     )
+    code = 0
+    if unmatched:
+        named = ", ".join(f"{complex(*u['guess']):g} ({u['reason']})" for u in unmatched)
+        sys.stderr.write(
+            f"compare: {len(rows)} of {len(guesses)} guesses compared; unmatched: {named}\n"
+        )
+        code = 2
     if worst > rel_tol:
         sys.stderr.write(
             f"compare: max relative delta {worst:.3e} exceeds tolerance {rel_tol:.1e}\n"
         )
-        return 2
-    return 0
+        code = 2
+    return code
 
 
 def _cmd_validate(config: RunConfig, out_dir: str) -> int:
@@ -443,9 +523,7 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
     # checks; normalization of it can fail on defective pairs, which we report
     # as a failed check rather than a crash.
     try:
-        es_all = spectra.normalize_biorthogonal(
-            es_raw, pair.W, sigma_tol=tol["sigma_floor"]
-        )
+        es_all = spectra.normalize_biorthogonal(es_raw, pair, sigma_tol=tol["sigma_floor"])
     except SelfOrthogonalMode:
         es_all = None
     if es_all is None:
@@ -657,6 +735,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except IncompleteBasis as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 2
+    except UnverifiedMode as exc:
+        sys.stderr.write(f"unverified mode: {exc}\n")
+        return 5
     except QTobogganError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return 3

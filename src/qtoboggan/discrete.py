@@ -116,11 +116,11 @@ def pt_residual(pair: OperatorPair) -> float:
     """Parity pseudo-Hermiticity defect of the discretized pair.
 
     max(||P H P - H^dag||_F, ||P W P - W^dag||_F) / (||H||_F + ||W||_F);
-    P is its own inverse.
+    P is the index reversal, so P X P reverses both axes of X.
     """
-    P, H, W = pair.P, pair.H, pair.W
-    dH = np.linalg.norm(P @ H @ P - H.conj().T)
-    dW = np.linalg.norm(P @ W @ P - W.conj().T)
+    H, W = pair.H, pair.W
+    dH = np.linalg.norm(H[::-1, ::-1] - H.conj().T)
+    dW = np.linalg.norm(W[::-1, ::-1] - W.conj().T)
     return float(max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(W)))
 
 

@@ -58,6 +58,10 @@ class SchemaMismatch(QTobogganError):
     """A diagnostics payload does not match the documented schema."""
 
 
+class UnverifiedMode(QTobogganError):
+    """A grid mode matched to a shooting root fails its residual or reality gate."""
+
+
 class NoConvergence(QTobogganError):
     """A single root search failed to converge (reported per guess, not fatal)."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +33,7 @@ __all__ = [
     "solve_generalized",
     "generalized_eigenvalues",
     "lowest_eigenvalues",
+    "nearest_eigenpairs",
     "filter_real",
     "normalize_biorthogonal",
     "completeness_residual",
@@ -45,20 +46,31 @@ __all__ = [
 
 MatrixOrPair = Union[OperatorPair, np.ndarray]
 
+# Inverse iteration gains a factor |E1 - shift| / |E2 - shift| per step (E1, E2
+# the nearest and next-nearest eigenvalues): a shift within 1e-4 of a mode
+# converges in 2-3 steps, one halfway between two modes never does.
+INVERSE_ITERATION_STEPS = 100
+
+
+def _weight_vector(W: Optional[MatrixOrPair], n: int) -> np.ndarray:
+    """The diagonal of the weight W as a vector (the identity when W is None)."""
+    if W is None:
+        return np.ones(n)
+    if isinstance(W, OperatorPair):
+        return W.w_diag
+    Wm = np.asarray(W, dtype=complex)
+    w = np.diagonal(Wm)
+    if np.count_nonzero(Wm) != np.count_nonzero(w):
+        raise ValueError("W must be diagonal")
+    return w
+
 
 def _unpack(operators: MatrixOrPair, W: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """H as a dense matrix and the diagonal weight W as a vector."""
     if isinstance(operators, OperatorPair):
-        return operators.H, operators.W
+        return operators.H, operators.w_diag
     H = np.asarray(operators, dtype=complex)
-    Wm = np.eye(H.shape[0]) if W is None else np.asarray(W, dtype=complex)
-    return H, Wm
-
-
-def _is_identity(Wm: np.ndarray) -> bool:
-    """True iff Wm is exactly the identity (zero-winding weights are)."""
-    return bool(
-        np.all(np.diagonal(Wm) == 1.0) and np.count_nonzero(Wm) == Wm.shape[0]
-    )
+    return H, _weight_vector(W, H.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,15 +130,15 @@ def solve_generalized(
     DegeneratePairing.  Per-mode residuals ||H v - lam W v|| / ||W v|| (and the
     left analogue) are reported, not gated.
     """
-    H, Wm = _unpack(operators, W)
+    H, w = _unpack(operators, W)
     n = H.shape[0]
     try:
         # Standard eigensolve when the weight is exactly the identity: same
         # pairs, and it avoids the ~10x cost of the QZ iteration.
-        if _is_identity(Wm):
+        if np.all(w == 1.0):
             lam, VL, VR = scipy.linalg.eig(H, left=True, right=True)
         else:
-            lam, VL, VR = scipy.linalg.eig(H, Wm.copy(), left=True, right=True)
+            lam, VL, VR = scipy.linalg.eig(H, np.diag(w), left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
         raise SolverFailure(f"generalized eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(lam)):
@@ -148,11 +160,11 @@ def solve_generalized(
 
     VR = _normalize_columns(VR)
     VL = _normalize_columns(VL)
-    res_r = np.linalg.norm(H @ VR - (Wm @ VR) * lam, axis=0) / np.linalg.norm(Wm @ VR, axis=0)
-    res_l = np.linalg.norm(H.conj().T @ VL - (Wm.conj().T @ VL) * lam.conj(), axis=0) / (
-        np.linalg.norm(Wm.conj().T @ VL, axis=0)
-    )
-    sig = np.einsum("ij,ij->j", VL.conj(), Wm @ VR)
+    WVR = w[:, np.newaxis] * VR
+    WVL = w.conj()[:, np.newaxis] * VL
+    res_r = np.linalg.norm(H @ VR - WVR * lam, axis=0) / np.linalg.norm(WVR, axis=0)
+    res_l = np.linalg.norm(H.conj().T @ VL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
+    sig = np.einsum("ij,ij->j", VL.conj(), WVR)
     return Eigensystem(
         lambdas=lam,
         right=VR,
@@ -167,11 +179,11 @@ def solve_generalized(
 
 def generalized_eigenvalues(operators: MatrixOrPair, W: Optional[np.ndarray] = None) -> np.ndarray:
     """Eigenvalues only (no vectors), sorted by (Re, Im) — cheap convergence studies."""
-    H, Wm = _unpack(operators, W)
-    if _is_identity(Wm):
+    H, w = _unpack(operators, W)
+    if np.all(w == 1.0):
         lam = scipy.linalg.eigvals(H)
     else:
-        lam = scipy.linalg.eigvals(H, Wm.copy())
+        lam = scipy.linalg.eigvals(H, np.diag(w))
     return lam[np.lexsort((lam.imag, lam.real))]
 
 
@@ -204,31 +216,88 @@ def lowest_eigenvalues(
     """
     import scipy.sparse.linalg as spla
 
-    H, Wm = _unpack(operators, W)
+    H, w = _unpack(operators, W)
     n = H.shape[0]
     if k >= n - 1:
         lam = generalized_eigenvalues(operators, W=W)
         return lam[np.argsort(np.abs(lam - sigma), kind="stable")[:k]]
 
     tri = _as_tridiagonal_sparse(H)
-    diag_w = np.diagonal(Wm)
-    w_is_diagonal = np.count_nonzero(Wm) <= n and np.all(diag_w != 0)
-    if tri is None or not w_is_diagonal:
+    if tri is None or not np.all(w != 0):
         lam = generalized_eigenvalues(operators, W=W)
         lam = lam[np.argsort(np.abs(lam - sigma), kind="stable")[:k]]
         return lam[np.lexsort((lam.imag, lam.real))]
 
-    if not np.all(diag_w == 1.0):
+    if not np.all(w == 1.0):
         # H v = lam W v with invertible diagonal W is the standard problem
         # (W^{-1} H) v = lam v, and diagonal scaling preserves tridiagonality.
         import scipy.sparse as sp
 
-        tri = sp.diags(1.0 / diag_w.astype(complex)) @ tri
+        tri = sp.diags(1.0 / w.astype(complex)) @ tri
     try:
         lam = spla.eigs(tri.tocsc(), k=k, sigma=sigma, which="LM", return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
     return lam[np.lexsort((lam.imag, lam.real))]
+
+
+def nearest_eigenpairs(
+    pair: OperatorPair, shifts: Sequence[complex]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each shift, the eigenpair of H psi = E W psi nearest it.
+
+    Returns (lambdas, right, residuals): the eigenvalues, the right kets as
+    unit columns, and ||H psi - E W psi|| / ||W psi|| per shift.  Inverse
+    iteration at the fixed shift on the grid structure (tridiagonal H,
+    diagonal W): each step is one O(n) banded solve, started from a fixed
+    vector so the result is deterministic.  It stops once the residual
+    reaches rounding level, else after INVERSE_ITERATION_STEPS steps with the
+    best iterate; the residual is reported, not gated.
+    """
+    H, w = pair.H, pair.w_diag
+    n = pair.n
+    diag, sup, sub = np.diagonal(H), np.diagonal(H, 1), np.diagonal(H, -1)
+
+    def apply_H(x: np.ndarray) -> np.ndarray:
+        Hx = diag * x
+        Hx[:-1] += sup * x[1:]
+        Hx[1:] += sub * x[:-1]
+        return Hx
+
+    def residual(x: np.ndarray, Hx: np.ndarray) -> Tuple[complex, float, float]:
+        Wx = w * x
+        norm_Wx = float(np.linalg.norm(Wx))
+        lam = np.vdot(Wx, Hx) / norm_Wx**2
+        return lam, float(np.linalg.norm(Hx - lam * Wx)) / norm_Wx, norm_Wx
+
+    bands = np.zeros((3, n), dtype=complex)
+    bands[0, 1:], bands[2, :-1] = sup, sub
+    norm_H = float(np.abs(diag).max() + np.abs(sup).max() + np.abs(sub).max())  # >= ||H||_inf
+    norm_W = float(np.abs(w).max())
+    start = np.random.default_rng(0).standard_normal(n).astype(complex)
+    shifts = np.asarray(list(shifts), dtype=complex)
+    lambdas = np.empty(len(shifts), dtype=complex)
+    right = np.empty((n, len(shifts)), dtype=complex)
+    residuals = np.empty(len(shifts))
+    for j, shift in enumerate(shifts):
+        bands[1] = diag - shift * w
+        x, best = start, (np.inf, start)
+        for _ in range(INVERSE_ITERATION_STEPS):
+            try:
+                x = scipy.linalg.solve_banded((1, 1), bands, w * x, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailure(f"shift {shift} is an exact eigenvalue of the pencil") from exc
+            x = x / np.linalg.norm(x)
+            lam, res, norm_Wx = residual(x, apply_H(x))
+            if res < best[0]:
+                best = (res, x)
+            # rounding level: the residual a backward-stable eigenvector would show
+            if res <= np.finfo(float).eps * (norm_H + abs(lam) * norm_W) / norm_Wx:
+                break
+        right[:, j] = best[1]
+        # the reported residual uses the full H, not the bands the iteration assumed
+        lambdas[j], residuals[j], _ = residual(best[1], H @ best[1])
+    return lambdas, _normalize_columns(right), residuals
 
 
 def filter_real(es: Eigensystem, tol_im: float = 1e-6) -> Eigensystem:
@@ -249,13 +318,7 @@ def normalize_biorthogonal(
     Right kets are untouched; the weighted Gram matrix after rescaling is
     stored on the result for inspection.
     """
-    if isinstance(W, OperatorPair):
-        Wm = W.W
-    elif W is None:
-        Wm = np.eye(es.ambient_n)
-    else:
-        Wm = np.asarray(W, dtype=complex)
-    WV = Wm @ es.right
+    WV = _weight_vector(W, es.ambient_n)[:, np.newaxis] * es.right
     sig = np.einsum("ij,ij->j", es.left.conj(), WV)
     floor = sigma_tol * max(1.0, float(np.median(np.abs(sig))))
     if np.any(np.abs(sig) < floor):
@@ -273,8 +336,8 @@ def completeness_residual(es: Eigensystem, W: Optional[np.ndarray] = None) -> fl
     """|| sum_lam |lam> sigma^-1 <<lam| W  -  I ||_F / sqrt(n); full mode set only."""
     if es.m < es.ambient_n:
         raise IncompleteBasis(f"m={es.m} < n={es.ambient_n}: completeness is undefined")
-    Wm = np.eye(es.ambient_n) if W is None else np.asarray(W, dtype=complex)
-    T = (es.right / es.sigmas[np.newaxis, :]) @ (es.left.conj().T @ Wm)
+    w = _weight_vector(W, es.ambient_n)
+    T = (es.right / es.sigmas[np.newaxis, :]) @ (es.left.conj().T * w[np.newaxis, :])
     T[np.diag_indices_from(T)] -= 1.0
     return float(np.linalg.norm(T) / np.sqrt(es.ambient_n))
 
@@ -283,8 +346,10 @@ def spectral_rebuild_residual(es: Eigensystem, pair: MatrixOrPair, W: Optional[n
     """|| sum_lam W|lam> (lam/sigma) <<lam|W  -  H ||_F / ||H||_F; full mode set only."""
     if es.m < es.ambient_n:
         raise IncompleteBasis(f"m={es.m} < n={es.ambient_n}: rebuild is undefined")
-    H, Wm = _unpack(pair, W)
-    rebuilt = (Wm @ es.right * (es.lambdas / es.sigmas)[np.newaxis, :]) @ (es.left.conj().T @ Wm)
+    H, w = _unpack(pair, W)
+    rebuilt = (w[:, np.newaxis] * es.right * (es.lambdas / es.sigmas)[np.newaxis, :]) @ (
+        es.left.conj().T * w[np.newaxis, :]
+    )
     return float(np.linalg.norm(rebuilt - H) / np.linalg.norm(H))
 
 

@@ -200,6 +200,72 @@ def test_compare_command_pass_and_fail(tmp_path):
     assert code == 2
 
 
+def compare_config(tmp_path, guesses, **shoot):
+    cfg = base_config(command="compare", shoot={"guesses": guesses, "root_tol": 1e-9, **shoot})
+    return write_config(tmp_path, cfg)
+
+
+def test_compare_pairs_roots_with_nearest_grid_modes(tmp_path):
+    # roots 1 and 5 are compared with grid modes 1 and 5, not with 1 and 3
+    path = compare_config(tmp_path, [0.9, 5.2])
+    out = tmp_path / "c"
+    assert cli.main(["--config", path, "--out", str(out)]) == 0
+    payload = json.loads((out / "compare.json").read_text())
+    assert payload["compared_modes"] == payload["requested_modes"] == 2
+    assert payload["unmatched_guesses"] == []
+    assert payload["max_rel_delta"] < 1e-3
+    rows = (out / "delta.csv").read_text().splitlines()
+    assert rows[0] == "index,re_E_grid,re_E_shoot,abs_delta,rel_delta"
+    assert [round(float(r.split(",")[1])) for r in rows[1:]] == [1, 5]
+
+
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.NoConvergenceWarning")
+def test_compare_names_dropped_guesses(tmp_path, capsys):
+    path = compare_config(tmp_path, [0.9, 2.8, 40], max_iter=3)
+    out = tmp_path / "c"
+    assert cli.main(["--config", path, "--out", str(out)]) == 2
+    payload = json.loads((out / "compare.json").read_text())
+    assert payload["requested_modes"] == 3
+    assert payload["compared_modes"] < 3
+    dropped = [item["guess"] for item in payload["unmatched_guesses"]]
+    assert [40.0, 0.0] in dropped
+    assert len(dropped) == 3 - payload["compared_modes"]
+    assert "40+0j" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.NoConvergenceWarning")
+def test_compare_with_nothing_to_compare_exits_2(tmp_path):
+    path = compare_config(tmp_path, [0.9], max_iter=1)
+    out = tmp_path / "c"
+    assert cli.main(["--config", path, "--out", str(out)]) == 2
+    payload = json.loads((out / "compare.json").read_text())
+    assert payload["compared_modes"] == 0
+    assert payload["max_rel_delta"] is None
+    assert payload["unmatched_guesses"][0]["root"] is None
+
+
+def test_compare_two_roots_on_one_grid_mode_is_unmatched(tmp_path, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr(cli, "_shoot_roots", lambda config: np.array([1.0, 1.0004], dtype=complex))
+    path = compare_config(tmp_path, [0.9, 1.1])
+    out = tmp_path / "c"
+    assert cli.main(["--config", path, "--out", str(out)]) == 2
+    payload = json.loads((out / "compare.json").read_text())
+    assert payload["compared_modes"] == 1
+    [item] = payload["unmatched_guesses"]
+    assert item["guess"] == [1.1, 0.0] and item["root"] == [1.0004, 0.0]
+
+
+def test_compare_mode_failing_its_residual_gate_exits_5(tmp_path):
+    path = compare_config(tmp_path, [0.9])
+    code = cli.main(
+        ["--config", path, "--out", str(tmp_path / "c"),
+         "--override", "tolerances.residual=1e-30"]
+    )
+    assert code == 5
+
+
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
 def test_validate_command(tmp_path):
     path = write_config(tmp_path, base_config(command="validate"))

@@ -70,6 +70,20 @@ def test_pt_residual_flags_non_pt_models():
     assert discrete.pt_residual(pair) > 1e-3
 
 
+def test_pt_residual_equals_dense_parity_reference():
+    for spec, winding in [
+        (model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1),
+        (model.ModelSpec(coeffs={3: 1.0}), 0),
+    ]:
+        pair = _pair(spec, winding, 3.0, 41, 0.4)
+        H, W, P = pair.H, pair.W, np.eye(pair.n)[::-1]
+        assert np.array_equal(P @ H @ P, H[::-1, ::-1])
+        dH = np.linalg.norm(P @ H @ P - H.conj().T)
+        dW = np.linalg.norm(P @ W @ P - W.conj().T)
+        reference = max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(W))
+        assert discrete.pt_residual(pair) == reference
+
+
 def test_weight_condition_and_diag():
     pair = _pair(model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1, 2.2, 51, 0.15)
     d = np.abs(pair.w_diag)

@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from qtoboggan import spectra
+from qtoboggan import discrete, model, spectra
 from qtoboggan.errors import (
     DegeneratePairing,
     EmptySpectrum,
@@ -15,6 +15,7 @@ from qtoboggan.errors import (
     VanishingParityOverlap,
     ZeroKappa,
 )
+from reference_values import CUBIC_TOBOGGAN_GRID_LOWEST, CUBIC_TOBOGGAN_SHOOT_LOWEST
 
 # Hand-worked pair: H = [[1, 1], [0, 2]], W = I.
 # lambda = 1: right (1,0);           lambda = 2: right (1,1)/sqrt(2)
@@ -169,6 +170,63 @@ def test_lowest_eigenvalues_small_matrix_fallback():
     H = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     low = spectra.lowest_eigenvalues(H, k=3, sigma=0.0)
     assert np.allclose(low, [1.0, 2.0, 3.0])
+
+
+def test_weight_scaling_matches_dense_weight_products(cubic_model):
+    # W is diagonal, so W @ V is a row scaling; check it against the product
+    rect = model.rectify_model(cubic_model, 1)
+    pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=80, epsilon=0.15))
+    H, W = pair.H, pair.W
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    lam, VR, VL = es.lambdas, es.right, es.left
+    res_r = np.linalg.norm(H @ VR - (W @ VR) * lam, axis=0) / np.linalg.norm(W @ VR, axis=0)
+    res_l = np.linalg.norm(H.conj().T @ VL - (W.conj().T @ VL) * lam.conj(), axis=0) / (
+        np.linalg.norm(W.conj().T @ VL, axis=0)
+    )
+    # a residual is a difference of terms of size |lambda|: it agrees to that rounding
+    rounding = 1e-15 * np.maximum(1.0, np.abs(lam))
+    assert np.all(np.abs(es.residual_right - res_r) <= rounding)
+    assert np.all(np.abs(es.residual_left - res_l) <= rounding)
+    assert np.allclose(es.sigmas, np.einsum("ij,ij->j", VL.conj(), W @ VR), rtol=1e-12, atol=0)
+    sub = spectra.filter_real(es)
+    normed = spectra.normalize_biorthogonal(sub, pair)
+    WV = W @ sub.right
+    left = sub.left / np.einsum("ij,ij->j", sub.left.conj(), WV).conj()[np.newaxis, :]
+    assert np.allclose(normed.left, left, rtol=1e-12, atol=0)
+    assert np.allclose(normed.gram, left.conj().T @ WV, rtol=1e-12, atol=1e-14)
+
+
+def test_nearest_eigenpairs_match_dense_solve(harmonic_small):
+    pair, es_full, es_sub = harmonic_small
+    shifts = [0.9, 2.8, 5.2, 7.3, 1.2 + 0.1j]
+    lam, right, res = spectra.nearest_eigenpairs(pair, shifts)
+    for j, shift in enumerate(shifts):
+        k = np.argmin(np.abs(es_full.lambdas - shift))
+        assert abs(lam[j] - es_full.lambdas[k]) <= 1e-10 * abs(es_full.lambdas[k])
+        # same ket up to phase: both are unit columns
+        assert abs(np.vdot(right[:, j], es_full.right[:, k])) == pytest.approx(1.0, abs=1e-10)
+    assert res.max() < 1e-10
+    again = spectra.nearest_eigenpairs(pair, shifts)
+    assert np.array_equal(again[0], lam) and np.array_equal(again[1], right)
+
+
+def test_nearest_eigenpairs_on_weighted_pencil(cubic_model):
+    rect = model.rectify_model(cubic_model, 1)
+    pair = discrete.build_operators(
+        rect, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15)
+    )
+    lam, _, res = spectra.nearest_eigenpairs(pair, CUBIC_TOBOGGAN_SHOOT_LOWEST[:3])
+    assert np.allclose(lam.real, CUBIC_TOBOGGAN_GRID_LOWEST[:3], rtol=1e-6, atol=0)
+    assert np.abs(lam.imag).max() < 1e-9
+    assert res.max() < 1e-8
+
+
+def test_nearest_eigenpairs_reports_unconverged_residual(harmonic_small):
+    # equidistant from two modes, inverse iteration cannot pick one
+    pair, es_full, es_sub = harmonic_small
+    midpoint = 0.5 * (es_sub.lambdas[0] + es_sub.lambdas[1])
+    lam, _, res = spectra.nearest_eigenpairs(pair, [midpoint])
+    assert res[0] > 1e-3
 
 
 def test_residuals_small_on_grid_run(harmonic_small):
