@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import (
@@ -68,32 +69,20 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 }
 
 
+@dataclass
 class RunConfig:
     """Parsed and validated run configuration (model, contour, grid, command...)."""
 
-    def __init__(
-        self,
-        model: Any,
-        contour: Any,
-        grid: Optional[Any],
-        command: Optional[str],
-        tolerances: Dict[str, float],
-        output_dir: str,
-        seed: int,
-        shoot_cfg: Optional[Any],
-        guesses: List[complex],
-        scan: Optional[Dict[str, float]],
-    ) -> None:
-        self.model = model
-        self.contour = contour
-        self.grid = grid
-        self.command = command
-        self.tolerances = tolerances
-        self.output_dir = output_dir
-        self.seed = seed
-        self.shoot_cfg = shoot_cfg
-        self.guesses = guesses
-        self.scan = scan
+    model: Any
+    contour: Any
+    grid: Optional[Any]
+    command: Optional[str]
+    tolerances: Dict[str, float]
+    output_dir: str
+    seed: int
+    shoot_cfg: Optional[Any]
+    guesses: List[complex]
+    scan: Optional[Dict[str, float]]
 
 
 def _apply_override(raw: Dict[str, Any], spec: str) -> None:
@@ -639,13 +628,23 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
                 config.guesses,
             )
         )
-        k = min(len(roots1), len(roots2))
-        if k == 0:
-            check("shoot_epsilon_independence", 1.0, tol["epsilon_independence"])
+        # each root against its nearest partner at the doubled shift; a root
+        # without one is a mode that only one of the two contours finds
+        partner = _pair_guesses(roots1, roots2)
+        lonely = [r for i, r in enumerate(roots1) if i not in partner]
+        lonely += [r for j, r in enumerate(roots2) if j not in partner.values()]
+        if lonely or not partner:
+            guesses = np.asarray(config.guesses, dtype=complex)
+            for root in lonely:
+                g = guesses[np.argmin(np.abs(guesses - root))]
+                sys.stderr.write(
+                    f"validate: guess {g:g} converged to {root:g} at only one of the "
+                    "shifts epsilon, 2*epsilon\n"
+                )
+            check("shoot_epsilon_independence", math.inf, tol["epsilon_independence"])
             return bail()
-        rel = float(
-            np.max(np.abs(roots1[:k] - roots2[:k]) / np.maximum(1.0, np.abs(roots1[:k])))
-        )
+        i, j = np.array(list(partner)), np.array(list(partner.values()))
+        rel = float(np.max(np.abs(roots1[i] - roots2[j]) / np.maximum(1.0, np.abs(roots1[i]))))
         if not check("shoot_epsilon_independence", rel, tol["epsilon_independence"]):
             return bail()
 

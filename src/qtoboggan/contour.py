@@ -1,4 +1,4 @@
-"""Straight and spiral integration paths, and the rectification map between them.
+"""The spiral integration path, and the rectification map onto the straight line.
 
 A path is parametrized by the angle ``gamma`` in (-pi/2, pi/2).  The spiral
 with winding number ``N`` winds ``N`` extra half-turns around the origin; the
@@ -10,9 +10,7 @@ parametrization, never by a principal cut.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +18,10 @@ from .errors import ConfigError
 
 __all__ = [
     "ContourSpec",
-    "ContourPoint",
-    "line_point",
-    "spiral_point",
-    "sample_path",
+    "spiral",
     "rectify",
     "unrectify",
     "winding_arg_span",
-    "save_path_csv",
 ]
 
 
@@ -37,144 +31,56 @@ class ContourSpec:
 
     ``epsilon`` is the downward shift of the straight line (must be positive so
     the path avoids the origin); ``winding`` is the number of extra half-turns
-    of the spiral; ``profile`` optionally replaces the constant shift with an
-    even, positive function of x.
+    of the spiral.
     """
 
     epsilon: float
     winding: int = 0
-    profile: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.winding < 0 or int(self.winding) != self.winding:
             raise ConfigError(f"winding must be a non-negative integer, got {self.winding}")
-        if self.profile is not None:
-            self._validate_profile()
-
-    def _validate_profile(self) -> None:
-        xs = np.linspace(0.0, 10.0, 41)
-        for x in xs:
-            left, right = self.profile(-x), self.profile(x)
-            if not (right > 0):
-                raise ConfigError(f"profile must be positive, profile({x}) = {right}")
-            if abs(left - right) > 1e-12 * max(1.0, abs(right)):
-                raise ConfigError("profile must be even: profile(x) == profile(-x)")
-        # Restriction: x - profile(x)*tan(gamma) must be monotone in x so that
-        # the x(gamma) relation is invertible.  Checked on a sample fan of
-        # angles over a symmetric abscissa range (the fold of an even profile
-        # can sit on either side of the origin).
-        xs_sym = np.linspace(-10.0, 10.0, 81)
-        for g in (0.3, 0.8, 1.2):
-            t = math.tan(g)
-            vals = xs_sym - np.array([self.profile(float(x)) for x in xs_sym]) * t
-            if np.any(np.diff(vals) <= 0):
-                raise ConfigError(
-                    "profile rejected: x - profile(x)*tan(gamma) must be strictly "
-                    "monotone in x (invertibility restriction)"
-                )
 
     @property
     def degree(self) -> int:
         """Exponent 2N+1 of the conformal power map."""
         return 2 * self.winding + 1
 
-    def shift_at(self, x: float) -> float:
-        """Shift epsilon(x) at abscissa x (constant unless a profile is set)."""
-        if self.profile is None:
-            return self.epsilon
-        return float(self.profile(float(x)))
 
-    def x_of_gamma(self, gamma: float) -> float:
-        """Abscissa x(gamma) solving x = epsilon(x) * tan(gamma)."""
-        t = math.tan(gamma)
-        if self.profile is None:
-            return self.epsilon * t
-        # monotone by the constructor restriction: bisection is safe
-        lo, hi = -1.0, 1.0
-        f = lambda x: x - self.shift_at(x) * t
-        while f(lo) > 0:
-            lo *= 2
-            if lo < -1e12:
-                raise ConfigError("x(gamma) bracket not found for profile")
-        while f(hi) < 0:
-            hi *= 2
-            if hi > 1e12:
-                raise ConfigError("x(gamma) bracket not found for profile")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+def spiral(gammas: np.ndarray, epsilon: float, q: int):
+    """z, dz/dg, and z''/z' along the winding contour at angles `gammas`.
 
-
-@dataclass(frozen=True)
-class ContourPoint:
-    """One sample of a gamma-parametrized path: spiral point z, line point r."""
-
-    gamma: float
-    z: complex
-    r: complex
-
-
-def line_point(x: float, spec: ContourSpec) -> complex:
-    """Point r(x) = x - i*epsilon(x) on the straight shifted line."""
-    return complex(x, -spec.shift_at(x))
-
-
-def _check_gamma(gamma: float) -> None:
-    if not abs(gamma) < math.pi / 2:
-        raise ConfigError(f"gamma must lie in (-pi/2, pi/2), got {gamma}")
-
-
-def spiral_point(gamma: float, spec: ContourSpec) -> ContourPoint:
-    """Spiral point z(gamma) and its rectified partner r(gamma).
-
-    z = -i * rho^(2N+1) * exp(i*(2N+1)*gamma)  with  rho = epsilon(x)/cos(gamma);
-    r = -i * rho * exp(i*gamma)  is the matching point on the straight line.
+    z = -i * rho^q * exp(i*q*gamma)  with  rho = epsilon/cos(gamma) and
+    q = 2N+1; at q = 1 this is the straight line, i.e. the rectified partner.
     """
-    _check_gamma(gamma)
-    x = spec.x_of_gamma(gamma)
-    rho = spec.shift_at(x) / math.cos(gamma)
-    q = spec.degree
-    z = -1j * rho**q * complex(math.cos(q * gamma), math.sin(q * gamma))
-    r = -1j * rho * complex(math.cos(gamma), math.sin(gamma))
-    return ContourPoint(gamma=gamma, z=z, r=r)
+    if not np.all(np.abs(gammas) < np.pi / 2):
+        raise ConfigError("gamma must lie in (-pi/2, pi/2)")
+    t = np.tan(gammas)
+    c = t + 1j
+    rho = epsilon / np.cos(gammas)
+    z = -1j * rho**q * np.exp(1j * q * gammas)
+    zdot = q * z * c
+    acc = q * c + (1.0 + t * t) / c
+    return z, zdot, acc
 
 
-def sample_path(spec: ContourSpec, gammas: Sequence[float]) -> list[ContourPoint]:
-    """Sample the spiral on a caller-supplied gamma grid."""
-    return [spiral_point(float(g), spec) for g in gammas]
-
-
-def rectify(z_path: Iterable[ContourPoint], winding: int) -> np.ndarray:
-    """Map gamma-parametrized spiral points to the straight line.
+def rectify(z: np.ndarray, gammas: np.ndarray, winding: int) -> np.ndarray:
+    """Map spiral points z(gamma) to the straight line.
 
     The fractional power uses the parametrization branch arg(i*z) = (2N+1)*gamma:
     r = -i * |z|^(1/(2N+1)) * exp(i*gamma).  Rejects paths through z = 0.
     """
-    q = 2 * winding + 1
-    out = []
-    for p in z_path:
-        mod = abs(p.z)
-        if mod == 0.0:
-            raise ConfigError("rectify: path crosses z = 0")
-        rho = mod ** (1.0 / q)
-        out.append(-1j * rho * complex(math.cos(p.gamma), math.sin(p.gamma)))
-    return np.asarray(out, dtype=complex)
+    mod = np.abs(z)
+    if np.any(mod == 0.0):
+        raise ConfigError("rectify: path crosses z = 0")
+    return -1j * mod ** (1.0 / (2 * winding + 1)) * np.exp(1j * np.asarray(gammas))
 
 
-def unrectify(r_path: Iterable, winding: int) -> np.ndarray:
+def unrectify(r: np.ndarray, winding: int) -> np.ndarray:
     """Exact inverse of rectification: z = -i * (i*r)^(2N+1) (a polynomial map)."""
-    q = 2 * winding + 1
-    rs = np.asarray(
-        [p.r if isinstance(p, ContourPoint) else complex(p) for p in r_path],
-        dtype=complex,
-    )
-    return -1j * (1j * rs) ** q
+    return -1j * (1j * np.asarray(r, dtype=complex)) ** (2 * winding + 1)
 
 
 def winding_arg_span(spec: ContourSpec, n_samples: int = 2001, margin: float = 1e-3) -> float:
@@ -183,18 +89,7 @@ def winding_arg_span(spec: ContourSpec, n_samples: int = 2001, margin: float = 1
     Equals (2N+1)*pi in exact arithmetic (up to the gamma truncation margin);
     used by the winding invariant check.
     """
-    gs = np.linspace(-math.pi / 2 + margin, math.pi / 2 - margin, n_samples)
-    pts = sample_path(spec, gs)
-    args = np.unwrap(np.angle([1j * p.z for p in pts]))
+    gs = np.linspace(-np.pi / 2 + margin, np.pi / 2 - margin, n_samples)
+    z, _, _ = spiral(gs, spec.epsilon, spec.degree)
+    args = np.unwrap(np.angle(1j * z))
     return float(args[-1] - args[0])
-
-
-def save_path_csv(points: Sequence[ContourPoint], path: str) -> None:
-    """Dump a sampled path as CSV with columns gamma, re_z, im_z, re_r, im_r."""
-    lines = ["gamma,re_z,im_z,re_r,im_r"]
-    for p in points:
-        lines.append(
-            f"{p.gamma!r},{p.z.real!r},{p.z.imag!r},{p.r.real!r},{p.r.imag!r}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

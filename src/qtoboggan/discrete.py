@@ -22,10 +22,8 @@ __all__ = [
     "OperatorPair",
     "build_operators",
     "pt_residual",
-    "suggest_half_width",
     "save_matrix_bin",
     "load_matrix_bin",
-    "save_matrix_csv",
 ]
 
 _MAGIC = b"QTBM"
@@ -124,21 +122,6 @@ def pt_residual(pair: OperatorPair) -> float:
     return float(max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(W)))
 
 
-def suggest_half_width(model: RectifiedModel, e_max: float, epsilon: float) -> float:
-    """Smallest X (on a 0.25 lattice) with |V_rect(r(+-X))| >= 1e3 * |e_max|.
-
-    Potential-wall truncation heuristic; overridable by the caller.
-    """
-    target = 1e3 * max(1.0, abs(e_max))
-    X = 0.5
-    while X < 1e3:
-        v = abs(model.potential(np.array([X - 1j * epsilon, -X - 1j * epsilon]))).min()
-        if v >= target:
-            return X
-        X += 0.25
-    raise ConfigError("no admissible half_width below 1e3 (potential too flat)")
-
-
 def save_matrix_bin(A: np.ndarray, path: str, h: float, epsilon: float) -> None:
     """Dump a dense complex matrix in the documented binary layout.
 
@@ -171,11 +154,3 @@ def load_matrix_bin(path: str) -> Tuple[np.ndarray, float, float]:
         payload = fh.read(rows * cols * 16)
     A = np.frombuffer(payload, dtype="<c16").reshape(rows, cols).astype(np.complex128)
     return A, h, epsilon
-
-
-def save_matrix_csv(A: np.ndarray, path: str) -> None:
-    """CSV export (re/im interleaved) for small matrices."""
-    A = np.asarray(A, dtype=complex)
-    lines = [",".join(f"{float(v.real)!r};{float(v.imag)!r}" for v in row) for row in A]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

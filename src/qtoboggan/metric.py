@@ -5,16 +5,17 @@ With S_{ll'} = <<l|W^2|l'> and M = S^{-1}, the candidate metric is
     Theta[kappa] = sum_{l,l'} W^dag |l>> kappa*_l M_{ll'} kappa_l' <<l'| W.
 
 The module certifies quasi-Hermiticity of H and W with respect to Theta,
-measures (never assumes) Hermiticity and positivity, probes the kappa
-ambiguity, degenerates to the single-series expansion when W = I, and
-realizes physical-space operators through the Hermitian square root of Theta.
+measures (never assumes) Hermiticity and positivity, takes the kappa
+ambiguity as an argument, degenerates to the single-series expansion when
+W = I, and realizes physical-space operators through the Hermitian square
+root of Theta.  W enters only through its diagonal, as row and column scalings.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -34,23 +35,12 @@ __all__ = [
     "build_metric",
     "quasi_hermiticity_residuals",
     "positivity_report",
-    "kappa_dependence_probe",
     "physical_operators",
-    "physical_inner_product",
     "single_series_theta",
     "delta_identity_residual",
 ]
 
 COND_S_THRESHOLD = 1e12
-
-MatrixOrPair = Union[OperatorPair, np.ndarray]
-
-
-def _weight_of(operators: MatrixOrPair) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Returns (H or None, W) from an OperatorPair or a bare weight matrix."""
-    if isinstance(operators, OperatorPair):
-        return operators.H, operators.W
-    return None, np.asarray(operators, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +60,10 @@ class MetricResult:
     kappa_used: np.ndarray
 
 
-def build_S(es: Eigensystem, W: MatrixOrPair) -> np.ndarray:
+def build_S(es: Eigensystem, pair: OperatorPair) -> np.ndarray:
     """Mode-space overlap matrix S_{ll'} = <<l|W^2|l'> over retained modes."""
-    _, Wm = _weight_of(W)
-    return es.left.conj().T @ (Wm @ (Wm @ es.right))
+    w = pair.w_diag[:, np.newaxis]
+    return es.left.conj().T @ (w * (w * es.right))
 
 
 def _invert_full(S: np.ndarray) -> np.ndarray:
@@ -86,7 +76,7 @@ def _invert_full(S: np.ndarray) -> np.ndarray:
 
 def build_metric(
     es: Eigensystem,
-    operators: MatrixOrPair,
+    pair: OperatorPair,
     kappa: Optional[np.ndarray] = None,
     cond_threshold: float = COND_S_THRESHOLD,
 ) -> MetricResult:
@@ -96,9 +86,7 @@ def build_metric(
     holds within tolerance for kappa = 1.  For m < n an IncompleteBasisWarning
     is emitted and Theta is a subspace object only.
     """
-    H, Wm = _weight_of(operators)
-    n = Wm.shape[0]
-    m = es.m
+    n, m = pair.n, es.m
     if kappa is None:
         kappa = np.ones(m, dtype=complex)
     kappa = np.asarray(kappa, dtype=complex)
@@ -110,35 +98,27 @@ def build_metric(
             IncompleteBasisWarning,
             stacklevel=2,
         )
-    S = build_S(es, Wm)
+    S = build_S(es, pair)
     cond_S = float(np.linalg.cond(S))
     if not np.isfinite(cond_S) or cond_S > cond_threshold:
         raise IllConditionedS(f"cond(S) = {cond_S:.3e} exceeds {cond_threshold:.1e}")
     M = _invert_full(S)
-    A = (Wm.conj().T @ es.left) * kappa.conj()[np.newaxis, :]
-    B = kappa[:, np.newaxis] * (es.left.conj().T @ Wm)
+    w = pair.w_diag
+    A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
+    B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
     Theta = A @ M @ B
 
-    herm, _ = positivity_report(Theta)
+    span = Theta
     if m < n:
         Q, _ = np.linalg.qr(es.right)
         span = Q.conj().T @ Theta @ Q
-        herm_part = (span + span.conj().T) / 2.0
-        min_eig = float(scipy.linalg.eigvalsh(herm_part).min())
-        cond_T = float(np.linalg.cond(span))
-    else:
-        herm_part = (Theta + Theta.conj().T) / 2.0
-        min_eig = float(scipy.linalg.eigvalsh(herm_part).min())
-        cond_T = float(np.linalg.cond(Theta))
-    quasiH = quasiW = None
-    if H is not None:
-        quasiH, quasiW = quasi_hermiticity_residuals(
-            Theta, OperatorPair(H=H, W=Wm, P=np.eye(n), gridspec=None), check_invertible=False
-        )
+    min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
+    cond_T = float(np.linalg.cond(span))
+    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
     diagnostics = {
         "quasiH": quasiH,
         "quasiW": quasiW,
-        "hermiticity": herm,
+        "hermiticity": _hermiticity(Theta),
         "min_eig": min_eig,
         "cond_S": cond_S,
         "cond_Theta": cond_T,
@@ -147,12 +127,10 @@ def build_metric(
 
 
 def quasi_hermiticity_residuals(
-    theta: np.ndarray, pair: MatrixOrPair, check_invertible: bool = True
+    theta: np.ndarray, pair: OperatorPair, check_invertible: bool = True
 ) -> Tuple[float, float]:
     """(||H^dag Theta - Theta H||_F, same for W), each / (||Theta||_F * ||op||_F)."""
-    H, Wm = _weight_of(pair)
-    if H is None:
-        raise ValueError("quasi_hermiticity_residuals needs an OperatorPair with H")
+    H, w = pair.H, pair.w_diag
     if not np.all(np.isfinite(theta)):
         raise SingularTheta("Theta contains non-finite entries")
     if check_invertible:
@@ -164,55 +142,32 @@ def quasi_hermiticity_residuals(
             raise SingularTheta("Theta is numerically singular")
     tnorm = np.linalg.norm(theta)
     rH = np.linalg.norm(H.conj().T @ theta - theta @ H) / (tnorm * np.linalg.norm(H))
-    rW = np.linalg.norm(Wm.conj().T @ theta - theta @ Wm) / (tnorm * np.linalg.norm(Wm))
+    rW = np.linalg.norm(w.conj()[:, np.newaxis] * theta - theta * w[np.newaxis, :]) / (
+        tnorm * np.linalg.norm(w)
+    )
     return float(rH), float(rW)
+
+
+def _hermiticity(theta: np.ndarray) -> float:
+    """||Theta - Theta^dag||_F / ||Theta||_F."""
+    return float(np.linalg.norm(theta - theta.conj().T) / np.linalg.norm(theta))
 
 
 def positivity_report(theta: np.ndarray) -> Tuple[float, float]:
     """(||Theta - Theta^dag||_F / ||Theta||_F, min eigenvalue of the Hermitian part)."""
-    herm = float(np.linalg.norm(theta - theta.conj().T) / np.linalg.norm(theta))
     min_eig = float(scipy.linalg.eigvalsh((theta + theta.conj().T) / 2.0).min())
-    return herm, min_eig
-
-
-def kappa_dependence_probe(
-    es: Eigensystem,
-    operators: MatrixOrPair,
-    kappa1: np.ndarray,
-    kappa2: np.ndarray,
-) -> Dict[str, Optional[float]]:
-    """Two metrics from two kappa vectors: distance apart, both still admissible."""
-    H, _ = _weight_of(operators)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteBasisWarning)
-        r1 = build_metric(es, operators, kappa=kappa1)
-        r2 = build_metric(es, operators, kappa=kappa2)
-    diff = float(np.linalg.norm(r1.Theta - r2.Theta))
-    ref = float(np.linalg.norm(r1.Theta))
-    report: Dict[str, Optional[float]] = {
-        "theta_diff_fro": diff,
-        "theta_ref_fro": ref,
-        "theta_diff_rel": diff / ref,
-        "quasiH_1": r1.diagnostics["quasiH"],
-        "quasiW_1": r1.diagnostics["quasiW"],
-        "quasiH_2": r2.diagnostics["quasiH"],
-        "quasiW_2": r2.diagnostics["quasiW"],
-    }
-    return report
+    return _hermiticity(theta), min_eig
 
 
 def physical_operators(
-    pair: MatrixOrPair, theta: np.ndarray, herm_tol: float = 1e-6
+    pair: OperatorPair, theta: np.ndarray, herm_tol: float = 1e-6
 ) -> Tuple[float, float]:
     """Hermiticity residuals of h = Omega H Omega^-1 and w = Omega W Omega^-1.
 
     Omega = Theta^{1/2} (principal Hermitian square root) is the
     representative factor of Theta = Omega^dag Omega.
     """
-    H, Wm = _weight_of(pair)
-    if H is None:
-        raise ValueError("physical_operators needs an OperatorPair with H")
-    herm, _ = positivity_report(theta)
+    herm = _hermiticity(theta)
     if herm > herm_tol:
         raise NonPositiveTheta(f"Theta Hermiticity residual {herm:.3e} exceeds {herm_tol:.1e}")
     d, Q = scipy.linalg.eigh((theta + theta.conj().T) / 2.0)
@@ -221,16 +176,11 @@ def physical_operators(
     root = np.sqrt(d)
     Omega = (Q * root[np.newaxis, :]) @ Q.conj().T
     Omega_inv = (Q / root[np.newaxis, :]) @ Q.conj().T
-    h = Omega @ H @ Omega_inv
-    w = Omega @ Wm @ Omega_inv
+    h = Omega @ pair.H @ Omega_inv
+    w = (Omega * pair.w_diag[np.newaxis, :]) @ Omega_inv
     rh = float(np.linalg.norm(h - h.conj().T) / np.linalg.norm(h))
     rw = float(np.linalg.norm(w - w.conj().T) / np.linalg.norm(w))
     return rh, rw
-
-
-def physical_inner_product(psi: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> complex:
-    """<psi, phi>_Theta = psi^dag Theta phi; real positive for psi = phi, Theta > 0."""
-    return complex(np.asarray(psi).conj() @ (theta @ np.asarray(phi)))
 
 
 def single_series_theta(es: Eigensystem) -> np.ndarray:
@@ -238,9 +188,8 @@ def single_series_theta(es: Eigensystem) -> np.ndarray:
     return (es.left / es.sigmas[np.newaxis, :]) @ es.left.conj().T
 
 
-def delta_identity_residual(es: Eigensystem, operators: MatrixOrPair, theta: np.ndarray) -> float:
+def delta_identity_residual(es: Eigensystem, pair: OperatorPair, theta: np.ndarray) -> float:
     """max |<l|Theta W|l'> - delta_{ll'}| over the retained mode set (kappa = 1)."""
-    _, Wm = _weight_of(operators)
-    G = es.right.conj().T @ theta @ (Wm @ es.right)
+    G = es.right.conj().T @ theta @ (pair.w_diag[:, np.newaxis] * es.right)
     G[np.diag_indices_from(G)] -= 1.0
     return float(np.abs(G).max())

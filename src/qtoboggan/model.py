@@ -22,15 +22,13 @@ spiral.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .contour import ContourPoint, ContourSpec
+from .contour import ContourSpec
 from .errors import ConfigError
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "rectify_model",
     "wavefunction_pullback",
     "wavefunction_pushforward",
-    "save_model_file",
-    "load_model_file",
     "model_from_dict",
     "CONVENTIONS",
 ]
@@ -168,64 +164,41 @@ def rectify_model(spec: ModelSpec, winding: int, convention: str = "printed") ->
     )
 
 
-def _branch_power(points: Sequence[ContourPoint], winding: int, exponent: float) -> np.ndarray:
+def _branch_power(z: np.ndarray, gammas: np.ndarray, winding: int, exponent: float) -> np.ndarray:
     """z^exponent along the path with the branch arg(z) = (2N+1)*gamma - pi/2."""
-    q = 2 * winding + 1
-    out = np.empty(len(points), dtype=complex)
-    for i, p in enumerate(points):
-        mod = abs(p.z)
-        if mod == 0.0:
-            raise ConfigError("wavefunction pullback: path crosses z = 0")
-        arg = q * p.gamma - math.pi / 2
-        out[i] = np.exp(exponent * (math.log(mod) + 1j * arg))
-    return out
+    mod = np.abs(z)
+    if np.any(mod == 0.0):
+        raise ConfigError("wavefunction pullback: path crosses z = 0")
+    arg = (2 * winding + 1) * np.asarray(gammas) - np.pi / 2
+    return np.exp(exponent * (np.log(mod) + 1j * arg))
 
 
 def wavefunction_pullback(
-    phi_values: Sequence[complex], points: Sequence[ContourPoint], winding: int
+    phi_values: Sequence[complex], z: np.ndarray, gammas: np.ndarray, winding: int
 ) -> np.ndarray:
     """Pull spiral wavefunction samples back to the line: psi = z^(-N/(2N+1)) * phi.
 
-    The fractional power is evaluated on the gamma-branch carried by the points.
+    The fractional power is evaluated on the branch fixed by the angles `gammas`
+    of the spiral points `z`.
     """
-    if len(phi_values) != len(points):
-        raise ConfigError("phi_values and points must have equal length")
-    q = 2 * winding + 1
-    factor = _branch_power(points, winding, -winding / q)
+    if len(phi_values) != len(z):
+        raise ConfigError("phi_values and z must have equal length")
+    factor = _branch_power(z, gammas, winding, -winding / (2 * winding + 1))
     return np.asarray(phi_values, dtype=complex) * factor
 
 
 def wavefunction_pushforward(
-    psi_values: Sequence[complex], points: Sequence[ContourPoint], winding: int
+    psi_values: Sequence[complex], z: np.ndarray, gammas: np.ndarray, winding: int
 ) -> np.ndarray:
     """Exact inverse of wavefunction_pullback: phi = z^(+N/(2N+1)) * psi."""
-    if len(psi_values) != len(points):
-        raise ConfigError("psi_values and points must have equal length")
-    q = 2 * winding + 1
-    factor = _branch_power(points, winding, winding / q)
+    if len(psi_values) != len(z):
+        raise ConfigError("psi_values and z must have equal length")
+    factor = _branch_power(z, gammas, winding, winding / (2 * winding + 1))
     return np.asarray(psi_values, dtype=complex) * factor
 
 
-def save_model_file(
-    path: str, spec: ModelSpec, contour: ContourSpec
-) -> None:
-    """Write the documented structured-text model file.
-
-    Keys: ell, omega, coeffs (list of [k, re, im]), winding, epsilon."""
-    payload = {
-        "ell": spec.ell,
-        "omega": spec.omega,
-        "coeffs": [[int(k), complex(c).real, complex(c).imag] for k, c in sorted(spec.coeffs.items())],
-        "winding": contour.winding,
-        "epsilon": contour.epsilon,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
-    """Build (ModelSpec, ContourSpec) from the model-file key set; unknown keys are errors."""
+    """Build (ModelSpec, ContourSpec) from a config's model section; unknown keys are errors."""
     allowed = {"ell", "omega", "coeffs", "winding", "epsilon"}
     unknown = set(payload) - allowed
     if unknown:
@@ -244,13 +217,3 @@ def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model description: {exc}") from exc
     return spec, cont
-
-
-def load_model_file(path: str) -> Tuple[ModelSpec, ContourSpec]:
-    """Read a model file written by save_model_file; unknown keys are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return model_from_dict(payload)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

@@ -8,7 +8,7 @@ parametrization z(g) (|g| < pi/2), as a first-order system
 from both truncated ends toward a matching angle.  Eigenvalues are the roots
 of the Wronskian mismatch of the two half-path solutions.
 
-Truncation is chosen on a WKB growth profile: the branch-continuous local
+Truncation is chosen on a WKB growth estimate: the branch-continuous local
 rate Re(w z') with w = sqrt(U - E_ref) is integrated outward, and the end is
 placed past the last oscillatory-to-growing transition, deep enough that the
 dominant/subdominant seed magnitude ratio exceeds `seed_ratio`.  Node density
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .contour import ContourSpec
+from .contour import ContourSpec, spiral
 from .errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning
 from .model import ModelSpec
 
@@ -41,7 +41,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_GAMMA_CAP = np.pi / 2 - 0.015  # hard profile cap short of the coordinate singularity
+_GAMMA_CAP = np.pi / 2 - 0.015  # hard angle cap short of the coordinate singularity
 _RENORM_LIMIT = 1e50
 
 
@@ -88,22 +88,6 @@ class ShootConfig:
             raise ConfigError("seed_ratio must exceed 1")
 
 
-def _spiral(gammas: np.ndarray, epsilon: float, q: int):
-    """z, dz/dg, and z''/z' along the winding contour at angles `gammas`."""
-    t = np.tan(gammas)
-    c = t + 1j
-    rho = epsilon / np.cos(gammas)
-    z = -1j * rho**q * np.exp(1j * q * gammas)
-    zdot = q * z * c
-    acc = q * c + (1.0 + t * t) / c
-    return z, zdot, acc
-
-
-def _full_potential(model: ModelSpec, z: np.ndarray) -> np.ndarray:
-    """Complete local coefficient U(z): polynomial part plus centrifugal term."""
-    return model.potential(z)  # ModelSpec.potential already carries both parts
-
-
 def _continuous_sqrt(vals: np.ndarray) -> np.ndarray:
     """Branch-tracked square root along a path (flips kept smaller than sums)."""
     w = np.sqrt(vals)
@@ -148,8 +132,8 @@ def _build_halfpath(
     t = np.concatenate([head, tail[1:]])
 
     g_prof = sgn * t
-    z, zdot, _ = _spiral(g_prof, epsilon, q)
-    U = _full_potential(model, z)
+    z, zdot, _ = spiral(g_prof, epsilon, q)
+    U = model.potential(z)
     w = _continuous_sqrt(U - E_ref)
     rate = np.real(w * zdot) * sgn
     cum = cumulative_trapezoid(rate, t, initial=0.0)
@@ -193,12 +177,12 @@ def _build_halfpath(
     gM = 0.5 * (gA + gB)
     out = {}
     for tag, gx in (("A", gA), ("M", gM), ("B", gB)):
-        zx, zdx, accx = _spiral(gx, epsilon, q)
+        zx, zdx, accx = spiral(gx, epsilon, q)
         out["acc" + tag] = accx
         out["cc" + tag] = zdx * zdx
-        out["U" + tag] = _full_potential(model, zx)
-    z0, zd0, _ = _spiral(np.array([g[0]]), epsilon, q)
-    U0 = complex(_full_potential(model, z0)[0])
+        out["U" + tag] = model.potential(zx)
+    z0, zd0, _ = spiral(np.array([g[0]]), epsilon, q)
+    U0 = complex(model.potential(z0)[0])
     max_phase = float(
         np.max(np.abs(np.sqrt(out["UA"] - E_ref)) * np.abs(np.sqrt(out["ccA"])) * np.abs(dg))
     )
@@ -270,16 +254,18 @@ def _mismatch(halfL: _HalfPath, halfR: _HalfPath, Es: np.ndarray) -> np.ndarray:
 
 
 def _halfpaths(
-    model: ModelSpec, N: int, contour: ContourSpec, cfg: ShootConfig, E_ref: complex
-) -> Tuple[_HalfPath, _HalfPath]:
+    model: ModelSpec,
+    N: int,
+    contour: ContourSpec,
+    cfg: ShootConfig,
+    E_ref: complex,
+    sides: Tuple[str, ...] = ("left", "right"),
+) -> Tuple[_HalfPath, ...]:
     if contour.winding != N:
         raise ConfigError(f"contour.winding={contour.winding} does not match N={N}")
-    if contour.profile is not None:
-        raise ConfigError("shooting certifies constant-shift contours only")
-    q = 2 * N + 1
-    halfL = _build_halfpath(model, contour.epsilon, q, "left", E_ref, cfg)
-    halfR = _build_halfpath(model, contour.epsilon, q, "right", E_ref, cfg)
-    return halfL, halfR
+    return tuple(
+        _build_halfpath(model, contour.epsilon, contour.degree, side, E_ref, cfg) for side in sides
+    )
 
 
 def integrate_halfpath(
@@ -293,12 +279,7 @@ def integrate_halfpath(
     """(value, d/dgamma) of the subdominant-seeded solution at the match angle."""
     if side not in ("left", "right"):
         raise ConfigError(f"side must be 'left' or 'right', got {side!r}")
-    if contour.winding != N:
-        raise ConfigError(f"contour.winding={contour.winding} does not match N={N}")
-    if contour.profile is not None:
-        raise ConfigError("shooting certifies constant-shift contours only")
-    q = 2 * N + 1
-    half = _build_halfpath(model, contour.epsilon, q, side, E, cfg)
+    (half,) = _halfpaths(model, N, contour, cfg, E, sides=(side,))
     v, d = _integrate_batch(half, np.array([E], dtype=complex))
     return complex(v[0]), complex(d[0])
 

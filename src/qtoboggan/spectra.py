@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "Eigensystem",
     "solve_generalized",
-    "generalized_eigenvalues",
     "lowest_eigenvalues",
     "nearest_eigenpairs",
     "filter_real",
@@ -177,16 +176,6 @@ def solve_generalized(
     )
 
 
-def generalized_eigenvalues(operators: MatrixOrPair, W: Optional[np.ndarray] = None) -> np.ndarray:
-    """Eigenvalues only (no vectors), sorted by (Re, Im) — cheap convergence studies."""
-    H, w = _unpack(operators, W)
-    if np.all(w == 1.0):
-        lam = scipy.linalg.eigvals(H)
-    else:
-        lam = scipy.linalg.eigvals(H, np.diag(w))
-    return lam[np.lexsort((lam.imag, lam.real))]
-
-
 def _as_tridiagonal_sparse(A: np.ndarray):
     """CSC view of a tridiagonal dense matrix, or None if A is not tridiagonal."""
     import scipy.sparse as sp
@@ -211,33 +200,28 @@ def lowest_eigenvalues(
 
     Shift-invert Arnoldi on the tridiagonal-plus-diagonal structure the grid
     discretization produces, so large n stays cheap; falls back to the dense
-    solve when the structure is absent.  W must be diagonal and non-singular
-    (guaranteed for grid operator pairs).
+    QZ solve when the structure or a non-singular W is absent, or k >= n - 1.
+    W must be diagonal.
     """
     import scipy.sparse.linalg as spla
 
     H, w = _unpack(operators, W)
-    n = H.shape[0]
-    if k >= n - 1:
-        lam = generalized_eigenvalues(operators, W=W)
-        return lam[np.argsort(np.abs(lam - sigma), kind="stable")[:k]]
-
-    tri = _as_tridiagonal_sparse(H)
-    if tri is None or not np.all(w != 0):
-        lam = generalized_eigenvalues(operators, W=W)
+    tri = _as_tridiagonal_sparse(H) if k < H.shape[0] - 1 and np.all(w != 0) else None
+    if tri is None:
+        lam = scipy.linalg.eigvals(H, np.diag(w))
         lam = lam[np.argsort(np.abs(lam - sigma), kind="stable")[:k]]
-        return lam[np.lexsort((lam.imag, lam.real))]
-
-    if not np.all(w == 1.0):
-        # H v = lam W v with invertible diagonal W is the standard problem
-        # (W^{-1} H) v = lam v, and diagonal scaling preserves tridiagonality.
+    else:
         import scipy.sparse as sp
 
-        tri = sp.diags(1.0 / w.astype(complex)) @ tri
-    try:
-        lam = spla.eigs(tri.tocsc(), k=k, sigma=sigma, which="LM", return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
+        # H v = lam W v with invertible diagonal W is the standard problem
+        # (W^{-1} H) v = lam v, and diagonal scaling preserves tridiagonality.
+        try:
+            lam = spla.eigs(
+                (sp.diags(1.0 / w.astype(complex)) @ tri).tocsc(),
+                k=k, sigma=sigma, which="LM", return_eigenvectors=False,
+            )
+        except spla.ArpackNoConvergence as exc:
+            raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
     return lam[np.lexsort((lam.imag, lam.real))]
 
 

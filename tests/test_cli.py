@@ -277,6 +277,27 @@ def test_validate_command(tmp_path):
     assert len(payload["checks"]) >= 15
 
 
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
+def test_validate_fails_a_root_found_at_one_shift_only(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from qtoboggan import shoot
+
+    # the mode near 5 converges at epsilon = 0.5 but not at 2*epsilon
+    def roots(model, N, contour, cfg, search):
+        found = [1.0, 3.0, 5.0] if contour.epsilon == 0.5 else [1.0, 3.0]
+        return np.array(found, dtype=complex)
+
+    monkeypatch.setattr(shoot, "find_eigenvalues", roots)
+    path = compare_config(tmp_path, [0.9, 2.8, 5.2])
+    out = tmp_path / "v"
+    assert cli.main(["--config", path, "--out", str(out), "--command", "validate"]) == 2
+    payload = json.loads((out / "validate.json").read_text())
+    checks = {item["name"]: item["pass"] for item in payload["checks"]}
+    assert checks["shoot_epsilon_independence"] is False
+    assert "guess 5.2" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     path = write_config(tmp_path, base_config())
     # solver-domain failure: reality filter so tight nothing survives

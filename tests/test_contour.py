@@ -1,6 +1,5 @@
 """Path geometry: spiral samples, rectification, winding bookkeeping."""
 
-import csv
 import math
 
 import numpy as np
@@ -10,21 +9,31 @@ from qtoboggan import contour
 from qtoboggan.errors import ConfigError
 
 
+def _z(gammas, eps, winding):
+    """Spiral points at winding N (N = 0: the rectified partner on the line)."""
+    z, _, _ = contour.spiral(np.asarray(gammas, dtype=float), eps, 2 * winding + 1)
+    return z
+
+
 def test_spiral_point_at_origin_angle_winding1():
-    spec = contour.ContourSpec(epsilon=0.5, winding=1)
-    p = contour.spiral_point(0.0, spec)
-    assert p.z == pytest.approx(-0.125j)
-    assert p.r == pytest.approx(-0.5j)
+    assert _z([0.0], 0.5, 1)[0] == pytest.approx(-0.125j)
+    assert _z([0.0], 0.5, 0)[0] == pytest.approx(-0.5j)
 
 
 def test_zero_winding_spiral_is_the_straight_line():
-    spec = contour.ContourSpec(epsilon=0.7, winding=0)
-    for g in np.linspace(-1.4, 1.4, 29):
-        p = contour.spiral_point(float(g), spec)
-        assert p.z == pytest.approx(p.r, abs=1e-14)
-        assert p.r == pytest.approx(
-            contour.line_point(spec.x_of_gamma(float(g)), spec), abs=1e-12
-        )
+    gs = np.linspace(-1.4, 1.4, 29)
+    # the q = 1 spiral is the line x - i*epsilon with x = epsilon*tan(gamma)
+    assert np.allclose(_z(gs, 0.7, 0), 0.7 * np.tan(gs) - 0.7j, rtol=0, atol=1e-12)
+
+
+def test_spiral_derivatives_match_finite_differences():
+    g = np.array([-0.9, 0.2, 1.1])
+    h = 1e-5
+    z, zdot, acc = contour.spiral(g, 0.4, 3)
+    zp, zdp, _ = contour.spiral(g + h, 0.4, 3)
+    zm, zdm, _ = contour.spiral(g - h, 0.4, 3)
+    assert np.allclose(zdot, (zp - zm) / (2 * h), rtol=1e-8)
+    assert np.allclose(acc, (zdp - zdm) / (2 * h) / zdot, rtol=1e-8)
 
 
 def test_degree_is_odd_winding_count():
@@ -35,18 +44,16 @@ def test_degree_is_odd_winding_count():
 
 @pytest.mark.parametrize("winding", [0, 1, 2])
 def test_rectify_matches_line_partner(winding):
-    spec = contour.ContourSpec(epsilon=0.4, winding=winding)
-    pts = contour.sample_path(spec, np.linspace(-1.3, 1.3, 41))
-    rs = contour.rectify(pts, winding)
-    assert np.allclose(rs, [p.r for p in pts], atol=1e-13)
+    gs = np.linspace(-1.3, 1.3, 41)
+    rs = contour.rectify(_z(gs, 0.4, winding), gs, winding)
+    assert np.allclose(rs, _z(gs, 0.4, 0), atol=1e-13)
 
 
 @pytest.mark.parametrize("winding", [0, 1, 2])
 def test_unrectify_inverts_rectify(winding):
-    spec = contour.ContourSpec(epsilon=0.8, winding=winding)
-    pts = contour.sample_path(spec, np.linspace(-1.2, 1.2, 37))
-    zs = contour.unrectify(contour.rectify(pts, winding), winding)
-    ref = np.array([p.z for p in pts])
+    gs = np.linspace(-1.2, 1.2, 37)
+    ref = _z(gs, 0.8, winding)
+    zs = contour.unrectify(contour.rectify(ref, gs, winding), winding)
     assert np.allclose(zs, ref, rtol=1e-12, atol=1e-13)
 
 
@@ -72,51 +79,12 @@ def test_winding_must_be_nonnegative_integer():
 
 
 def test_gamma_domain_is_open_interval():
-    spec = contour.ContourSpec(epsilon=1.0)
     with pytest.raises(ConfigError):
-        contour.spiral_point(math.pi / 2, spec)
+        contour.spiral(np.array([0.0, math.pi / 2]), 1.0, 1)
     with pytest.raises(ConfigError):
-        contour.spiral_point(-2.0, spec)
-
-
-def test_variable_profile_shifts_the_line():
-    prof = lambda x: 0.5 + 0.1 / (1.0 + x * x)
-    spec = contour.ContourSpec(epsilon=0.5, winding=0, profile=prof)
-    assert spec.shift_at(0.0) == pytest.approx(0.6)
-    p = contour.spiral_point(0.0, spec)
-    assert p.z == pytest.approx(-0.6j)
-    # x(gamma) solves x = profile(x) * tan(gamma)
-    g = 0.7
-    x = spec.x_of_gamma(g)
-    assert x == pytest.approx(prof(x) * math.tan(g), abs=1e-10)
-
-
-def test_profile_must_be_even_and_positive():
-    with pytest.raises(ConfigError):
-        contour.ContourSpec(epsilon=1.0, profile=lambda x: 1.0 + 0.5 * x)
-    with pytest.raises(ConfigError):
-        contour.ContourSpec(epsilon=1.0, profile=lambda x: -1.0)
-
-
-def test_profile_invertibility_restriction():
-    # slope of the shift is large enough to fold x(gamma): rejected up front
-    with pytest.raises(ConfigError):
-        contour.ContourSpec(epsilon=1.0, profile=lambda x: 0.1 + 1.0 / (1.0 + x * x))
+        contour.spiral(np.array([-2.0]), 1.0, 1)
 
 
 def test_rectify_rejects_origin_crossing():
-    bad = [contour.ContourPoint(gamma=0.0, z=0.0 + 0.0j, r=0.0 + 0.0j)]
     with pytest.raises(ConfigError):
-        contour.rectify(bad, 1)
-
-
-def test_save_path_csv_round_trip(tmp_path):
-    spec = contour.ContourSpec(epsilon=0.5, winding=1)
-    pts = contour.sample_path(spec, np.linspace(-1.0, 1.0, 11))
-    out = tmp_path / "path.csv"
-    contour.save_path_csv(pts, str(out))
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 11
-    got = complex(float(rows[5]["re_z"]), float(rows[5]["im_z"]))
-    assert got == pytest.approx(pts[5].z, abs=1e-15)
+        contour.rectify(np.array([0.0 + 0.0j]), np.array([0.0]), 1)

@@ -109,23 +109,3 @@ def test_matrix_bin_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 48)
     with pytest.raises(ConfigError):
         discrete.load_matrix_bin(str(path))
-
-
-def test_matrix_csv_export(tmp_path):
-    A = np.array([[1.0 + 2.0j, 0.0], [-0.5j, 3.0]])
-    path = tmp_path / "m.csv"
-    discrete.save_matrix_csv(A, str(path))
-    rows = path.read_text().strip().split("\n")
-    assert len(rows) == 2
-    re, im = rows[0].split(",")[0].split(";")
-    assert complex(float(re), float(im)) == 1.0 + 2.0j
-
-
-def test_suggest_half_width_hits_target_wall():
-    rect = model.rectify_model(model.ModelSpec(coeffs={4: 1.0}), winding=0)
-    X = discrete.suggest_half_width(rect, e_max=5.0, epsilon=0.5)
-    assert X % 0.25 == 0.0
-    wall = abs(rect.potential(np.array([X - 0.5j]))).min()
-    assert wall >= 1e3 * 5.0
-    before = abs(rect.potential(np.array([X - 0.25 - 0.5j]))).min()
-    assert before < 1e3 * 5.0

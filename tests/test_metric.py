@@ -65,14 +65,6 @@ def test_hand_physical_operators(hand_result, hand_pair):
     assert rw < 1e-12
 
 
-def test_physical_inner_product_positive(hand_result):
-    _, res = hand_result
-    psi = np.array([1.0, 0.0], dtype=complex)
-    val = metric.physical_inner_product(psi, psi, res.Theta)
-    assert abs(val.imag) < 1e-14
-    assert val.real == pytest.approx(1.0, rel=1e-12)
-
-
 def test_kappa_changes_theta_but_not_admissibility(hand_result, hand_pair):
     es, res0 = hand_result
     kappa = np.array([2.0, 0.5 * np.exp(0.7j)])
@@ -90,20 +82,6 @@ def test_kappa_shape_validated(hand_result, hand_pair):
     es, _ = hand_result
     with pytest.raises(ValueError):
         metric.build_metric(es, hand_pair, kappa=np.ones(3))
-
-
-def test_kappa_dependence_probe_report(hand_result, hand_pair):
-    es, _ = hand_result
-    rng = np.random.default_rng(5)
-    k1 = rng.uniform(0.5, 2.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
-    k2 = rng.uniform(0.5, 2.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
-    rep = metric.kappa_dependence_probe(es, hand_pair, k1, k2)
-    assert set(rep) == {
-        "theta_diff_fro", "theta_ref_fro", "theta_diff_rel",
-        "quasiH_1", "quasiW_1", "quasiH_2", "quasiW_2",
-    }
-    assert rep["theta_diff_rel"] > 1e-3
-    assert rep["quasiH_1"] < 1e-12 and rep["quasiH_2"] < 1e-12
 
 
 def test_quasi_hermiticity_rejects_singular_theta(hand_pair):

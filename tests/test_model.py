@@ -106,38 +106,31 @@ def test_weight_matches_conformal_jacobian_change():
     assert np.allclose(np.abs(rect.weight(r)), np.abs(dzdr**2), rtol=1e-12)
 
 
+def _spiral_points(gammas, eps, winding):
+    gs = np.asarray(gammas, dtype=float)
+    z, _, _ = contour.spiral(gs, eps, 2 * winding + 1)
+    return z, gs
+
+
 def test_wavefunction_pullback_branch_at_center():
-    spec = contour.ContourSpec(epsilon=0.5, winding=1)
-    pts = [contour.spiral_point(0.0, spec)]
-    out = model.wavefunction_pullback([1.0], pts, winding=1)
+    z, gs = _spiral_points([0.0], 0.5, 1)
+    out = model.wavefunction_pullback([1.0], z, gs, winding=1)
     # z = -i/8 on the branch arg z = -pi/2: z^(-1/3) = 2 exp(i pi/6)
     assert out[0] == pytest.approx(2.0 * np.exp(1j * math.pi / 6), abs=1e-12)
 
 
 def test_pullback_pushforward_round_trip():
-    spec = contour.ContourSpec(epsilon=0.4, winding=2)
-    pts = contour.sample_path(spec, np.linspace(-1.2, 1.2, 17))
+    z, gs = _spiral_points(np.linspace(-1.2, 1.2, 17), 0.4, 2)
     phi = np.exp(1j * np.linspace(0, 3, 17)) * np.linspace(1, 2, 17)
-    psi = model.wavefunction_pullback(phi, pts, 2)
-    back = model.wavefunction_pushforward(psi, pts, 2)
+    psi = model.wavefunction_pullback(phi, z, gs, 2)
+    back = model.wavefunction_pushforward(psi, z, gs, 2)
     assert np.allclose(back, phi, rtol=1e-12)
 
 
 def test_pullback_length_mismatch():
-    spec = contour.ContourSpec(epsilon=0.4, winding=1)
-    pts = contour.sample_path(spec, [0.0, 0.1])
+    z, gs = _spiral_points([0.0, 0.1], 0.4, 1)
     with pytest.raises(ConfigError):
-        model.wavefunction_pullback([1.0], pts, 1)
-
-
-def test_model_file_round_trip(tmp_path):
-    spec = model.ModelSpec(ell=0.25, coeffs={2: 1.0, 3: 0.5j}, omega=1.1)
-    cs = contour.ContourSpec(epsilon=0.15, winding=1)
-    path = tmp_path / "model.json"
-    model.save_model_file(str(path), spec, cs)
-    spec2, cs2 = model.load_model_file(str(path))
-    assert spec2 == spec
-    assert (cs2.epsilon, cs2.winding) == (cs.epsilon, cs.winding)
+        model.wavefunction_pullback([1.0], z, gs, 1)
 
 
 def test_model_from_dict_rejects_unknown_keys():

@@ -17,31 +17,35 @@ coeff_vals = st.complex_numbers(
 )
 
 
+def _z(gs, eps, N):
+    z, _, _ = contour.spiral(np.asarray(gs, dtype=float), eps, 2 * N + 1)
+    return z
+
+
 @given(epsilons, windings, st.lists(gammas, min_size=1, max_size=20))
 def test_rectify_round_trip(eps, N, gs):
-    spec = contour.ContourSpec(epsilon=eps, winding=N)
-    pts = contour.sample_path(spec, gs)
-    r = contour.rectify(pts, N)
+    expect = _z(gs, eps, N)
+    r = contour.rectify(expect, gs, N)
     z = contour.unrectify(r, N)
-    expect = np.array([p.z for p in pts])
     assert np.allclose(z, expect, rtol=1e-12, atol=0.0)
 
 
 @given(epsilons, st.lists(gammas, min_size=1, max_size=20))
 def test_zero_winding_spiral_is_the_line(eps, gs):
-    spec = contour.ContourSpec(epsilon=eps, winding=0)
-    for p in contour.sample_path(spec, gs):
-        assert p.z == p.r
+    # the winding-0 spiral is its own rectified partner, x - i*eps
+    z = _z(gs, eps, 0)
+    assert np.allclose(z, eps * np.tan(gs) - 1j * eps, rtol=1e-12, atol=1e-12 * eps)
+    assert np.allclose(contour.rectify(z, gs, 0), z, rtol=1e-12, atol=0.0)
 
 
 @given(epsilons, windings, gammas)
 def test_spiral_polar_form(eps, N, gamma):
-    spec = contour.ContourSpec(epsilon=eps, winding=N)
-    p = contour.spiral_point(gamma, spec)
+    z = _z([gamma], eps, N)[0]
     q = 2 * N + 1
     rho = eps / np.cos(gamma)
-    expect = -1j * rho**q * np.exp(1j * q * gamma)
-    assert abs(p.z - expect) <= 1e-10 * abs(expect)
+    assert abs(z) == pytest.approx(rho**q, rel=1e-12)
+    # the branch of i*z advances by q*gamma
+    assert np.angle(1j * z * np.exp(-1j * q * gamma)) == pytest.approx(0.0, abs=1e-10)
 
 
 @given(epsilons, windings, st.floats(min_value=1e-4, max_value=0.3, allow_nan=False))
@@ -114,11 +118,10 @@ def test_balanced_models_stay_balanced_under_rectification(ks, vals, N):
     st.lists(coeff_vals, min_size=12, max_size=12),
 )
 def test_pullback_pushforward_identity(eps, N, gs, phis):
-    spec = contour.ContourSpec(epsilon=eps, winding=N)
-    pts = contour.sample_path(spec, gs)
-    phi = np.array(phis[: len(pts)])
-    psi = model.wavefunction_pullback(phi, pts, N)
-    back = model.wavefunction_pushforward(psi, pts, N)
+    z = _z(gs, eps, N)
+    phi = np.array(phis[: len(z)])
+    psi = model.wavefunction_pullback(phi, z, gs, N)
+    back = model.wavefunction_pushforward(psi, z, gs, N)
     assert np.allclose(back, phi, rtol=1e-12, atol=1e-300)
 
 

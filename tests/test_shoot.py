@@ -68,12 +68,6 @@ def test_winding_mismatch_rejected(harmonic_model):
         shoot.integrate_halfpath(harmonic_model, 0, 1.0, "left", _cfg(), spiral)
 
 
-def test_profile_contour_rejected(harmonic_model):
-    wavy = ContourSpec(epsilon=0.5, winding=0, profile=lambda x: 0.5 + 0.1 / (1.0 + x**2))
-    with pytest.raises(ConfigError):
-        shoot.find_eigenvalues(harmonic_model, 0, wavy, _cfg(), [1.0])
-
-
 def test_bad_side_rejected(harmonic_model):
     with pytest.raises(ConfigError):
         shoot.integrate_halfpath(harmonic_model, 0, 1.0, "up", _cfg(), LINE)

@@ -170,6 +170,10 @@ def test_lowest_eigenvalues_small_matrix_fallback():
     H = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     low = spectra.lowest_eigenvalues(H, k=3, sigma=0.0)
     assert np.allclose(low, [1.0, 2.0, 3.0])
+    # the k nearest sigma, still returned in (Re, Im) order
+    H = np.diag([3.0, 1.0, 2.0, 4.0]).astype(complex)
+    low = spectra.lowest_eigenvalues(H, k=3, sigma=2.6)
+    assert np.allclose(low, [2.0, 3.0, 4.0])
 
 
 def test_weight_scaling_matches_dense_weight_products(cubic_model):
