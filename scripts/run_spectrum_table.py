@@ -9,6 +9,7 @@ Run:  python3 scripts/run_spectrum_table.py [--k 5]
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 import reference_values as ref  # noqa: E402
 
 from qtoboggan import discrete, model, spectra  # noqa: E402

@@ -300,6 +300,16 @@ def _cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
+def _metric_gates(tol: Dict[str, float]) -> List[Tuple[str, str, float, bool]]:
+    """(check name, diagnostics key, limit, larger_ok) for each limit a metric must meet."""
+    return [
+        ("quasiH", "quasiH", tol["quasi_hermiticity"], False),
+        ("quasiW", "quasiW", tol["quasi_hermiticity"], False),
+        ("theta_hermiticity", "hermiticity", tol["theta_hermiticity"], False),
+        ("theta_min_eig", "min_eig", 0.0, True),
+    ]
+
+
 def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     from . import discrete, metric
 
@@ -313,6 +323,14 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     discrete.save_matrix_bin(result.S, os.path.join(out_dir, "S.bin"), h, eps)
     _json_dump(result.diagnostics, os.path.join(out_dir, "diagnostics.json"))
     sys.stdout.write(report_render(result.diagnostics))
+    failed = []
+    for _, key, limit, larger_ok in _metric_gates(config.tolerances):
+        value = result.diagnostics[key]
+        if not (value > limit if larger_ok else value <= limit):
+            failed.append(f"{key} {value:.3e} {'<=' if larger_ok else '>'} {limit:.1e}")
+    if failed:
+        sys.stderr.write(f"metric: diagnostics fail their limits: {', '.join(failed)}\n")
+        return 2
     return 0
 
 
@@ -527,7 +545,7 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
     gram_off = float(np.abs(es.gram - np.eye(es.m)).max())
     if not check("gram_offdiag", gram_off, tol["gram"]):
         return bail()
-    if not check("completeness", spectra.completeness_residual(es_all, pair.W), tol["completeness"]):
+    if not check("completeness", spectra.completeness_residual(es_all, pair), tol["completeness"]):
         return bail()
     if not check("rebuild", spectra.spectral_rebuild_residual(es_all, pair), tol["rebuild"]):
         return bail()
@@ -535,8 +553,7 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
     # kappa invariance of spectrum-level quantities
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
     es_k = spectra.apply_kappa(es, kappa)
-    WV = pair.W @ es_k.right
-    gram_k = es_k.left.conj().T @ WV
+    gram_k = es_k.left.conj().T @ (pair.w_diag[:, np.newaxis] * es_k.right)
     # Rescaling moves each gram entry by exactly kappa_i / kappa_j; compare
     # against that prediction so solver noise in the off-diagonals cancels.
     predicted = (kappa[:, None] / kappa[None, :]) * es.gram
@@ -564,14 +581,9 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
         tol["delta_identity"],
     ):
         return bail()
-    if not check("quasiH", result.diagnostics["quasiH"], tol["quasi_hermiticity"]):
-        return bail()
-    if not check("quasiW", result.diagnostics["quasiW"], tol["quasi_hermiticity"]):
-        return bail()
-    if not check("theta_hermiticity", result.diagnostics["hermiticity"], tol["theta_hermiticity"]):
-        return bail()
-    if not check("theta_min_eig", result.diagnostics["min_eig"], 0.0, larger_ok=True):
-        return bail()
+    for name, key, limit, larger_ok in _metric_gates(tol):
+        if not check(name, result.diagnostics[key], limit, larger_ok):
+            return bail()
 
     # uniform-kappa homogeneity: Theta[2 kappa] = 4 Theta[kappa]
     r2 = metric.build_metric(es, pair, kappa=2.0 * result.kappa_used)
@@ -602,7 +614,9 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
             return bail()
 
     lam_t = np.linalg.eigvals(
-        np.linalg.solve(result_full.Theta, pair.H.conj().T @ result_full.Theta)
+        np.linalg.solve(
+            result_full.Theta, discrete.band_matmul(pair.bands, result_full.Theta, adjoint=True)
+        )
     )
     lam_h = np.linalg.eigvals(pair.H)
     dist = np.abs(lam_t[np.newaxis, :] - lam_h[:, np.newaxis]).min(axis=1)

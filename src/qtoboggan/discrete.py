@@ -1,9 +1,10 @@
 """Uniform-grid discretization of the rectified problem on the shifted line.
 
-Produces dense complex matrices: H (3-point Laplacian plus rectified
-potential, Dirichlet ends), the diagonal weight W, and the exact index
-reversal P.  The grid is symmetric about x = 0 so that P is an exact
-permutation and PT identities are checkable to machine precision.
+The pencil H psi = E W psi keeps its structure: H (3-point Laplacian plus
+rectified potential, Dirichlet ends) is held as its three bands, the weight W
+as its diagonal, and parity P is the index reversal.  Dense matrices are
+built only on request.  The grid is symmetric about x = 0 so that P is an
+exact permutation and PT identities are checkable to machine precision.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "GridSpec",
     "OperatorPair",
     "build_operators",
+    "band_matmul",
     "pt_residual",
     "save_matrix_bin",
     "load_matrix_bin",
@@ -59,22 +61,37 @@ class GridSpec:
         return self.x - 1j * self.epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Dense operators of the generalized eigenproblem H psi = E W psi."""
+    """The generalized eigenproblem H psi = E W psi in its grid structure.
 
-    H: np.ndarray
-    W: np.ndarray
-    P: np.ndarray
+    `bands` holds the tridiagonal H in scipy.linalg.solve_banded (1, 1)
+    layout: row 0 the superdiagonal, row 1 the diagonal, row 2 the subdiagonal;
+    the unused corners bands[0, 0] and bands[2, -1] are zero.  `w_diag` is the
+    diagonal of W.
+    """
+
+    bands: np.ndarray
+    w_diag: np.ndarray
     gridspec: GridSpec
 
     @property
     def n(self) -> int:
-        return self.H.shape[0]
+        return self.bands.shape[1]
 
     @property
-    def w_diag(self) -> np.ndarray:
-        return np.diag(self.W)
+    def H(self) -> np.ndarray:
+        """Dense H, built on each access."""
+        n = self.n
+        H = np.diag(self.bands[1])
+        H.flat[1::n + 1] = self.bands[0, 1:]
+        H.flat[n::n + 1] = self.bands[2, :-1]
+        return H
+
+    @property
+    def W(self) -> np.ndarray:
+        """Dense W, built on each access."""
+        return np.diag(self.w_diag)
 
     @property
     def weight_condition(self) -> float:
@@ -82,44 +99,57 @@ class OperatorPair:
         return float(d.max() / d.min())
 
 
+def band_matmul(bands: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """H @ X, or H^dag @ X when `adjoint`, for H held as (1, 1) bands.
+
+    X has n rows (a vector or a matrix); the cost is O(size of X).
+    X @ H is the adjoint of H^dag @ X^dag.
+    """
+    sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
+    if adjoint:
+        sup, diag, sub = sub.conj(), diag.conj(), sup.conj()
+    col = (slice(None),) + (np.newaxis,) * (np.ndim(X) - 1)
+    Y = diag[col] * X
+    Y[:-1] += sup[col] * X[1:]
+    Y[1:] += sub[col] * X[:-1]
+    return Y
+
+
 def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
-    """Assemble H, W, P for a rectified model on a grid.
+    """Assemble the bands of H and the diagonal of W for a rectified model on a grid.
 
     H = (-1/h^2) tridiag(1, -2, 1) + diag(V_rect(r_j)) with Dirichlet ends;
-    W_jj = weight_prefactor * r_j^weight_power; P is the index reversal.
+    W_jj = weight_prefactor * r_j^weight_power.
     """
-    if grid.n < 3:
-        raise ConfigError("n < 3")
     has_negative_power = model.has_centrifugal or any(p < 0 for p in model.rect_coeffs)
     if grid.epsilon == 0.0 and has_negative_power:
         raise ConfigError(
             "epsilon = 0 with a centrifugal or negative-power term samples the singularity"
         )
-    n, h = grid.n, grid.h
-    r = grid.r
-    H = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    H[idx, idx] = 2.0 / h**2 + model.potential(r)
-    H[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-    H[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
-    W = np.diag(model.weight(r))
-    wd = np.diag(W)
-    if np.any(wd == 0) or not np.all(np.isfinite(wd)):
+    h, r = grid.h, grid.r
+    bands = np.zeros((3, grid.n), dtype=complex)
+    bands[0, 1:] = bands[2, :-1] = -1.0 / h**2
+    bands[1] = 2.0 / h**2 + model.potential(r)
+    w = model.weight(r)
+    if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
-    P = np.eye(n)[::-1].copy()
-    return OperatorPair(H=H, W=W, P=P, gridspec=grid)
+    return OperatorPair(bands=bands, w_diag=w, gridspec=grid)
 
 
 def pt_residual(pair: OperatorPair) -> float:
     """Parity pseudo-Hermiticity defect of the discretized pair.
 
-    max(||P H P - H^dag||_F, ||P W P - W^dag||_F) / (||H||_F + ||W||_F);
-    P is the index reversal, so P X P reverses both axes of X.
+    max(||P H P - H^dag||_F, ||P W P - W^dag||_F) / (||H||_F + ||W||_F) with P
+    the index reversal.  P H P reverses each band and swaps the off-diagonals,
+    so every norm is taken over the bands in O(n).
     """
-    H, W = pair.H, pair.W
-    dH = np.linalg.norm(H[::-1, ::-1] - H.conj().T)
-    dW = np.linalg.norm(W[::-1, ::-1] - W.conj().T)
-    return float(max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(W)))
+    sup, diag, sub = pair.bands[0, 1:], pair.bands[1], pair.bands[2, :-1]
+    w = pair.w_diag
+    dH = np.linalg.norm(
+        np.concatenate([diag[::-1] - diag.conj(), sub[::-1] - sub.conj(), sup[::-1] - sup.conj()])
+    )
+    dW = np.linalg.norm(w[::-1] - w.conj())
+    return float(max(dH, dW) / (np.linalg.norm(pair.bands) + np.linalg.norm(w)))
 
 
 def save_matrix_bin(A: np.ndarray, path: str, h: float, epsilon: float) -> None:

@@ -8,7 +8,8 @@ The module certifies quasi-Hermiticity of H and W with respect to Theta,
 measures (never assumes) Hermiticity and positivity, takes the kappa
 ambiguity as an argument, degenerates to the single-series expansion when
 W = I, and realizes physical-space operators through the Hermitian square
-root of Theta.  W enters only through its diagonal, as row and column scalings.
+root of Theta.  W enters only through its diagonal, as row and column scalings,
+and H only through its bands.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .discrete import OperatorPair
+from .discrete import OperatorPair, band_matmul
 from .errors import (
     IllConditionedS,
     IncompleteBasisWarning,
@@ -130,7 +131,7 @@ def quasi_hermiticity_residuals(
     theta: np.ndarray, pair: OperatorPair, check_invertible: bool = True
 ) -> Tuple[float, float]:
     """(||H^dag Theta - Theta H||_F, same for W), each / (||Theta||_F * ||op||_F)."""
-    H, w = pair.H, pair.w_diag
+    w = pair.w_diag
     if not np.all(np.isfinite(theta)):
         raise SingularTheta("Theta contains non-finite entries")
     if check_invertible:
@@ -141,7 +142,10 @@ def quasi_hermiticity_residuals(
         if np.abs(np.diag(lu)).min() == 0.0:
             raise SingularTheta("Theta is numerically singular")
     tnorm = np.linalg.norm(theta)
-    rH = np.linalg.norm(H.conj().T @ theta - theta @ H) / (tnorm * np.linalg.norm(H))
+    # Theta H is the adjoint of H^dag Theta^dag
+    Hd_theta = band_matmul(pair.bands, theta, adjoint=True)
+    theta_H = band_matmul(pair.bands, theta.conj().T, adjoint=True).conj().T
+    rH = np.linalg.norm(Hd_theta - theta_H) / (tnorm * np.linalg.norm(pair.bands))
     rW = np.linalg.norm(w.conj()[:, np.newaxis] * theta - theta * w[np.newaxis, :]) / (
         tnorm * np.linalg.norm(w)
     )
@@ -176,7 +180,7 @@ def physical_operators(
     root = np.sqrt(d)
     Omega = (Q * root[np.newaxis, :]) @ Q.conj().T
     Omega_inv = (Q / root[np.newaxis, :]) @ Q.conj().T
-    h = Omega @ pair.H @ Omega_inv
+    h = Omega @ band_matmul(pair.bands, Omega_inv)
     w = (Omega * pair.w_diag[np.newaxis, :]) @ Omega_inv
     rh = float(np.linalg.norm(h - h.conj().T) / np.linalg.norm(h))
     rw = float(np.linalg.norm(w - w.conj().T) / np.linalg.norm(w))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .discrete import OperatorPair
+from .discrete import OperatorPair, band_matmul
 from .errors import (
     DegeneratePairing,
     EmptySpectrum,
@@ -43,33 +43,10 @@ __all__ = [
     "save_spectrum_csv",
 ]
 
-MatrixOrPair = Union[OperatorPair, np.ndarray]
-
 # Inverse iteration gains a factor |E1 - shift| / |E2 - shift| per step (E1, E2
 # the nearest and next-nearest eigenvalues): a shift within 1e-4 of a mode
 # converges in 2-3 steps, one halfway between two modes never does.
 INVERSE_ITERATION_STEPS = 100
-
-
-def _weight_vector(W: Optional[MatrixOrPair], n: int) -> np.ndarray:
-    """The diagonal of the weight W as a vector (the identity when W is None)."""
-    if W is None:
-        return np.ones(n)
-    if isinstance(W, OperatorPair):
-        return W.w_diag
-    Wm = np.asarray(W, dtype=complex)
-    w = np.diagonal(Wm)
-    if np.count_nonzero(Wm) != np.count_nonzero(w):
-        raise ValueError("W must be diagonal")
-    return w
-
-
-def _unpack(operators: MatrixOrPair, W: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """H as a dense matrix and the diagonal weight W as a vector."""
-    if isinstance(operators, OperatorPair):
-        return operators.H, operators.w_diag
-    H = np.asarray(operators, dtype=complex)
-    return H, _weight_vector(W, H.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +96,7 @@ def _normalize_columns(V: np.ndarray) -> np.ndarray:
     return V / phase[np.newaxis, :]
 
 
-def solve_generalized(
-    operators: MatrixOrPair, tol: float = 1e-10, W: Optional[np.ndarray] = None
-) -> Eigensystem:
+def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:
     """All n eigenpairs with right kets and left double-kets, index-paired.
 
     `tol` is the pairing-ambiguity threshold: two eigenvalues closer than
@@ -129,15 +104,12 @@ def solve_generalized(
     DegeneratePairing.  Per-mode residuals ||H v - lam W v|| / ||W v|| (and the
     left analogue) are reported, not gated.
     """
-    H, w = _unpack(operators, W)
-    n = H.shape[0]
+    w, n = operators.w_diag, operators.n
     try:
         # Standard eigensolve when the weight is exactly the identity: same
         # pairs, and it avoids the ~10x cost of the QZ iteration.
-        if np.all(w == 1.0):
-            lam, VL, VR = scipy.linalg.eig(H, left=True, right=True)
-        else:
-            lam, VL, VR = scipy.linalg.eig(H, np.diag(w), left=True, right=True)
+        B = None if np.all(w == 1.0) else operators.W
+        lam, VL, VR = scipy.linalg.eig(operators.H, B, left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
         raise SolverFailure(f"generalized eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(lam)):
@@ -161,8 +133,10 @@ def solve_generalized(
     VL = _normalize_columns(VL)
     WVR = w[:, np.newaxis] * VR
     WVL = w.conj()[:, np.newaxis] * VL
-    res_r = np.linalg.norm(H @ VR - WVR * lam, axis=0) / np.linalg.norm(WVR, axis=0)
-    res_l = np.linalg.norm(H.conj().T @ VL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
+    HVR = band_matmul(operators.bands, VR)
+    HdVL = band_matmul(operators.bands, VL, adjoint=True)
+    res_r = np.linalg.norm(HVR - WVR * lam, axis=0) / np.linalg.norm(WVR, axis=0)
+    res_l = np.linalg.norm(HdVL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
     sig = np.einsum("ij,ij->j", VL.conj(), WVR)
     return Eigensystem(
         lambdas=lam,
@@ -176,48 +150,27 @@ def solve_generalized(
     )
 
 
-def _as_tridiagonal_sparse(A: np.ndarray):
-    """CSC view of a tridiagonal dense matrix, or None if A is not tridiagonal."""
-    import scipy.sparse as sp
-
-    n = A.shape[0]
-    bands = [np.diagonal(A, k).copy() for k in (-1, 0, 1)]
-    tri = sp.diags(bands, (-1, 0, 1), shape=(n, n), format="csc", dtype=complex)
-    if np.count_nonzero(A) != tri.count_nonzero() and not np.array_equal(
-        tri.toarray(), A
-    ):
-        return None
-    return tri
-
-
-def lowest_eigenvalues(
-    operators: MatrixOrPair,
-    k: int = 5,
-    sigma: complex = 0.0,
-    W: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0) -> np.ndarray:
     """The k eigenvalues of H psi = lambda W psi nearest `sigma`, sorted by (Re, Im).
 
-    Shift-invert Arnoldi on the tridiagonal-plus-diagonal structure the grid
-    discretization produces, so large n stays cheap; falls back to the dense
-    QZ solve when the structure or a non-singular W is absent, or k >= n - 1.
-    W must be diagonal.
+    Shift-invert Arnoldi on the bands of H scaled by the diagonal of W, so
+    large n stays cheap; falls back to the dense QZ solve when W is singular
+    or k >= n - 1.
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    H, w = _unpack(operators, W)
-    tri = _as_tridiagonal_sparse(H) if k < H.shape[0] - 1 and np.all(w != 0) else None
-    if tri is None:
-        lam = scipy.linalg.eigvals(H, np.diag(w))
+    n, w = operators.n, operators.w_diag
+    if k >= n - 1 or not np.all(w != 0):
+        lam = scipy.linalg.eigvals(operators.H, operators.W)
         lam = lam[np.argsort(np.abs(lam - sigma), kind="stable")[:k]]
     else:
-        import scipy.sparse as sp
-
         # H v = lam W v with invertible diagonal W is the standard problem
-        # (W^{-1} H) v = lam v, and diagonal scaling preserves tridiagonality.
+        # (W^{-1} H) v = lam v; the dia format stores the bands as they are.
+        tri = sp.dia_matrix((operators.bands, (1, 0, -1)), shape=(n, n))
         try:
             lam = spla.eigs(
-                (sp.diags(1.0 / w.astype(complex)) @ tri).tocsc(),
+                (sp.diags(1.0 / w) @ tri).tocsc(),
                 k=k, sigma=sigma, which="LM", return_eigenvectors=False,
             )
         except spla.ArpackNoConvergence as exc:
@@ -238,25 +191,17 @@ def nearest_eigenpairs(
     reaches rounding level, else after INVERSE_ITERATION_STEPS steps with the
     best iterate; the residual is reported, not gated.
     """
-    H, w = pair.H, pair.w_diag
-    n = pair.n
-    diag, sup, sub = np.diagonal(H), np.diagonal(H, 1), np.diagonal(H, -1)
+    w, n = pair.w_diag, pair.n
 
-    def apply_H(x: np.ndarray) -> np.ndarray:
-        Hx = diag * x
-        Hx[:-1] += sup * x[1:]
-        Hx[1:] += sub * x[:-1]
-        return Hx
-
-    def residual(x: np.ndarray, Hx: np.ndarray) -> Tuple[complex, float, float]:
-        Wx = w * x
+    def residual(x: np.ndarray) -> Tuple[complex, float, float]:
+        Hx, Wx = band_matmul(pair.bands, x), w * x
         norm_Wx = float(np.linalg.norm(Wx))
         lam = np.vdot(Wx, Hx) / norm_Wx**2
         return lam, float(np.linalg.norm(Hx - lam * Wx)) / norm_Wx, norm_Wx
 
-    bands = np.zeros((3, n), dtype=complex)
-    bands[0, 1:], bands[2, :-1] = sup, sub
-    norm_H = float(np.abs(diag).max() + np.abs(sup).max() + np.abs(sub).max())  # >= ||H||_inf
+    bands = pair.bands.copy()
+    sup, diag, sub = np.abs(pair.bands).max(axis=1)
+    norm_H = float(diag + sup + sub)  # >= ||H||_inf
     norm_W = float(np.abs(w).max())
     start = np.random.default_rng(0).standard_normal(n).astype(complex)
     shifts = np.asarray(list(shifts), dtype=complex)
@@ -264,23 +209,21 @@ def nearest_eigenpairs(
     right = np.empty((n, len(shifts)), dtype=complex)
     residuals = np.empty(len(shifts))
     for j, shift in enumerate(shifts):
-        bands[1] = diag - shift * w
-        x, best = start, (np.inf, start)
+        bands[1] = pair.bands[1] - shift * w
+        x, best = start, (np.inf, start, np.nan)
         for _ in range(INVERSE_ITERATION_STEPS):
             try:
                 x = scipy.linalg.solve_banded((1, 1), bands, w * x, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise SolverFailure(f"shift {shift} is an exact eigenvalue of the pencil") from exc
             x = x / np.linalg.norm(x)
-            lam, res, norm_Wx = residual(x, apply_H(x))
+            lam, res, norm_Wx = residual(x)
             if res < best[0]:
-                best = (res, x)
+                best = (res, x, lam)
             # rounding level: the residual a backward-stable eigenvector would show
             if res <= np.finfo(float).eps * (norm_H + abs(lam) * norm_W) / norm_Wx:
                 break
-        right[:, j] = best[1]
-        # the reported residual uses the full H, not the bands the iteration assumed
-        lambdas[j], residuals[j], _ = residual(best[1], H @ best[1])
+        residuals[j], right[:, j], lambdas[j] = best
     return lambdas, _normalize_columns(right), residuals
 
 
@@ -295,14 +238,14 @@ def filter_real(es: Eigensystem, tol_im: float = 1e-6) -> Eigensystem:
 
 
 def normalize_biorthogonal(
-    es: Eigensystem, W: Optional[MatrixOrPair] = None, sigma_tol: float = 1e-12
+    es: Eigensystem, pair: OperatorPair, sigma_tol: float = 1e-12
 ) -> Eigensystem:
     """Rescale double-kets so sigma_lam = <<lam|W|lam> = 1 exactly.
 
     Right kets are untouched; the weighted Gram matrix after rescaling is
     stored on the result for inspection.
     """
-    WV = _weight_vector(W, es.ambient_n)[:, np.newaxis] * es.right
+    WV = pair.w_diag[:, np.newaxis] * es.right
     sig = np.einsum("ij,ij->j", es.left.conj(), WV)
     floor = sigma_tol * max(1.0, float(np.median(np.abs(sig))))
     if np.any(np.abs(sig) < floor):
@@ -316,21 +259,20 @@ def normalize_biorthogonal(
     return replace(es, left=left, sigmas=np.ones(es.m, dtype=complex), gram=gram)
 
 
-def completeness_residual(es: Eigensystem, W: Optional[np.ndarray] = None) -> float:
+def completeness_residual(es: Eigensystem, pair: OperatorPair) -> float:
     """|| sum_lam |lam> sigma^-1 <<lam| W  -  I ||_F / sqrt(n); full mode set only."""
     if es.m < es.ambient_n:
         raise IncompleteBasis(f"m={es.m} < n={es.ambient_n}: completeness is undefined")
-    w = _weight_vector(W, es.ambient_n)
-    T = (es.right / es.sigmas[np.newaxis, :]) @ (es.left.conj().T * w[np.newaxis, :])
+    T = (es.right / es.sigmas[np.newaxis, :]) @ (es.left.conj().T * pair.w_diag[np.newaxis, :])
     T[np.diag_indices_from(T)] -= 1.0
     return float(np.linalg.norm(T) / np.sqrt(es.ambient_n))
 
 
-def spectral_rebuild_residual(es: Eigensystem, pair: MatrixOrPair, W: Optional[np.ndarray] = None) -> float:
+def spectral_rebuild_residual(es: Eigensystem, pair: OperatorPair) -> float:
     """|| sum_lam W|lam> (lam/sigma) <<lam|W  -  H ||_F / ||H||_F; full mode set only."""
     if es.m < es.ambient_n:
         raise IncompleteBasis(f"m={es.m} < n={es.ambient_n}: rebuild is undefined")
-    H, w = _unpack(pair, W)
+    H, w = pair.H, pair.w_diag
     rebuilt = (w[:, np.newaxis] * es.right * (es.lambdas / es.sigmas)[np.newaxis, :]) @ (
         es.left.conj().T * w[np.newaxis, :]
     )
@@ -357,28 +299,24 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
 
 
 def quasiparity_leftkets(
-    es: Eigensystem,
-    P: np.ndarray,
-    W: Optional[np.ndarray] = None,
-    overlap_tol: float = 1e-12,
+    es: Eigensystem, pair: OperatorPair, overlap_tol: float = 1e-12
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Candidate double-kets built from parity alone: bra_n = Q_n * (P|n>)^dag.
 
-    Q_n = 1/<n|P|n> under the sigma = 1 convention (the weight is inserted in
-    the overlap when W is supplied, so the convention holds for W != I too).
+    P is the index reversal and Q_n = 1/<n|P W|n> under the sigma = 1
+    convention (the weight in the overlap keeps it for W != I too).
     Returns (stored left columns, Q).  Compare against solved left vectors
     with collinearity_angles.
     """
-    P = np.asarray(P, dtype=float)
-    target = es.right if W is None else np.asarray(W, dtype=complex) @ es.right
-    overlaps = np.einsum("ij,ij->j", es.right.conj(), P @ target)
+    target = pair.w_diag[:, np.newaxis] * es.right
+    overlaps = np.einsum("ij,ij->j", es.right.conj(), target[::-1])
     if np.any(np.abs(overlaps) < overlap_tol):
         j = int(np.argmin(np.abs(overlaps)))
         raise VanishingParityOverlap(
-            f"mode {j} (lambda={es.lambdas[j]}) has |<n|P|n>|={abs(overlaps[j]):.3e}"
+            f"mode {j} (lambda={es.lambdas[j]}) has |<n|P W|n>|={abs(overlaps[j]):.3e}"
         )
     Q = 1.0 / overlaps
-    kets = (P @ es.right) * Q.conj()[np.newaxis, :]
+    kets = es.right[::-1] * Q.conj()[np.newaxis, :]
     return kets, Q
 
 

@@ -190,7 +190,7 @@ def test_criterion_5_rectification_consistency(cubic_run, cubic_roots, cubic_mod
 def test_criterion_6_biorthogonality_full_set(harmonic_full):
     pair, es_full, es_sub = harmonic_full
     gram_off = float(np.abs(es_full.gram - np.eye(es_full.m)).max())
-    complete = spectra.completeness_residual(es_full, pair.W)
+    complete = spectra.completeness_residual(es_full, pair)
     rebuild = spectra.spectral_rebuild_residual(es_full, pair)
     ok = gram_off < 1e-8 and complete < 1e-8 and rebuild < 1e-8
     record_criterion(
@@ -320,7 +320,7 @@ def test_criterion_10_parity_balance_and_quasiparity(
     for name, run in (("harmonic", harmonic_full), ("cubic", cubic_run)):
         pair, es_full, es_sub = run
         lowest = es_sub.take(np.arange(5))
-        kets, Q = spectra.quasiparity_leftkets(lowest, pair.P, pair.W)
+        kets, Q = spectra.quasiparity_leftkets(lowest, pair)
         angles[name] = float(spectra.collinearity_angles(lowest, kets).max())
     worst_angle = max(angles.values())
 

@@ -160,6 +160,19 @@ def test_metric_command(tmp_path, capsys):
     assert "quasiH" in capsys.readouterr().out
 
 
+def test_metric_failing_its_limits_exits_2(tmp_path, capsys):
+    # the steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cubic_winding1.json")
+    out = tmp_path / "m"
+    argv = ["--config", config, "--command", "metric", "--out", str(out), "--override", "grid.n=200"]
+    assert cli.main(argv) == 2
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["quasiH"] > 1e-8 and diag["min_eig"] < 0
+    assert (out / "theta.bin").exists() and (out / "S.bin").exists()
+    err = capsys.readouterr().err
+    assert "quasiH" in err and "min_eig" in err
+
+
 def test_shoot_command(tmp_path):
     cfg = base_config(
         command="shoot",

@@ -49,9 +49,13 @@ def test_zero_shift_with_centrifugal_rejected():
 
 def test_parity_is_reversal_and_involution():
     pair = _pair(model.ModelSpec(coeffs={2: 1.0}), 0, 5.0, 11, 0.5)
-    assert np.allclose(pair.P @ pair.P, np.eye(11))
-    v = np.arange(11.0)
-    assert np.allclose(pair.P @ v, v[::-1])
+    # reversing the grid index maps x to -x: the reversal is the parity
+    x = pair.gridspec.x
+    assert np.allclose(x[::-1], -x, rtol=0, atol=1e-14)
+    # as a matrix it is an involution, and P H P reverses both axes of H
+    P = np.eye(pair.n)[::-1]
+    assert np.array_equal(P @ P, np.eye(pair.n))
+    assert np.array_equal(P @ pair.H @ P, pair.H[::-1, ::-1])
 
 
 def test_pt_residual_zero_for_pt_models():
@@ -81,7 +85,8 @@ def test_pt_residual_equals_dense_parity_reference():
         dH = np.linalg.norm(P @ H @ P - H.conj().T)
         dW = np.linalg.norm(P @ W @ P - W.conj().T)
         reference = max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(W))
-        assert discrete.pt_residual(pair) == reference
+        # the banded norms sum the same entries in another order
+        assert discrete.pt_residual(pair) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 def test_weight_condition_and_diag():

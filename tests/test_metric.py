@@ -23,17 +23,20 @@ THETA2 = np.array([[1.0, -1.0], [-1.0, 3.0]], dtype=complex)
 
 @pytest.fixture()
 def hand_pair():
-    return OperatorPair(H=H2, W=np.eye(2, dtype=complex), P=np.eye(2), gridspec=None)
+    bands = np.array([[0.0, 1.0], [1.0, 2.0], [0.0, 0.0]], dtype=complex)
+    return OperatorPair(bands=bands, w_diag=np.ones(2, dtype=complex), gridspec=None)
 
 
 @pytest.fixture()
 def hand_result(hand_pair):
-    es = spectra.normalize_biorthogonal(spectra.solve_generalized(H2, tol=1e-12))
+    es = spectra.solve_generalized(hand_pair, tol=1e-12)
+    es = spectra.normalize_biorthogonal(es, hand_pair)
     return es, metric.build_metric(es, hand_pair)
 
 
-def test_hand_theta_value(hand_result):
+def test_hand_theta_value(hand_result, hand_pair):
     es, res = hand_result
+    assert np.array_equal(hand_pair.H, H2)
     assert np.allclose(res.S, np.eye(2), atol=1e-12)
     assert np.allclose(res.M, np.eye(2), atol=1e-12)
     assert np.allclose(res.Theta, THETA2, atol=1e-10)
@@ -111,7 +114,8 @@ def test_ill_conditioned_overlap_rejected(hand_pair):
     # After biorthogonal normalization with identity weight, S is the Gram
     # matrix itself (exactly I), so the guard can only be exercised by
     # tightening its threshold below cond(S) = 1.
-    es = spectra.normalize_biorthogonal(spectra.solve_generalized(H2, tol=1e-12))
+    es = spectra.solve_generalized(hand_pair, tol=1e-12)
+    es = spectra.normalize_biorthogonal(es, hand_pair)
     with pytest.raises(IllConditionedS):
         metric.build_metric(es, hand_pair, cond_threshold=0.5)
 

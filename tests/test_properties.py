@@ -1,11 +1,12 @@
 """Property-based invariants for the geometry, the exponent arithmetic,
-and the rescaling freedom."""
+the banded operator products, and the rescaling freedom."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qtoboggan import contour, model, spectra
+from qtoboggan import contour, discrete, model, spectra
 
 windings = st.integers(min_value=0, max_value=3)
 epsilons = st.floats(min_value=0.05, max_value=2.0, allow_nan=False)
@@ -123,6 +124,36 @@ def test_pullback_pushforward_identity(eps, N, gs, phis):
     psi = model.wavefunction_pullback(phi, z, gs, N)
     back = model.wavefunction_pushforward(psi, z, gs, N)
     assert np.allclose(back, phi, rtol=1e-12, atol=1e-300)
+
+
+entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _assert_product(got, A, B):
+    """got equals A @ B to the rounding of a 3-term sum, eps-multiples of |A| @ |B|."""
+    bound = 8 * np.finfo(float).eps * (np.abs(A) @ np.abs(B)) + 1e-290
+    assert np.all(np.abs(got - A @ B) <= bound)
+
+
+@given(data=st.data(), n=st.integers(min_value=2, max_value=12))
+def test_banded_products_match_dense(data, n):
+    bands = data.draw(hnp.arrays(complex, (3, n), elements=entries))
+    bands[0, 0] = bands[2, -1] = 0.0
+    w = data.draw(hnp.arrays(complex, n, elements=coeff_vals))  # W is invertible
+    X = data.draw(hnp.arrays(complex, (n, 3), elements=entries))
+    pair = discrete.OperatorPair(bands=bands, w_diag=w, gridspec=None)
+    H = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    assert np.array_equal(pair.H, H)
+    assert np.array_equal(pair.W, np.diag(w))
+    _assert_product(discrete.band_matmul(bands, X[:, 0]), H, X[:, 0])
+    _assert_product(discrete.band_matmul(bands, X, adjoint=True), H.conj().T, X)
+    # X^T H, through the adjoint identity the metric uses for Theta H
+    _assert_product(discrete.band_matmul(bands, X.conj(), adjoint=True).conj().T, X.T, H)
+    P = np.eye(n)[::-1]
+    dH = np.linalg.norm(P @ H @ P - H.conj().T)
+    dW = np.linalg.norm(P @ pair.W @ P - pair.W.conj().T)
+    reference = max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(w))
+    assert discrete.pt_residual(pair) == pytest.approx(reference, rel=1e-12, abs=1e-300)
 
 
 @given(data=st.data())

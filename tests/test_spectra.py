@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qtoboggan import discrete, model, spectra
+from qtoboggan.discrete import OperatorPair
 from qtoboggan.errors import (
     DegeneratePairing,
     EmptySpectrum,
@@ -17,17 +18,30 @@ from qtoboggan.errors import (
 )
 from reference_values import CUBIC_TOBOGGAN_GRID_LOWEST, CUBIC_TOBOGGAN_SHOOT_LOWEST
 
+
+
+def _pair(diag, sup=None):
+    """W = I pair whose H has the given diagonal and superdiagonal (zero subdiagonal)."""
+    n = len(diag)
+    bands = np.zeros((3, n), dtype=complex)
+    bands[1] = diag
+    if sup is not None:
+        bands[0, 1:] = sup
+    return OperatorPair(bands=bands, w_diag=np.ones(n, dtype=complex), gridspec=None)
+
+
 # Hand-worked pair: H = [[1, 1], [0, 2]], W = I.
 # lambda = 1: right (1,0);           lambda = 2: right (1,1)/sqrt(2)
 # left eigvecs of H^dag: (1,-1)/sqrt(2) and (0,1); sigma = 1/sqrt(2) each;
 # after sigma-normalization: left_1 = (1,-1), left_2 = (0, sqrt(2)).
 H2 = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+PAIR2 = _pair([1.0, 2.0], [1.0])
 
 
 @pytest.fixture()
 def hand():
-    es = spectra.solve_generalized(H2, tol=1e-12)
-    return spectra.normalize_biorthogonal(es)
+    es = spectra.solve_generalized(PAIR2, tol=1e-12)
+    return spectra.normalize_biorthogonal(es, PAIR2)
 
 
 def _angle(u, v):
@@ -36,6 +50,7 @@ def _angle(u, v):
 
 
 def test_hand_eigenvalues_and_vectors(hand):
+    assert np.array_equal(PAIR2.H, H2) and np.array_equal(PAIR2.W, np.eye(2))
     assert np.allclose(hand.lambdas, [1.0, 2.0], atol=1e-12)
     # arccos of a rounded unit overlap cannot resolve angles below ~2e-8,
     # so exactly-collinear vectors still report up to that much.
@@ -51,8 +66,8 @@ def test_hand_eigenvalues_and_vectors(hand):
 def test_hand_biorthogonality_and_identities(hand):
     assert np.allclose(hand.sigmas, 1.0)
     assert np.allclose(hand.gram, np.eye(2), atol=1e-12)
-    assert spectra.completeness_residual(hand) < 1e-14
-    assert spectra.spectral_rebuild_residual(hand, H2) < 1e-14
+    assert spectra.completeness_residual(hand, PAIR2) < 1e-14
+    assert spectra.spectral_rebuild_residual(hand, PAIR2) < 1e-14
     assert hand.residual_right.max() < 1e-12
     assert hand.residual_left.max() < 1e-12
 
@@ -68,19 +83,17 @@ def test_right_kets_unit_norm_with_positive_leading_phase(hand):
 
 def test_degenerate_pairing_detected():
     with pytest.raises(DegeneratePairing):
-        spectra.solve_generalized(np.eye(2, dtype=complex), tol=1e-10)
+        spectra.solve_generalized(_pair([1.0, 1.0]), tol=1e-10)
 
 
 def test_solver_reports_sorted_spectrum():
-    H = np.diag([3.0, 1.0, 2.0]).astype(complex)
-    es = spectra.solve_generalized(H, tol=1e-12)
+    es = spectra.solve_generalized(_pair([3.0, 1.0, 2.0]), tol=1e-12)
     assert np.allclose(es.lambdas, [1.0, 2.0, 3.0])
     assert es.ambient_n == 3 and es.m == 3
 
 
 def test_filter_real_keeps_and_sorts():
-    H = np.diag([3.0, 1.0 + 0.5j, 2.0]).astype(complex)
-    es = spectra.solve_generalized(H, tol=1e-12)
+    es = spectra.solve_generalized(_pair([3.0, 1.0 + 0.5j, 2.0]), tol=1e-12)
     sub = spectra.filter_real(es, tol_im=1e-6)
     assert np.allclose(sub.lambdas, [2.0, 3.0])
     assert sub.discarded == 1
@@ -88,27 +101,26 @@ def test_filter_real_keeps_and_sorts():
 
 
 def test_filter_real_empty_raises():
-    H = np.diag([1.0 + 1.0j, 2.0 - 1.0j]).astype(complex)
-    es = spectra.solve_generalized(H, tol=1e-12)
+    es = spectra.solve_generalized(_pair([1.0 + 1.0j, 2.0 - 1.0j]), tol=1e-12)
     with pytest.raises(EmptySpectrum):
         spectra.filter_real(es, tol_im=1e-6)
 
 
 def test_self_orthogonal_mode_detected():
-    H = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]], dtype=complex)
-    es = spectra.solve_generalized(H, tol=1e-12)
+    pair = _pair([1.0, 1.0 + 1e-8], [1.0])
+    es = spectra.solve_generalized(pair, tol=1e-12)
     with pytest.raises(SelfOrthogonalMode):
-        spectra.normalize_biorthogonal(es, sigma_tol=1e-6)
+        spectra.normalize_biorthogonal(es, pair, sigma_tol=1e-6)
 
 
 def test_completeness_requires_full_set():
-    H = np.diag([1.0, 2.0 + 1.0j, 3.0]).astype(complex)
-    es = spectra.solve_generalized(H, tol=1e-12)
-    sub = spectra.normalize_biorthogonal(spectra.filter_real(es))
+    pair = _pair([1.0, 2.0 + 1.0j, 3.0])
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    sub = spectra.normalize_biorthogonal(spectra.filter_real(es), pair)
     with pytest.raises(IncompleteBasis):
-        spectra.completeness_residual(sub)
+        spectra.completeness_residual(sub, pair)
     with pytest.raises(IncompleteBasis):
-        spectra.spectral_rebuild_residual(sub, H)
+        spectra.spectral_rebuild_residual(sub, pair)
 
 
 def test_apply_kappa_rescales_and_accumulates(hand):
@@ -142,15 +154,15 @@ def test_apply_kappa_rejects_zero(hand):
 
 
 def test_quasiparity_vanishing_overlap(hand):
-    P = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # the reversal of two entries swaps them, and (1,0) is orthogonal to (0,1)
     with pytest.raises(VanishingParityOverlap):
-        spectra.quasiparity_leftkets(hand, P)
+        spectra.quasiparity_leftkets(hand, PAIR2)
 
 
 def test_quasiparity_matches_solved_left_vectors(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     lowest = es_sub.take(np.arange(5))
-    kets, Q = spectra.quasiparity_leftkets(lowest, pair.P)
+    kets, Q = spectra.quasiparity_leftkets(lowest, pair)
     angles = spectra.collinearity_angles(lowest, kets)
     # measurement floor of arccos near 1 is ~2e-8 even for exact collinearity
     assert angles.max() < 1e-7
@@ -167,12 +179,10 @@ def test_lowest_eigenvalues_matches_dense(harmonic_small):
 
 
 def test_lowest_eigenvalues_small_matrix_fallback():
-    H = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    low = spectra.lowest_eigenvalues(H, k=3, sigma=0.0)
+    low = spectra.lowest_eigenvalues(_pair([1.0, 2.0, 3.0, 4.0]), k=3, sigma=0.0)
     assert np.allclose(low, [1.0, 2.0, 3.0])
     # the k nearest sigma, still returned in (Re, Im) order
-    H = np.diag([3.0, 1.0, 2.0, 4.0]).astype(complex)
-    low = spectra.lowest_eigenvalues(H, k=3, sigma=2.6)
+    low = spectra.lowest_eigenvalues(_pair([3.0, 1.0, 2.0, 4.0]), k=3, sigma=2.6)
     assert np.allclose(low, [2.0, 3.0, 4.0])
 
 
@@ -187,10 +197,11 @@ def test_weight_scaling_matches_dense_weight_products(cubic_model):
     res_l = np.linalg.norm(H.conj().T @ VL - (W.conj().T @ VL) * lam.conj(), axis=0) / (
         np.linalg.norm(W.conj().T @ VL, axis=0)
     )
-    # a residual is a difference of terms of size |lambda|: it agrees to that rounding
-    rounding = 1e-15 * np.maximum(1.0, np.abs(lam))
-    assert np.all(np.abs(es.residual_right - res_r) <= rounding)
-    assert np.all(np.abs(es.residual_left - res_l) <= rounding)
+    # banded and dense products of H differ by rounding, and a residual of unit
+    # kets carries eps * (||H|| + |lambda| ||W||) / ||W v|| of it
+    scale = np.finfo(float).eps * (np.abs(H).sum(axis=1).max() + np.abs(lam) * np.abs(W).max())
+    assert np.all(np.abs(es.residual_right - res_r) <= scale / np.linalg.norm(W @ VR, axis=0))
+    assert np.all(np.abs(es.residual_left - res_l) <= scale / np.linalg.norm(W.conj().T @ VL, axis=0))
     assert np.allclose(es.sigmas, np.einsum("ij,ij->j", VL.conj(), W @ VR), rtol=1e-12, atol=0)
     sub = spectra.filter_real(es)
     normed = spectra.normalize_biorthogonal(sub, pair)
