@@ -300,6 +300,11 @@ def _cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
+def _passes(value: float, limit: float, larger_ok: bool) -> bool:
+    """A value passes when it is at most its limit, or above it when `larger_ok`."""
+    return value > limit if larger_ok else value <= limit
+
+
 def _metric_gates(tol: Dict[str, float]) -> List[Tuple[str, str, float, bool]]:
     """(check name, diagnostics key, limit, larger_ok) for each limit a metric must meet."""
     return [
@@ -326,7 +331,7 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     failed = []
     for _, key, limit, larger_ok in _metric_gates(config.tolerances):
         value = result.diagnostics[key]
-        if not (value > limit if larger_ok else value <= limit):
+        if not _passes(value, limit, larger_ok):
             failed.append(f"{key} {value:.3e} {'<=' if larger_ok else '>'} {limit:.1e}")
     if failed:
         sys.stderr.write(f"metric: diagnostics fail their limits: {', '.join(failed)}\n")
@@ -506,7 +511,7 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
     checks: List[Tuple[str, float, float, bool]] = []  # (name, value, limit, ok)
 
     def check(name: str, value: float, limit: float, larger_ok: bool = False) -> bool:
-        ok = value > limit if larger_ok else value <= limit
+        ok = _passes(value, limit, larger_ok)
         checks.append((name, float(value), float(limit), bool(ok)))
         word = "PASS" if ok else "FAIL"
         cmp = ">" if larger_ok else "<="

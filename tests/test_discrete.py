@@ -75,18 +75,23 @@ def test_pt_residual_flags_non_pt_models():
 
 
 def test_pt_residual_equals_dense_parity_reference():
-    for spec, winding in [
-        (model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1),
-        (model.ModelSpec(coeffs={3: 1.0}), 0),
+    # random non-symmetric bands and a random complex weight besides two models
+    rng = np.random.default_rng(7)
+    bands = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+    bands[0, 0] = bands[2, -1] = 0.0
+    w = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    for pair in [
+        _pair(model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1, 3.0, 41, 0.4),
+        _pair(model.ModelSpec(coeffs={3: 1.0}), 0, 3.0, 41, 0.4),
+        discrete.OperatorPair(bands=bands, w_diag=w, gridspec=None),
     ]:
-        pair = _pair(spec, winding, 3.0, 41, 0.4)
         H, W, P = pair.H, pair.W, np.eye(pair.n)[::-1]
         assert np.array_equal(P @ H @ P, H[::-1, ::-1])
         dH = np.linalg.norm(P @ H @ P - H.conj().T)
         dW = np.linalg.norm(P @ W @ P - W.conj().T)
         reference = max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(W))
         # the banded norms sum the same entries in another order
-        assert discrete.pt_residual(pair) == pytest.approx(reference, rel=1e-12, abs=0)
+        assert discrete.pt_residual(pair) == pytest.approx(reference, rel=1e-14, abs=0)
 
 
 def test_weight_condition_and_diag():

@@ -139,7 +139,7 @@ def _assert_product(got, A, B):
 def test_banded_products_match_dense(data, n):
     bands = data.draw(hnp.arrays(complex, (3, n), elements=entries))
     bands[0, 0] = bands[2, -1] = 0.0
-    w = data.draw(hnp.arrays(complex, n, elements=coeff_vals))  # W is invertible
+    w = data.draw(hnp.arrays(complex, n, elements=coeff_vals))
     X = data.draw(hnp.arrays(complex, (n, 3), elements=entries))
     pair = discrete.OperatorPair(bands=bands, w_diag=w, gridspec=None)
     H = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
@@ -149,11 +149,6 @@ def test_banded_products_match_dense(data, n):
     _assert_product(discrete.band_matmul(bands, X, adjoint=True), H.conj().T, X)
     # X^T H, through the adjoint identity the metric uses for Theta H
     _assert_product(discrete.band_matmul(bands, X.conj(), adjoint=True).conj().T, X.T, H)
-    P = np.eye(n)[::-1]
-    dH = np.linalg.norm(P @ H @ P - H.conj().T)
-    dW = np.linalg.norm(P @ pair.W @ P - pair.W.conj().T)
-    reference = max(dH, dW) / (np.linalg.norm(H) + np.linalg.norm(w))
-    assert discrete.pt_residual(pair) == pytest.approx(reference, rel=1e-12, abs=1e-300)
 
 
 @given(data=st.data())
