@@ -1,7 +1,9 @@
 """Spiral shooting: mismatch zeros on analytic ladders, config validation,
-step refinement, and warning paths."""
+step refinement, warning paths, and the step-matrix product against a
+sequential RK4 reference."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qtoboggan.errors import ConfigError, NoConvergenceWarning, StepTooCoarseWar
 from qtoboggan.model import ModelSpec
 
 LINE = ContourSpec(epsilon=0.5, winding=0)
+SPIRAL = ContourSpec(epsilon=0.15, winding=1)
 
 
 def _cfg(**kw):
@@ -131,3 +134,93 @@ def test_spiral_roots_are_real_and_ordered(cubic_roots):
     assert len(cubic_roots) == 3
     assert np.abs(cubic_roots.imag).max() < 1e-7
     assert np.all(np.diff(cubic_roots.real) > 0)
+
+
+def _sequential_rk4(half, Es, renorm_limit=1e50):
+    """Plain reference: classical RK4 step by step on the seed vector,
+    renormalizing when the solution grows past `renorm_limit`.
+
+    Returns (y1, y2, number of renormalizations)."""
+    E = np.asarray(Es, dtype=complex)
+    slope = np.sqrt(half.U0 - E) * half.zdot0
+    s = np.where(slope.real * np.sign(half.dg[0]) > 0, 1.0, -1.0)
+    y1 = np.ones_like(E)
+    y2 = s * slope
+    renorms = 0
+    for i, h in enumerate(half.dg):
+        uA = half.UA[i] - E
+        uM = half.UM[i] - E
+        uB = half.UB[i] - E
+        k1_1 = y2
+        k1_2 = half.accA[i] * y2 + half.ccA[i] * uA * y1
+        t1 = y1 + 0.5 * h * k1_1
+        t2 = y2 + 0.5 * h * k1_2
+        k2_1 = t2
+        k2_2 = half.accM[i] * t2 + half.ccM[i] * uM * t1
+        t1 = y1 + 0.5 * h * k2_1
+        t2 = y2 + 0.5 * h * k2_2
+        k3_1 = t2
+        k3_2 = half.accM[i] * t2 + half.ccM[i] * uM * t1
+        t1 = y1 + h * k3_1
+        t2 = y2 + h * k3_2
+        k4_1 = t2
+        k4_2 = half.accB[i] * t2 + half.ccB[i] * uB * t1
+        y1 = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
+        y2 = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
+        mm = np.maximum(np.abs(y1), np.abs(y2))
+        big = mm > renorm_limit
+        if np.any(big):
+            y1 = np.where(big, y1 / mm, y1)
+            y2 = np.where(big, y2 / mm, y2)
+            renorms += int(big.sum())
+    return y1, y2, renorms
+
+
+@pytest.mark.parametrize(
+    "case, N, contour, cfg_kw, energies, grows_past_1e50",
+    [
+        ("harmonic", 0, LINE, {}, [1.7, 1.7 + 0.4j, 5.2], False),
+        ("cubic", 1, SPIRAL, {}, [4.4, 4.4 - 0.3j, 7.9], False),
+        ("harmonic", 0, LINE, {"gamma_max": 1.55}, [1.0, 2.3 + 0.5j], True),
+    ],
+    ids=["harmonic", "cubic-winding1", "harmonic-long-path"],
+)
+def test_step_matrix_product_matches_sequential_rk4(
+    case, N, contour, cfg_kw, energies, grows_past_1e50, harmonic_model, cubic_model
+):
+    spec = {"harmonic": harmonic_model, "cubic": cubic_model}[case]
+    Es = np.asarray(energies, dtype=complex)
+    halves = shoot._halfpaths(spec, N, contour, _cfg(**cfg_kw), complex(Es.real.max()))
+    for half in halves:
+        v, d = shoot._integrate_batch(half, Es)
+        v_ref, d_ref, renorms = _sequential_rk4(half, Es)
+        assert (renorms > 0) == grows_past_1e50
+        assert np.all(np.abs(d / v - d_ref / v_ref) <= 1e-12 * np.abs(d_ref / v_ref))
+
+
+def test_scan_over_several_blocks_equals_energy_by_energy(harmonic_model):
+    energies = np.linspace(0.2, 6.5, 2 * shoot._ENERGY_BLOCK + 3)
+    vals = shoot.scan_mismatch(harmonic_model, 0, LINE, _cfg(), energies)
+    halfL, halfR = shoot._halfpaths(harmonic_model, 0, LINE, _cfg(), complex(energies.max()))
+    single = [abs(shoot._mismatch(halfL, halfR, np.array([E], dtype=complex))[0]) for E in energies]
+    assert vals == pytest.approx(single, rel=1e-13)
+
+
+def test_root_does_not_depend_on_the_other_guesses(harmonic_model):
+    # the truncation is sized at the largest guess, so the top guess alone
+    # builds the same half-paths as the full guess set
+    cfg = _cfg(root_tol=1e-10)
+    top = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [0.9, 2.8, 5.2])[-1]
+    alone = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [5.2])
+    assert len(alone) == 1
+    assert alone[0] == pytest.approx(top, rel=1e-13)
+
+
+def test_coarse_steps_warn_once_per_half_path(harmonic_model):
+    cfg = _cfg(steps=100, phase_resolution=None, max_iter=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [400.0])
+    coarse = [w for w in caught if issubclass(w.category, StepTooCoarseWarning)]
+    assert len(coarse) == 2
+    assert {w.filename for w in coarse} == {__file__}
