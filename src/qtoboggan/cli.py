@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -25,6 +26,7 @@ from .errors import (
     QTobogganError,
     SchemaMismatch,
     SelfOrthogonalMode,
+    StepTooCoarseWarning,
     UnverifiedMode,
 )
 
@@ -47,6 +49,9 @@ _SHOOT_KEYS = {
 _SCAN_KEYS = {"start", "stop", "count"}
 _COMMANDS = ("spectrum", "metric", "shoot", "compare", "validate")
 _DIAG_SCHEMA = ("quasiH", "quasiW", "hermiticity", "min_eig", "cond_S", "cond_Theta")
+# validate's refinement-order grids: uniform steps per half-path, halving the
+# step twice; the coarsest passes the phase gate on configs/harmonic_line.json
+_REFINEMENT_STEPS = (1900, 3800, 7600)
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "filter_im": 1e-6,
@@ -667,30 +672,30 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
         if not check("shoot_epsilon_independence", rel, tol["epsilon_independence"]):
             return bail()
 
-        # refinement order: uniform-grid eigenvalue error must fall ~16x per halving
-        base = min(config.shoot_cfg.steps, 400)
+        # refinement order: RK4's error in y'/y of the right half-path at a
+        # fixed energy falls ~16x per halving of a uniform step; the grids
+        # must pass the integrator's own phase gate, else no order is certified
         seq = []
-        for steps in (base, 2 * base, 4 * base):
-            cfg_u = dc_replace(config.shoot_cfg, steps=steps, phase_resolution=None)
-            r = shoot.find_eigenvalues(
-                config.model,
-                config.contour.winding,
-                config.contour,
-                cfg_u,
-                config.guesses[:1],
-            )
-            if len(r) != 1:
-                check("shoot_refinement_order", 0.0, 1.0, larger_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StepTooCoarseWarning)
+            try:
+                for steps in _REFINEMENT_STEPS:
+                    cfg_u = dc_replace(config.shoot_cfg, steps=steps, phase_resolution=None)
+                    y, dy = shoot.integrate_halfpath(
+                        config.model,
+                        config.contour.winding,
+                        config.guesses[0],
+                        "right",
+                        cfg_u,
+                        config.contour,
+                    )
+                    seq.append(dy / y)
+            except StepTooCoarseWarning as exc:
+                sys.stderr.write(f"validate: {steps}-step refinement grid too coarse: {exc}\n")
+                check("shoot_refinement_order", 0.0, 6.0, larger_ok=True)
                 return bail()
-            seq.append(complex(r[0]))
-        d1 = abs(seq[0] - seq[1])
-        d2 = abs(seq[1] - seq[2])
-        if d1 < 1e-11:  # already at the noise floor: refinement trivially converged
-            check("shoot_refinement_order", 16.0, 6.0, larger_ok=True)
-        else:
-            ratio = d1 / max(d2, 1e-300)
-            if not check("shoot_refinement_order", ratio, 6.0, larger_ok=True):
-                return bail()
+        ratio = abs(seq[0] - seq[1]) / max(abs(seq[1] - seq[2]), 1e-300)
+        check("shoot_refinement_order", ratio, 6.0, larger_ok=True)
 
     return bail()
 

@@ -68,12 +68,16 @@ class OperatorPair:
     `bands` holds the tridiagonal H in scipy.linalg.solve_banded (1, 1)
     layout: row 0 the superdiagonal, row 1 the diagonal, row 2 the subdiagonal;
     the unused corners bands[0, 0] and bands[2, -1] are zero.  `w_diag` is the
-    diagonal of W.
+    diagonal of W.  `pt_symmetric` is the model's PT balance carried onto the
+    grid: P H P = conj(H) and P W P = conj(W) hold by construction (real
+    even and imaginary odd coefficients on a grid symmetric about x = 0), so
+    the eigensolver may rely on it without testing the bands.
     """
 
     bands: np.ndarray
     w_diag: np.ndarray
     gridspec: GridSpec
+    pt_symmetric: bool = False
 
     @property
     def n(self) -> int:
@@ -133,7 +137,7 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
     w = model.weight(r)
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
-    return OperatorPair(bands=bands, w_diag=w, gridspec=grid)
+    return OperatorPair(bands=bands, w_diag=w, gridspec=grid, pt_symmetric=model.pt_flag)
 
 
 def pt_residual(pair: OperatorPair) -> float:

@@ -5,6 +5,14 @@ conjugate transpose is the bra) are solved together, verified by residual,
 normalized biorthogonally with respect to W, and checked against the
 completeness and spectral-decomposition identities.  The kappa-rescaling
 freedom |lam> -> |lam>/kappa, <<lam| -> kappa*<<lam| is first-class.
+
+The dense solve takes one of three routes.  A W != I pencil goes through QZ.
+With W = I the problem is standard; if the pair is also PT-symmetric
+(P H P = conj(H), P the index reversal), U = (I + iP)/sqrt(2) is unitary and
+U^dag H U = Re H - (Im H) P is real, so one real eigensolve yields the same
+eigenpairs, mapped back by U.  The similarity is exact, not a perturbation:
+only rounding separates the two, and real eigenvalues come out exactly real.
+Other W = I pairs take the complex standard eigensolve.
 """
 
 from __future__ import annotations
@@ -96,20 +104,55 @@ def _normalize_columns(V: np.ndarray) -> np.ndarray:
     return V / phase[np.newaxis, :]
 
 
+def _pt_real_form(bands: np.ndarray) -> np.ndarray:
+    """A = Re H - (Im H) P as a dense real matrix, from the (1, 1) bands of H.
+
+    (Im H) P reverses the columns of Im H, so its tridiagonal becomes an
+    anti-tridiagonal.  If P H P = conj(H) then A = U^dag H U with
+    U = (I + iP)/sqrt(2).
+    """
+    n = bands.shape[1]
+    A = np.zeros((n, n))
+    cols = np.arange(n)
+    for k in range(3):  # bands[k, j] = H[j - 1 + k, j]
+        rows = cols - 1 + k
+        ok = (rows >= 0) & (rows < n)
+        A[rows[ok], cols[ok]] += bands[k, ok].real
+        A[rows[ok], n - 1 - cols[ok]] -= bands[k, ok].imag
+    return A
+
+
+def _from_real_basis(Y: np.ndarray) -> np.ndarray:
+    """U Y with U = (I + iP)/sqrt(2): eigenvectors of A to those of H."""
+    return (Y + 1j * Y[::-1]) / np.sqrt(2.0)
+
+
 def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:
     """All n eigenpairs with right kets and left double-kets, index-paired.
+
+    Three routes, by the structure of the pair.  W != I: QZ on (H, W).
+    W = I and PT-symmetric: one real eigensolve of A = Re H - (Im H) P,
+    which is unitarily similar to H through U = (I + iP)/sqrt(2); both of
+    LAPACK's vector families of A are mapped back by U (the left vectors too,
+    since u^dag A = lam u^dag gives (U u)^dag H = lam (U u)^dag).  Real modes
+    then carry Im lambda == 0 exactly.  Other W = I pairs: the complex
+    standard eigensolve of H.
 
     `tol` is the pairing-ambiguity threshold: two eigenvalues closer than
     tol*max(1, |lambda|) make the left/right pairing non-canonical and raise
     DegeneratePairing.  Per-mode residuals ||H v - lam W v|| / ||W v|| (and the
-    left analogue) are reported, not gated.
+    left analogue) are reported against the complex bands, not gated.
     """
     w, n = operators.w_diag, operators.n
     try:
-        # Standard eigensolve when the weight is exactly the identity: same
-        # pairs, and it avoids the ~10x cost of the QZ iteration.
-        B = None if np.all(w == 1.0) else operators.W
-        lam, VL, VR = scipy.linalg.eig(operators.H, B, left=True, right=True)
+        if not np.all(w == 1.0):
+            lam, VL, VR = scipy.linalg.eig(operators.H, operators.W, left=True, right=True)
+        elif operators.pt_symmetric:
+            lam, YL, YR = scipy.linalg.eig(_pt_real_form(operators.bands), left=True, right=True)
+            VL, VR = _from_real_basis(YL), _from_real_basis(YR)
+        else:
+            # the standard eigensolve avoids the ~10x cost of QZ with B = I
+            lam, VL, VR = scipy.linalg.eig(operators.H, None, left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
         raise SolverFailure(f"generalized eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(lam)):

@@ -313,10 +313,13 @@ def test_validate_fails_a_root_found_at_one_shift_only(tmp_path, monkeypatch, ca
 
 def test_exit_codes(tmp_path):
     path = write_config(tmp_path, base_config())
-    # solver-domain failure: reality filter so tight nothing survives
+    # solver-domain failure: a complex x^2 coefficient breaks PT symmetry and
+    # rotates every mode off the real axis, so the reality filter keeps none
+    broken = base_config()
+    broken["model"]["coeffs"] = [[2, 1.0, 0.5]]
     code = cli.main(
-        ["--config", path, "--out", str(tmp_path / "x"),
-         "--override", "tolerances.filter_im=1e-30"]
+        ["--config", write_config(tmp_path, broken, "broken.json"),
+         "--out", str(tmp_path / "x")]
     )
     assert code == 3
     # config-domain failure: unknown grid key

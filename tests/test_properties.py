@@ -1,12 +1,16 @@
 """Property-based invariants for the geometry, the exponent arithmetic,
-the banded operator products, and the rescaling freedom."""
+the banded operator products, the real-basis eigensolve of PT-symmetric
+pairs, and the rescaling freedom."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from qtoboggan import contour, discrete, model, spectra
+from qtoboggan.errors import DegeneratePairing
 
 windings = st.integers(min_value=0, max_value=3)
 epsilons = st.floats(min_value=0.05, max_value=2.0, allow_nan=False)
@@ -149,6 +153,64 @@ def test_banded_products_match_dense(data, n):
     _assert_product(discrete.band_matmul(bands, X, adjoint=True), H.conj().T, X)
     # X^T H, through the adjoint identity the metric uses for Theta H
     _assert_product(discrete.band_matmul(bands, X.conj(), adjoint=True).conj().T, X.T, H)
+
+
+@given(data=st.data(), n=st.integers(min_value=2, max_value=24))
+@settings(deadline=None)
+def test_pt_real_basis_matches_complex_eigensolve(data, n):
+    # P H P = conj(H): real off-diagonals mirrored by P, an even real and an
+    # odd imaginary diagonal part (each exact in floating point)
+    vals = hnp.arrays(float, n, elements=st.floats(min_value=-10.0, max_value=10.0))
+    a, b = data.draw(vals), data.draw(vals)
+    mags = data.draw(hnp.arrays(float, n - 1, elements=st.floats(min_value=0.1, max_value=10.0)))
+    signs = data.draw(hnp.arrays(bool, n - 1))
+    sup = np.where(signs, mags, -mags)
+    bands = np.zeros((3, n), dtype=complex)
+    bands[1] = (a + a[::-1]) + 1j * (b - b[::-1])
+    bands[0, 1:], bands[2, :-1] = sup, sup[::-1]
+    pair = discrete.OperatorPair(
+        bands=bands, w_diag=np.ones(n, dtype=complex), gridspec=None, pt_symmetric=True
+    )
+    H = pair.H
+    assert np.array_equal(H[::-1, ::-1], H.conj())
+    eps = np.finfo(float).eps
+    U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
+    A = spectra._pt_real_form(bands)
+    assert np.abs(U.conj().T @ H @ U - A).max() <= 8 * eps * np.abs(H).max()
+
+    try:
+        es = spectra.solve_generalized(pair, tol=1e-12)
+    except DegeneratePairing:
+        reject()
+    lam_c, VL, VR = scipy.linalg.eig(H, left=True, right=True)
+    _, match = linear_sum_assignment(np.abs(es.lambdas[:, None] - lam_c[None, :]))
+    lam_c, VL, VR = lam_c[match], VL[:, match], VR[:, match]
+    # a backward-stable eigensolve is exact for H + E with ||E|| ~ n eps ||H||;
+    # that moves lambda_j by kappa_j ||E|| and the ket of j by
+    # sum_k kappa_k ||E|| / |lambda_j - lambda_k| (first order), with
+    # kappa_j = 1 / |sigma_j| for the unit columns solve_generalized returns
+    backward = 10 * n * eps * np.linalg.norm(H)
+    kappa = 1.0 / np.abs(es.sigmas)
+    shift = backward * kappa
+    assert np.all(np.abs(es.lambdas - lam_c) <= shift)
+    assert es.residual_right.max() <= backward
+    assert es.residual_left.max() <= backward
+    gaps = np.abs(es.lambdas[:, None] - es.lambdas[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    ket_shift = backward * (kappa[np.newaxis, :] / gaps).sum(axis=1)
+    sigma_c = np.abs(np.einsum("ij,ij->j", VL.conj(), VR)) / (
+        np.linalg.norm(VL, axis=0) * np.linalg.norm(VR, axis=0)
+    )
+    assert np.all(np.abs(np.abs(es.sigmas) - sigma_c) <= 2 * ket_shift)
+
+    # A is real, so its spectrum is closed under conjugation exactly; a mode
+    # the complex solve places within `shift` of the real axis, with no other
+    # eigenvalue within 6 * shift (room for a conjugate partner), is real
+    assert np.array_equal(np.sort_complex(es.lambdas), np.sort_complex(es.lambdas.conj()))
+    others = np.abs(lam_c[:, None] - lam_c[None, :])
+    np.fill_diagonal(others, np.inf)
+    real = (np.abs(lam_c.imag) <= shift) & (others.min(axis=1) > 6 * shift)
+    assert np.all(es.lambdas.imag[real] == 0.0)
 
 
 @given(data=st.data())

@@ -2,9 +2,11 @@
 and the cached grid runs."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtoboggan import discrete, model, spectra
 from qtoboggan.discrete import OperatorPair
@@ -210,6 +212,43 @@ def test_weight_scaling_matches_dense_weight_products(cubic_model):
     left = sub.left / np.einsum("ij,ij->j", sub.left.conj(), WV).conj()[np.newaxis, :]
     assert np.allclose(normed.left, left, rtol=1e-12, atol=0)
     assert np.allclose(normed.gram, left.conj().T @ WV, rtol=1e-12, atol=1e-14)
+
+
+def _weighted_cubic_pair():
+    rect = model.rectify_model(model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1)
+    return discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=80, epsilon=0.15))
+
+
+@pytest.mark.parametrize("case", ["hand", "hand_complex_diagonal", "hermitian_full", "weighted_cubic"])
+def test_non_pt_and_weighted_pairs_keep_the_direct_eig(case, request):
+    # only a PT-symmetric W = I pair takes the real basis; every other pair
+    # gives exactly what the direct LAPACK call gives, sorted and phase-fixed
+    pair = {
+        "hand": lambda: PAIR2,
+        "hand_complex_diagonal": lambda: _pair([3.0, 1.0 + 0.5j, 2.0]),
+        "hermitian_full": lambda: request.getfixturevalue("hermitian_full")[0],
+        "weighted_cubic": _weighted_cubic_pair,
+    }[case]()
+    weighted = not np.all(pair.w_diag == 1.0)
+    assert weighted == (case == "weighted_cubic")
+    assert pair.pt_symmetric == weighted  # the cubic is PT-symmetric, but W != I
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    lam, VL, VR = scipy.linalg.eig(pair.H, pair.W if weighted else None, left=True, right=True)
+    order = np.lexsort((lam.imag, lam.real))
+    assert np.array_equal(es.lambdas, lam[order])
+    assert np.array_equal(es.right, spectra._normalize_columns(VR[:, order]))
+    assert np.array_equal(es.left, spectra._normalize_columns(VL[:, order]))
+
+
+def test_pt_grid_pair_retains_exactly_real_modes(harmonic_small):
+    pair, es_full, es_sub = harmonic_small
+    assert pair.pt_symmetric
+    assert np.all(es_sub.lambdas.imag == 0.0)
+    complex_route = spectra.filter_real(
+        spectra.solve_generalized(replace(pair, pt_symmetric=False), tol=1e-12)
+    )
+    assert complex_route.m == es_sub.m
+    assert np.allclose(es_sub.lambdas, complex_route.lambdas, rtol=1e-10, atol=0)
 
 
 def test_nearest_eigenpairs_match_dense_solve(harmonic_small):
