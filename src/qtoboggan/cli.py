@@ -4,6 +4,10 @@ Commands: spectrum, metric, shoot, compare, validate.  Exit codes: 0 success,
 2 validation failure, 3 solver error, 4 config error, 5 a compared grid mode
 failed its residual or reality gate.
 
+validate takes its identity checks from one ordered, lazy sequence
+(`_validate_checks`), prints a PASS/FAIL line per check, stops at the first
+failure, and writes every check it ran to validate.json.
+
 Heavy numeric imports are deferred until after the TOBOGGAN_THREADS
 environment variable has been applied, so BLAS thread caps take effect.
 """
@@ -16,8 +20,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     ConfigError,
@@ -503,38 +507,20 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
     return code
 
 
-def _cmd_validate(config: RunConfig, out_dir: str) -> int:
-    """Run the module invariant suite on the configured problem; stop on first failure."""
+def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, bool]]:
+    """validate's checks in order, as (name, value, limit, larger_ok).
+
+    Lazy: each stage runs only when the check before it has been consumed, so
+    a caller that stops at a failure runs nothing after it.  The failure-only
+    checks (full_set_biorthogonal, full_set_metric_conditioning) and the
+    failing branches of the shooting checks end the sequence.
+    """
     import numpy as np
 
     from . import discrete, metric, spectra
-    from .contour import ContourSpec
 
-    _require_grid(config)
     tol = config.tolerances
     rng = np.random.default_rng(config.seed)
-    checks: List[Tuple[str, float, float, bool]] = []  # (name, value, limit, ok)
-
-    def check(name: str, value: float, limit: float, larger_ok: bool = False) -> bool:
-        ok = _passes(value, limit, larger_ok)
-        checks.append((name, float(value), float(limit), bool(ok)))
-        word = "PASS" if ok else "FAIL"
-        cmp = ">" if larger_ok else "<="
-        sys.stdout.write(f"{word} {name}: {value:.6e} {cmp} {limit:.6e}\n")
-        return ok
-
-    def bail() -> int:
-        _json_dump(
-            {
-                "checks": [
-                    {"name": n, "value": v, "limit": l, "pass": ok} for n, v, l, ok in checks
-                ],
-                "passed": all(ok for *_, ok in checks),
-            },
-            os.path.join(out_dir, "validate.json"),
-        )
-        return 0 if all(ok for *_, ok in checks) else 2
-
     pair, es, es_raw = _grid_eigensystem(config, return_raw=True)
     # The complete mode set (no reality filter) supports resolution-of-identity
     # checks; normalization of it can fail on defective pairs, which we report
@@ -542,23 +528,16 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
     try:
         es_all = spectra.normalize_biorthogonal(es_raw, pair, sigma_tol=tol["sigma_floor"])
     except SelfOrthogonalMode:
-        es_all = None
-    if es_all is None:
-        check("full_set_biorthogonal", math.inf, tol["gram"])
-        return bail()
+        yield "full_set_biorthogonal", math.inf, tol["gram"], False
+        return
 
     if config.model.pt_flag:
-        if not check("pt_residual", discrete.pt_residual(pair), tol["pt"]):
-            return bail()
-    if not check("max_mode_residual", max(es.residual_right.max(), es.residual_left.max()), tol["residual"]):
-        return bail()
-    gram_off = float(np.abs(es.gram - np.eye(es.m)).max())
-    if not check("gram_offdiag", gram_off, tol["gram"]):
-        return bail()
-    if not check("completeness", spectra.completeness_residual(es_all, pair), tol["completeness"]):
-        return bail()
-    if not check("rebuild", spectra.spectral_rebuild_residual(es_all, pair), tol["rebuild"]):
-        return bail()
+        yield "pt_residual", discrete.pt_residual(pair), tol["pt"], False
+    residual = max(es.residual_right.max(), es.residual_left.max())
+    yield "max_mode_residual", residual, tol["residual"], False
+    yield "gram_offdiag", float(np.abs(es.gram - np.eye(es.m)).max()), tol["gram"], False
+    yield "completeness", spectra.completeness_residual(es_all, pair), tol["completeness"], False
+    yield "rebuild", spectra.spectral_rebuild_residual(es_all, pair), tol["rebuild"], False
 
     # kappa invariance of spectrum-level quantities
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
@@ -567,8 +546,8 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
     # Rescaling moves each gram entry by exactly kappa_i / kappa_j; compare
     # against that prediction so solver noise in the off-diagonals cancels.
     predicted = (kappa[:, None] / kappa[None, :]) * es.gram
-    if not check("kappa_gram_drift", float(np.abs(gram_k - predicted).max()), tol["kappa_invariance"]):
-        return bail()
+    gram_drift = float(np.abs(gram_k - predicted).max())
+    yield "kappa_gram_drift", gram_drift, tol["kappa_invariance"], False
     kappa_all = rng.uniform(0.5, 2.0, es_all.m) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, es_all.m)
     )
@@ -576,128 +555,103 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
         spectra.spectral_rebuild_residual(spectra.apply_kappa(es_all, kappa_all), pair)
         - spectra.spectral_rebuild_residual(es_all, pair)
     )
-    if not check("kappa_rebuild_drift", drift, tol["kappa_invariance"]):
-        return bail()
+    yield "kappa_rebuild_drift", drift, tol["kappa_invariance"], False
 
     result = metric.build_metric(es, pair)
-    ms = float(
-        np.linalg.norm(result.M @ result.S - np.eye(es.m)) / np.linalg.norm(np.eye(es.m))
-    )
-    if not check("ms_identity", ms, tol["ms_identity"]):
-        return bail()
-    if not check(
-        "delta_identity",
-        metric.delta_identity_residual(es, pair, result.Theta),
-        tol["delta_identity"],
-    ):
-        return bail()
+    ms = float(np.linalg.norm(result.M @ result.S - np.eye(es.m)) / np.linalg.norm(np.eye(es.m)))
+    yield "ms_identity", ms, tol["ms_identity"], False
+    delta = metric.delta_identity_residual(es, pair, result.Theta)
+    yield "delta_identity", delta, tol["delta_identity"], False
     for name, key, limit, larger_ok in _metric_gates(tol):
-        if not check(name, result.diagnostics[key], limit, larger_ok):
-            return bail()
+        yield name, result.diagnostics[key], limit, larger_ok
 
     # uniform-kappa homogeneity: Theta[2 kappa] = 4 Theta[kappa]
     r2 = metric.build_metric(es, pair, kappa=2.0 * result.kappa_used)
-    hom = float(
-        np.linalg.norm(r2.Theta - 4.0 * result.Theta) / np.linalg.norm(result.Theta)
-    )
-    if not check("kappa_homogeneity", hom, tol["kappa_invariance"]):
-        return bail()
+    hom = float(np.linalg.norm(r2.Theta - 4.0 * result.Theta) / np.linalg.norm(result.Theta))
+    yield "kappa_homogeneity", hom, tol["kappa_invariance"], False
 
     try:
         result_full = metric.build_metric(es_all, pair)
     except IllConditionedS:
-        result_full = None
-    if result_full is None:
-        check("full_set_metric_conditioning", math.inf, metric.COND_S_THRESHOLD)
-        return bail()
-
+        yield "full_set_metric_conditioning", math.inf, metric.COND_S_THRESHOLD, False
+        return
     if config.contour.winding == 0:
         off = result_full.S - np.diag(np.diag(result_full.S))
-        ratio = float(
-            np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(result_full.S)))
-        )
-        if not check("degeneration_S_offdiag", ratio, tol["w_identity_offdiag"]):
-            return bail()
+        ratio = float(np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(result_full.S))))
+        yield "degeneration_S_offdiag", ratio, tol["w_identity_offdiag"], False
         single = metric.single_series_theta(es_all)
         dd = float(np.linalg.norm(result_full.Theta - single) / np.linalg.norm(single))
-        if not check("degeneration_theta", dd, tol["degeneration"]):
-            return bail()
+        yield "degeneration_theta", dd, tol["degeneration"], False
 
-    lam_t = np.linalg.eigvals(
-        np.linalg.solve(
-            result_full.Theta, discrete.band_matmul(pair.bands, result_full.Theta, adjoint=True)
-        )
-    )
-    lam_h = np.linalg.eigvals(pair.H)
-    dist = np.abs(lam_t[np.newaxis, :] - lam_h[:, np.newaxis]).min(axis=1)
-    spec_eq = float(np.max(dist / np.maximum(1.0, np.abs(lam_h))))
-    if not check("theta_similarity_spectrum", spec_eq, tol["quasi_hermiticity"]):
-        return bail()
+    similarity = metric.theta_eigenvector_residual(es, pair, result.Theta)
+    yield "theta_similarity_spectrum", similarity, tol["quasi_hermiticity"], False
 
-    if config.shoot_cfg is not None and config.guesses:
-        from dataclasses import replace as dc_replace
+    if config.shoot_cfg is None or not config.guesses:
+        return
+    from . import shoot
 
-        from . import shoot
-
-        roots1 = _shoot_roots(config)
-        contour2 = ContourSpec(
-            epsilon=2.0 * config.contour.epsilon, winding=config.contour.winding
-        )
-        roots2 = np.asarray(
-            shoot.find_eigenvalues(
-                config.model,
-                contour2.winding,
-                contour2,
-                config.shoot_cfg,
-                config.guesses,
+    roots1 = _shoot_roots(config)
+    contour2 = replace(config.contour, epsilon=2.0 * config.contour.epsilon)
+    roots2 = _shoot_roots(replace(config, contour=contour2))
+    # each root against its nearest partner at the doubled shift; a root
+    # without one is a mode that only one of the two contours finds
+    partner = _pair_guesses(roots1, roots2)
+    lonely = [r for i, r in enumerate(roots1) if i not in partner]
+    lonely += [r for j, r in enumerate(roots2) if j not in partner.values()]
+    if lonely or not partner:
+        guesses = np.asarray(config.guesses, dtype=complex)
+        for root in lonely:
+            g = guesses[np.argmin(np.abs(guesses - root))]
+            sys.stderr.write(
+                f"validate: guess {g:g} converged to {root:g} at only one of the "
+                "shifts epsilon, 2*epsilon\n"
             )
-        )
-        # each root against its nearest partner at the doubled shift; a root
-        # without one is a mode that only one of the two contours finds
-        partner = _pair_guesses(roots1, roots2)
-        lonely = [r for i, r in enumerate(roots1) if i not in partner]
-        lonely += [r for j, r in enumerate(roots2) if j not in partner.values()]
-        if lonely or not partner:
-            guesses = np.asarray(config.guesses, dtype=complex)
-            for root in lonely:
-                g = guesses[np.argmin(np.abs(guesses - root))]
-                sys.stderr.write(
-                    f"validate: guess {g:g} converged to {root:g} at only one of the "
-                    "shifts epsilon, 2*epsilon\n"
+        yield "shoot_epsilon_independence", math.inf, tol["epsilon_independence"], False
+        return
+    i, j = np.array(list(partner)), np.array(list(partner.values()))
+    rel = float(np.max(np.abs(roots1[i] - roots2[j]) / np.maximum(1.0, np.abs(roots1[i]))))
+    yield "shoot_epsilon_independence", rel, tol["epsilon_independence"], False
+
+    # refinement order: RK4's error in y'/y of the right half-path at a
+    # fixed energy falls ~16x per halving of a uniform step; the grids
+    # must pass the integrator's own phase gate, else no order is certified
+    seq = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StepTooCoarseWarning)
+        try:
+            for steps in _REFINEMENT_STEPS:
+                cfg_u = replace(config.shoot_cfg, steps=steps, phase_resolution=None)
+                y, dy = shoot.integrate_halfpath(
+                    config.model, config.contour.winding, config.guesses[0], "right", cfg_u,
+                    config.contour,
                 )
-            check("shoot_epsilon_independence", math.inf, tol["epsilon_independence"])
-            return bail()
-        i, j = np.array(list(partner)), np.array(list(partner.values()))
-        rel = float(np.max(np.abs(roots1[i] - roots2[j]) / np.maximum(1.0, np.abs(roots1[i]))))
-        if not check("shoot_epsilon_independence", rel, tol["epsilon_independence"]):
-            return bail()
+                seq.append(dy / y)
+        except StepTooCoarseWarning as exc:
+            sys.stderr.write(f"validate: {steps}-step refinement grid too coarse: {exc}\n")
+    if len(seq) < len(_REFINEMENT_STEPS):
+        yield "shoot_refinement_order", 0.0, 6.0, True
+        return
+    ratio = abs(seq[0] - seq[1]) / max(abs(seq[1] - seq[2]), 1e-300)
+    yield "shoot_refinement_order", ratio, 6.0, True
 
-        # refinement order: RK4's error in y'/y of the right half-path at a
-        # fixed energy falls ~16x per halving of a uniform step; the grids
-        # must pass the integrator's own phase gate, else no order is certified
-        seq = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", StepTooCoarseWarning)
-            try:
-                for steps in _REFINEMENT_STEPS:
-                    cfg_u = dc_replace(config.shoot_cfg, steps=steps, phase_resolution=None)
-                    y, dy = shoot.integrate_halfpath(
-                        config.model,
-                        config.contour.winding,
-                        config.guesses[0],
-                        "right",
-                        cfg_u,
-                        config.contour,
-                    )
-                    seq.append(dy / y)
-            except StepTooCoarseWarning as exc:
-                sys.stderr.write(f"validate: {steps}-step refinement grid too coarse: {exc}\n")
-                check("shoot_refinement_order", 0.0, 6.0, larger_ok=True)
-                return bail()
-        ratio = abs(seq[0] - seq[1]) / max(abs(seq[1] - seq[2]), 1e-300)
-        check("shoot_refinement_order", ratio, 6.0, larger_ok=True)
 
-    return bail()
+def _cmd_validate(config: RunConfig, out_dir: str) -> int:
+    """Run the module invariant suite on the configured problem; stop on first failure."""
+    _require_grid(config)
+    checks: List[Dict[str, Any]] = []
+    for name, value, limit, larger_ok in _validate_checks(config):
+        ok = _passes(value, limit, larger_ok)
+        checks.append(
+            {"name": name, "value": float(value), "limit": float(limit), "pass": bool(ok)}
+        )
+        word = "PASS" if ok else "FAIL"
+        cmp = ">" if larger_ok else "<="
+        sys.stdout.write(f"{word} {name}: {value:.6e} {cmp} {limit:.6e}\n")
+        if not ok:
+            break
+    passed = all(item["pass"] for item in checks)
+    _json_dump({"checks": checks, "passed": passed}, os.path.join(out_dir, "validate.json"))
+    return 0 if passed else 2
 
 
 def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str] = None) -> int:

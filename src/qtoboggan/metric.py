@@ -39,6 +39,7 @@ __all__ = [
     "physical_operators",
     "single_series_theta",
     "delta_identity_residual",
+    "theta_eigenvector_residual",
 ]
 
 COND_S_THRESHOLD = 1e12
@@ -197,3 +198,17 @@ def delta_identity_residual(es: Eigensystem, pair: OperatorPair, theta: np.ndarr
     G = es.right.conj().T @ theta @ (pair.w_diag[:, np.newaxis] * es.right)
     G[np.diag_indices_from(G)] -= 1.0
     return float(np.abs(G).max())
+
+
+def theta_eigenvector_residual(es: Eigensystem, pair: OperatorPair, theta: np.ndarray) -> float:
+    """max_l ||H^dag Theta psi_l - lam_l W^dag Theta psi_l|| / (||H||_F ||Theta psi_l||).
+
+    If H^dag Theta = Theta H and W^dag Theta = Theta W, Theta maps each right
+    ket H psi = lam W psi to a left eigenvector of the same eigenvalue, so the
+    similarity Theta^-1 H^dag Theta = H holds mode by mode on the kets.
+    """
+    T = theta @ es.right
+    R = band_matmul(pair.bands, T, adjoint=True)
+    R -= (pair.w_diag.conj()[:, np.newaxis] * T) * es.lambdas
+    per_mode = np.linalg.norm(R, axis=0) / np.linalg.norm(T, axis=0)
+    return float(per_mode.max() / np.linalg.norm(pair.bands))

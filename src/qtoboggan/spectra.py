@@ -211,10 +211,13 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
         # H v = lam W v with invertible diagonal W is the standard problem
         # (W^{-1} H) v = lam v; the dia format stores the bands as they are.
         tri = sp.dia_matrix((operators.bands, (1, 0, -1)), shape=(n, n))
+        # a fixed start vector: ARPACK's random one makes ill-conditioned
+        # modes differ from call to call
+        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
         try:
             lam = spla.eigs(
                 (sp.diags(1.0 / w) @ tri).tocsc(),
-                k=k, sigma=sigma, which="LM", return_eigenvectors=False,
+                k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
             )
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from qtoboggan import cli
-from qtoboggan.errors import ConfigError, SchemaMismatch
+from qtoboggan.errors import ConfigError, IncompleteBasisWarning, SchemaMismatch
 
 
 def base_config(**extra):
@@ -309,6 +309,110 @@ def test_validate_fails_a_root_found_at_one_shift_only(tmp_path, monkeypatch, ca
     checks = {item["name"]: item["pass"] for item in payload["checks"]}
     assert checks["shoot_epsilon_independence"] is False
     assert "guess 5.2" in capsys.readouterr().err
+
+
+# validate's checks in order: name -> (tolerance key, or a fixed limit; comparison)
+VALIDATE_CHECKS = {
+    "pt_residual": ("pt", "<="),
+    "max_mode_residual": ("residual", "<="),
+    "gram_offdiag": ("gram", "<="),
+    "completeness": ("completeness", "<="),
+    "rebuild": ("rebuild", "<="),
+    "kappa_gram_drift": ("kappa_invariance", "<="),
+    "kappa_rebuild_drift": ("kappa_invariance", "<="),
+    "ms_identity": ("ms_identity", "<="),
+    "delta_identity": ("delta_identity", "<="),
+    "quasiH": ("quasi_hermiticity", "<="),
+    "quasiW": ("quasi_hermiticity", "<="),
+    "theta_hermiticity": ("theta_hermiticity", "<="),
+    "theta_min_eig": (0.0, ">"),
+    "kappa_homogeneity": ("kappa_invariance", "<="),
+    "degeneration_S_offdiag": ("w_identity_offdiag", "<="),
+    "degeneration_theta": ("degeneration", "<="),
+    "theta_similarity_spectrum": ("quasi_hermiticity", "<="),
+    "shoot_epsilon_independence": ("epsilon_independence", "<="),
+    "shoot_refinement_order": (6.0, ">"),
+}
+
+
+def run_validate(tmp_path, capsys, *overrides):
+    """validate on a PT-symmetric winding-0 config with a shoot section; (code, entries, stdout)."""
+    path = compare_config(tmp_path, [0.9, 2.8])
+    out = tmp_path / "v"
+    argv = ["--config", path, "--out", str(out), "--command", "validate"]
+    for spec in overrides:
+        argv += ["--override", spec]
+    capsys.readouterr()
+    code = cli.main(argv)
+    payload = json.loads((out / "validate.json").read_text())
+    assert payload["passed"] is (code == 0)
+    return code, payload["checks"], capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
+def test_validate_lists_its_checks_in_order_with_their_limits(tmp_path, capsys):
+    code, entries, stdout = run_validate(tmp_path, capsys)
+    assert code == 0
+    assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)
+    tol = cli.load_config(str(tmp_path / "run.json")).tolerances
+    lines = stdout.splitlines()
+    assert len(lines) == len(entries)
+    for item, line in zip(entries, lines):
+        key, cmp = VALIDATE_CHECKS[item["name"]]
+        assert item["limit"] == (tol[key] if isinstance(key, str) else key)
+        word = "PASS" if item["pass"] else "FAIL"
+        assert line == f"{word} {item['name']}: {item['value']:.6e} {cmp} {item['limit']:.6e}"
+
+
+def test_validate_stops_at_the_first_failure(tmp_path, capsys):
+    code, entries, stdout = run_validate(tmp_path, capsys, "tolerances.gram=1e-30")
+    assert code == 2
+    assert [item["name"] for item in entries] == ["pt_residual", "max_mode_residual", "gram_offdiag"]
+    assert [item["pass"] for item in entries] == [True, True, False]
+    assert stdout.splitlines()[-1].startswith("FAIL gram_offdiag: ")
+
+
+def test_validate_reports_a_self_orthogonal_full_set(tmp_path, capsys, monkeypatch):
+    from qtoboggan import spectra
+    from qtoboggan.errors import SelfOrthogonalMode
+
+    solve, normalize = spectra.solve_generalized, spectra.normalize_biorthogonal
+    raw = []
+
+    def solve_and_keep(*args, **kwargs):
+        raw.append(solve(*args, **kwargs))
+        return raw[-1]
+
+    def normalize_but_the_full_set(es, *args, **kwargs):
+        if any(es is r for r in raw):
+            raise SelfOrthogonalMode("mode 0 is self-orthogonal")
+        return normalize(es, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "solve_generalized", solve_and_keep)
+    monkeypatch.setattr(spectra, "normalize_biorthogonal", normalize_but_the_full_set)
+    code, entries, stdout = run_validate(tmp_path, capsys)
+    assert code == 2
+    assert entries == [
+        {"name": "full_set_biorthogonal", "value": float("inf"), "limit": 1e-8, "pass": False}
+    ]
+    assert stdout == "FAIL full_set_biorthogonal: inf <= 1.000000e-08\n"
+
+
+def test_validate_similarity_check_fails_with_the_identity_for_theta(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from qtoboggan import metric
+
+    residual = metric.theta_eigenvector_residual
+    monkeypatch.setattr(
+        metric, "theta_eigenvector_residual",
+        lambda es, pair, theta: residual(es, pair, np.eye(pair.n)),
+    )
+    with pytest.warns(IncompleteBasisWarning):
+        code, entries, _ = run_validate(tmp_path, capsys)
+    assert code == 2
+    assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)[:17]
+    assert entries[-1]["pass"] is False and entries[-1]["value"] > 1e-6
 
 
 def test_exit_codes(tmp_path):

@@ -8,7 +8,7 @@ eigenvalues 2 +/- sqrt(2) > 0 and H^dag Theta = Theta H exactly.
 import numpy as np
 import pytest
 
-from qtoboggan import metric, spectra
+from qtoboggan import discrete, metric, model, spectra
 from qtoboggan.discrete import OperatorPair
 from qtoboggan.errors import (
     IllConditionedS,
@@ -141,3 +141,19 @@ def test_full_set_metric_on_grid_run(harmonic_small):
     assert res.diagnostics["quasiW"] < 1e-12
     assert res.diagnostics["hermiticity"] < 1e-8
     assert metric.delta_identity_residual(es_full, pair, res.Theta) < 1e-8
+
+
+def test_theta_eigenvector_residual_tells_the_metric_from_impostors(harmonic_small, cubic_model):
+    pair, es_full, es_sub = harmonic_small
+    with pytest.warns(IncompleteBasisWarning):
+        res = metric.build_metric(es_sub, pair)
+    assert metric.theta_eigenvector_residual(es_sub, pair, res.Theta) < 1e-10
+    assert metric.theta_eigenvector_residual(es_sub, pair, np.eye(pair.n)) > 1e-6
+    # the steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta
+    rect = model.rectify_model(cubic_model, 1)
+    pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=200, epsilon=0.15))
+    es = spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
+    es = spectra.normalize_biorthogonal(es, pair)
+    with pytest.warns(IncompleteBasisWarning):
+        res = metric.build_metric(es, pair)
+    assert metric.theta_eigenvector_residual(es, pair, res.Theta) > 1e-4
