@@ -197,8 +197,10 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
     """The k eigenvalues of H psi = lambda W psi nearest `sigma`, sorted by (Re, Im).
 
     Shift-invert Arnoldi on the bands of H scaled by the diagonal of W, so
-    large n stays cheap; falls back to the dense QZ solve when W is singular
-    or k >= n - 1.
+    large n stays cheap; each Arnoldi value is then polished by banded
+    inverse iteration at it (`nearest_eigenpairs`), and SolverFailure is
+    raised if two of them polish to one mode.  Falls back to the dense QZ
+    solve when W is singular or k >= n - 1.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -221,6 +223,13 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
             )
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
+        # Arnoldi stops anywhere within its tolerance on ill-conditioned modes;
+        # inverse iteration at its values takes each to rounding level
+        lam = nearest_eigenpairs(operators, lam)[0]
+        gap = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
+        np.fill_diagonal(gap, np.inf)
+        if np.any(gap < 1e-8 * np.maximum(1.0, np.abs(lam))[:, np.newaxis]):
+            raise SolverFailure(f"two Arnoldi values polish to one mode: {lam}")
     return lam[np.lexsort((lam.imag, lam.real))]
 
 

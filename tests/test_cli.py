@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -433,6 +435,33 @@ def test_exit_codes(tmp_path):
     )
     assert code == 4
     assert cli.main(["--config", str(tmp_path / "missing.json")]) == 4
+
+
+IMPORT_PROBE = """
+import sys
+from qtoboggan import cli
+config = cli.load_config(sys.argv[1])
+codes = [cli.run(config, command=c, out_dir=f"{sys.argv[2]}/{c}") for c in ("compare", "metric")]
+heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+print(codes, [m for m in heavy if m in sys.modules])
+"""
+
+
+def test_compare_and_metric_load_no_scipy_beyond_linalg(tmp_path):
+    # each of these subpackages adds import time to every CLI process; the
+    # shipped config runs at n=400
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    config = os.path.join(root, "configs", "harmonic_line.json")
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, config, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_thread_cap_env(tmp_path, monkeypatch):

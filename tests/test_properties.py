@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import linear_sum_assignment
 
-from qtoboggan import contour, discrete, model, spectra
+from qtoboggan import contour, discrete, model, shoot, spectra
 from qtoboggan.errors import DegeneratePairing
 
 windings = st.integers(min_value=0, max_value=3)
@@ -251,3 +252,21 @@ def test_model_payload_round_trip(ell, omega, coeffs, N, eps):
     assert spec.ell == ell and spec.omega == omega
     assert cs.winding == N and cs.epsilon == eps
     assert spec.coeffs == {k: complex(c) for k, c in coeffs.items()}
+
+
+@given(
+    st.integers(min_value=2, max_value=60).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(float, n, elements=st.floats(-1e6, 1e6, allow_nan=False)),
+            st.floats(-10.0, 10.0, allow_nan=False),
+            hnp.arrays(float, n - 1, elements=st.floats(0.0, 1e3, allow_nan=False)),
+        )
+    )
+)
+def test_cumulative_trapezoid_matches_scipy_exactly(args):
+    y, start, steps = args
+    x = np.concatenate(([start], start + np.cumsum(steps)))
+    ours = shoot._cumulative_trapezoid(y, x)
+    ref = cumulative_trapezoid(y, x, initial=0.0)
+    assert ours.dtype == ref.dtype
+    assert np.array_equal(ours, ref)

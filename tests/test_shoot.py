@@ -1,12 +1,13 @@
 """Spiral shooting: mismatch zeros on analytic ladders, config validation,
-step refinement, warning paths, and the step-matrix product against a
-sequential RK4 reference."""
+step refinement, warning paths, the step-matrix product against a
+sequential RK4 reference, and the angle profile against a dense one."""
 
 import csv
 import warnings
 
 import numpy as np
 import pytest
+from reference_values import SPIKED_LOWEST
 
 from qtoboggan import shoot
 from qtoboggan.contour import ContourSpec
@@ -224,3 +225,56 @@ def test_coarse_steps_warn_once_per_half_path(harmonic_model):
     coarse = [w for w in caught if issubclass(w.category, StepTooCoarseWarning)]
     assert len(coarse) == 2
     assert {w.filename for w in coarse} == {__file__}
+
+
+# the profile the package used before it was sized to the nodes it places
+DENSE_PROFILE = {"_PROFILE_HEAD": 60001, "_PROFILE_TAIL": 240001}
+
+
+def _profile_and_truncation(spec, contour, side, E_ref, seed_ratio):
+    sgn = 1.0 if side == "right" else -1.0
+    t, w, _, rate = shoot._profile(spec, contour.epsilon, contour.degree, sgn, 0.0, E_ref)
+    i_star, j = shoot._truncation(t, rate, seed_ratio)
+    return t, w, rate, i_star, j
+
+
+@pytest.mark.parametrize(
+    "case, contour, cfg_kw, guesses",
+    [
+        ("harmonic", LINE, {"root_tol": 1e-10}, [0.9, 2.8, 5.2]),
+        ("cubic", SPIRAL, {"root_tol": 1e-9, "phase_resolution": 0.02}, [1.3, 4.4, 7.9]),
+        ("spiked", ContourSpec(epsilon=1.0, winding=0), {"root_tol": 1e-9}, SPIKED_LOWEST),
+        ("spiked", ContourSpec(epsilon=2.0, winding=0), {"root_tol": 1e-9}, SPIKED_LOWEST),
+    ],
+    ids=["harmonic", "cubic-winding1", "spiked-eps1", "spiked-eps2"],
+)
+def test_profile_agrees_with_the_dense_reference(
+    case, contour, cfg_kw, guesses, monkeypatch, harmonic_model, cubic_model, spiked_model
+):
+    spec = {"harmonic": harmonic_model, "cubic": cubic_model, "spiked": spiked_model}[case]
+    cfg = _cfg(**cfg_kw)
+    E_ref = complex(max(guesses))
+    coarse = {
+        side: _profile_and_truncation(spec, contour, side, E_ref, cfg.seed_ratio)
+        for side in ("left", "right")
+    }
+    roots = shoot.find_eigenvalues(spec, contour.winding, contour, cfg, guesses)
+    for name, size in DENSE_PROFILE.items():
+        monkeypatch.setattr(shoot, name, size)
+    roots_ref = shoot.find_eigenvalues(spec, contour.winding, contour, cfg, guesses)
+    assert len(roots) == len(roots_ref) == len(guesses)
+    assert np.all(np.abs(roots - roots_ref) <= 1e-10 * np.abs(roots_ref))
+
+    for side, (t, w, _, _, j) in coarse.items():
+        t_ref, w_ref, rate_ref, i_star_ref, j_ref = _profile_and_truncation(
+            spec, contour, side, E_ref, cfg.seed_ratio
+        )
+        # t_end within one coarse cell of the dense truncation
+        assert abs(t[j] - t_ref[j_ref]) <= np.diff(t)[j - 1 : j + 1].max()
+        # the seed ratio, integrated on the dense profile, is still reached at t_end
+        cum_ref = shoot._cumulative_trapezoid(rate_ref, t_ref)
+        depth = abs(np.interp(t[j], t_ref, cum_ref) - cum_ref[i_star_ref])
+        assert depth >= np.log(cfg.seed_ratio)
+        # the coarse square root stays on the dense one's branch everywhere
+        w_dense = np.interp(t, t_ref, w_ref.real) + 1j * np.interp(t, t_ref, w_ref.imag)
+        assert np.all(np.abs(w - w_dense) < np.abs(w + w_dense))

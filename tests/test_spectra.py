@@ -15,6 +15,7 @@ from qtoboggan.errors import (
     EmptySpectrum,
     IncompleteBasis,
     SelfOrthogonalMode,
+    SolverFailure,
     VanishingParityOverlap,
     ZeroKappa,
 )
@@ -188,14 +189,35 @@ def test_lowest_eigenvalues_small_matrix_fallback():
     assert np.allclose(low, [2.0, 3.0, 4.0])
 
 
+def _mechanical_cubic_pair(cubic_model):
+    mech = model.rectify_model(cubic_model, 1, convention="mechanical")
+    return discrete.build_operators(mech, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15))
+
+
 def test_lowest_eigenvalues_is_repeatable(cubic_model):
     # ill-conditioned modes of the mechanical-frame cubic moved from call to
     # call with ARPACK's random start vector
-    mech = model.rectify_model(cubic_model, 1, convention="mechanical")
-    pair = discrete.build_operators(mech, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15))
+    pair = _mechanical_cubic_pair(cubic_model)
     first = spectra.lowest_eigenvalues(pair, k=3, sigma=1.2918)
     for _ in range(3):
         assert np.array_equal(spectra.lowest_eigenvalues(pair, k=3, sigma=1.2918), first)
+
+
+def test_lowest_eigenvalues_are_polished_to_the_dense_values(cubic_model):
+    # the mechanical frame is the parity conjugate of the printed one, so it
+    # has the frozen grid spectrum; Arnoldi alone left the third mode 1e-6 to
+    # 6e-5 off
+    lam = spectra.lowest_eigenvalues(_mechanical_cubic_pair(cubic_model), k=3, sigma=1.2918)
+    assert np.allclose(lam, CUBIC_TOBOGGAN_GRID_LOWEST[:3], rtol=0.0, atol=1e-8)
+
+
+def test_lowest_eigenvalues_rejects_two_values_on_one_mode(harmonic_small, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    pair = harmonic_small[0]
+    monkeypatch.setattr(spla, "eigs", lambda *a, **kw: np.array([1.0 + 0j, 1.0 + 1e-3j]))
+    with pytest.raises(SolverFailure, match="one mode"):
+        spectra.lowest_eigenvalues(pair, k=2, sigma=0.0)
 
 
 def test_weight_scaling_matches_dense_weight_products(cubic_model):
