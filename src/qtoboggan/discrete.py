@@ -65,9 +65,10 @@ class GridSpec:
 class OperatorPair:
     """The generalized eigenproblem H psi = E W psi in its grid structure.
 
-    `bands` holds the tridiagonal H in scipy.linalg.solve_banded (1, 1)
-    layout: row 0 the superdiagonal, row 1 the diagonal, row 2 the subdiagonal;
-    the unused corners bands[0, 0] and bands[2, -1] are zero.  `w_diag` is the
+    `bands` holds the tridiagonal H in the (1, 1) band layout, column j of H
+    in column j of `bands` (bands[k, j] = H[j - 1 + k, j]): row 0 the
+    superdiagonal, row 1 the diagonal, row 2 the subdiagonal; the unused
+    corners bands[0, 0] and bands[2, -1] are zero.  `w_diag` is the
     diagonal of W.  `pt_symmetric` is the model's PT balance carried onto the
     grid: P H P = conj(H) and P W P = conj(W) hold by construction (real
     even and imaginary odd coefficients on a grid symmetric about x = 0), so

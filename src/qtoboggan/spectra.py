@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .discrete import OperatorPair, band_matmul
 from .errors import (
@@ -143,6 +142,8 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     DegeneratePairing.  Per-mode residuals ||H v - lam W v|| / ||W v|| (and the
     left analogue) are reported against the complex bands, not gated.
     """
+    import scipy.linalg
+
     w, n = operators.w_diag, operators.n
     try:
         if not np.all(w == 1.0):
@@ -202,6 +203,7 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
     raised if two of them polish to one mode.  Falls back to the dense QZ
     solve when W is singular or k >= n - 1.
     """
+    import scipy.linalg
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -233,6 +235,57 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
     return lam[np.lexsort((lam.imag, lam.real))]
 
 
+def _tridiagonal_lu(bands: np.ndarray) -> Tuple[List[complex], ...]:
+    """LU with partial pivoting of a tridiagonal matrix in (1, 1) bands layout.
+
+    LAPACK's ?gttrf on Python scalars: at each column the row with the larger
+    |Re| + |Im| of the diagonal and subdiagonal entries is the pivot, and an
+    interchange fills a second superdiagonal.  Returns (mult, diag, sup, sup2,
+    swapped): the multipliers, the three bands of U and which columns
+    interchanged rows.  An exact zero pivot raises LinAlgError.
+    """
+    sup, diag, sub = bands.tolist()
+    n = len(diag)
+    sup = sup[1:] + [0j]  # sup[k] = A[k, k + 1]
+    mult = sub[:-1]  # sub[k] = A[k + 1, k], overwritten by the multiplier
+    sup2 = [0j] * n
+    swapped = [False] * (n - 1)
+    for k in range(n - 1):
+        d, s = diag[k], mult[k]
+        if abs(d.real) + abs(d.imag) >= abs(s.real) + abs(s.imag):
+            if d == 0:
+                raise np.linalg.LinAlgError(f"zero pivot in column {k}")
+            f = s / d
+            mult[k] = f
+            diag[k + 1] -= f * sup[k]
+        else:
+            f = d / s
+            diag[k], mult[k], swapped[k] = s, f, True
+            sup[k], diag[k + 1] = diag[k + 1], sup[k] - f * diag[k + 1]
+            if k < n - 2:
+                sup2[k] = sup[k + 1]
+                sup[k + 1] = -f * sup[k + 1]
+    if diag[-1] == 0:
+        raise np.linalg.LinAlgError(f"zero pivot in column {n - 1}")
+    return mult, diag, sup, sup2, swapped
+
+
+def _tridiagonal_solve(lu: Tuple[List[complex], ...], b: np.ndarray) -> np.ndarray:
+    """Solve A x = b from `_tridiagonal_lu(A)`: LAPACK's ?gttrs, O(n)."""
+    mult, diag, sup, sup2, swapped = lu
+    n = len(diag)
+    x = b.tolist() + [0j]  # x[n] = 0 meets sup2[n - 2] = 0 in the back substitution
+    for k in range(n - 1):
+        if swapped[k]:
+            x[k], x[k + 1] = x[k + 1], x[k] - mult[k] * x[k + 1]
+        else:
+            x[k + 1] -= mult[k] * x[k]
+    x[n - 1] /= diag[n - 1]
+    for k in range(n - 2, -1, -1):
+        x[k] = (x[k] - sup[k] * x[k + 1] - sup2[k] * x[k + 2]) / diag[k]
+    return np.array(x[:n])
+
+
 def nearest_eigenpairs(
     pair: OperatorPair, shifts: Sequence[complex]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,10 +294,12 @@ def nearest_eigenpairs(
     Returns (lambdas, right, residuals): the eigenvalues, the right kets as
     unit columns, and ||H psi - E W psi|| / ||W psi|| per shift.  Inverse
     iteration at the fixed shift on the grid structure (tridiagonal H,
-    diagonal W): each step is one O(n) banded solve, started from a fixed
-    vector so the result is deterministic.  It stops once the residual
-    reaches rounding level, else after INVERSE_ITERATION_STEPS steps with the
-    best iterate; the residual is reported, not gated.
+    diagonal W): H - shift W is factored once per shift by a pivoted
+    tridiagonal LU in O(n), and each step is one O(n) forward and back
+    substitution, started from a fixed vector so the result is deterministic.
+    It stops once the residual reaches rounding level, else after
+    INVERSE_ITERATION_STEPS steps with the best iterate; the residual is
+    reported, not gated.
     """
     w, n = pair.w_diag, pair.n
 
@@ -265,12 +320,13 @@ def nearest_eigenpairs(
     residuals = np.empty(len(shifts))
     for j, shift in enumerate(shifts):
         bands[1] = pair.bands[1] - shift * w
+        try:
+            lu = _tridiagonal_lu(bands)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"shift {shift} is an exact eigenvalue of the pencil") from exc
         x, best = start, (np.inf, start, np.nan)
         for _ in range(INVERSE_ITERATION_STEPS):
-            try:
-                x = scipy.linalg.solve_banded((1, 1), bands, w * x, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailure(f"shift {shift} is an exact eigenvalue of the pencil") from exc
+            x = _tridiagonal_solve(lu, w * x)
             x = x / np.linalg.norm(x)
             lam, res, norm_Wx = residual(x)
             if res < best[0]:

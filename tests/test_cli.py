@@ -464,6 +464,32 @@ def test_compare_and_metric_load_no_scipy_beyond_linalg(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+NO_SCIPY_PROBE = """
+import sys
+from qtoboggan import cli
+config = cli.load_config(sys.argv[1])
+codes = [cli.run(config, command=c, out_dir=f"{sys.argv[2]}/{c}") for c in ("compare", "shoot")]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_compare_and_shoot_load_no_scipy(tmp_path):
+    # the grid route of compare is inverse iteration on the bands and the
+    # spiral route is numpy shooting, so neither needs scipy at all
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    config = os.path.join(root, "configs", "harmonic_line.json")
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", NO_SCIPY_PROBE, config, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_thread_cap_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TOBOGGAN_THREADS", "1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

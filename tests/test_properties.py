@@ -1,10 +1,11 @@
 """Property-based invariants for the geometry, the exponent arithmetic,
-the banded operator products, the real-basis eigensolve of PT-symmetric
-pairs, and the rescaling freedom."""
+the banded operator products, the tridiagonal LU, the real-basis eigensolve
+of PT-symmetric pairs, and the rescaling freedom."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
@@ -270,3 +271,34 @@ def test_cumulative_trapezoid_matches_scipy_exactly(args):
     ref = cumulative_trapezoid(y, x, initial=0.0)
     assert ours.dtype == ref.dtype
     assert np.array_equal(ours, ref)
+
+
+@given(data=st.data(), n=st.integers(min_value=3, max_value=40))
+def test_tridiagonal_lu_matches_solve_banded(data, n):
+    # entries of modulus 0.5-2 with the subdiagonal scaled by 1e-2, 1 or 1e2
+    # per column; column 0 is forced to pivot on the subdiagonal and column 1
+    # (whose updated diagonal is then ~sup[0]) on the diagonal, so every draw
+    # takes both branches
+    mods = data.draw(hnp.arrays(float, (3, n), elements=st.floats(0.5, 2.0)))
+    phases = data.draw(hnp.arrays(float, (3, n), elements=st.floats(0.0, 2 * np.pi)))
+    scales = data.draw(hnp.arrays(float, n, elements=st.sampled_from([1e-2, 1.0, 1e2])))
+    scales[:2] = 1e2, 1e-2
+    bands = mods * np.exp(1j * phases)
+    bands[2] *= scales
+    bands[0, 0] = bands[2, -1] = 0.0
+    B = data.draw(hnp.arrays(complex, (n, 3), elements=coeff_vals))
+
+    mult, diag, sup, sup2, swapped = lu = spectra._tridiagonal_lu(bands)
+    assert swapped[0] and not swapped[1]
+    # the same row interchanges and factors as LAPACK's zgttrf
+    ref_lu = scipy.linalg.lapack.zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    assert ref_lu[-1] == 0
+    assert np.array_equal(ref_lu[4][:-1] != np.arange(1, n), swapped)
+    for ours, ref in zip((mult, diag, sup[:-1], sup2[:-2]), ref_lu[:4]):
+        assert np.linalg.norm(np.array(ours) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = scipy.linalg.solve_banded((1, 1), bands, B)
+    reused = np.column_stack([spectra._tridiagonal_solve(lu, B[:, j]) for j in range(3)])
+    assert np.linalg.norm(reused - ref) <= 1e-12 * np.linalg.norm(ref)
+    for j in range(3):
+        fresh = spectra._tridiagonal_solve(spectra._tridiagonal_lu(bands), B[:, j])
+        assert np.array_equal(reused[:, j], fresh)

@@ -316,6 +316,15 @@ def test_nearest_eigenpairs_reports_unconverged_residual(harmonic_small):
     assert res[0] > 1e-3
 
 
+def test_nearest_eigenpairs_raises_at_an_exact_eigenvalue():
+    # a diagonal H shifted by one of its entries has an exact zero pivot,
+    # inside the elimination (3) and at the last row (4)
+    pair = _pair([1.0, 2.0, 3.0, 4.0])
+    for shift in (3.0, 4.0):
+        with pytest.raises(SolverFailure, match="exact eigenvalue"):
+            spectra.nearest_eigenpairs(pair, [shift])
+
+
 def test_residuals_small_on_grid_run(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     assert es_sub.residual_right.max() < 1e-9
