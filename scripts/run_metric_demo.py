@@ -30,11 +30,11 @@ def main() -> None:
     pair = discrete.build_operators(
         rect, discrete.GridSpec(half_width=8.0, n=args.n, epsilon=0.0)
     )
-    es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair), pair)
+    es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair))
     print(f"complete basis: {es.m} modes, all real "
           f"(max |Im| = {np.abs(es.lambdas.imag).max():.1e})")
 
-    res = metric.build_metric(es, pair)
+    res = metric.build_metric(es)
     rh, rw = metric.physical_operators(pair, res.Theta)
     print("\ndefault metric (kappa = 1):")
     print(cli.report_render(res.diagnostics))
@@ -43,7 +43,7 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
-    res_k = metric.build_metric(es, pair, kappa=kappa)
+    res_k = metric.build_metric(es, kappa=kappa)
     dist = np.linalg.norm(res_k.Theta - res.Theta) / np.linalg.norm(res.Theta)
     es_k = spectra.apply_kappa(es, kappa)
     gram_pred = (kappa[:, None] / kappa[None, :]) * es.gram

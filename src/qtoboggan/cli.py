@@ -15,6 +15,7 @@ environment variable has been applied, so BLAS thread caps take effect.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -42,7 +43,6 @@ _GRID_KEYS = {"half_width", "n"}
 _SHOOT_KEYS = {
     "gamma_max",
     "steps",
-    "match_gamma",
     "root_tol",
     "max_iter",
     "phase_resolution",
@@ -56,6 +56,9 @@ _DIAG_SCHEMA = ("quasiH", "quasiW", "hermiticity", "min_eig", "cond_S", "cond_Th
 # validate's refinement-order grids: uniform steps per half-path, halving the
 # step twice; the coarsest passes the phase gate on configs/harmonic_line.json
 _REFINEMENT_STEPS = (1900, 3800, 7600)
+# validate's kappa_homogeneity scale: complex, so kappa in place of conj(kappa)
+# fails, and not a power of two, whose scaling is exact in floating point
+_HOMOGENEITY_SCALE = cmath.rect(1.5, 0.7)
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "filter_im": 1e-6,
@@ -264,11 +267,11 @@ def _require_shoot(config: RunConfig) -> None:
         raise ConfigError("this command needs shoot.guesses in the config")
 
 
-def _grid_eigensystem(config: RunConfig, return_raw: bool = False):
-    """Rectify, discretize, solve, filter, and normalize; returns (pair, es).
+def _grid_eigensystem(config: RunConfig):
+    """Rectify, discretize, solve, filter, and normalize; returns (es, es_raw).
 
-    With return_raw=True also returns the unfiltered eigensystem so callers can
-    normalize the complete mode set without solving twice.
+    es_raw is the unfiltered, unnormalized solve, so a caller can normalize the
+    complete mode set without solving twice.
     """
     from . import discrete, model, spectra
 
@@ -276,17 +279,16 @@ def _grid_eigensystem(config: RunConfig, return_raw: bool = False):
     pair = discrete.build_operators(rect, config.grid)
     es_raw = spectra.solve_generalized(pair, tol=config.tolerances["pairing"])
     es = spectra.filter_real(es_raw, tol_im=config.tolerances["filter_im"])
-    es = spectra.normalize_biorthogonal(es, pair, sigma_tol=config.tolerances["sigma_floor"])
-    if return_raw:
-        return pair, es, es_raw
-    return pair, es
+    es = spectra.normalize_biorthogonal(es, sigma_tol=config.tolerances["sigma_floor"])
+    return es, es_raw
 
 
-def _write_spectrum_artifacts(config: RunConfig, out_dir: str, pair, es) -> None:
+def _write_spectrum_artifacts(out_dir: str, es) -> None:
     import numpy as np
 
     from . import discrete, spectra
 
+    pair = es.pair
     spectra.save_spectrum_csv(es, os.path.join(out_dir, "spectrum.csv"))
     gram_off = es.gram - np.eye(es.m)
     payload = {
@@ -304,8 +306,7 @@ def _write_spectrum_artifacts(config: RunConfig, out_dir: str, pair, es) -> None
 
 def _cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     _require_grid(config)
-    pair, es = _grid_eigensystem(config)
-    _write_spectrum_artifacts(config, out_dir, pair, es)
+    _write_spectrum_artifacts(out_dir, _grid_eigensystem(config)[0])
     return 0
 
 
@@ -328,9 +329,9 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     from . import discrete, metric
 
     _require_grid(config)
-    pair, es = _grid_eigensystem(config)
-    _write_spectrum_artifacts(config, out_dir, pair, es)
-    result = metric.build_metric(es, pair)
+    es = _grid_eigensystem(config)[0]
+    _write_spectrum_artifacts(out_dir, es)
+    result = metric.build_metric(es)
     h = config.grid.h
     eps = config.grid.epsilon
     discrete.save_matrix_bin(result.Theta, os.path.join(out_dir, "theta.bin"), h, eps)
@@ -431,12 +432,13 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
     pair = discrete.build_operators(rect, config.grid)
     roots = _shoot_roots(config)
     lams, _, residuals = spectra.nearest_eigenpairs(pair, roots)
-    for root, lam, res in zip(roots, lams, residuals):
+    real = spectra.is_real(lams, tol["filter_im"])
+    for root, lam, res, ok in zip(roots, lams, residuals, real):
         if not res <= tol["residual"]:
             raise UnverifiedMode(
                 f"grid mode {lam} nearest root {root} has residual {res:.3e} > {tol['residual']}"
             )
-        if not abs(lam.imag) < tol["filter_im"] * max(1.0, abs(lam.real)):
+        if not ok:
             raise UnverifiedMode(f"grid mode {lam} nearest root {root} is not real")
 
     guesses = np.asarray(config.guesses, dtype=complex)
@@ -521,28 +523,28 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
 
     tol = config.tolerances
     rng = np.random.default_rng(config.seed)
-    pair, es, es_raw = _grid_eigensystem(config, return_raw=True)
+    es, es_raw = _grid_eigensystem(config)
     # The complete mode set (no reality filter) supports resolution-of-identity
     # checks; normalization of it can fail on defective pairs, which we report
     # as a failed check rather than a crash.
     try:
-        es_all = spectra.normalize_biorthogonal(es_raw, pair, sigma_tol=tol["sigma_floor"])
+        es_all = spectra.normalize_biorthogonal(es_raw, sigma_tol=tol["sigma_floor"])
     except SelfOrthogonalMode:
         yield "full_set_biorthogonal", math.inf, tol["gram"], False
         return
 
     if config.model.pt_flag:
-        yield "pt_residual", discrete.pt_residual(pair), tol["pt"], False
+        yield "pt_residual", discrete.pt_residual(es.pair), tol["pt"], False
     residual = max(es.residual_right.max(), es.residual_left.max())
     yield "max_mode_residual", residual, tol["residual"], False
     yield "gram_offdiag", float(np.abs(es.gram - np.eye(es.m)).max()), tol["gram"], False
-    yield "completeness", spectra.completeness_residual(es_all, pair), tol["completeness"], False
-    yield "rebuild", spectra.spectral_rebuild_residual(es_all, pair), tol["rebuild"], False
+    yield "completeness", spectra.completeness_residual(es_all), tol["completeness"], False
+    yield "rebuild", spectra.spectral_rebuild_residual(es_all), tol["rebuild"], False
 
     # kappa invariance of spectrum-level quantities
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
     es_k = spectra.apply_kappa(es, kappa)
-    gram_k = es_k.left.conj().T @ (pair.w_diag[:, np.newaxis] * es_k.right)
+    gram_k = es_k.left.conj().T @ (es.pair.w_diag[:, np.newaxis] * es_k.right)
     # Rescaling moves each gram entry by exactly kappa_i / kappa_j; compare
     # against that prediction so solver noise in the off-diagonals cancels.
     predicted = (kappa[:, None] / kappa[None, :]) * es.gram
@@ -552,26 +554,27 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
         1j * rng.uniform(0, 2 * np.pi, es_all.m)
     )
     drift = abs(
-        spectra.spectral_rebuild_residual(spectra.apply_kappa(es_all, kappa_all), pair)
-        - spectra.spectral_rebuild_residual(es_all, pair)
+        spectra.spectral_rebuild_residual(spectra.apply_kappa(es_all, kappa_all))
+        - spectra.spectral_rebuild_residual(es_all)
     )
     yield "kappa_rebuild_drift", drift, tol["kappa_invariance"], False
 
-    result = metric.build_metric(es, pair)
+    result = metric.build_metric(es)
     ms = float(np.linalg.norm(result.M @ result.S - np.eye(es.m)) / np.linalg.norm(np.eye(es.m)))
     yield "ms_identity", ms, tol["ms_identity"], False
-    delta = metric.delta_identity_residual(es, pair, result.Theta)
+    delta = metric.delta_identity_residual(es, result.Theta)
     yield "delta_identity", delta, tol["delta_identity"], False
     for name, key, limit, larger_ok in _metric_gates(tol):
         yield name, result.diagnostics[key], limit, larger_ok
 
-    # uniform-kappa homogeneity: Theta[2 kappa] = 4 Theta[kappa]
-    r2 = metric.build_metric(es, pair, kappa=2.0 * result.kappa_used)
-    hom = float(np.linalg.norm(r2.Theta - 4.0 * result.Theta) / np.linalg.norm(result.Theta))
+    # uniform-kappa homogeneity: Theta[c kappa] = |c|^2 Theta[kappa]
+    c, theta = _HOMOGENEITY_SCALE, result.Theta
+    rc = metric.build_metric(es, kappa=c * result.kappa_used)
+    hom = float(np.linalg.norm(rc.Theta - abs(c) ** 2 * theta) / np.linalg.norm(theta))
     yield "kappa_homogeneity", hom, tol["kappa_invariance"], False
 
     try:
-        result_full = metric.build_metric(es_all, pair)
+        result_full = metric.build_metric(es_all)
     except IllConditionedS:
         yield "full_set_metric_conditioning", math.inf, metric.COND_S_THRESHOLD, False
         return
@@ -583,7 +586,7 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
         dd = float(np.linalg.norm(result_full.Theta - single) / np.linalg.norm(single))
         yield "degeneration_theta", dd, tol["degeneration"], False
 
-    similarity = metric.theta_eigenvector_residual(es, pair, result.Theta)
+    similarity = metric.theta_eigenvector_residual(es, result.Theta)
     yield "theta_similarity_spectrum", similarity, tol["quasi_hermiticity"], False
 
     if config.shoot_cfg is None or not config.guesses:

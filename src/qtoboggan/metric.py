@@ -62,9 +62,9 @@ class MetricResult:
     kappa_used: np.ndarray
 
 
-def build_S(es: Eigensystem, pair: OperatorPair) -> np.ndarray:
+def build_S(es: Eigensystem) -> np.ndarray:
     """Mode-space overlap matrix S_{ll'} = <<l|W^2|l'> over retained modes."""
-    w = pair.w_diag[:, np.newaxis]
+    w = es.pair.w_diag[:, np.newaxis]
     return es.left.conj().T @ (w * (w * es.right))
 
 
@@ -76,18 +76,15 @@ def _invert_full(S: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), np.eye(S.shape[0], dtype=complex))
 
 
-def build_metric(
-    es: Eigensystem,
-    pair: OperatorPair,
-    kappa: Optional[np.ndarray] = None,
-    cond_threshold: float = COND_S_THRESHOLD,
-) -> MetricResult:
+def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
     """Assemble Theta[kappa] from the double series with M = S^{-1}.
 
     On the full mode set (m = n) the identity <l|Theta W|l'> = delta_{ll'}
     holds within tolerance for kappa = 1.  For m < n an IncompleteBasisWarning
-    is emitted and Theta is a subspace object only.
+    is emitted and Theta is a subspace object only.  IllConditionedS is raised
+    when cond(S) exceeds COND_S_THRESHOLD.
     """
+    pair = es.pair
     n, m = pair.n, es.m
     if kappa is None:
         kappa = np.ones(m, dtype=complex)
@@ -100,10 +97,10 @@ def build_metric(
             IncompleteBasisWarning,
             stacklevel=2,
         )
-    S = build_S(es, pair)
+    S = build_S(es)
     cond_S = float(np.linalg.cond(S))
-    if not np.isfinite(cond_S) or cond_S > cond_threshold:
-        raise IllConditionedS(f"cond(S) = {cond_S:.3e} exceeds {cond_threshold:.1e}")
+    if not np.isfinite(cond_S) or cond_S > COND_S_THRESHOLD:
+        raise IllConditionedS(f"cond(S) = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
     M = _invert_full(S)
     w = pair.w_diag
     A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
@@ -193,20 +190,21 @@ def single_series_theta(es: Eigensystem) -> np.ndarray:
     return (es.left / es.sigmas[np.newaxis, :]) @ es.left.conj().T
 
 
-def delta_identity_residual(es: Eigensystem, pair: OperatorPair, theta: np.ndarray) -> float:
+def delta_identity_residual(es: Eigensystem, theta: np.ndarray) -> float:
     """max |<l|Theta W|l'> - delta_{ll'}| over the retained mode set (kappa = 1)."""
-    G = es.right.conj().T @ theta @ (pair.w_diag[:, np.newaxis] * es.right)
+    G = es.right.conj().T @ theta @ (es.pair.w_diag[:, np.newaxis] * es.right)
     G[np.diag_indices_from(G)] -= 1.0
     return float(np.abs(G).max())
 
 
-def theta_eigenvector_residual(es: Eigensystem, pair: OperatorPair, theta: np.ndarray) -> float:
+def theta_eigenvector_residual(es: Eigensystem, theta: np.ndarray) -> float:
     """max_l ||H^dag Theta psi_l - lam_l W^dag Theta psi_l|| / (||H||_F ||Theta psi_l||).
 
     If H^dag Theta = Theta H and W^dag Theta = Theta W, Theta maps each right
     ket H psi = lam W psi to a left eigenvector of the same eigenvalue, so the
     similarity Theta^-1 H^dag Theta = H holds mode by mode on the kets.
     """
+    pair = es.pair
     T = theta @ es.right
     R = band_matmul(pair.bands, T, adjoint=True)
     R -= (pair.w_diag.conj()[:, np.newaxis] * T) * es.lambdas

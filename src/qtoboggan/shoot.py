@@ -5,8 +5,9 @@ parametrization z(g) (|g| < pi/2), as a first-order system
 
     y1' = y2,    y2' = (z''/z') y2 + (z')^2 (U(z) - E) y1,
 
-from both truncated ends toward a matching angle.  Eigenvalues are the roots
-of the Wronskian mismatch of the two half-path solutions.
+from both truncated ends toward the matching angle g = 0, the lowest point of
+the contour.  Eigenvalues are the roots of the Wronskian mismatch of the two
+half-path solutions.
 
 The system is linear in (y1, y2), so each classical RK4 step is a 2x2 matrix.
 For a batch of energies all step matrices are built in one vectorized pass
@@ -24,12 +25,11 @@ density follows the same local rate, so oscillatory and stiff stretches are
 resolved uniformly in phase.
 
 The turning angle, the truncation and the node density are all read off one
-angle profile per half-path: 6,001 uniform points up to the knee (|gamma| =
-1.2 for match angles below it) and 24,001 geometric ones from there to the
-cap.  The profile only places nodes; the integration runs on the 2,400-5,700
-nodes it places.  On the harmonic line, the winding-1 cubic and the spiked
-oscillator, a profile ten times denser moves no root by more than 3e-11
-relative.
+angle profile per half-path: 6,001 uniform points up to the knee at
+|gamma| = 1.2 and 24,001 geometric ones from there to the cap.  The profile
+only places nodes; the integration runs on the 2,400-5,700 nodes it places.
+On the harmonic line, the winding-1 cubic and the spiked oscillator, a
+profile ten times denser moves no root by more than 3e-11 relative.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ _GAMMA_CAP = np.pi / 2 - 0.015  # hard angle cap short of the coordinate singula
 _ENERGY_BLOCK = 8
 # points of the angle profile per half-path: uniform up to the knee, then
 # geometric toward the cap (see the module docstring)
+_PROFILE_KNEE = 1.2
 _PROFILE_HEAD = 6001
 _PROFILE_TAIL = 24001
 
@@ -66,10 +67,9 @@ _PROFILE_TAIL = 24001
 class ShootConfig:
     """Controls one shooting run.
 
-    gamma_max: explicit truncation angle (< pi/2); None selects it
+    gamma_max: explicit truncation angle in (0, pi/2); None selects it
         automatically from the seed-ratio rule at the reference energy.
     steps: minimum number of integration steps per half-path (>= 100).
-    match_gamma: matching angle (default 0, the lowest point of the contour).
     root_tol: convergence threshold on the normalized mismatch |F(E)|.
     max_iter: secant iteration cap per guess.
     phase_resolution: target local phase per step for the adaptive grid;
@@ -80,21 +80,16 @@ class ShootConfig:
 
     gamma_max: Optional[float] = None
     steps: int = 800
-    match_gamma: float = 0.0
     root_tol: float = 1e-9
     max_iter: int = 40
     phase_resolution: Optional[float] = 0.02
     seed_ratio: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.gamma_max is not None and not (self.match_gamma < self.gamma_max < np.pi / 2):
-            raise ConfigError(
-                f"gamma_max must lie in (match_gamma, pi/2), got {self.gamma_max}"
-            )
+        if self.gamma_max is not None and not (0.0 < self.gamma_max < np.pi / 2):
+            raise ConfigError(f"gamma_max must lie in (0, pi/2), got {self.gamma_max}")
         if self.steps < 100:
             raise ConfigError(f"steps must be >= 100, got {self.steps}")
-        if not (0.0 <= self.match_gamma < 1.4):
-            raise ConfigError(f"match_gamma must lie in [0, 1.4), got {self.match_gamma}")
         if not (self.root_tol > 0):
             raise ConfigError("root_tol must be positive")
         if self.max_iter < 1:
@@ -142,21 +137,17 @@ class _HalfPath:
 
 
 def _profile(
-    model: ModelSpec, epsilon: float, q: int, sgn: float, t_lo: float, E_ref: complex
+    model: ModelSpec, epsilon: float, q: int, sgn: float, E_ref: complex
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(t, w, z', rate) on the angle profile of one half-path.
 
-    t = sgn*gamma ascends outward from just past the match angle t_lo to the
+    t = sgn*gamma ascends outward from just past the match angle 0 to the
     cap: `_PROFILE_HEAD` uniform points up to the knee, then `_PROFILE_TAIL`
     geometric ones.  w = sqrt(U - E_ref) is branch-continuous along it, and
     rate = Re(w z') is the local WKB growth rate, oriented outward.
     """
-    a = t_lo + 1e-6
-    if a >= _GAMMA_CAP:
-        raise ConfigError("match_gamma leaves no room before the angle cap")
-    knee = min(max(1.2, a + 1e-3), _GAMMA_CAP - 1e-3)
-    head = np.linspace(a, knee, _PROFILE_HEAD)
-    tail = np.pi / 2 - np.geomspace(np.pi / 2 - knee, np.pi / 2 - _GAMMA_CAP, _PROFILE_TAIL)
+    head = np.linspace(1e-6, _PROFILE_KNEE, _PROFILE_HEAD)
+    tail = np.pi / 2 - np.geomspace(np.pi / 2 - head[-1], np.pi / 2 - _GAMMA_CAP, _PROFILE_TAIL)
     t = np.concatenate([head, tail[1:]])
     z, zdot, _ = spiral(sgn * t, epsilon, q)
     w = _continuous_sqrt(model.potential(z) - E_ref)
@@ -186,20 +177,19 @@ def _truncation(t: np.ndarray, rate: np.ndarray, seed_ratio: float) -> Tuple[int
 def _build_halfpath(
     model: ModelSpec, epsilon: float, q: int, side: str, E_ref: complex, cfg: ShootConfig
 ) -> _HalfPath:
-    sgn = 1.0 if side == "right" else -1.0
-    t_lo = sgn * cfg.match_gamma  # t = sgn*gamma is ascending outward on both sides
-    t, w, zdot, rate = _profile(model, epsilon, q, sgn, t_lo, E_ref)
+    sgn = 1.0 if side == "right" else -1.0  # t = sgn*gamma ascends outward on both sides
+    t, w, zdot, rate = _profile(model, epsilon, q, sgn, E_ref)
     if cfg.gamma_max is not None:
         t_end = cfg.gamma_max
     else:
         t_end = float(t[_truncation(t, rate, cfg.seed_ratio)[1]])
 
     if cfg.phase_resolution is None:
-        nodes_t = np.linspace(t_lo, t_end, max(cfg.steps, 100) + 1)
+        nodes_t = np.linspace(0.0, t_end, max(cfg.steps, 100) + 1)
     else:
         mask = t <= t_end + 1e-12
         tm = t[mask]
-        span = max(t_end - t_lo, 1e-6)
+        span = max(t_end, 1e-6)
         dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(
             300.0, cfg.steps / span
         )
@@ -207,7 +197,7 @@ def _build_halfpath(
         total = int(max(np.ceil(ncum[-1]), cfg.steps, 100))
         targets = np.linspace(0.0, ncum[-1], total + 1)
         nodes_t = np.interp(targets, ncum, tm)
-        nodes_t[0] = t_lo
+        nodes_t[0] = 0.0
         nodes_t[-1] = t_end
 
     g = (sgn * nodes_t)[::-1].copy()  # integrate from the outer end toward the match

@@ -3,8 +3,9 @@
 Right kets |lam> and left double-kets <<lam| (stored as the column whose
 conjugate transpose is the bra) are solved together, verified by residual,
 normalized biorthogonally with respect to W, and checked against the
-completeness and spectral-decomposition identities.  The kappa-rescaling
-freedom |lam> -> |lam>/kappa, <<lam| -> kappa*<<lam| is first-class.
+completeness and spectral-decomposition identities of the pencil an
+Eigensystem carries.  The kappa-rescaling freedom |lam> -> |lam>/kappa,
+<<lam| -> kappa*<<lam| is first-class.
 
 The dense solve takes one of three routes.  A W != I pencil goes through QZ.
 With W = I the problem is standard; if the pair is also PT-symmetric
@@ -40,6 +41,7 @@ __all__ = [
     "solve_generalized",
     "lowest_eigenvalues",
     "nearest_eigenpairs",
+    "is_real",
     "filter_real",
     "normalize_biorthogonal",
     "completeness_residual",
@@ -58,21 +60,20 @@ INVERSE_ITERATION_STEPS = 100
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """Paired eigensystem of H psi = lambda W psi.
+    """Paired eigensystem of the pencil `pair`, H psi = lambda W psi.
 
     `left[:, j]` stores the vector whose conjugate transpose is the double-ket
-    bra <<lambda_j|; `right[:, j]` is the ket.  `ambient_n` is the dimension of
-    the underlying operators (m = len(lambdas) may be smaller after filtering).
+    bra <<lambda_j|; `right[:, j]` is the ket.  m = len(lambdas) may be smaller
+    than `pair.n` after filtering.
     """
 
+    pair: OperatorPair
     lambdas: np.ndarray
     right: np.ndarray
     left: np.ndarray
     sigmas: np.ndarray
-    kappa: np.ndarray
     residual_right: np.ndarray
     residual_left: np.ndarray
-    ambient_n: int
     discarded: int = 0
     gram: Optional[np.ndarray] = None
 
@@ -87,7 +88,6 @@ class Eigensystem:
             right=self.right[:, idx],
             left=self.left[:, idx],
             sigmas=self.sigmas[idx],
-            kappa=self.kappa[idx],
             residual_right=self.residual_right[idx],
             residual_left=self.residual_left[idx],
             discarded=self.discarded + discarded,
@@ -183,14 +183,13 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     res_l = np.linalg.norm(HdVL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
     sig = np.einsum("ij,ij->j", VL.conj(), WVR)
     return Eigensystem(
+        pair=operators,
         lambdas=lam,
         right=VR,
         left=VL,
         sigmas=sig,
-        kappa=np.ones(n, dtype=complex),
         residual_right=res_r,
         residual_left=res_l,
-        ambient_n=n,
     )
 
 
@@ -338,25 +337,27 @@ def nearest_eigenpairs(
     return lambdas, _normalize_columns(right), residuals
 
 
+def is_real(lambdas: np.ndarray, tol_im: float) -> np.ndarray:
+    """Which eigenvalues count as real: |Im lambda| < tol_im * max(1, |Re lambda|)."""
+    return np.abs(lambdas.imag) < tol_im * np.maximum(1.0, np.abs(lambdas.real))
+
+
 def filter_real(es: Eigensystem, tol_im: float = 1e-6) -> Eigensystem:
-    """Retain modes with |Im lambda| < tol_im * max(1, |Re lambda|), sorted by Re."""
-    keep = np.abs(es.lambdas.imag) < tol_im * np.maximum(1.0, np.abs(es.lambdas.real))
-    if not np.any(keep):
+    """Retain the modes `is_real` accepts, sorted by Re lambda."""
+    idx = np.where(is_real(es.lambdas, tol_im))[0]
+    if not len(idx):
         raise EmptySpectrum(f"no modes pass |Im| < {tol_im}*max(1,|Re|)")
-    idx = np.where(keep)[0]
     idx = idx[np.argsort(es.lambdas.real[idx], kind="stable")]
     return es.take(idx, discarded=es.m - len(idx))
 
 
-def normalize_biorthogonal(
-    es: Eigensystem, pair: OperatorPair, sigma_tol: float = 1e-12
-) -> Eigensystem:
+def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensystem:
     """Rescale double-kets so sigma_lam = <<lam|W|lam> = 1 exactly.
 
     Right kets are untouched; the weighted Gram matrix after rescaling is
     stored on the result for inspection.
     """
-    WV = pair.w_diag[:, np.newaxis] * es.right
+    WV = es.pair.w_diag[:, np.newaxis] * es.right
     sig = np.einsum("ij,ij->j", es.left.conj(), WV)
     floor = sigma_tol * max(1.0, float(np.median(np.abs(sig))))
     if np.any(np.abs(sig) < floor):
@@ -370,20 +371,21 @@ def normalize_biorthogonal(
     return replace(es, left=left, sigmas=np.ones(es.m, dtype=complex), gram=gram)
 
 
-def completeness_residual(es: Eigensystem, pair: OperatorPair) -> float:
+def completeness_residual(es: Eigensystem) -> float:
     """|| sum_lam |lam> sigma^-1 <<lam| W  -  I ||_F / sqrt(n); full mode set only."""
-    if es.m < es.ambient_n:
-        raise IncompleteBasis(f"m={es.m} < n={es.ambient_n}: completeness is undefined")
-    T = (es.right / es.sigmas[np.newaxis, :]) @ (es.left.conj().T * pair.w_diag[np.newaxis, :])
+    if es.m < es.pair.n:
+        raise IncompleteBasis(f"m={es.m} < n={es.pair.n}: completeness is undefined")
+    w = es.pair.w_diag
+    T = (es.right / es.sigmas[np.newaxis, :]) @ (es.left.conj().T * w[np.newaxis, :])
     T[np.diag_indices_from(T)] -= 1.0
-    return float(np.linalg.norm(T) / np.sqrt(es.ambient_n))
+    return float(np.linalg.norm(T) / np.sqrt(es.pair.n))
 
 
-def spectral_rebuild_residual(es: Eigensystem, pair: OperatorPair) -> float:
+def spectral_rebuild_residual(es: Eigensystem) -> float:
     """|| sum_lam W|lam> (lam/sigma) <<lam|W  -  H ||_F / ||H||_F; full mode set only."""
-    if es.m < es.ambient_n:
-        raise IncompleteBasis(f"m={es.m} < n={es.ambient_n}: rebuild is undefined")
-    H, w = pair.H, pair.w_diag
+    if es.m < es.pair.n:
+        raise IncompleteBasis(f"m={es.m} < n={es.pair.n}: rebuild is undefined")
+    H, w = es.pair.H, es.pair.w_diag
     rebuilt = (w[:, np.newaxis] * es.right * (es.lambdas / es.sigmas)[np.newaxis, :]) @ (
         es.left.conj().T * w[np.newaxis, :]
     )
@@ -394,7 +396,7 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
     """|lam> -> |lam>/kappa and <<lam| -> kappa*<<lam| simultaneously.
 
     sigma, Gram, completeness and rebuild residuals are invariant; the stored
-    kets change.  The cumulative kappa vector is tracked on the result.
+    kets change.
     """
     kappa = np.asarray(kappa, dtype=complex)
     if kappa.shape != (es.m,):
@@ -405,12 +407,11 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
         es,
         right=es.right / kappa[np.newaxis, :],
         left=es.left * kappa.conj()[np.newaxis, :],
-        kappa=es.kappa * kappa,
     )
 
 
 def quasiparity_leftkets(
-    es: Eigensystem, pair: OperatorPair, overlap_tol: float = 1e-12
+    es: Eigensystem, overlap_tol: float = 1e-12
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Candidate double-kets built from parity alone: bra_n = Q_n * (P|n>)^dag.
 
@@ -419,7 +420,7 @@ def quasiparity_leftkets(
     Returns (stored left columns, Q).  Compare against solved left vectors
     with collinearity_angles.
     """
-    target = pair.w_diag[:, np.newaxis] * es.right
+    target = es.pair.w_diag[:, np.newaxis] * es.right
     overlaps = np.einsum("ij,ij->j", es.right.conj(), target[::-1])
     if np.any(np.abs(overlaps) < overlap_tol):
         j = int(np.argmin(np.abs(overlaps)))

@@ -190,8 +190,8 @@ def test_criterion_5_rectification_consistency(cubic_run, cubic_roots, cubic_mod
 def test_criterion_6_biorthogonality_full_set(harmonic_full):
     pair, es_full, es_sub = harmonic_full
     gram_off = float(np.abs(es_full.gram - np.eye(es_full.m)).max())
-    complete = spectra.completeness_residual(es_full, pair)
-    rebuild = spectra.spectral_rebuild_residual(es_full, pair)
+    complete = spectra.completeness_residual(es_full)
+    rebuild = spectra.spectral_rebuild_residual(es_full)
     ok = gram_off < 1e-8 and complete < 1e-8 and rebuild < 1e-8
     record_criterion(
         6,
@@ -204,9 +204,9 @@ def test_criterion_6_biorthogonality_full_set(harmonic_full):
 
 def test_criterion_7_metric_suite(hermitian_full):
     pair, es_full, es_sub = hermitian_full
-    res = metric.build_metric(es_full, pair)
+    res = metric.build_metric(es_full)
     ms = float(np.abs(res.M @ res.S - np.eye(es_full.m)).max())
-    delta = metric.delta_identity_residual(es_full, pair, res.Theta)
+    delta = metric.delta_identity_residual(es_full, res.Theta)
     d = res.diagnostics
     rh, rw = metric.physical_operators(pair, res.Theta)
 
@@ -215,7 +215,7 @@ def test_criterion_7_metric_suite(hermitian_full):
     kappa = rng.uniform(0.5, 2.0, es_full.m) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, es_full.m)
     )
-    res_k = metric.build_metric(es_full, pair, kappa=kappa)
+    res_k = metric.build_metric(es_full, kappa=kappa)
     rh_k, rw_k = metric.physical_operators(pair, res_k.Theta)
     dk = res_k.diagnostics
 
@@ -245,7 +245,7 @@ def test_criterion_8_kappa_ambiguity(hermitian_full):
     pair, es_full, es_sub = hermitian_full
     rng = np.random.default_rng(20)
     m = es_full.m
-    base_rebuild = spectra.spectral_rebuild_residual(es_full, pair)
+    base_rebuild = spectra.spectral_rebuild_residual(es_full)
     thetas = []
     gram_drift = rebuild_drift = sigma_drift = lambda_drift = 0.0
     quasiH_max = 0.0
@@ -259,9 +259,9 @@ def test_criterion_8_kappa_ambiguity(hermitian_full):
         gram_drift = max(gram_drift, float(np.abs(gram_k - predicted).max()))
         rebuild_drift = max(
             rebuild_drift,
-            abs(spectra.spectral_rebuild_residual(es_k, pair) - base_rebuild),
+            abs(spectra.spectral_rebuild_residual(es_k) - base_rebuild),
         )
-        res = metric.build_metric(es_full, pair, kappa=kappa)
+        res = metric.build_metric(es_full, kappa=kappa)
         quasiH_max = max(quasiH_max, res.diagnostics["quasiH"], res.diagnostics["quasiW"])
         thetas.append(res.Theta)
     ref = float(np.linalg.norm(thetas[0]))
@@ -283,7 +283,7 @@ def test_criterion_8_kappa_ambiguity(hermitian_full):
 def test_criterion_9_weight_identity_degeneration(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     identity_weight = bool(np.array_equal(pair.W, np.eye(pair.n)))
-    res = metric.build_metric(es_full, pair)
+    res = metric.build_metric(es_full)
     diag_S = np.diag(np.diag(res.S))
     off_ratio = float(np.linalg.norm(res.S - diag_S) / np.linalg.norm(diag_S))
     single = metric.single_series_theta(es_full)
@@ -320,7 +320,7 @@ def test_criterion_10_parity_balance_and_quasiparity(
     for name, run in (("harmonic", harmonic_full), ("cubic", cubic_run)):
         pair, es_full, es_sub = run
         lowest = es_sub.take(np.arange(5))
-        kets, Q = spectra.quasiparity_leftkets(lowest, pair)
+        kets, Q = spectra.quasiparity_leftkets(lowest)
         angles[name] = float(spectra.collinearity_angles(lowest, kets).max())
     worst_angle = max(angles.values())
 

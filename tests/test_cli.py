@@ -408,13 +408,39 @@ def test_validate_similarity_check_fails_with_the_identity_for_theta(tmp_path, c
     residual = metric.theta_eigenvector_residual
     monkeypatch.setattr(
         metric, "theta_eigenvector_residual",
-        lambda es, pair, theta: residual(es, pair, np.eye(pair.n)),
+        lambda es, theta: residual(es, np.eye(es.pair.n)),
     )
     with pytest.warns(IncompleteBasisWarning):
         code, entries, _ = run_validate(tmp_path, capsys)
     assert code == 2
     assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)[:17]
     assert entries[-1]["pass"] is False and entries[-1]["value"] > 1e-6
+
+
+def test_validate_homogeneity_check_catches_a_conjugation_slip(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    import numpy as np
+
+    from qtoboggan import metric
+
+    build = metric.build_metric
+
+    def kappa_for_its_conjugate(es, kappa=None):
+        # a dressing with kappa where conj(kappa) belongs gives Theta[c] = c^2 Theta
+        # at a uniform kappa = c, where the right one gives |c|^2 Theta
+        result = build(es)
+        if kappa is None:
+            return result
+        return replace(result, Theta=kappa[0] ** 2 * result.Theta, kappa_used=kappa)
+
+    monkeypatch.setattr(metric, "build_metric", kappa_for_its_conjugate)
+    with pytest.warns(IncompleteBasisWarning):
+        code, entries, _ = run_validate(tmp_path, capsys)
+    assert code == 2
+    assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)[:14]
+    # |c|^2 |e^{2i phi} - 1| = 2.25 * 2 sin(0.7) at c = 1.5 e^{0.7i}
+    assert entries[-1]["value"] == pytest.approx(4.5 * np.sin(0.7), rel=1e-9)
 
 
 def test_exit_codes(tmp_path):

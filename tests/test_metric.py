@@ -30,8 +30,8 @@ def hand_pair():
 @pytest.fixture()
 def hand_result(hand_pair):
     es = spectra.solve_generalized(hand_pair, tol=1e-12)
-    es = spectra.normalize_biorthogonal(es, hand_pair)
-    return es, metric.build_metric(es, hand_pair)
+    es = spectra.normalize_biorthogonal(es)
+    return es, metric.build_metric(es)
 
 
 def test_hand_theta_value(hand_result, hand_pair):
@@ -54,9 +54,9 @@ def test_hand_diagnostics(hand_result):
     assert d["cond_Theta"] == pytest.approx(3.0 + 2.0 * np.sqrt(2.0), rel=1e-9)
 
 
-def test_hand_delta_identity_and_single_series(hand_result, hand_pair):
+def test_hand_delta_identity_and_single_series(hand_result):
     es, res = hand_result
-    assert metric.delta_identity_residual(es, hand_pair, res.Theta) < 1e-12
+    assert metric.delta_identity_residual(es, res.Theta) < 1e-12
     # With W = I the double series collapses onto the single series.
     assert np.allclose(metric.single_series_theta(es), res.Theta, atol=1e-12)
 
@@ -68,10 +68,10 @@ def test_hand_physical_operators(hand_result, hand_pair):
     assert rw < 1e-12
 
 
-def test_kappa_changes_theta_but_not_admissibility(hand_result, hand_pair):
+def test_kappa_changes_theta_but_not_admissibility(hand_result):
     es, res0 = hand_result
     kappa = np.array([2.0, 0.5 * np.exp(0.7j)])
-    res_k = metric.build_metric(es, hand_pair, kappa=kappa)
+    res_k = metric.build_metric(es, kappa=kappa)
     # Theta[kappa] = L diag(|kappa|^2) L^dag here
     expected = (es.left * (np.abs(kappa) ** 2)[np.newaxis, :]) @ es.left.conj().T
     assert np.allclose(res_k.Theta, expected, atol=1e-10)
@@ -81,10 +81,10 @@ def test_kappa_changes_theta_but_not_admissibility(hand_result, hand_pair):
     assert np.linalg.norm(res_k.Theta - res0.Theta) > 1e-3 * np.linalg.norm(res0.Theta)
 
 
-def test_kappa_shape_validated(hand_result, hand_pair):
+def test_kappa_shape_validated(hand_result):
     es, _ = hand_result
     with pytest.raises(ValueError):
-        metric.build_metric(es, hand_pair, kappa=np.ones(3))
+        metric.build_metric(es, kappa=np.ones(3))
 
 
 def test_quasi_hermiticity_rejects_singular_theta(hand_pair):
@@ -110,29 +110,29 @@ def test_positivity_report_values():
     assert mineig == pytest.approx(-1.0, rel=1e-12)
 
 
-def test_ill_conditioned_overlap_rejected(hand_pair):
+def test_ill_conditioned_overlap_rejected(hand_result, monkeypatch):
     # After biorthogonal normalization with identity weight, S is the Gram
     # matrix itself (exactly I), so the guard can only be exercised by
     # tightening its threshold below cond(S) = 1.
-    es = spectra.solve_generalized(hand_pair, tol=1e-12)
-    es = spectra.normalize_biorthogonal(es, hand_pair)
+    es, _ = hand_result
+    monkeypatch.setattr(metric, "COND_S_THRESHOLD", 0.5)
     with pytest.raises(IllConditionedS):
-        metric.build_metric(es, hand_pair, cond_threshold=0.5)
+        metric.build_metric(es)
 
 
 def test_subspace_metric_warns_but_stays_consistent(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     with pytest.warns(IncompleteBasisWarning):
-        res = metric.build_metric(es_sub, pair)
+        res = metric.build_metric(es_sub)
     assert res.diagnostics["min_eig"] > 0
     assert res.diagnostics["hermiticity"] < 1e-8
     # delta identity holds algebraically on the retained subset too
-    assert metric.delta_identity_residual(es_sub, pair, res.Theta) < 1e-8
+    assert metric.delta_identity_residual(es_sub, res.Theta) < 1e-8
 
 
 def test_full_set_metric_on_grid_run(harmonic_small):
     pair, es_full, es_sub = harmonic_small
-    res = metric.build_metric(es_full, pair)
+    res = metric.build_metric(es_full)
     # The complete set of this complex-shifted box holds square-well modes
     # that have broken into complex-conjugate pairs; a double-series metric
     # intertwines H exactly only when every retained eigenvalue is real, so
@@ -140,20 +140,20 @@ def test_full_set_metric_on_grid_run(harmonic_small):
     assert res.diagnostics["quasiH"] < 1e-5
     assert res.diagnostics["quasiW"] < 1e-12
     assert res.diagnostics["hermiticity"] < 1e-8
-    assert metric.delta_identity_residual(es_full, pair, res.Theta) < 1e-8
+    assert metric.delta_identity_residual(es_full, res.Theta) < 1e-8
 
 
 def test_theta_eigenvector_residual_tells_the_metric_from_impostors(harmonic_small, cubic_model):
     pair, es_full, es_sub = harmonic_small
     with pytest.warns(IncompleteBasisWarning):
-        res = metric.build_metric(es_sub, pair)
-    assert metric.theta_eigenvector_residual(es_sub, pair, res.Theta) < 1e-10
-    assert metric.theta_eigenvector_residual(es_sub, pair, np.eye(pair.n)) > 1e-6
+        res = metric.build_metric(es_sub)
+    assert metric.theta_eigenvector_residual(es_sub, res.Theta) < 1e-10
+    assert metric.theta_eigenvector_residual(es_sub, np.eye(pair.n)) > 1e-6
     # the steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta
     rect = model.rectify_model(cubic_model, 1)
     pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=200, epsilon=0.15))
     es = spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
-    es = spectra.normalize_biorthogonal(es, pair)
+    es = spectra.normalize_biorthogonal(es)
     with pytest.warns(IncompleteBasisWarning):
-        res = metric.build_metric(es, pair)
-    assert metric.theta_eigenvector_residual(es, pair, res.Theta) > 1e-4
+        res = metric.build_metric(es)
+    assert metric.theta_eigenvector_residual(es, res.Theta) > 1e-4

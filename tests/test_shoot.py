@@ -26,14 +26,14 @@ def _cfg(**kw):
     "kw",
     [
         {"steps": 50},
-        {"match_gamma": -0.1},
-        {"match_gamma": 1.5},
+        {"gamma_max": 0.0},
+        {"gamma_max": -0.2},
         {"root_tol": 0.0},
         {"max_iter": 0},
         {"phase_resolution": -0.01},
         {"seed_ratio": 0.5},
         {"gamma_max": 1.7},
-        {"gamma_max": 0.2, "match_gamma": 0.3},
+        {"gamma_max": np.pi / 2},
     ],
 )
 def test_shoot_config_validation(kw):
@@ -233,7 +233,7 @@ DENSE_PROFILE = {"_PROFILE_HEAD": 60001, "_PROFILE_TAIL": 240001}
 
 def _profile_and_truncation(spec, contour, side, E_ref, seed_ratio):
     sgn = 1.0 if side == "right" else -1.0
-    t, w, _, rate = shoot._profile(spec, contour.epsilon, contour.degree, sgn, 0.0, E_ref)
+    t, w, _, rate = shoot._profile(spec, contour.epsilon, contour.degree, sgn, E_ref)
     i_star, j = shoot._truncation(t, rate, seed_ratio)
     return t, w, rate, i_star, j
 

@@ -44,7 +44,7 @@ PAIR2 = _pair([1.0, 2.0], [1.0])
 @pytest.fixture()
 def hand():
     es = spectra.solve_generalized(PAIR2, tol=1e-12)
-    return spectra.normalize_biorthogonal(es, PAIR2)
+    return spectra.normalize_biorthogonal(es)
 
 
 def _angle(u, v):
@@ -69,8 +69,8 @@ def test_hand_eigenvalues_and_vectors(hand):
 def test_hand_biorthogonality_and_identities(hand):
     assert np.allclose(hand.sigmas, 1.0)
     assert np.allclose(hand.gram, np.eye(2), atol=1e-12)
-    assert spectra.completeness_residual(hand, PAIR2) < 1e-14
-    assert spectra.spectral_rebuild_residual(hand, PAIR2) < 1e-14
+    assert spectra.completeness_residual(hand) < 1e-14
+    assert spectra.spectral_rebuild_residual(hand) < 1e-14
     assert hand.residual_right.max() < 1e-12
     assert hand.residual_left.max() < 1e-12
 
@@ -92,7 +92,7 @@ def test_degenerate_pairing_detected():
 def test_solver_reports_sorted_spectrum():
     es = spectra.solve_generalized(_pair([3.0, 1.0, 2.0]), tol=1e-12)
     assert np.allclose(es.lambdas, [1.0, 2.0, 3.0])
-    assert es.ambient_n == 3 and es.m == 3
+    assert es.pair.n == 3 and es.m == 3
 
 
 def test_filter_real_keeps_and_sorts():
@@ -100,7 +100,23 @@ def test_filter_real_keeps_and_sorts():
     sub = spectra.filter_real(es, tol_im=1e-6)
     assert np.allclose(sub.lambdas, [2.0, 3.0])
     assert sub.discarded == 1
-    assert sub.ambient_n == 3
+    assert sub.pair.n == 3
+
+
+def test_is_real_is_the_filter_rule():
+    lam = np.array([1.0 + 1e-7j, 1.0 + 1e-5j, 100.0 + 9e-5j, 100.0 + 1e-4j])
+    assert spectra.is_real(lam, 1e-6).tolist() == [True, False, True, False]
+    es = spectra.solve_generalized(_pair(lam), tol=1e-12)
+    assert np.array_equal(spectra.filter_real(es, tol_im=1e-6).lambdas, lam[[0, 2]])
+
+
+def test_eigensystem_keeps_its_pencil():
+    es = spectra.solve_generalized(PAIR2, tol=1e-12)
+    assert es.pair is PAIR2
+    assert spectra.filter_real(es).pair is PAIR2
+    assert spectra.normalize_biorthogonal(es).pair is PAIR2
+    assert es.take(np.array([1])).pair is PAIR2
+    assert spectra.apply_kappa(es, np.array([2.0, 0.5j])).pair is PAIR2
 
 
 def test_filter_real_empty_raises():
@@ -113,17 +129,17 @@ def test_self_orthogonal_mode_detected():
     pair = _pair([1.0, 1.0 + 1e-8], [1.0])
     es = spectra.solve_generalized(pair, tol=1e-12)
     with pytest.raises(SelfOrthogonalMode):
-        spectra.normalize_biorthogonal(es, pair, sigma_tol=1e-6)
+        spectra.normalize_biorthogonal(es, sigma_tol=1e-6)
 
 
 def test_completeness_requires_full_set():
     pair = _pair([1.0, 2.0 + 1.0j, 3.0])
     es = spectra.solve_generalized(pair, tol=1e-12)
-    sub = spectra.normalize_biorthogonal(spectra.filter_real(es), pair)
+    sub = spectra.normalize_biorthogonal(spectra.filter_real(es))
     with pytest.raises(IncompleteBasis):
-        spectra.completeness_residual(sub, pair)
+        spectra.completeness_residual(sub)
     with pytest.raises(IncompleteBasis):
-        spectra.spectral_rebuild_residual(sub, pair)
+        spectra.spectral_rebuild_residual(sub)
 
 
 def test_apply_kappa_rescales_and_accumulates(hand):
@@ -131,7 +147,6 @@ def test_apply_kappa_rescales_and_accumulates(hand):
     k2 = np.array([1.0 + 1.0j, 3.0])
     once = spectra.apply_kappa(hand, k1)
     twice = spectra.apply_kappa(once, k2)
-    assert np.allclose(twice.kappa, k1 * k2)
     assert np.allclose(twice.right, hand.right / (k1 * k2)[np.newaxis, :])
     assert np.allclose(twice.left, hand.left * (k1 * k2).conj()[np.newaxis, :])
     # spectrum and sigma untouched
@@ -159,13 +174,13 @@ def test_apply_kappa_rejects_zero(hand):
 def test_quasiparity_vanishing_overlap(hand):
     # the reversal of two entries swaps them, and (1,0) is orthogonal to (0,1)
     with pytest.raises(VanishingParityOverlap):
-        spectra.quasiparity_leftkets(hand, PAIR2)
+        spectra.quasiparity_leftkets(hand)
 
 
 def test_quasiparity_matches_solved_left_vectors(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     lowest = es_sub.take(np.arange(5))
-    kets, Q = spectra.quasiparity_leftkets(lowest, pair)
+    kets, Q = spectra.quasiparity_leftkets(lowest)
     angles = spectra.collinearity_angles(lowest, kets)
     # measurement floor of arccos near 1 is ~2e-8 even for exact collinearity
     assert angles.max() < 1e-7
@@ -239,7 +254,7 @@ def test_weight_scaling_matches_dense_weight_products(cubic_model):
     assert np.all(np.abs(es.residual_left - res_l) <= rounding)
     assert np.allclose(es.sigmas, np.einsum("ij,ij->j", VL.conj(), W @ VR), rtol=1e-12, atol=0)
     sub = spectra.filter_real(es)
-    normed = spectra.normalize_biorthogonal(sub, pair)
+    normed = spectra.normalize_biorthogonal(sub)
     WV = W @ sub.right
     left = sub.left / np.einsum("ij,ij->j", sub.left.conj(), WV).conj()[np.newaxis, :]
     assert np.allclose(normed.left, left, rtol=1e-12, atol=0)
