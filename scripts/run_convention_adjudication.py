@@ -45,9 +45,7 @@ def grid_route(convention: str) -> np.ndarray:
 def shooting_route() -> np.ndarray:
     cs = ContourSpec(epsilon=EPSILON, winding=WINDING)
     cfg = shoot.ShootConfig(phase_resolution=0.02, root_tol=1e-9)
-    roots = shoot.find_eigenvalues(
-        SPEC, WINDING, cfg=cfg, contour=cs, search=[1.3, 4.4, 7.9]
-    )
+    roots = shoot.find_eigenvalues(SPEC, contour=cs, cfg=cfg, search=[1.3, 4.4, 7.9])
     return roots.real[:K]
 
 

@@ -100,6 +100,8 @@ class RunConfig:
 def _apply_override(raw: Dict[str, Any], spec: str) -> None:
     if "=" not in spec:
         raise ConfigError(f"override must look like KEY=VALUE, got {spec!r}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be an object")
     key, text = spec.split("=", 1)
     try:
         value = json.loads(text)
@@ -114,7 +116,9 @@ def _apply_override(raw: Dict[str, Any], spec: str) -> None:
     node[parts[-1]] = value
 
 
-def _check_keys(section: str, payload: Dict[str, Any], allowed: set) -> None:
+def _check_keys(section: str, payload: Any, allowed: set) -> None:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{section} section must be an object, got {payload!r}")
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
@@ -156,17 +160,19 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in raw.get("tolerances", {}).items():
+    tol_raw = raw.get("tolerances", {})
+    _check_keys("tolerances", tol_raw, set(DEFAULT_TOLERANCES))
+    for key, val in tol_raw.items():
         if not isinstance(val, (int, float)) or not val > 0:
             raise ConfigError(f"tolerance {key!r} must be a positive number, got {val!r}")
-        tolerances[str(key)] = float(val)
+        tolerances[key] = float(val)
 
     shoot_cfg = None
     guesses: List[complex] = []
     scan = None
     if "shoot" in raw:
+        _check_keys("shoot", raw["shoot"], _SHOOT_KEYS)
         section = dict(raw["shoot"])
-        _check_keys("shoot", section, _SHOOT_KEYS)
         raw_guesses = section.pop("guesses", [])
         try:
             guesses = [complex(g) if not isinstance(g, list) else complex(*g) for g in raw_guesses]
@@ -355,11 +361,7 @@ def _shoot_roots(config: RunConfig):
     from . import shoot
 
     roots = shoot.find_eigenvalues(
-        config.model,
-        config.contour.winding,
-        config.contour,
-        config.shoot_cfg,
-        config.guesses,
+        config.model, config.contour, config.shoot_cfg, search=config.guesses
     )
     return np.asarray(roots)
 
@@ -387,9 +389,7 @@ def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
     else:
         g = np.asarray(config.guesses)
         energies = np.linspace(float(g.real.min()) - 1.0, float(g.real.max()) + 1.0, 101)
-    abs_F = shoot.scan_mismatch(
-        config.model, config.contour.winding, config.contour, config.shoot_cfg, energies
-    )
+    abs_F = shoot.scan_mismatch(config.model, config.contour, config.shoot_cfg, energies)
     shoot.save_scan_csv(os.path.join(out_dir, "scan.csv"), energies, abs_F)
     return 0
 
@@ -625,8 +625,7 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
             for steps in _REFINEMENT_STEPS:
                 cfg_u = replace(config.shoot_cfg, steps=steps, phase_resolution=None)
                 y, dy = shoot.integrate_halfpath(
-                    config.model, config.contour.winding, config.guesses[0], "right", cfg_u,
-                    config.contour,
+                    config.model, config.guesses[0], "right", cfg_u, config.contour
                 )
                 seq.append(dy / y)
         except StepTooCoarseWarning as exc:

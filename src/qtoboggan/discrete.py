@@ -185,7 +185,12 @@ def load_matrix_bin(path: str) -> Tuple[np.ndarray, float, float]:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}")
-        rows, cols, h, epsilon = struct.unpack("<QQdd", fh.read(32))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ConfigError(f"{path}: header truncated to {len(header)} of 32 bytes")
+        rows, cols, h, epsilon = struct.unpack("<QQdd", header)
         payload = fh.read(rows * cols * 16)
+        if len(payload) != rows * cols * 16 or fh.read(1):
+            raise ConfigError(f"{path}: payload is not {rows}x{cols} complex128 entries")
     A = np.frombuffer(payload, dtype="<c16").reshape(rows, cols).astype(np.complex128)
     return A, h, epsilon

@@ -199,6 +199,8 @@ def wavefunction_pushforward(
 
 def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
     """Build (ModelSpec, ContourSpec) from a config's model section; unknown keys are errors."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"model section must be an object, got {payload!r}")
     allowed = {"ell", "omega", "coeffs", "winding", "epsilon"}
     unknown = set(payload) - allowed
     if unknown:

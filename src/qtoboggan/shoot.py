@@ -117,27 +117,26 @@ def _continuous_sqrt(vals: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _HalfPath:
-    """Precomputed integration grid and ODE coefficients for one half-path."""
+    """Integration grid and ODE coefficients for one half-path.
+
+    The nodes run from the outer end to the match point.  Step i takes its
+    RK4 stages A and B from nodes i and i+1, and its stage M from midpoint i.
+    """
 
     side: str
-    gammas: np.ndarray  # integration order: outer end -> match point
     dg: np.ndarray
-    accA: np.ndarray
-    accM: np.ndarray
-    accB: np.ndarray
-    ccA: np.ndarray
+    acc: np.ndarray  # z''/z' at the nodes
+    cc: np.ndarray  # (z')^2 at the nodes
+    U: np.ndarray  # potential at the nodes
+    accM: np.ndarray  # the same three at the midpoints
     ccM: np.ndarray
-    ccB: np.ndarray
-    UA: np.ndarray
     UM: np.ndarray
-    UB: np.ndarray
-    zdot0: complex
-    U0: complex
+    zdot0: complex  # z' at the outer end
     max_phase: float
 
 
 def _profile(
-    model: ModelSpec, epsilon: float, q: int, sgn: float, E_ref: complex
+    model: ModelSpec, contour: ContourSpec, sgn: float, E_ref: complex
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(t, w, z', rate) on the angle profile of one half-path.
 
@@ -149,7 +148,7 @@ def _profile(
     head = np.linspace(1e-6, _PROFILE_KNEE, _PROFILE_HEAD)
     tail = np.pi / 2 - np.geomspace(np.pi / 2 - head[-1], np.pi / 2 - _GAMMA_CAP, _PROFILE_TAIL)
     t = np.concatenate([head, tail[1:]])
-    z, zdot, _ = spiral(sgn * t, epsilon, q)
+    z, zdot, _ = spiral(sgn * t, contour.epsilon, contour.degree)
     w = _continuous_sqrt(model.potential(z) - E_ref)
     return t, w, zdot, np.real(w * zdot) * sgn
 
@@ -175,17 +174,17 @@ def _truncation(t: np.ndarray, rate: np.ndarray, seed_ratio: float) -> Tuple[int
 
 
 def _build_halfpath(
-    model: ModelSpec, epsilon: float, q: int, side: str, E_ref: complex, cfg: ShootConfig
+    model: ModelSpec, contour: ContourSpec, side: str, E_ref: complex, cfg: ShootConfig
 ) -> _HalfPath:
     sgn = 1.0 if side == "right" else -1.0  # t = sgn*gamma ascends outward on both sides
-    t, w, zdot, rate = _profile(model, epsilon, q, sgn, E_ref)
+    t, w, zdot, rate = _profile(model, contour, sgn, E_ref)
     if cfg.gamma_max is not None:
         t_end = cfg.gamma_max
     else:
         t_end = float(t[_truncation(t, rate, cfg.seed_ratio)[1]])
 
     if cfg.phase_resolution is None:
-        nodes_t = np.linspace(0.0, t_end, max(cfg.steps, 100) + 1)
+        nodes_t = np.linspace(0.0, t_end, cfg.steps + 1)
     else:
         mask = t <= t_end + 1e-12
         tm = t[mask]
@@ -194,7 +193,7 @@ def _build_halfpath(
             300.0, cfg.steps / span
         )
         ncum = _cumulative_trapezoid(dens, tm)
-        total = int(max(np.ceil(ncum[-1]), cfg.steps, 100))
+        total = int(max(np.ceil(ncum[-1]), cfg.steps))
         targets = np.linspace(0.0, ncum[-1], total + 1)
         nodes_t = np.interp(targets, ncum, tm)
         nodes_t[0] = 0.0
@@ -202,27 +201,24 @@ def _build_halfpath(
 
     g = (sgn * nodes_t)[::-1].copy()  # integrate from the outer end toward the match
     dg = np.diff(g)
-    gA, gB = g[:-1], g[1:]
-    gM = 0.5 * (gA + gB)
-    out = {}
-    for tag, gx in (("A", gA), ("M", gM), ("B", gB)):
-        zx, zdx, accx = spiral(gx, epsilon, q)
-        out["acc" + tag] = accx
-        out["cc" + tag] = zdx * zdx
-        out["U" + tag] = model.potential(zx)
-    z0, zd0, _ = spiral(np.array([g[0]]), epsilon, q)
-    U0 = complex(model.potential(z0)[0])
+    z, zd, acc = spiral(g, contour.epsilon, contour.degree)
+    zM, zdM, accM = spiral(0.5 * (g[:-1] + g[1:]), contour.epsilon, contour.degree)
+    cc = zd * zd
+    U = model.potential(z)
     max_phase = float(
-        np.max(np.abs(np.sqrt(out["UA"] - E_ref)) * np.abs(np.sqrt(out["ccA"])) * np.abs(dg))
+        np.max(np.abs(np.sqrt(U[:-1] - E_ref)) * np.abs(np.sqrt(cc[:-1])) * np.abs(dg))
     )
     return _HalfPath(
         side=side,
-        gammas=g,
         dg=dg,
-        zdot0=complex(zd0[0]),
-        U0=U0,
+        acc=acc,
+        cc=cc,
+        U=U,
+        accM=accM,
+        ccM=zdM * zdM,
+        UM=model.potential(zM),
+        zdot0=complex(zd[0]),
         max_phase=max_phase,
-        **out,
     )
 
 
@@ -233,13 +229,13 @@ def _step_matrices(half: _HalfPath, E: np.ndarray) -> np.ndarray:
     vectors e1 and e2 at once; the results are the matrix columns.
     """
     h = half.dg
-    cA = half.ccA * (half.UA - E[:, None])
+    cA = half.cc[:-1] * (half.U[:-1] - E[:, None])
     cM = half.ccM * (half.UM - E[:, None])
-    cB = half.ccB * (half.UB - E[:, None])
+    cB = half.cc[1:] * (half.U[1:] - E[:, None])
     y1 = np.array([1.0, 0.0]).reshape(2, 1, 1)  # leading axis: basis vector (column)
     y2 = np.array([0.0, 1.0]).reshape(2, 1, 1)
     k1_1 = y2
-    k1_2 = half.accA * y2 + cA * y1
+    k1_2 = half.acc[:-1] * y2 + cA * y1
     t1 = y1 + 0.5 * h * k1_1
     t2 = y2 + 0.5 * h * k1_2
     k2_1 = t2
@@ -251,7 +247,7 @@ def _step_matrices(half: _HalfPath, E: np.ndarray) -> np.ndarray:
     t1 = y1 + h * k3_1
     t2 = y2 + h * k3_2
     k4_1 = t2
-    k4_2 = half.accB * t2 + cB * t1
+    k4_2 = half.acc[1:] * t2 + cB * t1
     M = np.empty((2, 2) + cA.shape, dtype=complex)
     M[0] = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
     M[1] = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
@@ -284,7 +280,7 @@ def _integrate_batch(half: _HalfPath, Es: np.ndarray) -> Tuple[np.ndarray, np.nd
     `_ENERGY_BLOCK` energies to bound the temporaries.
     """
     E = np.asarray(Es, dtype=complex)
-    slope = np.sqrt(half.U0 - E) * half.zdot0
+    slope = np.sqrt(half.U[0] - E) * half.zdot0
     s = np.where(slope.real * np.sign(half.dg[0]) > 0, 1.0, -1.0)
     seed = s * slope
     y1 = np.empty_like(E)
@@ -306,7 +302,6 @@ def _mismatch(halfL: _HalfPath, halfR: _HalfPath, Es: np.ndarray) -> np.ndarray:
 
 def _halfpaths(
     model: ModelSpec,
-    N: int,
     contour: ContourSpec,
     cfg: ShootConfig,
     E_ref: complex,
@@ -317,11 +312,7 @@ def _halfpaths(
     The warning is attributed to the caller of the public function that
     called this one.
     """
-    if contour.winding != N:
-        raise ConfigError(f"contour.winding={contour.winding} does not match N={N}")
-    halves = tuple(
-        _build_halfpath(model, contour.epsilon, contour.degree, side, E_ref, cfg) for side in sides
-    )
+    halves = tuple(_build_halfpath(model, contour, side, E_ref, cfg) for side in sides)
     for half in halves:
         if half.max_phase > 0.7:
             warnings.warn(
@@ -335,7 +326,6 @@ def _halfpaths(
 
 def integrate_halfpath(
     model: ModelSpec,
-    N: int,
     E: complex,
     side: str,
     cfg: ShootConfig,
@@ -347,14 +337,13 @@ def integrate_halfpath(
     """
     if side not in ("left", "right"):
         raise ConfigError(f"side must be 'left' or 'right', got {side!r}")
-    (half,) = _halfpaths(model, N, contour, cfg, E, sides=(side,))
+    (half,) = _halfpaths(model, contour, cfg, E, sides=(side,))
     v, d = _integrate_batch(half, np.array([E], dtype=complex))
     return complex(v[0]), complex(d[0])
 
 
 def find_eigenvalues(
     model: ModelSpec,
-    N: int,
     contour: ContourSpec,
     cfg: ShootConfig,
     search: Sequence[complex],
@@ -369,7 +358,7 @@ def find_eigenvalues(
     if guesses.size == 0:
         return np.array([], dtype=complex)
     E_ref = complex(np.max(guesses.real))
-    halfL, halfR = _halfpaths(model, N, contour, cfg, E_ref)
+    halfL, halfR = _halfpaths(model, contour, cfg, E_ref)
 
     E0 = guesses.copy()
     E1 = guesses * (1.0 + 1e-4) + 1e-4
@@ -423,7 +412,6 @@ def find_eigenvalues(
 
 def scan_mismatch(
     model: ModelSpec,
-    N: int,
     contour: ContourSpec,
     cfg: ShootConfig,
     energies: Sequence[complex],
@@ -431,7 +419,7 @@ def scan_mismatch(
     """|F(E)| over an energy grid (root-locus plotting; minima flag eigenvalues)."""
     Es = np.asarray(list(energies), dtype=complex)
     E_ref = complex(np.max(Es.real))
-    halfL, halfR = _halfpaths(model, N, contour, cfg, E_ref)
+    halfL, halfR = _halfpaths(model, contour, cfg, E_ref)
     return np.abs(_mismatch(halfL, halfR, Es))
 
 

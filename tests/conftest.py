@@ -134,5 +134,5 @@ def cubic_roots(cubic_model):
     """Spiral-shooting eigenvalues of the winding-1 cubic, lowest 3."""
     cs = ContourSpec(epsilon=0.15, winding=1)
     cfg = shoot.ShootConfig(phase_resolution=0.02, root_tol=1e-9)
-    roots = shoot.find_eigenvalues(cubic_model, 1, cs, cfg, [1.3, 4.4, 7.9])
+    roots = shoot.find_eigenvalues(cubic_model, cs, cfg, [1.3, 4.4, 7.9])
     return np.asarray(roots)

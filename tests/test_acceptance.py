@@ -112,7 +112,7 @@ def test_criterion_4_spiked_epsilon_independence(spiked_model):
     for eps in (1.0, 2.0):
         cs = ContourSpec(epsilon=eps, winding=0)
         roots[eps] = np.asarray(
-            shoot.find_eigenvalues(spiked_model, 0, cs, cfg, SPIKED_LOWEST)
+            shoot.find_eigenvalues(spiked_model, cs, cfg, SPIKED_LOWEST)
         )
     ok_count = len(roots[1.0]) == 5 and len(roots[2.0]) == 5
     if ok_count:

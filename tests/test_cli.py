@@ -62,6 +62,7 @@ def test_wrong_version_is_schema_mismatch():
         lambda c: c.update(output_dir=7),
         lambda c: c.update(shoot={"warp": 9}),
         lambda c: c.update(shoot={"scan": {"start": 0.0, "stop": 1.0, "count": 1}}),
+        lambda c: c.update(tolerances={"residul": 1e-30}),
     ],
 )
 def test_malformed_sections_rejected(mutate):
@@ -98,6 +99,26 @@ def test_override_paths():
         cli._apply_override(raw, "no-equals-sign")
     with pytest.raises(ConfigError):
         cli._apply_override(raw, "grid.n.deep=1")
+
+
+@pytest.mark.parametrize(
+    "raw, overrides",
+    [
+        (base_config(grid=5), []),
+        (base_config(model=5), []),
+        (base_config(shoot=[1]), []),
+        (base_config(tolerances=[1]), []),
+        (base_config(shoot={"scan": 7}), []),
+        (base_config(), ["grid=3"]),
+        ([1], ["a.b=1"]),
+    ],
+    ids=["grid", "model", "shoot", "tolerances", "shoot.scan", "override-grid", "list-root"],
+)
+def test_non_object_section_exits_4(tmp_path, raw, overrides):
+    argv = ["--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+    for spec in overrides:
+        argv += ["--override", spec]
+    assert cli.main(argv) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +320,7 @@ def test_validate_fails_a_root_found_at_one_shift_only(tmp_path, monkeypatch, ca
     from qtoboggan import shoot
 
     # the mode near 5 converges at epsilon = 0.5 but not at 2*epsilon
-    def roots(model, N, contour, cfg, search):
+    def roots(model, contour, cfg, search):
         found = [1.0, 3.0, 5.0] if contour.epsilon == 0.5 else [1.0, 3.0]
         return np.array(found, dtype=complex)
 

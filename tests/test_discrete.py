@@ -119,3 +119,16 @@ def test_matrix_bin_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 48)
     with pytest.raises(ConfigError):
         discrete.load_matrix_bin(str(path))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda b: b[:20], lambda b: b[:-8], lambda b: b + b"\x00"],
+    ids=["short-header", "short-payload", "trailing-bytes"],
+)
+def test_matrix_bin_damaged_file_is_config_error(tmp_path, damage):
+    path = tmp_path / "m.bin"
+    discrete.save_matrix_bin(np.eye(3, dtype=complex), str(path), h=0.25, epsilon=0.5)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigError):
+        discrete.load_matrix_bin(str(path))

@@ -43,7 +43,7 @@ def test_shoot_config_validation(kw):
 
 def test_mismatch_vanishes_only_at_eigenvalues(harmonic_model):
     cfg = _cfg()
-    vals = shoot.scan_mismatch(harmonic_model, 0, LINE, cfg, [1.0, 2.0, 3.0])
+    vals = shoot.scan_mismatch(harmonic_model, LINE, cfg, [1.0, 2.0, 3.0])
     assert vals[0] < 1e-6
     assert vals[2] < 1e-6
     assert vals[1] > 1e-3
@@ -51,7 +51,7 @@ def test_mismatch_vanishes_only_at_eigenvalues(harmonic_model):
 
 def test_find_harmonic_ladder(harmonic_model):
     cfg = _cfg(root_tol=1e-10)
-    roots = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [0.9, 3.2, 4.8])
+    roots = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [0.9, 3.2, 4.8])
     assert len(roots) == 3
     assert np.allclose(roots.real, [1.0, 3.0, 5.0], atol=1e-7)
     assert np.abs(roots.imag).max() < 1e-7
@@ -59,22 +59,14 @@ def test_find_harmonic_ladder(harmonic_model):
 
 def test_duplicate_guesses_deduplicated(harmonic_model):
     cfg = _cfg(root_tol=1e-10)
-    roots = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [0.9, 0.95])
+    roots = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [0.9, 0.95])
     assert len(roots) == 1
     assert roots[0].real == pytest.approx(1.0, abs=1e-7)
 
 
-def test_winding_mismatch_rejected(harmonic_model):
-    spiral = ContourSpec(epsilon=0.5, winding=1)
-    with pytest.raises(ConfigError):
-        shoot.find_eigenvalues(harmonic_model, 0, spiral, _cfg(), [1.0])
-    with pytest.raises(ConfigError):
-        shoot.integrate_halfpath(harmonic_model, 0, 1.0, "left", _cfg(), spiral)
-
-
 def test_bad_side_rejected(harmonic_model):
     with pytest.raises(ConfigError):
-        shoot.integrate_halfpath(harmonic_model, 0, 1.0, "up", _cfg(), LINE)
+        shoot.integrate_halfpath(harmonic_model, 1.0, "up", _cfg(), LINE)
 
 
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.StepTooCoarseWarning")
@@ -85,8 +77,8 @@ def test_uniform_step_refinement_is_high_order(harmonic_model):
     results = {}
     for steps in (200, 400, 800, 3200):
         cfg = _cfg(steps=steps, phase_resolution=None)
-        vL, dL = shoot.integrate_halfpath(harmonic_model, 0, E, "left", cfg, LINE)
-        vR, dR = shoot.integrate_halfpath(harmonic_model, 0, E, "right", cfg, LINE)
+        vL, dL = shoot.integrate_halfpath(harmonic_model, E, "left", cfg, LINE)
+        vR, dR = shoot.integrate_halfpath(harmonic_model, E, "right", cfg, LINE)
         results[steps] = (vL * dR - vR * dL) / (
             np.hypot(abs(vL), abs(dL)) * np.hypot(abs(vR), abs(dR))
         )
@@ -100,13 +92,13 @@ def test_uniform_step_refinement_is_high_order(harmonic_model):
 def test_coarse_steps_warn(harmonic_model):
     cfg = _cfg(steps=100, phase_resolution=None)
     with pytest.warns(StepTooCoarseWarning):
-        shoot.integrate_halfpath(harmonic_model, 0, 400.0, "left", cfg, LINE)
+        shoot.integrate_halfpath(harmonic_model, 400.0, "left", cfg, LINE)
 
 
 def test_free_model_integrates_finite():
     free = ModelSpec(ell=0.0, coeffs={}, omega=0.0)
     cfg = _cfg(gamma_max=1.0, phase_resolution=None, steps=200)
-    v, d = shoot.integrate_halfpath(free, 0, 1.0 + 1.0j, "right", cfg, LINE)
+    v, d = shoot.integrate_halfpath(free, 1.0 + 1.0j, "right", cfg, LINE)
     assert np.isfinite(v) and np.isfinite(d)
     assert v != 0
 
@@ -114,13 +106,13 @@ def test_free_model_integrates_finite():
 def test_nonconverging_guess_warns_and_is_dropped(harmonic_model):
     cfg = _cfg(root_tol=1e-13, max_iter=1)
     with pytest.warns(NoConvergenceWarning):
-        roots = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [2.3])
+        roots = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [2.3])
     assert len(roots) == 0
 
 
 def test_scan_csv_round_trip(tmp_path, harmonic_model):
     energies = [0.8, 1.0, 1.2]
-    vals = shoot.scan_mismatch(harmonic_model, 0, LINE, _cfg(), energies)
+    vals = shoot.scan_mismatch(harmonic_model, LINE, _cfg(), energies)
     assert vals[1] < vals[0] and vals[1] < vals[2]
     out = tmp_path / "scan.csv"
     shoot.save_scan_csv(str(out), energies, vals)
@@ -143,17 +135,17 @@ def _sequential_rk4(half, Es, renorm_limit=1e50):
 
     Returns (y1, y2, number of renormalizations)."""
     E = np.asarray(Es, dtype=complex)
-    slope = np.sqrt(half.U0 - E) * half.zdot0
+    slope = np.sqrt(half.U[0] - E) * half.zdot0
     s = np.where(slope.real * np.sign(half.dg[0]) > 0, 1.0, -1.0)
     y1 = np.ones_like(E)
     y2 = s * slope
     renorms = 0
     for i, h in enumerate(half.dg):
-        uA = half.UA[i] - E
+        uA = half.U[i] - E
         uM = half.UM[i] - E
-        uB = half.UB[i] - E
+        uB = half.U[i + 1] - E
         k1_1 = y2
-        k1_2 = half.accA[i] * y2 + half.ccA[i] * uA * y1
+        k1_2 = half.acc[i] * y2 + half.cc[i] * uA * y1
         t1 = y1 + 0.5 * h * k1_1
         t2 = y2 + 0.5 * h * k1_2
         k2_1 = t2
@@ -165,7 +157,7 @@ def _sequential_rk4(half, Es, renorm_limit=1e50):
         t1 = y1 + h * k3_1
         t2 = y2 + h * k3_2
         k4_1 = t2
-        k4_2 = half.accB[i] * t2 + half.ccB[i] * uB * t1
+        k4_2 = half.acc[i + 1] * t2 + half.cc[i + 1] * uB * t1
         y1 = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
         y2 = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
         mm = np.maximum(np.abs(y1), np.abs(y2))
@@ -178,20 +170,20 @@ def _sequential_rk4(half, Es, renorm_limit=1e50):
 
 
 @pytest.mark.parametrize(
-    "case, N, contour, cfg_kw, energies, grows_past_1e50",
+    "case, contour, cfg_kw, energies, grows_past_1e50",
     [
-        ("harmonic", 0, LINE, {}, [1.7, 1.7 + 0.4j, 5.2], False),
-        ("cubic", 1, SPIRAL, {}, [4.4, 4.4 - 0.3j, 7.9], False),
-        ("harmonic", 0, LINE, {"gamma_max": 1.55}, [1.0, 2.3 + 0.5j], True),
+        ("harmonic", LINE, {}, [1.7, 1.7 + 0.4j, 5.2], False),
+        ("cubic", SPIRAL, {}, [4.4, 4.4 - 0.3j, 7.9], False),
+        ("harmonic", LINE, {"gamma_max": 1.55}, [1.0, 2.3 + 0.5j], True),
     ],
     ids=["harmonic", "cubic-winding1", "harmonic-long-path"],
 )
 def test_step_matrix_product_matches_sequential_rk4(
-    case, N, contour, cfg_kw, energies, grows_past_1e50, harmonic_model, cubic_model
+    case, contour, cfg_kw, energies, grows_past_1e50, harmonic_model, cubic_model
 ):
     spec = {"harmonic": harmonic_model, "cubic": cubic_model}[case]
     Es = np.asarray(energies, dtype=complex)
-    halves = shoot._halfpaths(spec, N, contour, _cfg(**cfg_kw), complex(Es.real.max()))
+    halves = shoot._halfpaths(spec, contour, _cfg(**cfg_kw), complex(Es.real.max()))
     for half in halves:
         v, d = shoot._integrate_batch(half, Es)
         v_ref, d_ref, renorms = _sequential_rk4(half, Es)
@@ -201,8 +193,8 @@ def test_step_matrix_product_matches_sequential_rk4(
 
 def test_scan_over_several_blocks_equals_energy_by_energy(harmonic_model):
     energies = np.linspace(0.2, 6.5, 2 * shoot._ENERGY_BLOCK + 3)
-    vals = shoot.scan_mismatch(harmonic_model, 0, LINE, _cfg(), energies)
-    halfL, halfR = shoot._halfpaths(harmonic_model, 0, LINE, _cfg(), complex(energies.max()))
+    vals = shoot.scan_mismatch(harmonic_model, LINE, _cfg(), energies)
+    halfL, halfR = shoot._halfpaths(harmonic_model, LINE, _cfg(), complex(energies.max()))
     single = [abs(shoot._mismatch(halfL, halfR, np.array([E], dtype=complex))[0]) for E in energies]
     assert vals == pytest.approx(single, rel=1e-13)
 
@@ -211,8 +203,8 @@ def test_root_does_not_depend_on_the_other_guesses(harmonic_model):
     # the truncation is sized at the largest guess, so the top guess alone
     # builds the same half-paths as the full guess set
     cfg = _cfg(root_tol=1e-10)
-    top = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [0.9, 2.8, 5.2])[-1]
-    alone = shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [5.2])
+    top = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [0.9, 2.8, 5.2])[-1]
+    alone = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [5.2])
     assert len(alone) == 1
     assert alone[0] == pytest.approx(top, rel=1e-13)
 
@@ -221,7 +213,7 @@ def test_coarse_steps_warn_once_per_half_path(harmonic_model):
     cfg = _cfg(steps=100, phase_resolution=None, max_iter=3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        shoot.find_eigenvalues(harmonic_model, 0, LINE, cfg, [400.0])
+        shoot.find_eigenvalues(harmonic_model, LINE, cfg, [400.0])
     coarse = [w for w in caught if issubclass(w.category, StepTooCoarseWarning)]
     assert len(coarse) == 2
     assert {w.filename for w in coarse} == {__file__}
@@ -233,7 +225,7 @@ DENSE_PROFILE = {"_PROFILE_HEAD": 60001, "_PROFILE_TAIL": 240001}
 
 def _profile_and_truncation(spec, contour, side, E_ref, seed_ratio):
     sgn = 1.0 if side == "right" else -1.0
-    t, w, _, rate = shoot._profile(spec, contour.epsilon, contour.degree, sgn, E_ref)
+    t, w, _, rate = shoot._profile(spec, contour, sgn, E_ref)
     i_star, j = shoot._truncation(t, rate, seed_ratio)
     return t, w, rate, i_star, j
 
@@ -258,10 +250,10 @@ def test_profile_agrees_with_the_dense_reference(
         side: _profile_and_truncation(spec, contour, side, E_ref, cfg.seed_ratio)
         for side in ("left", "right")
     }
-    roots = shoot.find_eigenvalues(spec, contour.winding, contour, cfg, guesses)
+    roots = shoot.find_eigenvalues(spec, contour, cfg, guesses)
     for name, size in DENSE_PROFILE.items():
         monkeypatch.setattr(shoot, name, size)
-    roots_ref = shoot.find_eigenvalues(spec, contour.winding, contour, cfg, guesses)
+    roots_ref = shoot.find_eigenvalues(spec, contour, cfg, guesses)
     assert len(roots) == len(roots_ref) == len(guesses)
     assert np.all(np.abs(roots - roots_ref) <= 1e-10 * np.abs(roots_ref))
 
