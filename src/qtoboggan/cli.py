@@ -33,6 +33,7 @@ from .errors import (
     SelfOrthogonalMode,
     StepTooCoarseWarning,
     UnverifiedMode,
+    require_int,
 )
 
 __all__ = ["RunConfig", "load_config", "run", "report_render", "main"]
@@ -149,7 +150,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
         try:
             grid = GridSpec(
                 half_width=float(raw["grid"]["half_width"]),
-                n=int(raw["grid"]["n"]),
+                n=raw["grid"]["n"],
                 epsilon=contour.epsilon,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -185,10 +186,11 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
                 scan = {
                     "start": float(scan_raw["start"]),
                     "stop": float(scan_raw["stop"]),
-                    "count": int(scan_raw["count"]),
+                    "count": scan_raw["count"],
                 }
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"malformed shoot.scan section: {exc}") from exc
+            require_int("shoot.scan.count", scan["count"])
             if scan["count"] < 2:
                 raise ConfigError("shoot.scan.count must be >= 2")
         try:
@@ -197,8 +199,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
             raise ConfigError(f"malformed shoot section: {exc}") from exc
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    require_int("seed", seed)
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):

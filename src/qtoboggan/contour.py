@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 
 __all__ = [
     "ContourSpec",
@@ -40,7 +40,8 @@ class ContourSpec:
     def __post_init__(self) -> None:
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.winding < 0 or int(self.winding) != self.winding:
+        require_int("winding", self.winding)
+        if self.winding < 0:
             raise ConfigError(f"winding must be a non-negative integer, got {self.winding}")
 
     @property

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .model import RectifiedModel
 
 __all__ = [
@@ -40,6 +40,7 @@ class GridSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
+        require_int("grid n", self.n)
         if self.n < 3:
             raise ConfigError(f"grid needs n >= 3 interior points, got {self.n}")
         if not (self.half_width > 0):

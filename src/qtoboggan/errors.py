@@ -5,6 +5,8 @@ callers can discriminate programmatically and the CLI can translate them
 into stable exit codes.
 """
 
+import numbers
+
 
 class QTobogganError(Exception):
     """Base class for all package-specific errors."""
@@ -12,6 +14,12 @@ class QTobogganError(Exception):
 
 class ConfigError(QTobogganError):
     """Invalid configuration value or malformed config file."""
+
+
+def require_int(name: str, value: object) -> None:
+    """Raise ConfigError unless `value` is an integer; bools and floats are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 class DegeneratePairing(QTobogganError):

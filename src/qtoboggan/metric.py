@@ -14,7 +14,9 @@ and H only through its bands.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -44,6 +46,10 @@ __all__ = [
 
 COND_S_THRESHOLD = 1e12
 
+# The BLAS thread variables TOBOGGAN_THREADS sets; all at 1 pin every BLAS call
+# to the thread that makes it.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclass(frozen=True, eq=False)
 class MetricResult:
@@ -68,12 +74,22 @@ def build_S(es: Eigensystem) -> np.ndarray:
     return es.left.conj().T @ (w * (w * es.right))
 
 
-def _invert_full(S: np.ndarray) -> np.ndarray:
-    lu, piv = scipy.linalg.lu_factor(S)
-    d = np.abs(np.diag(lu))
-    if d.min() == 0.0:
-        raise SingularTheta("S factorization produced an exact zero pivot")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(S.shape[0], dtype=complex))
+def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
+    """S^{-1} by LAPACK ?getrf/?getrs, called as scipy's lu_factor/lu_solve call them.
+
+    Returns None on an exact zero pivot, without the LinAlgWarning lu_factor
+    would emit, so that the cond(S) gate is read before a singular S is named.
+    """
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (S,))
+    lu, piv, info = getrf(S)
+    if info > 0:
+        return None
+    return getrs(lu, piv, np.eye(S.shape[0], dtype=complex))[0]
+
+
+def _one_blas_thread() -> bool:
+    """True when the environment pins the BLAS to one thread per call."""
+    return all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
 
 
 def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
@@ -83,6 +99,17 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     holds within tolerance for kappa = 1.  For m < n an IncompleteBasisWarning
     is emitted and Theta is a subspace object only.  IllConditionedS is raised
     when cond(S) exceeds COND_S_THRESHOLD.
+
+    The two condition numbers run on one worker thread.  When the BLAS is
+    pinned to one thread per call they run beside the main chain: cond(S)
+    while the main thread inverts S and takes the QR of the retained kets, and
+    cond of the span while it takes the eigenvalues of the span's Hermitian
+    part and the residuals, so at most two LAPACK calls run at once.  Otherwise
+    the main thread waits for each: two calls into a multi-threaded BLAS
+    compete for its thread pool, and on 2 cores they took up to 15 times as
+    long together as one after the other.  Each call gets the same inputs as
+    in a serial run and the cond(S) gate is read before anything built from M,
+    so the result does not depend on the schedule.
     """
     pair = es.pair
     n, m = pair.n, es.m
@@ -98,22 +125,35 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
             stacklevel=2,
         )
     S = build_S(es)
-    cond_S = float(np.linalg.cond(S))
-    if not np.isfinite(cond_S) or cond_S > COND_S_THRESHOLD:
-        raise IllConditionedS(f"cond(S) = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
-    M = _invert_full(S)
-    w = pair.w_diag
-    A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
-    B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
-    Theta = A @ M @ B
+    overlap = _one_blas_thread()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        cond_S_job = pool.submit(np.linalg.cond, S)
+        if not overlap:
+            wait((cond_S_job,))
+        M = _invert_full(S)
+        Q = np.linalg.qr(es.right)[0] if m < n else None
+        cond_S = float(cond_S_job.result())
+        if not np.isfinite(cond_S) or cond_S > COND_S_THRESHOLD:
+            raise IllConditionedS(f"cond(S) = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
+        if M is None:
+            raise SingularTheta("S factorization produced an exact zero pivot")
+        w = pair.w_diag
+        A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
+        B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
+        Theta = A @ M @ B
+        # freed before the residuals allocate theirs: this sets the peak memory
+        del A, B
 
-    span = Theta
-    if m < n:
-        Q, _ = np.linalg.qr(es.right)
-        span = Q.conj().T @ Theta @ Q
-    min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
-    cond_T = float(np.linalg.cond(span))
-    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
+        span = Theta
+        if Q is not None:
+            span = Q.conj().T @ Theta @ Q
+            del Q
+        cond_T_job = pool.submit(np.linalg.cond, span)
+        if not overlap:
+            wait((cond_T_job,))
+        min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
+        quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
+        cond_T = float(cond_T_job.result())
     diagnostics = {
         "quasiH": quasiH,
         "quasiW": quasiW,

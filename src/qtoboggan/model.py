@@ -214,7 +214,7 @@ def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
         )
         cont = ContourSpec(
             epsilon=float(payload["epsilon"]),
-            winding=int(payload.get("winding", 0)),
+            winding=payload.get("winding", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model description: {exc}") from exc

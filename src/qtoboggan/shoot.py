@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contour import ContourSpec, spiral
-from .errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning
+from .errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning, require_int
 from .model import ModelSpec
 
 __all__ = [
@@ -88,6 +88,8 @@ class ShootConfig:
     def __post_init__(self) -> None:
         if self.gamma_max is not None and not (0.0 < self.gamma_max < np.pi / 2):
             raise ConfigError(f"gamma_max must lie in (0, pi/2), got {self.gamma_max}")
+        require_int("steps", self.steps)
+        require_int("max_iter", self.max_iter)
         if self.steps < 100:
             raise ConfigError(f"steps must be >= 100, got {self.steps}")
         if not (self.root_tol > 0):

@@ -121,6 +121,28 @@ def test_non_object_section_exits_4(tmp_path, raw, overrides):
     assert cli.main(argv) == 4
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "shoot.max_iter=2.5",
+        "shoot.steps=150.5",
+        "shoot.max_iter=true",
+        "grid.n=400.5",
+        "model.winding=true",
+        "model.winding=1.5",
+        "shoot.scan.count=43.5",
+        "seed=true",
+    ],
+)
+def test_non_integer_in_an_integer_field_exits_4(tmp_path, capsys, override):
+    # each used to be truncated, read as 1, or left to crash later with exit 1
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", "shoot", "--override", override,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert "must be an integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 

@@ -76,6 +76,9 @@ def test_epsilon_must_be_positive():
 def test_winding_must_be_nonnegative_integer():
     with pytest.raises(ConfigError):
         contour.ContourSpec(epsilon=1.0, winding=-1)
+    for winding in (1.5, 1.0, True):
+        with pytest.raises(ConfigError):
+            contour.ContourSpec(epsilon=1.0, winding=winding)
 
 
 def test_gamma_domain_is_open_interval():

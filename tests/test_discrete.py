@@ -39,6 +39,9 @@ def test_grid_validation():
         discrete.GridSpec(half_width=0.0, n=5, epsilon=0.1)
     with pytest.raises(ConfigError):
         discrete.GridSpec(half_width=3.0, n=5, epsilon=-0.1)
+    for n in (400.5, 400.0, True):
+        with pytest.raises(ConfigError):
+            discrete.GridSpec(half_width=3.0, n=n, epsilon=0.1)
 
 
 def test_zero_shift_with_centrifugal_rejected():

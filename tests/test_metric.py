@@ -5,8 +5,12 @@ H = [[1,1],[0,2]], W = I.  Sigma-normalized left double-kets are
 eigenvalues 2 +/- sqrt(2) > 0 and H^dag Theta = Theta H exactly.
 """
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtoboggan import discrete, metric, model, spectra
 from qtoboggan.discrete import OperatorPair
@@ -143,17 +147,148 @@ def test_full_set_metric_on_grid_run(harmonic_small):
     assert metric.delta_identity_residual(es_full, res.Theta) < 1e-8
 
 
-def test_theta_eigenvector_residual_tells_the_metric_from_impostors(harmonic_small, cubic_model):
+@pytest.fixture()
+def cubic_coarse(cubic_model):
+    """The steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta."""
+    rect = model.rectify_model(cubic_model, 1)
+    pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=200, epsilon=0.15))
+    es = spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
+    return spectra.normalize_biorthogonal(es)
+
+
+def test_theta_eigenvector_residual_tells_the_metric_from_impostors(harmonic_small, cubic_coarse):
     pair, es_full, es_sub = harmonic_small
     with pytest.warns(IncompleteBasisWarning):
         res = metric.build_metric(es_sub)
     assert metric.theta_eigenvector_residual(es_sub, res.Theta) < 1e-10
     assert metric.theta_eigenvector_residual(es_sub, np.eye(pair.n)) > 1e-6
-    # the steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta
-    rect = model.rectify_model(cubic_model, 1)
-    pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=200, epsilon=0.15))
-    es = spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
-    es = spectra.normalize_biorthogonal(es)
     with pytest.warns(IncompleteBasisWarning):
+        res = metric.build_metric(cubic_coarse)
+    assert metric.theta_eigenvector_residual(cubic_coarse, res.Theta) > 1e-4
+
+
+def _serial_metric(es):
+    """build_metric's dense steps one after another, in the order of a serial run (kappa = 1)."""
+    pair, n, m = es.pair, es.pair.n, es.m
+    S = metric.build_S(es)
+    cond_S = float(np.linalg.cond(S))
+    M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(m, dtype=complex))
+    w, kappa = pair.w_diag, np.ones(m, dtype=complex)
+    A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
+    B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
+    Theta = A @ M @ B
+    span = Theta
+    if m < n:
+        Q, _ = np.linalg.qr(es.right)
+        span = Q.conj().T @ Theta @ Q
+    min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
+    cond_T = float(np.linalg.cond(span))
+    quasiH, quasiW = metric.quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
+    diagnostics = {
+        "quasiH": quasiH,
+        "quasiW": quasiW,
+        "hermiticity": float(np.linalg.norm(Theta - Theta.conj().T) / np.linalg.norm(Theta)),
+        "min_eig": min_eig,
+        "cond_S": cond_S,
+        "cond_Theta": cond_T,
+    }
+    return S, M, Theta, diagnostics
+
+
+@pytest.fixture(params=["overlapped", "serial"])
+def schedule(request, monkeypatch):
+    """build_metric overlaps its LAPACK calls only when the BLAS is pinned to one thread."""
+    for var in metric._BLAS_THREAD_VARS:
+        if request.param == "overlapped":
+            monkeypatch.setenv(var, "1")
+        else:
+            monkeypatch.delenv(var, raising=False)
+    return request.param
+
+
+def test_calls_overlap_only_with_one_blas_thread(harmonic_small, monkeypatch, schedule):
+    # cond(S) runs on the worker; it sees the main thread start the QR only if
+    # the two are allowed to run at once
+    _, _, es_sub = harmonic_small
+    real_cond, real_qr = np.linalg.cond, np.linalg.qr
+    qr_started = threading.Event()
+    seen = []
+
+    def cond(a):
+        if not seen:
+            seen.append(qr_started.wait(timeout=10.0 if schedule == "overlapped" else 0.5))
+        return real_cond(a)
+
+    def qr(a):
+        qr_started.set()
+        return real_qr(a)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    with pytest.warns(IncompleteBasisWarning):
+        metric.build_metric(es_sub)
+    assert seen == [schedule == "overlapped"]
+
+
+@pytest.mark.parametrize("case", ["hand", "harmonic_subset", "cubic_coarse"])
+def test_metric_is_bitwise_the_serial_one(case, request, schedule):
+    if case == "hand":
+        es = request.getfixturevalue("hand_result")[0]
+    elif case == "harmonic_subset":
+        es = request.getfixturevalue("harmonic_small")[2]
+    else:
+        es = request.getfixturevalue("cubic_coarse")
+    S, M, Theta, diagnostics = _serial_metric(es)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteBasisWarning)
         res = metric.build_metric(es)
-    assert metric.theta_eigenvector_residual(es, res.Theta) > 1e-4
+    assert threading.active_count() == threads
+    assert np.array_equal(res.S, S)
+    assert np.array_equal(res.M, M)
+    assert np.array_equal(res.Theta, Theta)
+    assert res.diagnostics == diagnostics
+
+
+def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, monkeypatch, schedule):
+    # the LU may run beside cond(S): a zero pivot must neither warn nor pre-empt the gate
+    _, _, es_sub = harmonic_small
+    monkeypatch.setattr(metric, "build_S", lambda es: np.zeros((es.m, es.m), dtype=complex))
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IllConditionedS):
+            metric.build_metric(es_sub)
+    assert threading.active_count() == threads
+    assert not [w for w in caught if issubclass(w.category, scipy.linalg.LinAlgWarning)]
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "name, fail_at", [("cond", 0), ("cond", 1), ("qr", 0)], ids=["cond-S", "cond-span", "qr"]
+)
+def test_a_failing_dense_step_propagates_and_leaves_no_thread(
+    harmonic_small, monkeypatch, schedule, name, fail_at
+):
+    # the condition numbers run on the worker thread, the QR on the main one
+    _, _, es_sub = harmonic_small
+    real = getattr(np.linalg, name)
+    boom = _Boom(name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > fail_at:
+            raise boom
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    threads = threading.active_count()
+    with pytest.warns(IncompleteBasisWarning), pytest.raises(_Boom) as excinfo:
+        metric.build_metric(es_sub)
+    assert excinfo.value is boom
+    assert len(calls) == fail_at + 1
+    assert threading.active_count() == threads

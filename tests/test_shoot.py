@@ -34,6 +34,10 @@ def _cfg(**kw):
         {"seed_ratio": 0.5},
         {"gamma_max": 1.7},
         {"gamma_max": np.pi / 2},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"steps": 150.5},
+        {"steps": True},
     ],
 )
 def test_shoot_config_validation(kw):
