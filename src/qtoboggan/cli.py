@@ -34,6 +34,7 @@ from .errors import (
     StepTooCoarseWarning,
     UnverifiedMode,
     require_int,
+    require_real,
 )
 
 __all__ = ["RunConfig", "load_config", "run", "report_render", "main"]
@@ -149,7 +150,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
         _check_keys("grid", raw["grid"], _GRID_KEYS)
         try:
             grid = GridSpec(
-                half_width=float(raw["grid"]["half_width"]),
+                half_width=require_real("grid.half_width", raw["grid"]["half_width"]),
                 n=raw["grid"]["n"],
                 epsilon=contour.epsilon,
             )
@@ -164,9 +165,9 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
     tol_raw = raw.get("tolerances", {})
     _check_keys("tolerances", tol_raw, set(DEFAULT_TOLERANCES))
     for key, val in tol_raw.items():
-        if not isinstance(val, (int, float)) or not val > 0:
+        tolerances[key] = require_real(f"tolerances.{key}", val)
+        if not tolerances[key] > 0:
             raise ConfigError(f"tolerance {key!r} must be a positive number, got {val!r}")
-        tolerances[key] = float(val)
 
     shoot_cfg = None
     guesses: List[complex] = []
@@ -184,8 +185,8 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
             _check_keys("shoot.scan", scan_raw, _SCAN_KEYS)
             try:
                 scan = {
-                    "start": float(scan_raw["start"]),
-                    "stop": float(scan_raw["stop"]),
+                    "start": require_real("shoot.scan.start", scan_raw["start"]),
+                    "stop": require_real("shoot.scan.stop", scan_raw["stop"]),
                     "count": scan_raw["count"],
                 }
             except (KeyError, TypeError, ValueError) as exc:

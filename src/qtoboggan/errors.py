@@ -22,6 +22,13 @@ def require_int(name: str, value: object) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value: object) -> float:
+    """`value` as a float; ConfigError unless it is a real number, and bools are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 class DegeneratePairing(QTobogganError):
     """Two eigenvalues coincide within tolerance; left/right pairing is ambiguous."""
 

@@ -14,9 +14,7 @@ and H only through its bands.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -46,16 +44,14 @@ __all__ = [
 
 COND_S_THRESHOLD = 1e12
 
-# The BLAS thread variables TOBOGGAN_THREADS sets; all at 1 pin every BLAS call
-# to the thread that makes it.
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 @dataclass(frozen=True, eq=False)
 class MetricResult:
     """Metric operator with its mode-space ingredients and residual diagnostics.
 
     diagnostics keys: quasiH, quasiW, hermiticity, min_eig, cond_S, cond_Theta.
+    cond_S is an upper bound on cond_2(S); cond_Theta and min_eig come from
+    the eigenvalues of Theta's Hermitian part (see build_metric).
     When the eigensystem is a strict subset of the modes (m < n), Theta is a
     subspace metric and min_eig / cond_Theta are restricted to the retained
     span (quasiH/quasiW stay ambient: the defect lives in the full space).
@@ -78,7 +74,7 @@ def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
     """S^{-1} by LAPACK ?getrf/?getrs, called as scipy's lu_factor/lu_solve call them.
 
     Returns None on an exact zero pivot, without the LinAlgWarning lu_factor
-    would emit, so that the cond(S) gate is read before a singular S is named.
+    would emit; build_metric reads that as cond(S) = inf.
     """
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (S,))
     lu, piv, info = getrf(S)
@@ -87,29 +83,20 @@ def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
     return getrs(lu, piv, np.eye(S.shape[0], dtype=complex))[0]
 
 
-def _one_blas_thread() -> bool:
-    """True when the environment pins the BLAS to one thread per call."""
-    return all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
-
-
 def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
     """Assemble Theta[kappa] from the double series with M = S^{-1}.
 
     On the full mode set (m = n) the identity <l|Theta W|l'> = delta_{ll'}
     holds within tolerance for kappa = 1.  For m < n an IncompleteBasisWarning
     is emitted and Theta is a subspace object only.  IllConditionedS is raised
-    when cond(S) exceeds COND_S_THRESHOLD.
+    when cond_S exceeds COND_S_THRESHOLD.
 
-    The two condition numbers run on one worker thread.  When the BLAS is
-    pinned to one thread per call they run beside the main chain: cond(S)
-    while the main thread inverts S and takes the QR of the retained kets, and
-    cond of the span while it takes the eigenvalues of the span's Hermitian
-    part and the residuals, so at most two LAPACK calls run at once.  Otherwise
-    the main thread waits for each: two calls into a multi-threaded BLAS
-    compete for its thread pool, and on 2 cores they took up to 15 times as
-    long together as one after the other.  Each call gets the same inputs as
-    in a serial run and the cond(S) gate is read before anything built from M,
-    so the result does not depend on the schedule.
+    cond_S = sqrt(||S||_1 ||S||_inf ||M||_1 ||M||_inf) bounds cond_2(S) from
+    above (||A||_2^2 <= ||A||_1 ||A||_inf) and exceeds it by at most a factor
+    m; an exact zero pivot reads as inf.  cond_Theta is the ratio of the
+    largest to the smallest |eigenvalue| of the Hermitian part of Theta on the
+    span, the eigenvalues min_eig is read from; it is cond_2 when Theta is
+    Hermitian.
     """
     pair = es.pair
     n, m = pair.n, es.m
@@ -125,42 +112,35 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
             stacklevel=2,
         )
     S = build_S(es)
-    overlap = _one_blas_thread()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        cond_S_job = pool.submit(np.linalg.cond, S)
-        if not overlap:
-            wait((cond_S_job,))
-        M = _invert_full(S)
-        Q = np.linalg.qr(es.right)[0] if m < n else None
-        cond_S = float(cond_S_job.result())
-        if not np.isfinite(cond_S) or cond_S > COND_S_THRESHOLD:
-            raise IllConditionedS(f"cond(S) = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
-        if M is None:
-            raise SingularTheta("S factorization produced an exact zero pivot")
-        w = pair.w_diag
-        A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
-        B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
-        Theta = A @ M @ B
-        # freed before the residuals allocate theirs: this sets the peak memory
-        del A, B
+    M = _invert_full(S)
+    cond_S = np.inf
+    if M is not None:
+        norms = [np.linalg.norm(X, p) for X in (S, M) for p in (1, np.inf)]
+        cond_S = float(np.sqrt(np.prod(norms)))
+    if not cond_S <= COND_S_THRESHOLD:
+        raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
+    w = pair.w_diag
+    A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
+    B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
+    Theta = A @ M @ B
+    # freed before the residuals allocate theirs: this sets the peak memory
+    del A, B
 
-        span = Theta
-        if Q is not None:
-            span = Q.conj().T @ Theta @ Q
-            del Q
-        cond_T_job = pool.submit(np.linalg.cond, span)
-        if not overlap:
-            wait((cond_T_job,))
-        min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
-        quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
-        cond_T = float(cond_T_job.result())
+    span = Theta
+    if m < n:
+        Q = np.linalg.qr(es.right)[0]
+        span = Q.conj().T @ Theta @ Q
+        del Q
+    eigs = scipy.linalg.eigvalsh((span + span.conj().T) / 2.0)
+    mag = np.abs(eigs)
+    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
     diagnostics = {
         "quasiH": quasiH,
         "quasiW": quasiW,
         "hermiticity": _hermiticity(Theta),
-        "min_eig": min_eig,
+        "min_eig": float(eigs.min()),
         "cond_S": cond_S,
-        "cond_Theta": cond_T,
+        "cond_Theta": float(mag.max() / mag.min()) if mag.min() > 0 else np.inf,
     }
     return MetricResult(S=S, M=M, Theta=Theta, diagnostics=diagnostics, kappa_used=kappa)
 
@@ -180,13 +160,16 @@ def quasi_hermiticity_residuals(
         if np.abs(np.diag(lu)).min() == 0.0:
             raise SingularTheta("Theta is numerically singular")
     tnorm = np.linalg.norm(theta)
-    # Theta H is the adjoint of H^dag Theta^dag
-    Hd_theta = band_matmul(pair.bands, theta, adjoint=True)
-    theta_H = band_matmul(pair.bands, theta.conj().T, adjoint=True).conj().T
-    rH = np.linalg.norm(Hd_theta - theta_H) / (tnorm * np.linalg.norm(pair.bands))
-    rW = np.linalg.norm(w.conj()[:, np.newaxis] * theta - theta * w[np.newaxis, :]) / (
-        tnorm * np.linalg.norm(w)
-    )
+    # Theta H is the adjoint of H^dag Theta^dag.  In place: this sets the layer's peak memory
+    theta_H = band_matmul(pair.bands, theta.conj().T, adjoint=True)
+    theta_H = np.conjugate(theta_H, out=theta_H).T
+    D = band_matmul(pair.bands, theta, adjoint=True)
+    D -= theta_H
+    del theta_H
+    rH = np.linalg.norm(D) / (tnorm * np.linalg.norm(pair.bands))
+    D = np.multiply(w.conj()[:, np.newaxis], theta, out=D)
+    D -= theta * w[np.newaxis, :]
+    rW = np.linalg.norm(D) / (tnorm * np.linalg.norm(w))
     return float(rH), float(rW)
 
 

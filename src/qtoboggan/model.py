@@ -29,7 +29,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .contour import ContourSpec
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 
 __all__ = [
     "ModelSpec",
@@ -206,14 +206,17 @@ def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
     if unknown:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
     try:
-        coeffs = {int(k): complex(re, im) for k, re, im in payload.get("coeffs", [])}
+        coeffs = {
+            int(k): complex(require_real("model.coeffs", re), require_real("model.coeffs", im))
+            for k, re, im in payload.get("coeffs", [])
+        }
         spec = ModelSpec(
-            ell=float(payload.get("ell", 0.0)),
+            ell=require_real("model.ell", payload.get("ell", 0.0)),
             coeffs=coeffs,
-            omega=float(payload.get("omega", 0.0)),
+            omega=require_real("model.omega", payload.get("omega", 0.0)),
         )
         cont = ContourSpec(
-            epsilon=float(payload["epsilon"]),
+            epsilon=require_real("model.epsilon", payload["epsilon"]),
             winding=payload.get("winding", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:

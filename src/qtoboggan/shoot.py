@@ -42,7 +42,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contour import ContourSpec, spiral
-from .errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning, require_int
+from .errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning
+from .errors import require_int, require_real
 from .model import ModelSpec
 
 __all__ = [
@@ -86,19 +87,21 @@ class ShootConfig:
     seed_ratio: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.gamma_max is not None and not (0.0 < self.gamma_max < np.pi / 2):
-            raise ConfigError(f"gamma_max must lie in (0, pi/2), got {self.gamma_max}")
+        gamma_max = self.gamma_max
+        if gamma_max is not None and not 0.0 < require_real("gamma_max", gamma_max) < np.pi / 2:
+            raise ConfigError(f"gamma_max must lie in (0, pi/2), got {gamma_max}")
         require_int("steps", self.steps)
         require_int("max_iter", self.max_iter)
         if self.steps < 100:
             raise ConfigError(f"steps must be >= 100, got {self.steps}")
-        if not (self.root_tol > 0):
+        if not require_real("root_tol", self.root_tol) > 0:
             raise ConfigError("root_tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.phase_resolution is not None and not (self.phase_resolution > 0):
+        resolution = self.phase_resolution
+        if resolution is not None and not require_real("phase_resolution", resolution) > 0:
             raise ConfigError("phase_resolution must be positive or None")
-        if not (self.seed_ratio > 1):
+        if not require_real("seed_ratio", self.seed_ratio) > 1:
             raise ConfigError("seed_ratio must exceed 1")
 
 

@@ -143,6 +143,29 @@ def test_non_integer_in_an_integer_field_exits_4(tmp_path, capsys, override):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "tolerances.residual=true",
+        "grid.half_width=true",
+        "model.epsilon=true",
+        "shoot.root_tol=true",
+        "shoot.gamma_max=true",
+        "shoot.phase_resolution=true",
+        "shoot.scan.start=true",
+        "model.omega=true",
+        "model.coeffs=[[2, true, 0.0]]",
+    ],
+)
+def test_bool_in_a_real_field_exits_4(tmp_path, capsys, override):
+    # each used to run as 1.0: tolerances.residual=true moved the gate to 1.0
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", "shoot", "--override", override,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert "must be a real number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 

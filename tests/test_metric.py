@@ -5,7 +5,6 @@ H = [[1,1],[0,2]], W = I.  Sigma-normalized left double-kets are
 eigenvalues 2 +/- sqrt(2) > 0 and H^dag Theta = Theta H exactly.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -168,10 +167,9 @@ def test_theta_eigenvector_residual_tells_the_metric_from_impostors(harmonic_sma
 
 
 def _serial_metric(es):
-    """build_metric's dense steps one after another, in the order of a serial run (kappa = 1)."""
+    """build_metric's dense steps one after another (kappa = 1), minus the condition numbers."""
     pair, n, m = es.pair, es.pair.n, es.m
     S = metric.build_S(es)
-    cond_S = float(np.linalg.cond(S))
     M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(m, dtype=complex))
     w, kappa = pair.w_diag, np.ones(m, dtype=complex)
     A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
@@ -182,113 +180,92 @@ def _serial_metric(es):
         Q, _ = np.linalg.qr(es.right)
         span = Q.conj().T @ Theta @ Q
     min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
-    cond_T = float(np.linalg.cond(span))
-    quasiH, quasiW = metric.quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
+    tnorm = np.linalg.norm(Theta)
+    Hd_theta = discrete.band_matmul(pair.bands, Theta, adjoint=True)
+    theta_H = discrete.band_matmul(pair.bands, Theta.conj().T, adjoint=True).conj().T
+    quasiW = w.conj()[:, np.newaxis] * Theta - Theta * w[np.newaxis, :]
     diagnostics = {
-        "quasiH": quasiH,
-        "quasiW": quasiW,
+        "quasiH": float(np.linalg.norm(Hd_theta - theta_H) / (tnorm * np.linalg.norm(pair.bands))),
+        "quasiW": float(np.linalg.norm(quasiW) / (tnorm * np.linalg.norm(w))),
         "hermiticity": float(np.linalg.norm(Theta - Theta.conj().T) / np.linalg.norm(Theta)),
         "min_eig": min_eig,
-        "cond_S": cond_S,
-        "cond_Theta": cond_T,
     }
-    return S, M, Theta, diagnostics
+    return S, M, Theta, span, diagnostics
 
 
-@pytest.fixture(params=["overlapped", "serial"])
-def schedule(request, monkeypatch):
-    """build_metric overlaps its LAPACK calls only when the BLAS is pinned to one thread."""
-    for var in metric._BLAS_THREAD_VARS:
-        if request.param == "overlapped":
-            monkeypatch.setenv(var, "1")
-        else:
-            monkeypatch.delenv(var, raising=False)
-    return request.param
+def _case(case, request):
+    if case == "hand":
+        return request.getfixturevalue("hand_result")[0]
+    if case == "harmonic_subset":
+        return request.getfixturevalue("harmonic_small")[2]
+    return request.getfixturevalue("cubic_coarse")
 
 
-def test_calls_overlap_only_with_one_blas_thread(harmonic_small, monkeypatch, schedule):
-    # cond(S) runs on the worker; it sees the main thread start the QR only if
-    # the two are allowed to run at once
-    _, _, es_sub = harmonic_small
-    real_cond, real_qr = np.linalg.cond, np.linalg.qr
-    qr_started = threading.Event()
-    seen = []
-
-    def cond(a):
-        if not seen:
-            seen.append(qr_started.wait(timeout=10.0 if schedule == "overlapped" else 0.5))
-        return real_cond(a)
-
-    def qr(a):
-        qr_started.set()
-        return real_qr(a)
-
-    monkeypatch.setattr(np.linalg, "cond", cond)
-    monkeypatch.setattr(np.linalg, "qr", qr)
-    with pytest.warns(IncompleteBasisWarning):
-        metric.build_metric(es_sub)
-    assert seen == [schedule == "overlapped"]
+def _quiet_metric(es):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteBasisWarning)
+        return metric.build_metric(es)
 
 
 @pytest.mark.parametrize("case", ["hand", "harmonic_subset", "cubic_coarse"])
-def test_metric_is_bitwise_the_serial_one(case, request, schedule):
-    if case == "hand":
-        es = request.getfixturevalue("hand_result")[0]
-    elif case == "harmonic_subset":
-        es = request.getfixturevalue("harmonic_small")[2]
-    else:
-        es = request.getfixturevalue("cubic_coarse")
-    S, M, Theta, diagnostics = _serial_metric(es)
-    threads = threading.active_count()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteBasisWarning)
-        res = metric.build_metric(es)
-    assert threading.active_count() == threads
+def test_metric_is_bitwise_the_serial_one(case, request):
+    es = _case(case, request)
+    S, M, Theta, _, diagnostics = _serial_metric(es)
+    res = _quiet_metric(es)
     assert np.array_equal(res.S, S)
     assert np.array_equal(res.M, M)
     assert np.array_equal(res.Theta, Theta)
-    assert res.diagnostics == diagnostics
+    assert {key: res.diagnostics[key] for key in diagnostics} == diagnostics
 
 
-def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, monkeypatch, schedule):
-    # the LU may run beside cond(S): a zero pivot must neither warn nor pre-empt the gate
+@pytest.mark.parametrize("case", ["hand", "harmonic_subset", "cubic_coarse"])
+def test_cond_S_bounds_the_two_norm_condition_number(case, request):
+    es = _case(case, request)
+    res = _quiet_metric(es)
+    assert res.diagnostics["cond_S"] >= np.linalg.cond(res.S)
+
+
+@pytest.mark.parametrize("case", ["hand", "harmonic_subset"])
+def test_cond_theta_is_the_two_norm_one_when_w_is_identity(case, request):
+    # Theta is Hermitian here, so its singular values are its |eigenvalues|
+    es = _case(case, request)
+    span = _serial_metric(es)[3]
+    res = _quiet_metric(es)
+    assert res.diagnostics["cond_Theta"] == pytest.approx(np.linalg.cond(span), rel=1e-8)
+
+
+def test_planted_ill_conditioned_overlap_fails_the_gate(harmonic_small, monkeypatch):
+    # S = U diag(1, ..., 1/2e12) V^dag: cond_2(S) = 2e12, twice the threshold
+    _, _, es_sub = harmonic_small
+    m = es_sub.m
+    rng = np.random.default_rng(3)
+    U, V = (
+        np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        for _ in range(2)
+    )
+    S = (U * np.geomspace(1.0, 1.0 / 2e12, m)[np.newaxis, :]) @ V.conj().T
+    assert np.linalg.cond(S) == pytest.approx(2e12, rel=1e-2)
+    monkeypatch.setattr(metric, "build_S", lambda es: S)
+    with pytest.warns(IncompleteBasisWarning), pytest.raises(IllConditionedS):
+        metric.build_metric(es_sub)
+
+
+def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, monkeypatch):
+    # an exact zero pivot reads as cond_S = inf: the gate, not the LU, names it
     _, _, es_sub = harmonic_small
     monkeypatch.setattr(metric, "build_S", lambda es: np.zeros((es.m, es.m), dtype=complex))
-    threads = threading.active_count()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(IllConditionedS):
             metric.build_metric(es_sub)
-    assert threading.active_count() == threads
     assert not [w for w in caught if issubclass(w.category, scipy.linalg.LinAlgWarning)]
 
 
-class _Boom(Exception):
-    pass
-
-
-@pytest.mark.parametrize(
-    "name, fail_at", [("cond", 0), ("cond", 1), ("qr", 0)], ids=["cond-S", "cond-span", "qr"]
-)
-def test_a_failing_dense_step_propagates_and_leaves_no_thread(
-    harmonic_small, monkeypatch, schedule, name, fail_at
-):
-    # the condition numbers run on the worker thread, the QR on the main one
-    _, _, es_sub = harmonic_small
-    real = getattr(np.linalg, name)
-    boom = _Boom(name)
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > fail_at:
-            raise boom
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, failing)
-    threads = threading.active_count()
-    with pytest.warns(IncompleteBasisWarning), pytest.raises(_Boom) as excinfo:
-        metric.build_metric(es_sub)
-    assert excinfo.value is boom
-    assert len(calls) == fail_at + 1
-    assert threading.active_count() == threads
+def test_zero_theta_eigenvalue_reads_infinite_cond_without_a_warning(hand_result, monkeypatch):
+    # M = diag(1, 0) makes Theta = L diag(1, 0) L^dag rank one
+    es, _ = hand_result
+    monkeypatch.setattr(metric, "_invert_full", lambda S: np.diag([1.0, 0.0]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = metric.build_metric(es)
+    assert res.diagnostics["cond_Theta"] == np.inf
