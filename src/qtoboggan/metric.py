@@ -10,12 +10,19 @@ ambiguity as an argument, degenerates to the single-series expansion when
 W = I, and realizes physical-space operators through the Hermitian square
 root of Theta.  W enters only through its diagonal, as row and column scalings,
 and H only through its bands.
+
+A PT-symmetric W = I eigensystem whose retained eigenvalues are all exactly
+real, with sigma = 1, is built in the real PT basis: each ket and double-ket
+is U y p with U = (I + iP)/sqrt(2), y real and p a unit phase, so S, S^{-1},
+Theta and the span's eigenvalues come from real matrices and Theta is mapped
+back by U in O(n^2).  The similarity is exact, so the result agrees with the
+complex chain to rounding; every other eigensystem takes the complex chain.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -28,7 +35,7 @@ from .errors import (
     NonPositiveTheta,
     SingularTheta,
 )
-from .spectra import Eigensystem
+from .spectra import Eigensystem, _operator_from_real_basis, _to_real_basis
 
 __all__ = [
     "MetricResult",
@@ -80,7 +87,37 @@ def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
     lu, piv, info = getrf(S)
     if info > 0:
         return None
-    return getrs(lu, piv, np.eye(S.shape[0], dtype=complex))[0]
+    return getrs(lu, piv, np.eye(S.shape[0], dtype=S.dtype))[0]
+
+
+def _real_frame(es: Eigensystem) -> Tuple[Eigensystem, Optional[np.ndarray]]:
+    """(es in the real PT basis, its column phases p), or (es, None) if it has none.
+
+    For a PT-symmetric W = I pair the real-basis eigensolve gives each mode of
+    exactly real lambda as U y with y real; normalization leaves U y p for
+    both kets and double-kets, one unit phase p per column, since sigma = 1
+    makes their phases equal up to sign.  Returns es with the real y as its
+    kets, W = I held as real ones, and p, read from the largest-modulus entry
+    of each column of U^dag R.
+    """
+    pair = es.pair
+    if not (
+        pair.pt_symmetric
+        and np.all(pair.w_diag == 1.0)
+        and not es.lambdas.imag.any()
+        and np.all(es.sigmas == 1.0)
+    ):
+        return es, None
+    Z = _to_real_basis(es.right)
+    anchor = Z[np.argmax(np.abs(Z), axis=0), np.arange(es.m)]
+    phase = anchor / np.abs(anchor)
+    frame = replace(
+        es,
+        pair=replace(pair, w_diag=pair.w_diag.real),
+        right=(Z / phase).real,
+        left=(_to_real_basis(es.left) / phase).real,
+    )
+    return frame, phase
 
 
 def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
@@ -96,7 +133,8 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     m; an exact zero pivot reads as inf.  cond_Theta is the ratio of the
     largest to the smallest |eigenvalue| of the Hermitian part of Theta on the
     span, the eigenvalues min_eig is read from; it is cond_2 when Theta is
-    Hermitian.
+    Hermitian.  An eigensystem `_real_frame` accepts runs the same chain on its
+    real kets and maps S, M and Theta back (see the module docstring).
     """
     pair = es.pair
     n, m = pair.n, es.m
@@ -111,6 +149,11 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
             IncompleteBasisWarning,
             stacklevel=2,
         )
+    es, phase = _real_frame(es)
+    k = kappa
+    if phase is not None:
+        # a real kappa keeps the chain real; a complex one makes Theta complex
+        k = kappa if kappa.imag.any() else kappa.real
     S = build_S(es)
     M = _invert_full(S)
     cond_S = np.inf
@@ -119,9 +162,9 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         cond_S = float(np.sqrt(np.prod(norms)))
     if not cond_S <= COND_S_THRESHOLD:
         raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
-    w = pair.w_diag
-    A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
-    B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
+    w = es.pair.w_diag
+    A = (w.conj()[:, np.newaxis] * es.left) * k.conj()[np.newaxis, :]
+    B = k[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
     Theta = A @ M @ B
     # freed before the residuals allocate theirs: this sets the peak memory
     del A, B
@@ -132,6 +175,13 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         span = Q.conj().T @ Theta @ Q
         del Q
     eigs = scipy.linalg.eigvalsh((span + span.conj().T) / 2.0)
+    # the real frame's kets go before the residuals too
+    del span, es
+    if phase is not None:
+        # S = diag(conj p) S_r diag(p), and M alike; Theta = U Theta_r U^dag
+        rephase = phase.conj()[:, np.newaxis] * phase[np.newaxis, :]
+        S, M = S * rephase, M * rephase
+        Theta = _operator_from_real_basis(Theta)
     mag = np.abs(eigs)
     quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
     diagnostics = {

@@ -29,7 +29,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .contour import ContourSpec
-from .errors import ConfigError, require_real
+from .errors import ConfigError, require_int, require_real
 
 __all__ = [
     "ModelSpec",
@@ -206,10 +206,12 @@ def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
     if unknown:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
     try:
-        coeffs = {
-            int(k): complex(require_real("model.coeffs", re), require_real("model.coeffs", im))
-            for k, re, im in payload.get("coeffs", [])
-        }
+        coeffs = {}
+        for k, re, im in payload.get("coeffs", []):
+            require_int("model.coeffs power", k)
+            if k in coeffs:
+                raise ConfigError(f"model.coeffs lists power {k} twice")
+            coeffs[k] = complex(require_real("model.coeffs", re), require_real("model.coeffs", im))
         spec = ModelSpec(
             ell=require_real("model.ell", payload.get("ell", 0.0)),
             coeffs=coeffs,

@@ -13,7 +13,8 @@ With W = I the problem is standard; if the pair is also PT-symmetric
 U^dag H U = Re H - (Im H) P is real, so one real eigensolve yields the same
 eigenpairs, mapped back by U.  The similarity is exact, not a perturbation:
 only rounding separates the two, and real eigenvalues come out exactly real.
-Other W = I pairs take the complex standard eigensolve.
+Other W = I pairs take the complex standard eigensolve.  The metric layer
+builds Theta for such a PT pair in the same real basis, through U^dag.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def _pt_real_form(bands: np.ndarray) -> np.ndarray:
 def _from_real_basis(Y: np.ndarray) -> np.ndarray:
     """U Y with U = (I + iP)/sqrt(2): eigenvectors of A to those of H."""
     return (Y + 1j * Y[::-1]) / np.sqrt(2.0)
+
+
+def _to_real_basis(V: np.ndarray) -> np.ndarray:
+    """U^dag V with U = (I + iP)/sqrt(2): eigenvectors of H to those of A."""
+    return (V - 1j * V[::-1]) / np.sqrt(2.0)
+
+
+def _operator_from_real_basis(X: np.ndarray) -> np.ndarray:
+    """U X U^dag = ((X + P X P) + i (P X - X P)) / 2, from reversed views in O(n^2)."""
+    T = 1j * (X[::-1] - X[:, ::-1])
+    T += X
+    T += X[::-1, ::-1]
+    T *= 0.5
+    return T
 
 
 def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:

@@ -166,6 +166,23 @@ def test_bool_in_a_real_field_exits_4(tmp_path, capsys, override):
     assert "must be a real number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ("[[2.5, 1.0, 0.0]]", "model.coeffs power must be an integer"),
+        ("[[true, 1.0, 0.0]]", "model.coeffs power must be an integer"),
+        ("[[2, 1.0, 0.0], [2, 0.5, 0.0]]", "model.coeffs lists power 2 twice"),
+    ],
+)
+def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
+    # 2.5 used to run as x^2, true as a linear term, and a repeated power kept its last entry
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", "shoot", "--override", f"model.coeffs={coeffs}",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -507,6 +524,19 @@ def test_validate_homogeneity_check_catches_a_conjugation_slip(tmp_path, capsys,
     assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)[:14]
     # |c|^2 |e^{2i phi} - 1| = 2.25 * 2 sin(0.7) at c = 1.5 e^{0.7i}
     assert entries[-1]["value"] == pytest.approx(4.5 * np.sin(0.7), rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
+def test_validate_builds_both_homogeneity_metrics_in_one_frame(tmp_path):
+    # Theta[c 1] and Theta[1] both come from the real PT basis on this config:
+    # their ratio is |c|^2 to rounding, far inside the 1e-12 limit
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    out = tmp_path / "v"
+    assert cli.main(["--config", config, "--command", "validate", "--out", str(out)]) == 0
+    checks = json.loads((out / "validate.json").read_text())["checks"]
+    assert len(checks) == 19
+    homogeneity = next(item for item in checks if item["name"] == "kappa_homogeneity")
+    assert homogeneity["value"] <= 1e-14
 
 
 def test_exit_codes(tmp_path):

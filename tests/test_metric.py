@@ -166,31 +166,62 @@ def test_theta_eigenvector_residual_tells_the_metric_from_impostors(harmonic_sma
     assert metric.theta_eigenvector_residual(cubic_coarse, res.Theta) > 1e-4
 
 
-def _serial_metric(es):
-    """build_metric's dense steps one after another (kappa = 1), minus the condition numbers."""
-    pair, n, m = es.pair, es.pair.n, es.m
-    S = metric.build_S(es)
-    M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(m, dtype=complex))
-    w, kappa = pair.w_diag, np.ones(m, dtype=complex)
-    A = (w.conj()[:, np.newaxis] * es.left) * kappa.conj()[np.newaxis, :]
-    B = kappa[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
+def _serial_chain(left, right, w, kappa):
+    """build_metric's dense steps one after another: (S, M, Theta, span, eigenvalues)."""
+    n, m = right.shape
+    S = left.conj().T @ (w[:, np.newaxis] * (w[:, np.newaxis] * right))
+    M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(m, dtype=S.dtype))
+    A = (w.conj()[:, np.newaxis] * left) * kappa.conj()[np.newaxis, :]
+    B = kappa[:, np.newaxis] * (left.conj().T * w[np.newaxis, :])
     Theta = A @ M @ B
     span = Theta
     if m < n:
-        Q, _ = np.linalg.qr(es.right)
+        Q, _ = np.linalg.qr(right)
         span = Q.conj().T @ Theta @ Q
-    min_eig = float(scipy.linalg.eigvalsh((span + span.conj().T) / 2.0).min())
+    return S, M, Theta, span, scipy.linalg.eigvalsh((span + span.conj().T) / 2.0)
+
+
+def _serial_diagnostics(pair, Theta, eigs):
+    """build_metric's diagnostics of Theta, minus cond_S."""
+    w = pair.w_diag
     tnorm = np.linalg.norm(Theta)
     Hd_theta = discrete.band_matmul(pair.bands, Theta, adjoint=True)
     theta_H = discrete.band_matmul(pair.bands, Theta.conj().T, adjoint=True).conj().T
     quasiW = w.conj()[:, np.newaxis] * Theta - Theta * w[np.newaxis, :]
-    diagnostics = {
+    mag = np.abs(eigs)
+    return {
         "quasiH": float(np.linalg.norm(Hd_theta - theta_H) / (tnorm * np.linalg.norm(pair.bands))),
         "quasiW": float(np.linalg.norm(quasiW) / (tnorm * np.linalg.norm(w))),
         "hermiticity": float(np.linalg.norm(Theta - Theta.conj().T) / np.linalg.norm(Theta)),
-        "min_eig": min_eig,
+        "min_eig": float(eigs.min()),
+        "cond_Theta": float(mag.max() / mag.min()),
     }
-    return S, M, Theta, span, diagnostics
+
+
+def _serial_metric(es, kappa=None):
+    """The complex chain on the stored kets."""
+    kappa = np.ones(es.m, dtype=complex) if kappa is None else kappa
+    S, M, Theta, span, eigs = _serial_chain(es.left, es.right, es.pair.w_diag, kappa)
+    return S, M, Theta, span, _serial_diagnostics(es.pair, Theta, eigs)
+
+
+def _frame_serial_metric(es):
+    """The real PT-basis chain (kappa = 1): U^dag R = Y_R diag(p), U^dag L = Y_L diag(p).
+
+    U = (I + iP)/sqrt(2); S and M return as diag(conj p) X diag(p), and
+    Theta as U Theta_r U^dag = ((X + PXP) + i (PX - XP)) / 2.
+    """
+    def u_dag(V):
+        return (V - 1j * V[::-1]) / np.sqrt(2.0)
+
+    Z = u_dag(es.right)
+    anchor = Z[np.argmax(np.abs(Z), axis=0), np.arange(es.m)]
+    phase = anchor / np.abs(anchor)
+    YR, YL = (Z / phase).real, (u_dag(es.left) / phase).real
+    S, M, X, span, eigs = _serial_chain(YL, YR, np.ones(es.pair.n), np.ones(es.m))
+    rephase = phase.conj()[:, np.newaxis] * phase[np.newaxis, :]
+    Theta = 0.5 * ((X + X[::-1, ::-1]) + 1j * (X[::-1] - X[:, ::-1]))
+    return S * rephase, M * rephase, Theta, span, _serial_diagnostics(es.pair, Theta, eigs)
 
 
 def _case(case, request):
@@ -198,24 +229,57 @@ def _case(case, request):
         return request.getfixturevalue("hand_result")[0]
     if case == "harmonic_subset":
         return request.getfixturevalue("harmonic_small")[2]
+    if case == "harmonic_one_complex_mode":
+        # PT-symmetric with W = I, but one retained mode of a broken pair
+        es_full = request.getfixturevalue("harmonic_small")[1]
+        lam = es_full.lambdas
+        complex_modes = np.flatnonzero(lam.imag != 0)
+        return es_full.take(np.append(np.flatnonzero(lam.imag == 0), complex_modes[0]))
+    if case == "harmonic_unnormalized":
+        # real modes of a PT-symmetric W = I pair, but sigma != 1: ket and
+        # double-ket phases are unrelated, so no real basis holds both
+        pair = request.getfixturevalue("harmonic_small")[0]
+        return spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
     return request.getfixturevalue("cubic_coarse")
 
 
-def _quiet_metric(es):
+def _quiet_metric(es, kappa=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IncompleteBasisWarning)
-        return metric.build_metric(es)
+        return metric.build_metric(es, kappa=kappa)
 
 
-@pytest.mark.parametrize("case", ["hand", "harmonic_subset", "cubic_coarse"])
+@pytest.mark.parametrize(
+    "case",
+    ["hand", "harmonic_subset", "cubic_coarse", "harmonic_one_complex_mode", "harmonic_unnormalized"],
+)
 def test_metric_is_bitwise_the_serial_one(case, request):
+    # only the PT-symmetric W = I set with every retained lambda real and
+    # sigma = 1 takes the real basis
     es = _case(case, request)
-    S, M, Theta, _, diagnostics = _serial_metric(es)
+    in_frame = case == "harmonic_subset"
+    assert (metric._real_frame(es)[1] is not None) == in_frame
+    S, M, Theta, _, diagnostics = (_frame_serial_metric if in_frame else _serial_metric)(es)
     res = _quiet_metric(es)
     assert np.array_equal(res.S, S)
     assert np.array_equal(res.M, M)
     assert np.array_equal(res.Theta, Theta)
     assert {key: res.diagnostics[key] for key in diagnostics} == diagnostics
+
+
+@pytest.mark.parametrize("kappa", ["one", "complex"])
+def test_real_frame_agrees_with_the_complex_chain(harmonic_small, kappa):
+    es = harmonic_small[2]
+    rng = np.random.default_rng(5)
+    kappa = None if kappa == "one" else rng.uniform(0.5, 2.0, es.m) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, es.m)
+    )
+    S, M, Theta, _, diagnostics = _serial_metric(es, kappa)
+    res = _quiet_metric(es, kappa)
+    for got, want in ((res.Theta, Theta), (res.S, S), (res.M, M)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for key in ("min_eig", "cond_Theta"):
+        assert res.diagnostics[key] == pytest.approx(diagnostics[key], rel=1e-8)
 
 
 @pytest.mark.parametrize("case", ["hand", "harmonic_subset", "cubic_coarse"])
@@ -245,20 +309,27 @@ def test_planted_ill_conditioned_overlap_fails_the_gate(harmonic_small, monkeypa
     )
     S = (U * np.geomspace(1.0, 1.0 / 2e12, m)[np.newaxis, :]) @ V.conj().T
     assert np.linalg.cond(S) == pytest.approx(2e12, rel=1e-2)
-    monkeypatch.setattr(metric, "build_S", lambda es: S)
+    # the real-basis chain forms S through build_S too: it is handed the real kets
+    handed = []
+    monkeypatch.setattr(metric, "build_S", lambda es: handed.append(es.right.dtype) or S)
     with pytest.warns(IncompleteBasisWarning), pytest.raises(IllConditionedS):
         metric.build_metric(es_sub)
+    assert handed == [np.dtype(float)]
 
 
 def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, monkeypatch):
     # an exact zero pivot reads as cond_S = inf: the gate, not the LU, names it
     _, _, es_sub = harmonic_small
-    monkeypatch.setattr(metric, "build_S", lambda es: np.zeros((es.m, es.m), dtype=complex))
+    handed = []
+    monkeypatch.setattr(
+        metric, "build_S", lambda es: handed.append(es.right.dtype) or np.zeros((es.m, es.m))
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(IllConditionedS):
             metric.build_metric(es_sub)
     assert not [w for w in caught if issubclass(w.category, scipy.linalg.LinAlgWarning)]
+    assert handed == [np.dtype(float)]
 
 
 def test_zero_theta_eigenvalue_reads_infinite_cond_without_a_warning(hand_result, monkeypatch):
