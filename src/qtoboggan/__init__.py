@@ -1,23 +1,5 @@
-"""qtoboggan: eigenproblems on winding complex contours, rectified and certified.
-
-Subpackages are imported lazily so that process-level knobs (for example the
-TOBOGGAN_THREADS cap applied by the CLI) take effect before numpy loads.
-"""
-
-from importlib import import_module
+"""qtoboggan: eigenproblems on winding complex contours, rectified and certified."""
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("contour", "model", "discrete", "spectra", "metric", "shoot", "cli", "errors")
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)
+__all__ = ["__version__"]

@@ -8,22 +8,26 @@ validate takes its identity checks from one ordered, lazy sequence
 (`_validate_checks`), prints a PASS/FAIL line per check, stops at the first
 failure, and writes every check it ran to validate.json.
 
-Heavy numeric imports are deferred until after the TOBOGGAN_THREADS
-environment variable has been applied, so BLAS thread caps take effect.
+The BLAS thread count is capped, if at all, by OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS or MKL_NUM_THREADS set before launch.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from . import discrete, model, shoot, spectra
 from .errors import (
     ConfigError,
     IllConditionedS,
@@ -42,16 +46,7 @@ __all__ = ["RunConfig", "load_config", "run", "report_render", "main"]
 SCHEMA_VERSION = 1
 _TOP_KEYS = {"version", "command", "model", "grid", "shoot", "tolerances", "output_dir", "seed"}
 _GRID_KEYS = {"half_width", "n"}
-_SHOOT_KEYS = {
-    "gamma_max",
-    "steps",
-    "root_tol",
-    "max_iter",
-    "phase_resolution",
-    "seed_ratio",
-    "guesses",
-    "scan",
-}
+_SHOOT_KEYS = {f.name for f in fields(shoot.ShootConfig)} | {"guesses", "scan"}
 _SCAN_KEYS = {"start", "stop", "count"}
 _COMMANDS = ("spectrum", "metric", "shoot", "compare", "validate")
 _DIAG_SCHEMA = ("quasiH", "quasiW", "hermiticity", "min_eig", "cond_S", "cond_Theta")
@@ -128,14 +123,11 @@ def _check_keys(section: str, payload: Any, allowed: set) -> None:
 
 def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
     """Validate the raw config mapping and build the typed RunConfig."""
-    from .discrete import GridSpec
-    from .model import model_from_dict
-    from .shoot import ShootConfig
-
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     if "version" not in raw:
         raise SchemaMismatch("config is missing the schema 'version' field")
+    require_int("version", raw["version"])
     if raw["version"] != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"config schema version {raw['version']!r} != supported {SCHEMA_VERSION}"
@@ -143,13 +135,13 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
     _check_keys("config", raw, _TOP_KEYS)
     if "model" not in raw:
         raise ConfigError("config is missing the 'model' section")
-    model, contour = model_from_dict(raw["model"])
+    model_spec, contour = model.model_from_dict(raw["model"])
 
     grid = None
     if "grid" in raw:
         _check_keys("grid", raw["grid"], _GRID_KEYS)
         try:
-            grid = GridSpec(
+            grid = discrete.GridSpec(
                 half_width=require_real("grid.half_width", raw["grid"]["half_width"]),
                 n=raw["grid"]["n"],
                 epsilon=contour.epsilon,
@@ -176,10 +168,12 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
         _check_keys("shoot", raw["shoot"], _SHOOT_KEYS)
         section = dict(raw["shoot"])
         raw_guesses = section.pop("guesses", [])
-        try:
-            guesses = [complex(g) if not isinstance(g, list) else complex(*g) for g in raw_guesses]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed shoot.guesses: {exc}") from exc
+        if not isinstance(raw_guesses, list):
+            raise ConfigError(f"shoot.guesses must be a list, got {raw_guesses!r}")
+        for j, g in enumerate(raw_guesses):
+            # a real number, or a [re, im] pair of real numbers
+            parts = g if isinstance(g, list) and len(g) == 2 else [g]
+            guesses.append(complex(*(require_real(f"shoot.guesses[{j}]", p) for p in parts)))
         if "scan" in section:
             scan_raw = section.pop("scan")
             _check_keys("shoot.scan", scan_raw, _SCAN_KEYS)
@@ -195,7 +189,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
             if scan["count"] < 2:
                 raise ConfigError("shoot.scan.count must be >= 2")
         try:
-            shoot_cfg = ShootConfig(**section)
+            shoot_cfg = shoot.ShootConfig(**section)
         except TypeError as exc:
             raise ConfigError(f"malformed shoot section: {exc}") from exc
 
@@ -207,7 +201,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
 
     return RunConfig(
-        model=model,
+        model=model_spec,
         contour=contour,
         grid=grid,
         command=command,
@@ -281,8 +275,6 @@ def _grid_eigensystem(config: RunConfig):
     es_raw is the unfiltered, unnormalized solve, so a caller can normalize the
     complete mode set without solving twice.
     """
-    from . import discrete, model, spectra
-
     rect = model.rectify_model(config.model, config.contour.winding)
     pair = discrete.build_operators(rect, config.grid)
     es_raw = spectra.solve_generalized(pair, tol=config.tolerances["pairing"])
@@ -292,10 +284,6 @@ def _grid_eigensystem(config: RunConfig):
 
 
 def _write_spectrum_artifacts(out_dir: str, es) -> None:
-    import numpy as np
-
-    from . import discrete, spectra
-
     pair = es.pair
     spectra.save_spectrum_csv(es, os.path.join(out_dir, "spectrum.csv"))
     gram_off = es.gram - np.eye(es.m)
@@ -334,7 +322,7 @@ def _metric_gates(tol: Dict[str, float]) -> List[Tuple[str, str, float, bool]]:
 
 
 def _cmd_metric(config: RunConfig, out_dir: str) -> int:
-    from . import discrete, metric
+    from . import metric  # loads scipy.linalg, which compare and shoot never load
 
     _require_grid(config)
     es = _grid_eigensystem(config)[0]
@@ -358,10 +346,6 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
 
 
 def _shoot_roots(config: RunConfig):
-    import numpy as np
-
-    from . import shoot
-
     roots = shoot.find_eigenvalues(
         config.model, config.contour, config.shoot_cfg, search=config.guesses
     )
@@ -369,12 +353,6 @@ def _shoot_roots(config: RunConfig):
 
 
 def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
-    import csv
-
-    import numpy as np
-
-    from . import shoot
-
     _require_shoot(config)
     roots = _shoot_roots(config)
     with open(os.path.join(out_dir, "roots.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -398,8 +376,6 @@ def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
 
 def _pair_guesses(guesses, roots) -> Dict[int, int]:
     """One root per guess, nearest pairs first: {guess index: root index}."""
-    import numpy as np
-
     dist = np.abs(guesses[:, np.newaxis] - roots[np.newaxis, :])
     pairs: Dict[int, int] = {}
     for flat in np.argsort(dist, axis=None, kind="stable"):
@@ -421,12 +397,6 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
     A guess without a converged root, or whose root shares its grid mode with
     a nearer root, is listed in compare.json and makes the command exit 2.
     """
-    import csv
-
-    import numpy as np
-
-    from . import discrete, model, spectra
-
     _require_grid(config)
     _require_shoot(config)
     tol = config.tolerances
@@ -519,9 +489,7 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
     checks (full_set_biorthogonal, full_set_metric_conditioning) and the
     failing branches of the shooting checks end the sequence.
     """
-    import numpy as np
-
-    from . import discrete, metric, spectra
+    from . import metric  # loads scipy.linalg, which compare and shoot never load
 
     tol = config.tolerances
     rng = np.random.default_rng(config.seed)
@@ -547,10 +515,11 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
     es_k = spectra.apply_kappa(es, kappa)
     gram_k = es_k.left.conj().T @ (es.pair.w_diag[:, np.newaxis] * es_k.right)
-    # Rescaling moves each gram entry by exactly kappa_i / kappa_j; compare
-    # against that prediction so solver noise in the off-diagonals cancels.
-    predicted = (kappa[:, None] / kappa[None, :]) * es.gram
-    gram_drift = float(np.abs(gram_k - predicted).max())
+    # Rescaling moves each gram entry by exactly kappa_i / kappa_j.  Undoing
+    # that on gram_k, rather than dressing es.gram with it, cancels solver noise
+    # in the off-diagonals without amplifying rounding by |kappa_i / kappa_j|.
+    undressed = gram_k * (kappa[np.newaxis, :] / kappa[:, np.newaxis])
+    gram_drift = float(np.abs(undressed - es.gram).max())
     yield "kappa_gram_drift", gram_drift, tol["kappa_invariance"], False
     kappa_all = rng.uniform(0.5, 2.0, es_all.m) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, es_all.m)
@@ -593,8 +562,6 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
 
     if config.shoot_cfg is None or not config.guesses:
         return
-    from . import shoot
-
     roots1 = _shoot_roots(config)
     contour2 = replace(config.contour, epsilon=2.0 * config.contour.epsilon)
     roots2 = _shoot_roots(replace(config, contour=contour2))
@@ -677,21 +644,7 @@ def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str]
     return handler(config, target)
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TOBOGGAN_THREADS")
-    if not cap:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, cap)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="qtoboggan",
         description="Winding-contour eigenproblems: rectified spectra, metric operators, shooting.",

@@ -62,7 +62,7 @@ class IllConditionedS(QTobogganError):
 
 
 class SingularTheta(QTobogganError):
-    """The metric candidate is singular or non-finite."""
+    """The metric candidate has non-finite entries."""
 
 
 class NonPositiveTheta(QTobogganError):

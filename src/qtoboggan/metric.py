@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 COND_S_THRESHOLD = 1e12
+# physical_operators raises NonPositiveTheta above this Hermiticity residual
+HERMITICITY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +185,7 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         S, M = S * rephase, M * rephase
         Theta = _operator_from_real_basis(Theta)
     mag = np.abs(eigs)
-    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, check_invertible=False)
+    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair)
     diagnostics = {
         "quasiH": quasiH,
         "quasiW": quasiW,
@@ -195,20 +197,15 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     return MetricResult(S=S, M=M, Theta=Theta, diagnostics=diagnostics, kappa_used=kappa)
 
 
-def quasi_hermiticity_residuals(
-    theta: np.ndarray, pair: OperatorPair, check_invertible: bool = True
-) -> Tuple[float, float]:
-    """(||H^dag Theta - Theta H||_F, same for W), each / (||Theta||_F * ||op||_F)."""
+def quasi_hermiticity_residuals(theta: np.ndarray, pair: OperatorPair) -> Tuple[float, float]:
+    """(||H^dag Theta - Theta H||_F, same for W), each / (||Theta||_F * ||op||_F).
+
+    A singular Theta is not rejected here: build_metric reports it through
+    min_eig and cond_Theta.
+    """
     w = pair.w_diag
     if not np.all(np.isfinite(theta)):
         raise SingularTheta("Theta contains non-finite entries")
-    if check_invertible:
-        with warnings.catch_warnings():
-            # singularity is detected from the pivots below, not the warning
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, _ = scipy.linalg.lu_factor(theta)
-        if np.abs(np.diag(lu)).min() == 0.0:
-            raise SingularTheta("Theta is numerically singular")
     tnorm = np.linalg.norm(theta)
     # Theta H is the adjoint of H^dag Theta^dag.  In place: this sets the layer's peak memory
     theta_H = band_matmul(pair.bands, theta.conj().T, adjoint=True)
@@ -234,17 +231,17 @@ def positivity_report(theta: np.ndarray) -> Tuple[float, float]:
     return _hermiticity(theta), min_eig
 
 
-def physical_operators(
-    pair: OperatorPair, theta: np.ndarray, herm_tol: float = 1e-6
-) -> Tuple[float, float]:
+def physical_operators(pair: OperatorPair, theta: np.ndarray) -> Tuple[float, float]:
     """Hermiticity residuals of h = Omega H Omega^-1 and w = Omega W Omega^-1.
 
     Omega = Theta^{1/2} (principal Hermitian square root) is the
     representative factor of Theta = Omega^dag Omega.
     """
     herm = _hermiticity(theta)
-    if herm > herm_tol:
-        raise NonPositiveTheta(f"Theta Hermiticity residual {herm:.3e} exceeds {herm_tol:.1e}")
+    if herm > HERMITICITY_TOL:
+        raise NonPositiveTheta(
+            f"Theta Hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
     d, Q = scipy.linalg.eigh((theta + theta.conj().T) / 2.0)
     if d.min() <= 0.0:
         raise NonPositiveTheta(f"Hermitian part of Theta has min eigenvalue {d.min():.3e} <= 0")

@@ -58,6 +58,9 @@ __all__ = [
 # converges in 2-3 steps, one halfway between two modes never does.
 INVERSE_ITERATION_STEPS = 100
 
+# quasiparity_leftkets raises VanishingParityOverlap below this |<n|P W|n>|
+PARITY_OVERLAP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
@@ -211,41 +214,38 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
 def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0) -> np.ndarray:
     """The k eigenvalues of H psi = lambda W psi nearest `sigma`, sorted by (Re, Im).
 
-    Shift-invert Arnoldi on the bands of H scaled by the diagonal of W, so
-    large n stays cheap; each Arnoldi value is then polished by banded
-    inverse iteration at it (`nearest_eigenpairs`), and SolverFailure is
-    raised if two of them polish to one mode.  Falls back to the dense QZ
-    solve when W is singular or k >= n - 1.
+    Shift-invert Arnoldi on the bands of H scaled by the diagonal of W (never
+    zero: build_operators rejects a vanishing weight), so large n stays cheap;
+    each Arnoldi value is then polished by banded inverse iteration at it
+    (`nearest_eigenpairs`), and SolverFailure is raised if two of them polish
+    to one mode.  ARPACK needs k < n - 1; a larger k raises ValueError.
     """
-    import scipy.linalg
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n, w = operators.n, operators.w_diag
-    if k >= n - 1 or not np.all(w != 0):
-        lam = scipy.linalg.eigvals(operators.H, operators.W)
-        lam = lam[np.argsort(np.abs(lam - sigma), kind="stable")[:k]]
-    else:
-        # H v = lam W v with invertible diagonal W is the standard problem
-        # (W^{-1} H) v = lam v; the dia format stores the bands as they are.
-        tri = sp.dia_matrix((operators.bands, (1, 0, -1)), shape=(n, n))
-        # a fixed start vector: ARPACK's random one makes ill-conditioned
-        # modes differ from call to call
-        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-        try:
-            lam = spla.eigs(
-                (sp.diags(1.0 / w) @ tri).tocsc(),
-                k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
-        # Arnoldi stops anywhere within its tolerance on ill-conditioned modes;
-        # inverse iteration at its values takes each to rounding level
-        lam = nearest_eigenpairs(operators, lam)[0]
-        gap = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
-        np.fill_diagonal(gap, np.inf)
-        if np.any(gap < 1e-8 * np.maximum(1.0, np.abs(lam))[:, np.newaxis]):
-            raise SolverFailure(f"two Arnoldi values polish to one mode: {lam}")
+    if k >= n - 1:
+        raise ValueError(f"shift-invert Arnoldi needs k < n - 1, got k={k} at n={n}")
+    # H v = lam W v with invertible diagonal W is the standard problem
+    # (W^{-1} H) v = lam v; the dia format stores the bands as they are.
+    tri = sp.dia_matrix((operators.bands, (1, 0, -1)), shape=(n, n))
+    # a fixed start vector: ARPACK's random one makes ill-conditioned
+    # modes differ from call to call
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    try:
+        lam = spla.eigs(
+            (sp.diags(1.0 / w) @ tri).tocsc(),
+            k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
+    # Arnoldi stops anywhere within its tolerance on ill-conditioned modes;
+    # inverse iteration at its values takes each to rounding level
+    lam = nearest_eigenpairs(operators, lam)[0]
+    gap = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
+    np.fill_diagonal(gap, np.inf)
+    if np.any(gap < 1e-8 * np.maximum(1.0, np.abs(lam))[:, np.newaxis]):
+        raise SolverFailure(f"two Arnoldi values polish to one mode: {lam}")
     return lam[np.lexsort((lam.imag, lam.real))]
 
 
@@ -425,9 +425,7 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
     )
 
 
-def quasiparity_leftkets(
-    es: Eigensystem, overlap_tol: float = 1e-12
-) -> Tuple[np.ndarray, np.ndarray]:
+def quasiparity_leftkets(es: Eigensystem) -> Tuple[np.ndarray, np.ndarray]:
     """Candidate double-kets built from parity alone: bra_n = Q_n * (P|n>)^dag.
 
     P is the index reversal and Q_n = 1/<n|P W|n> under the sigma = 1
@@ -437,7 +435,7 @@ def quasiparity_leftkets(
     """
     target = es.pair.w_diag[:, np.newaxis] * es.right
     overlaps = np.einsum("ij,ij->j", es.right.conj(), target[::-1])
-    if np.any(np.abs(overlaps) < overlap_tol):
+    if np.any(np.abs(overlaps) < PARITY_OVERLAP_FLOOR):
         j = int(np.argmin(np.abs(overlaps)))
         raise VanishingParityOverlap(
             f"mode {j} (lambda={es.lambdas[j]}) has |<n|P W|n>|={abs(overlaps[j]):.3e}"

@@ -63,6 +63,10 @@ def test_wrong_version_is_schema_mismatch():
         lambda c: c.update(shoot={"warp": 9}),
         lambda c: c.update(shoot={"scan": {"start": 0.0, "stop": 1.0, "count": 1}}),
         lambda c: c.update(tolerances={"residul": 1e-30}),
+        lambda c: c.update(version=True),
+        lambda c: c.update(version=1.0),
+        lambda c: c.update(shoot={"guesses": ["0.9", 2.8]}),
+        lambda c: c.update(shoot={"guesses": [[0.9, 0.0, 1.0]]}),
     ],
 )
 def test_malformed_sections_rejected(mutate):
@@ -155,6 +159,8 @@ def test_non_integer_in_an_integer_field_exits_4(tmp_path, capsys, override):
         "shoot.scan.start=true",
         "model.omega=true",
         "model.coeffs=[[2, true, 0.0]]",
+        "shoot.guesses=[true, 2.8]",
+        "shoot.guesses=[[true, false]]",
     ],
 )
 def test_bool_in_a_real_field_exits_4(tmp_path, capsys, override):
@@ -245,6 +251,7 @@ def test_metric_command(tmp_path, capsys):
     assert "quasiH" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
 def test_metric_failing_its_limits_exits_2(tmp_path, capsys):
     # the steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cubic_winding1.json")
@@ -355,13 +362,20 @@ def test_compare_two_roots_on_one_grid_mode_is_unmatched(tmp_path, monkeypatch):
     assert item["guess"] == [1.1, 0.0] and item["root"] == [1.0004, 0.0]
 
 
-def test_compare_mode_failing_its_residual_gate_exits_5(tmp_path):
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("tolerances.residual=1e-30", "has residual"),
+        # the grid mode's Im is rounding-level, never below 1e-30 * |Re|
+        ("tolerances.filter_im=1e-30", "is not real"),
+    ],
+    ids=["residual", "reality"],
+)
+def test_compare_mode_failing_its_residual_gate_exits_5(tmp_path, capsys, override, message):
     path = compare_config(tmp_path, [0.9])
-    code = cli.main(
-        ["--config", path, "--out", str(tmp_path / "c"),
-         "--override", "tolerances.residual=1e-30"]
-    )
+    code = cli.main(["--config", path, "--out", str(tmp_path / "c"), "--override", override])
     assert code == 5
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
@@ -483,6 +497,22 @@ def test_validate_reports_a_self_orthogonal_full_set(tmp_path, capsys, monkeypat
     assert stdout == "FAIL full_set_biorthogonal: inf <= 1.000000e-08\n"
 
 
+def test_validate_kappa_gram_check_catches_a_conjugation_slip(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from qtoboggan import spectra
+
+    def kappa_for_its_conjugate(es, kappa):
+        # double-kets dressed by kappa where conj(kappa) belongs
+        return replace(es, right=es.right / kappa, left=es.left * kappa)
+
+    monkeypatch.setattr(spectra, "apply_kappa", kappa_for_its_conjugate)
+    code, entries, _ = run_validate(tmp_path, capsys)
+    assert code == 2
+    assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)[:6]
+    assert entries[-1]["pass"] is False and entries[-1]["value"] > 0.1
+
+
 def test_validate_similarity_check_fails_with_the_identity_for_theta(tmp_path, capsys, monkeypatch):
     import numpy as np
 
@@ -537,6 +567,27 @@ def test_validate_builds_both_homogeneity_metrics_in_one_frame(tmp_path):
     assert len(checks) == 19
     homogeneity = next(item for item in checks if item["name"] == "kappa_homogeneity")
     assert homogeneity["value"] <= 1e-14
+
+
+def test_kappa_gram_check_passes_at_a_draw_the_dressed_comparison_failed(tmp_path):
+    # seed 12 draws the kappa that read 1.0147e-12 against the 1e-12 limit when
+    # es.gram was dressed by kappa_i / kappa_j; one BLAS thread fixes the rounding
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    out = tmp_path / "v"
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "qtoboggan.cli",
+         "--config", os.path.join(root, "configs", "harmonic_line.json"),
+         "--command", "validate", "--override", "seed=12", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    checks = json.loads((out / "validate.json").read_text())["checks"]
+    drift = next(item for item in checks if item["name"] == "kappa_gram_drift")
+    assert drift["pass"] and drift["value"] <= 1e-12
 
 
 def test_exit_codes(tmp_path):
@@ -610,13 +661,3 @@ def test_compare_and_shoot_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("TOBOGGAN_THREADS", "1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    cli.main(["--config", str(tmp_path / "missing.json")])
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"

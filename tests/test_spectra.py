@@ -196,12 +196,16 @@ def test_lowest_eigenvalues_matches_dense(harmonic_small):
     assert np.abs(low.imag).max() < 1e-9
 
 
-def test_lowest_eigenvalues_small_matrix_fallback():
-    low = spectra.lowest_eigenvalues(_pair([1.0, 2.0, 3.0, 4.0]), k=3, sigma=0.0)
-    assert np.allclose(low, [1.0, 2.0, 3.0])
+def test_lowest_eigenvalues_needs_k_below_n_minus_1():
+    # k = n - 2 is the largest k Arnoldi takes
+    low = spectra.lowest_eigenvalues(_pair([1.0, 2.0, 3.0, 4.0]), k=2, sigma=0.0)
+    assert np.allclose(low, [1.0, 2.0])
     # the k nearest sigma, still returned in (Re, Im) order
-    low = spectra.lowest_eigenvalues(_pair([3.0, 1.0, 2.0, 4.0]), k=3, sigma=2.6)
-    assert np.allclose(low, [2.0, 3.0, 4.0])
+    low = spectra.lowest_eigenvalues(_pair([3.0, 1.0, 2.0, 4.0]), k=2, sigma=2.6)
+    assert np.allclose(low, [2.0, 3.0])
+    # scipy's eigs would only warn here and fall back to a dense eig that ignores sigma
+    with pytest.raises(ValueError, match="k < n - 1"):
+        spectra.lowest_eigenvalues(_pair([3.0, 1.0, 2.0, 4.0]), k=3, sigma=2.6)
 
 
 def _mechanical_cubic_pair(cubic_model):
