@@ -6,18 +6,13 @@ integer-valued rational exponent k*(2N+1) + 4N, the centrifugal strength
 moves from ell to L = (2N+1)(ell + 1/2) - 1/2, and a weight multiplier
 (2N+1)^2 * r^(4N) appears on the eigenvalue side of the equation.
 
-The sign of the odd-power branch phases is convention-dependent; both
-choices are implemented behind the ``convention`` switch.  ``"mechanical"``
-multiplies c_k by (-1)^(N*k), which is what the literal contour
-parametrization z = -i (i r)^(2N+1) induces; the default ``"printed"``
-keeps the sign of c_k.  The two differ exactly when N and k are both odd --
-and in that case they are each other's parity conjugate (every rectified
-power k(2N+1)+4N is then odd, while the weight and centrifugal parts are
-even), i.e. the two parity-related line frames of one and the same spiral
-problem.  They are therefore exactly isospectral; eigenvalues, including
-the direct spiral-shooting cross-check in the test suite, agree under both
-and the choice only fixes which end of the line maps to which end of the
-spiral.
+Rectification is the literal image of the spiral under z = -i (i r)^(2N+1):
+dz/dr = (2N+1)(i r)^(2N), so (dz/dr)^2 = (2N+1)^2 r^(4N) is the weight, and
+z^k = (-i)^k (i r)^(k(2N+1)) multiplies c_k by the branch phase
+beta_k = (-1)^(N k).  The sign matters: reflecting r -> -r carries the line
+Im r = -eps across the pole at r = 0, so a frame that drops beta_k keeps the
+spectrum only when the solutions are single-valued around r = 0
+(L an integer); for L not an integer and N k odd it solves another problem.
 """
 
 from __future__ import annotations
@@ -38,10 +33,7 @@ __all__ = [
     "wavefunction_pullback",
     "wavefunction_pushforward",
     "model_from_dict",
-    "CONVENTIONS",
 ]
-
-CONVENTIONS = ("printed", "mechanical")
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,6 @@ class RectifiedModel:
     weight_prefactor: float
     weight_power: int
     winding: int
-    convention: str = "printed"
     pt_flag: bool = False
 
     @property
@@ -131,26 +122,20 @@ class RectifiedModel:
         return self.weight_prefactor * r ** self.weight_power
 
 
-def rectify_model(spec: ModelSpec, winding: int, convention: str = "printed") -> RectifiedModel:
+def rectify_model(spec: ModelSpec, winding: int) -> RectifiedModel:
     """Derive the rectified model at winding N.
 
-    Each term c_k z^k maps to beta_k * c_k * (2N+1)^2 * r^(k(2N+1)+4N) where
-    beta_k is +1 under the "printed" convention and (-1)^(N k) under the
-    "mechanical" one; exponent arithmetic is exact rational.
+    Each term c_k z^k maps to (-1)^(N k) * c_k * (2N+1)^2 * r^(k(2N+1)+4N);
+    exponent arithmetic is exact rational.
     """
     if winding < 0 or int(winding) != winding:
         raise ConfigError(f"winding must be a non-negative integer, got {winding}")
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
     n = int(winding)
     q = 2 * n + 1
     L = q * (spec.ell + 0.5) - 0.5
     rect: Dict[Fraction, complex] = {}
     for k, c in spec.effective_coeffs.items():
-        if convention == "printed":
-            beta = 1.0
-        else:
-            beta = (-1.0) ** (n * k)
+        beta = (-1.0) ** (n * k)
         p = Fraction(k * q + 4 * n)
         rect[p] = rect.get(p, 0.0) + beta * complex(c) * q**2
     return RectifiedModel(
@@ -159,7 +144,6 @@ def rectify_model(spec: ModelSpec, winding: int, convention: str = "printed") ->
         weight_prefactor=float(q**2),
         weight_power=4 * n,
         winding=n,
-        convention=convention,
         pt_flag=spec.pt_flag,
     )
 

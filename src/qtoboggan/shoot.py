@@ -62,6 +62,8 @@ _ENERGY_BLOCK = 8
 _PROFILE_KNEE = 1.2
 _PROFILE_HEAD = 6001
 _PROFILE_TAIL = 24001
+# integration steps per half-path; the shipped configs take 2,400-5,700
+_MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,8 @@ class ShootConfig:
 
     gamma_max: explicit truncation angle in (0, pi/2); None selects it
         automatically from the seed-ratio rule at the reference energy.
-    steps: minimum number of integration steps per half-path (>= 100).
+    steps: minimum number of integration steps per half-path, in
+        [100, _MAX_NODES].
     root_tol: convergence threshold on the normalized mismatch |F(E)|.
     max_iter: secant iteration cap per guess.
     phase_resolution: target local phase per step for the adaptive grid;
@@ -92,8 +95,8 @@ class ShootConfig:
             raise ConfigError(f"gamma_max must lie in (0, pi/2), got {gamma_max}")
         require_int("steps", self.steps)
         require_int("max_iter", self.max_iter)
-        if self.steps < 100:
-            raise ConfigError(f"steps must be >= 100, got {self.steps}")
+        if not 100 <= self.steps <= _MAX_NODES:
+            raise ConfigError(f"steps must lie in [100, {_MAX_NODES:,}], got {self.steps}")
         if not require_real("root_tol", self.root_tol) > 0:
             raise ConfigError("root_tol must be positive")
         if self.max_iter < 1:
@@ -198,8 +201,14 @@ def _build_halfpath(
             300.0, cfg.steps / span
         )
         ncum = _cumulative_trapezoid(dens, tm)
-        total = int(max(np.ceil(ncum[-1]), cfg.steps))
-        targets = np.linspace(0.0, ncum[-1], total + 1)
+        total = max(np.ceil(ncum[-1]), cfg.steps)
+        if not total <= _MAX_NODES:  # refused before anything of that size is allocated
+            raise ConfigError(
+                f"{side} half-path needs {total:,.0f} integration steps, over the budget of "
+                f"{_MAX_NODES:,}: the spiral's reach grows as rho^(2N+1), so this winding "
+                "and epsilon are too stiff to shoot"
+            )
+        targets = np.linspace(0.0, ncum[-1], int(total) + 1)
         nodes_t = np.interp(targets, ncum, tm)
         nodes_t[0] = 0.0
         nodes_t[-1] = t_end

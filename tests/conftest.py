@@ -13,7 +13,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from qtoboggan import discrete, model, shoot, spectra
+from qtoboggan import contour, discrete, model, shoot, spectra
 from qtoboggan.contour import ContourSpec
 
 # ---------------------------------------------------------------------------
@@ -37,6 +37,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 # ---------------------------------------------------------------------------
+# the rectification identity
+
+
+def rectification_residual(spec, winding, r):
+    """max |V_rect(r) - (q^2-1)/(4r^2) - W(r) V(z(r))| over the term magnitudes.
+
+    z = unrectify(r) = -i (i r)^q and W = (dz/dr)^2 = q^2 r^(4N), so the
+    rectified potential must be the spiral's times W, plus the Schwarzian
+    term (q^2-1)/(4r^2) = L(L+1) - q^2 ell(ell+1) that the centrifugal
+    strength gains (at ell = 0 that is all of L(L+1)/r^2).  The residual is
+    scaled by the sum of |term| of V_rect, the size of its rounding.
+    """
+    rect = model.rectify_model(spec, winding)
+    q = 2 * winding + 1
+    image = (q * q - 1) / (4 * r**2) + rect.weight(r) * spec.potential(contour.unrectify(r, winding))
+    scale = abs(rect.L * (rect.L + 1)) / np.abs(r) ** 2 + sum(
+        abs(c) * np.abs(r) ** float(p) for p, c in rect.rect_coeffs.items()
+    )
+    return float(np.max(np.abs(rect.potential(r) - image) / scale))
+
+
+# ---------------------------------------------------------------------------
 # models
 
 
@@ -55,6 +77,13 @@ def bb_model():
 def cubic_model():
     # Imaginary cubic with a harmonic confinement, the winding-1 showcase.
     return model.ModelSpec(ell=0.0, coeffs={3: 1j}, omega=1.0)
+
+
+@pytest.fixture(scope="session")
+def branch_model():
+    # ell = 0.3 at winding 1 gives L = 1.9: the solutions branch at r = 0, so
+    # the rectified spectrum depends on the sign the spiral fixes for r^13.
+    return model.ModelSpec(ell=0.3, coeffs={3: 0.3j}, omega=3.0)
 
 
 @pytest.fixture(scope="session")

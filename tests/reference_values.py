@@ -16,10 +16,11 @@ of the package code, then frozen:
 
 * ``CUBIC_TOBOGGAN_GRID_LOWEST`` — lowest real modes of the rectified
   winding-1 imaginary-cubic problem at the pinned grid (n=900, X=2.2,
-  eps=0.15), frozen from the convention-adjudication run
-  (``scripts/run_convention_adjudication.py``).  These serve as a regression
-  pin for the grid route; the acceptance test re-derives them live and also
-  cross-checks the independent shooting route against them.
+  eps=0.15), frozen from ``scripts/run_rectification_check.py``.  At ell = 0
+  the solutions have no branch point at r = 0, so these do not depend on the
+  sign of the odd rectified power.  These serve as a regression pin for the grid
+  route; the acceptance test re-derives them live and also cross-checks the
+  independent shooting route against them.
 """
 
 # Lowest 6 eigenvalues of -psi'' + i z^3 (straight shifted line, any eps):
@@ -42,8 +43,8 @@ SPIKED_LOWEST = [0.4, 3.6, 4.4, 7.6, 8.4]
 
 # Winding-1 imaginary cubic (omega=1), rectified grid route at the pinned
 # configuration n=900, X=2.2, eps=0.15 (regression freeze; grid truncation at
-# this resolution is visible from mode 3 upward, the refinement study in the
-# adjudication script shows both routes converge to common limits).
+# this resolution is visible from mode 3 upward; grid Richardson extrapolation
+# lands on the shooting values below).
 CUBIC_TOBOGGAN_GRID_LOWEST = [
     1.29177376,
     4.36877657,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import rectification_residual, record_criterion
 from reference_values import (
     CUBIC_LINE_LOWEST,
     CUBIC_TOBOGGAN_SHOOT_LOWEST,
@@ -23,7 +23,6 @@ from reference_values import (
 
 from qtoboggan import discrete, metric, model, shoot, spectra
 from qtoboggan.contour import ContourSpec
-from qtoboggan.errors import NoConvergence
 
 
 def _lowest(spec, winding, half_width, n, epsilon, k=5, sigma=0.0):
@@ -131,59 +130,46 @@ def test_criterion_4_spiked_epsilon_independence(spiked_model):
     assert ok, (ok_count, max_im, rel, ladder)
 
 
-def test_criterion_5_rectification_consistency(cubic_run, cubic_roots, cubic_model):
+def test_criterion_5_rectification_consistency(cubic_run, cubic_roots, cubic_model, branch_model):
     pair, es_full, es_sub = cubic_run
     grid3 = es_sub.lambdas[:3].real
     shoot3 = cubic_roots[:3].real
-    rel = float(np.abs(grid3 - shoot3).max() / np.abs(shoot3).min())
     rel_modes = np.abs(grid3 - shoot3) / np.abs(shoot3)
     consistent = bool(np.all(rel_modes < 1e-3))
 
-    # Branch-phase adjudication.  For odd winding the alternating-sign
-    # variant flips exactly the odd rectified powers, i.e. it is the parity
-    # conjugate of the default -- V_mech(r) == V_printed(-r) identically with
-    # even weight and centrifugal parts -- so the two conventions are two
-    # parity-related line frames of the SAME spiral problem and are exactly
-    # isospectral.  Eigenvalues cannot separate them; the complete
-    # adjudication outcome is (a) the default frame reproduces the
-    # convention-free spiral-shooting spectrum, (b) so does the variant, and
-    # (c) the frame identity holds to machine precision.
-    printed = model.rectify_model(cubic_model, 1)
-    mech = model.rectify_model(cubic_model, 1, convention="mechanical")
+    # The shipped cubic has ell = 0, so L = 1 is an integer and its spectrum
+    # does not depend on the winding at all: any sign of the odd rectified
+    # power reproduces it.  The branch vehicle (L = 1.9) does not forgive a
+    # wrong sign: its grid must meet the spiral's own roots, and the
+    # rectified potential must be the literal image of the spiral one.
+    cs = ContourSpec(epsilon=0.15, winding=1)
+    cfg = shoot.ShootConfig(phase_resolution=0.02, root_tol=1e-9)
+    branch_roots = shoot.find_eigenvalues(branch_model, cs, cfg, [1.2, 10.76, 13.26]).real
+    branch_pair = discrete.build_operators(
+        model.rectify_model(branch_model, 1),
+        discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15),
+    )
+    branch_grid = spectra.nearest_eigenpairs(branch_pair, branch_roots)[0].real
+    branch_rel = np.abs(branch_grid - branch_roots) / np.abs(branch_roots)
+    branch_consistent = len(branch_roots) == 3 and bool(np.all(branch_rel < 1e-3))
+
     rng = np.random.default_rng(5)
     r = rng.normal(size=64) + 1j * rng.normal(size=64)
-    scale = np.abs(printed.potential(-r)) + np.abs(printed.weight(-r))
-    frame_residual = float((
-        (np.abs(mech.potential(r) - printed.potential(-r))
-         + np.abs(mech.weight(r) - printed.weight(-r))) / scale
-    ).max())
-    parity_conjugate = frame_residual < 1e-14
+    identity = max(rectification_residual(spec, 1, r) for spec in (cubic_model, branch_model))
+    literal_image = identity < 1e-14
 
-    pair_m = discrete.build_operators(
-        mech, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15)
-    )
-    try:
-        lam_m = spectra.lowest_eigenvalues(pair_m, k=3, sigma=complex(shoot3[0]))
-        mech_dev = float(
-            max(np.abs(lam_m.real - shoot3) / np.abs(shoot3))
-        )
-    except NoConvergence:
-        mech_dev = np.inf
-    variant_consistent = mech_dev < 1e-3
-
-    ok = consistent and parity_conjugate and variant_consistent
+    ok = consistent and branch_consistent and literal_image
     record_criterion(
         5,
         ok,
-        f"winding-1 cubic: grid vs shooting rel deltas "
-        f"{', '.join(f'{d:.1e}' for d in rel_modes)} (<1e-3); sign variants "
-        f"are parity-conjugate frames (identity residual {frame_residual:.1e}), "
-        f"both match the spiral route (variant dev {mech_dev:.1e}), "
-        f"default frame retained",
+        f"winding-1 grid vs shooting rel deltas: cubic "
+        f"{', '.join(f'{d:.1e}' for d in rel_modes)}, branch vehicle "
+        f"{', '.join(f'{d:.1e}' for d in branch_rel)} (<1e-3); "
+        f"V_rect = W V(z(r)) identity residual {identity:.1e} (<1e-14)",
     )
     assert consistent, rel_modes
-    assert parity_conjugate, frame_residual
-    assert variant_consistent, mech_dev
+    assert branch_consistent, (branch_roots, branch_rel)
+    assert literal_image, identity
     assert np.allclose(shoot3, np.array(CUBIC_TOBOGGAN_SHOOT_LOWEST[:3]), atol=1e-5)
 
 

@@ -661,3 +661,42 @@ def test_compare_and_shoot_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+BRANCH_PROBE = """
+import json, sys
+from qtoboggan import cli
+code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2]])
+delta = json.load(open(sys.argv[2] + "/compare.json"))["max_rel_delta"]
+print(code, delta, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_compare_on_the_branch_vehicle_meets_the_spiral(tmp_path):
+    # ell = 0.3 at winding 1 (L = 1.9): the grid matches spiral shooting only
+    # with the branch phase the spiral fixes; dropping it read 1.1e-2
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    config = os.path.join(root, "configs", "toboggan_branch.json")
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", BRANCH_PROBE, config, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, delta, loaded = proc.stdout.splitlines()[-1].split(" ", 2)
+    assert (code, loaded) == ("0", "[]")
+    assert float(delta) < 1e-3
+
+
+def test_shoot_past_the_node_budget_exits_4(tmp_path, capsys):
+    # winding 3 would need 10,671,752,298 nodes (79.5 GiB) per half-path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = cli.main(
+        ["--config", os.path.join(root, "configs", "cubic_winding1.json"), "--command", "shoot",
+         "--override", "model.winding=3", "--out", str(tmp_path)]
+    )
+    assert code == 4
+    assert "10,671,752,298 integration steps" in capsys.readouterr().err

@@ -40,7 +40,8 @@ def test_pt_flag():
 
 def test_rectify_winding1_cubic_example():
     # (ell, omega^2 z^2 + i z^3) at winding 1: L = 3 ell + 1, exponents
-    # 2*3+4 = 10 and 3*3+4 = 13, all coefficients multiplied by 9, weight 9 r^4.
+    # 2*3+4 = 10 and 3*3+4 = 13, all coefficients multiplied by 9, weight 9 r^4;
+    # the odd power picks up the branch phase (-1)^(N k) = -1.
     ell, omega = 0.2, 1.3
     spec = model.ModelSpec(ell=ell, coeffs={3: 1j}, omega=omega)
     rect = model.rectify_model(spec, winding=1)
@@ -48,7 +49,7 @@ def test_rectify_winding1_cubic_example():
     assert rect.weight_prefactor == 9.0
     assert rect.weight_power == 4
     assert rect.rect_coeffs[Fraction(10)] == pytest.approx(9 * omega**2)
-    assert rect.rect_coeffs[Fraction(13)] == pytest.approx(9j)
+    assert rect.rect_coeffs[Fraction(13)] == pytest.approx(-9j)
     assert rect.pt_flag
 
 
@@ -75,16 +76,6 @@ def test_rectify_zero_winding_is_identity_with_unit_weight():
     assert np.allclose(rect.weight(r), 1.0)
 
 
-def test_conventions_differ_only_for_odd_powers_at_odd_winding():
-    spec = model.ModelSpec(ell=0.0, coeffs={2: 0.5, 3: 1j})
-    printed = model.rectify_model(spec, 1, convention="printed")
-    mech = model.rectify_model(spec, 1, convention="mechanical")
-    assert printed.rect_coeffs[Fraction(10)] == mech.rect_coeffs[Fraction(10)]
-    assert printed.rect_coeffs[Fraction(13)] == -mech.rect_coeffs[Fraction(13)]
-    with pytest.raises(ConfigError):
-        model.rectify_model(spec, 1, convention="other")
-
-
 def test_rectified_potential_separates_centrifugal():
     spec = model.ModelSpec(ell=0.2, coeffs={2: 1.0})
     rect = model.rectify_model(spec, winding=1)
@@ -94,16 +85,14 @@ def test_rectified_potential_separates_centrifugal():
 
 
 def test_weight_matches_conformal_jacobian_change():
-    # |dz/dr|^2-type factor: q^2 r^(4N), checked against the polynomial map
-    # z = -i (i r)^q differentiated analytically: dz/dr = q (i r)^(q-1),
-    # so (dz/dr)^2 = -q^2 (i r)^(4N) ... the stored weight is q^2 r^(4N)
-    # with the branch phase absorbed by the convention; check magnitude.
+    # the weight is (dz/dr)^2 for the polynomial map z = -i (i r)^q:
+    # dz/dr = q (i r)^(q-1), so (dz/dr)^2 = q^2 (i r)^(4N) = q^2 r^(4N)
     spec = model.ModelSpec(ell=0.0, coeffs={2: 1.0})
     rect = model.rectify_model(spec, winding=1)
     r = np.array([0.7 - 0.2j, -1.1 - 0.2j])
     q = 3
     dzdr = q * (1j * r) ** (q - 1)
-    assert np.allclose(np.abs(rect.weight(r)), np.abs(dzdr**2), rtol=1e-12)
+    assert np.allclose(rect.weight(r), dzdr**2, rtol=1e-12, atol=0.0)
 
 
 def _spiral_points(gammas, eps, winding):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from conftest import rectification_residual
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
@@ -83,21 +84,24 @@ def test_exponent_arithmetic(coeffs, N):
     assert rect.weight_prefactor == q * q
     assert {int(p) for p in rect.rect_coeffs} == {k * q + 4 * N for k in coeffs}
     for k, c in coeffs.items():
-        assert rect.rect_coeffs[k * q + 4 * N] == pytest.approx(c * q * q, rel=1e-12)
+        # the branch phase of z^k = (-i)^k (i r)^(kq) is (-1)^(N k)
+        assert rect.rect_coeffs[k * q + 4 * N] == pytest.approx((-1) ** (N * k) * c * q * q, rel=1e-12)
 
 
-@given(st.dictionaries(powers, coeff_vals, min_size=1, max_size=4), windings)
-def test_conventions_differ_only_at_odd_products(coeffs, N):
-    spec = model.ModelSpec(ell=0.0, coeffs=coeffs, omega=0.0)
-    printed = model.rectify_model(spec, N, convention="printed").rect_coeffs
-    mech = model.rectify_model(spec, N, convention="mechanical").rect_coeffs
-    q = 2 * N + 1
-    for k in coeffs:
-        p = k * q + 4 * N
-        if (N * k) % 2:
-            assert mech[p] == pytest.approx(-printed[p], rel=1e-12)
-        else:
-            assert mech[p] == pytest.approx(printed[p], rel=1e-12)
+@given(
+    st.dictionaries(powers, coeff_vals, min_size=1, max_size=4),
+    windings,
+    ells,
+    st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0, allow_nan=False),
+        min_size=1, max_size=8,
+    ),
+)
+def test_rectified_potential_is_the_image_of_the_spiral_one(coeffs, N, ell, rs):
+    # V_rect(r) = (q^2-1)/(4r^2) + (dz/dr)^2 V(z(r)) term by term; a rule that
+    # drops the branch phase (-1)^(N k) breaks it whenever N k is odd
+    spec = model.ModelSpec(ell=ell, coeffs=coeffs, omega=0.0)
+    assert rectification_residual(spec, N, np.array(rs)) < 1e-14
 
 
 @given(

@@ -18,8 +18,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ),
         pytest.param(["run_spectrum_table.py"], "harmonic  V=x^2", id="run_spectrum_table"),
         pytest.param(
-            ["run_convention_adjudication.py"], "full-precision printed-convention grid values",
-            id="run_convention_adjudication",
+            ["run_rectification_check.py"], "full-precision cubic grid values",
+            id="run_rectification_check",
         ),
     ],
 )

@@ -38,6 +38,7 @@ def _cfg(**kw):
         {"max_iter": True},
         {"steps": 150.5},
         {"steps": True},
+        {"steps": 100_001},
     ],
 )
 def test_shoot_config_validation(kw):
@@ -274,3 +275,27 @@ def test_profile_agrees_with_the_dense_reference(
         # the coarse square root stays on the dense one's branch everywhere
         w_dense = np.interp(t, t_ref, w_ref.real) + 1j * np.interp(t, t_ref, w_ref.imag)
         assert np.all(np.abs(w - w_dense) < np.abs(w + w_dense))
+
+
+# the half-path reach grows as rho^(2N+1): past the node budget a run is
+# refused before anything of its size is allocated
+@pytest.mark.parametrize(
+    "spec_kw, contour",
+    [
+        pytest.param({"coeffs": {3: 1j}, "omega": 1.0}, ContourSpec(0.15, 3), id="cubic_winding3"),
+        pytest.param(
+            {"ell": 0.3, "coeffs": {3: 1j}, "omega": 1.0}, ContourSpec(0.5, 1), id="branch_eps0.5"
+        ),
+    ],
+)
+def test_half_path_over_the_node_budget_is_a_config_error(spec_kw, contour):
+    with pytest.raises(ConfigError, match=r"needs [\d,]+ integration steps, over the budget"):
+        shoot.find_eigenvalues(ModelSpec(**spec_kw), contour, _cfg(), [1.3, 4.4, 7.9])
+
+
+def test_half_path_inside_the_node_budget_is_built():
+    # branch_eps0.5's model places ~17,500 nodes per half-path at eps = 0.25
+    spec = ModelSpec(ell=0.3, coeffs={3: 1j}, omega=1.0)
+    half = shoot._build_halfpath(spec, ContourSpec(0.25, 1), "right", 5.25, _cfg())
+    assert 10_000 < len(half.dg) <= shoot._MAX_NODES
+

@@ -208,25 +208,24 @@ def test_lowest_eigenvalues_needs_k_below_n_minus_1():
         spectra.lowest_eigenvalues(_pair([3.0, 1.0, 2.0, 4.0]), k=3, sigma=2.6)
 
 
-def _mechanical_cubic_pair(cubic_model):
-    mech = model.rectify_model(cubic_model, 1, convention="mechanical")
-    return discrete.build_operators(mech, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15))
+def _cubic_pair(cubic_model):
+    rect = model.rectify_model(cubic_model, 1)
+    return discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15))
 
 
 def test_lowest_eigenvalues_is_repeatable(cubic_model):
-    # ill-conditioned modes of the mechanical-frame cubic moved from call to
-    # call with ARPACK's random start vector
-    pair = _mechanical_cubic_pair(cubic_model)
+    # ill-conditioned modes of the rectified cubic moved from call to call
+    # with ARPACK's random start vector
+    pair = _cubic_pair(cubic_model)
     first = spectra.lowest_eigenvalues(pair, k=3, sigma=1.2918)
     for _ in range(3):
         assert np.array_equal(spectra.lowest_eigenvalues(pair, k=3, sigma=1.2918), first)
 
 
 def test_lowest_eigenvalues_are_polished_to_the_dense_values(cubic_model):
-    # the mechanical frame is the parity conjugate of the printed one, so it
-    # has the frozen grid spectrum; Arnoldi alone left the third mode 1e-6 to
-    # 6e-5 off
-    lam = spectra.lowest_eigenvalues(_mechanical_cubic_pair(cubic_model), k=3, sigma=1.2918)
+    # the frozen values come from the same grid; Arnoldi alone left the third
+    # mode 1e-6 to 6e-5 off
+    lam = spectra.lowest_eigenvalues(_cubic_pair(cubic_model), k=3, sigma=1.2918)
     assert np.allclose(lam, CUBIC_TOBOGGAN_GRID_LOWEST[:3], rtol=0.0, atol=1e-8)
 
 
