@@ -2,11 +2,12 @@
 """Check the rectified grid against direct shooting along the spiral.
 
 Rectification maps the winding-N spiral onto the straight line by
-z = -i (i r)^(2N+1); shooting integrates on the spiral itself and involves
-no rectification, so it referees the grid.  Two winding-1 vehicles: the
-shipped cubic (ell = 0, L = 1, whose spectrum does not depend on the
-winding) and the branch vehicle (ell = 0.3, L = 1.9, whose solutions branch
-at r = 0, so only the spiral's own sign (-1)^(N k) reproduces it).
+z = -i (i r)^(2N+1) and evaluates the spiral potential through that map;
+shooting integrates on the spiral itself and involves no rectification, so
+it referees the grid.  Two winding-1 vehicles: the shipped cubic (ell = 0,
+L = 1, whose spectrum does not depend on the winding) and the branch
+vehicle (ell = 0.3, L = 1.9, whose solutions branch at r = 0, so only the
+spiral's own sign (-1)^(N k) of each z^k reproduces it).
 
 This script is also the source of the frozen grid values in
 tests/reference_values.py (CUBIC_TOBOGGAN_GRID_LOWEST).

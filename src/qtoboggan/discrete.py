@@ -78,7 +78,6 @@ class OperatorPair:
 
     bands: np.ndarray
     w_diag: np.ndarray
-    gridspec: GridSpec
     pt_symmetric: bool = False
 
     @property
@@ -125,12 +124,11 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
     """Assemble the bands of H and the diagonal of W for a rectified model on a grid.
 
     H = (-1/h^2) tridiag(1, -2, 1) + diag(V_rect(r_j)) with Dirichlet ends;
-    W_jj = weight_prefactor * r_j^weight_power.
+    W_jj = W(r_j) = (2N+1)^2 r_j^(4N).
     """
-    has_negative_power = model.has_centrifugal or any(p < 0 for p in model.rect_coeffs)
-    if grid.epsilon == 0.0 and has_negative_power:
+    if grid.epsilon == 0.0 and (model.winding > 0 or model.spec.has_centrifugal):
         raise ConfigError(
-            "epsilon = 0 with a centrifugal or negative-power term samples the singularity"
+            "epsilon = 0 at winding > 0 or with a centrifugal term samples the singularity"
         )
     h, r = grid.h, grid.r
     bands = np.zeros((3, grid.n), dtype=complex)
@@ -139,7 +137,7 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
     w = model.weight(r)
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
-    return OperatorPair(bands=bands, w_diag=w, gridspec=grid, pt_symmetric=model.pt_flag)
+    return OperatorPair(bands=bands, w_diag=w, pt_symmetric=model.pt_flag)
 
 
 def pt_residual(pair: OperatorPair) -> float:

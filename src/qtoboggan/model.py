@@ -1,29 +1,24 @@
 """Physical models (centrifugal + polynomial potential) and their rectified images.
 
-Rectification maps the winding-N spiral problem onto the straight shifted
-line.  Each potential term c_k z^k becomes a term in r with exactly computed
-integer-valued rational exponent k*(2N+1) + 4N, the centrifugal strength
-moves from ell to L = (2N+1)(ell + 1/2) - 1/2, and a weight multiplier
-(2N+1)^2 * r^(4N) appears on the eigenvalue side of the equation.
-
-Rectification is the literal image of the spiral under z = -i (i r)^(2N+1):
-dz/dr = (2N+1)(i r)^(2N), so (dz/dr)^2 = (2N+1)^2 r^(4N) is the weight, and
-z^k = (-i)^k (i r)^(k(2N+1)) multiplies c_k by the branch phase
-beta_k = (-1)^(N k).  The sign matters: reflecting r -> -r carries the line
-Im r = -eps across the pole at r = 0, so a frame that drops beta_k keeps the
-spectrum only when the solutions are single-valued around r = 0
-(L an integer); for L not an integer and N k odd it solves another problem.
+Rectification is the literal image of the winding-N spiral problem under
+z = -i (i r)^(2N+1): dz/dr = (2N+1)(i r)^(2N), so (dz/dr)^2 = (2N+1)^2 r^(4N)
+is the weight on the eigenvalue side, and the rectified potential is the
+spiral one pulled back through z(r) and multiplied by that weight, plus the
+Schwarzian term ((2N+1)^2 - 1)/(4 r^2) of the map.  Evaluating V(z(r)) keeps
+the branch of every z^k that the spiral fixes: reflecting r -> -r carries the
+line Im r = -eps across the pole at r = 0, so a frame that loses the sign of
+z^k keeps the spectrum only when the solutions are single-valued around
+r = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .contour import ContourSpec
+from .contour import ContourSpec, unrectify
 from .errors import ConfigError, require_int, require_real
 
 __all__ = [
@@ -49,7 +44,8 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         for k in self.coeffs:
-            if int(k) != k or k < 1:
+            require_int("potential power", k)
+            if k < 1:
                 raise ConfigError(f"potential powers must be integers >= 1, got {k}")
 
     @property
@@ -88,64 +84,36 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class RectifiedModel:
-    """Rectified image of a ModelSpec at winding N.
+    """Image of a ModelSpec on the straight line at winding N."""
 
-    ``rect_coeffs`` maps exact rational powers of r to coefficients (the
-    centrifugal part is carried by L, not stored in the map); the weight
-    multiplier is weight_prefactor * r^weight_power.
-    """
-
-    L: float
-    rect_coeffs: Dict[Fraction, complex]
-    weight_prefactor: float
-    weight_power: int
+    spec: ModelSpec
     winding: int
-    pt_flag: bool = False
 
     @property
-    def has_centrifugal(self) -> bool:
-        return self.L * (self.L + 1.0) != 0.0
+    def pt_flag(self) -> bool:
+        return self.spec.pt_flag
 
     def potential(self, r: np.ndarray) -> np.ndarray:
-        """Rectified potential evaluated on the line, vectorized."""
+        """(dz/dr)^2 V(z(r)), plus ((2N+1)^2 - 1)/(4 r^2) when N >= 1, vectorized."""
         r = np.asarray(r, dtype=complex)
-        out = np.zeros_like(r)
-        if self.has_centrifugal:
-            out = out + self.L * (self.L + 1.0) / r**2
-        for p, c in self.rect_coeffs.items():
-            out = out + c * r ** float(p)
+        out = self.weight(r) * self.spec.potential(unrectify(r, self.winding))
+        if self.winding:
+            q = 2 * self.winding + 1
+            out = out + (q * q - 1) / (4 * r**2)
         return out
 
     def weight(self, r: np.ndarray) -> np.ndarray:
-        """Weight multiplier W(r) = prefactor * r^power, vectorized."""
+        """Weight multiplier W(r) = (dz/dr)^2 = (2N+1)^2 r^(4N), vectorized."""
         r = np.asarray(r, dtype=complex)
-        return self.weight_prefactor * r ** self.weight_power
+        return (2 * self.winding + 1) ** 2 * r ** (4 * self.winding)
 
 
 def rectify_model(spec: ModelSpec, winding: int) -> RectifiedModel:
-    """Derive the rectified model at winding N.
-
-    Each term c_k z^k maps to (-1)^(N k) * c_k * (2N+1)^2 * r^(k(2N+1)+4N);
-    exponent arithmetic is exact rational.
-    """
-    if winding < 0 or int(winding) != winding:
+    """The rectified model at winding N."""
+    require_int("winding", winding)
+    if winding < 0:
         raise ConfigError(f"winding must be a non-negative integer, got {winding}")
-    n = int(winding)
-    q = 2 * n + 1
-    L = q * (spec.ell + 0.5) - 0.5
-    rect: Dict[Fraction, complex] = {}
-    for k, c in spec.effective_coeffs.items():
-        beta = (-1.0) ** (n * k)
-        p = Fraction(k * q + 4 * n)
-        rect[p] = rect.get(p, 0.0) + beta * complex(c) * q**2
-    return RectifiedModel(
-        L=L,
-        rect_coeffs=rect,
-        weight_prefactor=float(q**2),
-        weight_power=4 * n,
-        winding=n,
-        pt_flag=spec.pt_flag,
-    )
+    return RectifiedModel(spec=spec, winding=int(winding))
 
 
 def _branch_power(z: np.ndarray, gammas: np.ndarray, winding: int, exponent: float) -> np.ndarray:

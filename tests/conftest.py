@@ -13,7 +13,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from qtoboggan import contour, discrete, model, shoot, spectra
+from qtoboggan import discrete, model, shoot, spectra
 from qtoboggan.contour import ContourSpec
 
 # ---------------------------------------------------------------------------
@@ -41,21 +41,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def rectification_residual(spec, winding, r):
-    """max |V_rect(r) - (q^2-1)/(4r^2) - W(r) V(z(r))| over the term magnitudes.
+    """max |V_rect(r) - closed form| over the summed term magnitudes.
 
-    z = unrectify(r) = -i (i r)^q and W = (dz/dr)^2 = q^2 r^(4N), so the
-    rectified potential must be the spiral's times W, plus the Schwarzian
-    term (q^2-1)/(4r^2) = L(L+1) - q^2 ell(ell+1) that the centrifugal
-    strength gains (at ell = 0 that is all of L(L+1)/r^2).  The residual is
-    scaled by the sum of |term| of V_rect, the size of its rounding.
+    V_rect is computed through the map z(r) = -i (i r)^q, q = 2N+1.  The
+    closed form writes each term W c_k z^k, with W = (dz/dr)^2 = q^2 r^(4N),
+    as (-1)^(N k) q^2 c_k r^(kq+4N), and W ell(ell+1)/z^2 plus the Schwarzian
+    term (q^2-1)/(4r^2) as L(L+1)/r^2 with L = q(ell+1/2) - 1/2, summed as
+    q^2 ell(ell+1) + (q^2-1)/4 because L itself cancels at small ell.  A lost
+    branch phase (-1)^(N k) breaks the identity whenever N k is odd.  The
+    scale, the sum of |term|, is the size of the rounding of V_rect.
     """
-    rect = model.rectify_model(spec, winding)
     q = 2 * winding + 1
-    image = (q * q - 1) / (4 * r**2) + rect.weight(r) * spec.potential(contour.unrectify(r, winding))
-    scale = abs(rect.L * (rect.L + 1)) / np.abs(r) ** 2 + sum(
-        abs(c) * np.abs(r) ** float(p) for p, c in rect.rect_coeffs.items()
-    )
-    return float(np.max(np.abs(rect.potential(r) - image) / scale))
+    terms = [(q * q * spec.ell * (spec.ell + 1) + (q * q - 1) / 4) / r**2]
+    terms += [
+        (-1) ** (winding * k) * q * q * c * r ** (k * q + 4 * winding)
+        for k, c in spec.effective_coeffs.items()
+    ]
+    V = model.rectify_model(spec, winding).potential(r)
+    return float(np.max(np.abs(V - sum(terms)) / sum(np.abs(t) for t in terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_criterion_5_rectification_consistency(cubic_run, cubic_roots, cubic_mod
         f"winding-1 grid vs shooting rel deltas: cubic "
         f"{', '.join(f'{d:.1e}' for d in rel_modes)}, branch vehicle "
         f"{', '.join(f'{d:.1e}' for d in branch_rel)} (<1e-3); "
-        f"V_rect = W V(z(r)) identity residual {identity:.1e} (<1e-14)",
+        f"V_rect = W V(z(r)) vs its closed form, residual {identity:.1e} (<1e-14)",
     )
     assert consistent, rel_modes
     assert branch_consistent, (branch_roots, branch_rel)

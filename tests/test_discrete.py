@@ -50,10 +50,20 @@ def test_zero_shift_with_centrifugal_rejected():
         _pair(spec, 0, 5.0, 21, 0.0)
 
 
+def test_zero_shift_at_nonzero_winding_rejected():
+    # at ell = 0 the rectified potential still carries the Schwarzian term
+    # ((2N+1)^2 - 1)/(4 r^2), and W = (2N+1)^2 r^(4N) vanishes at r = 0
+    spec = model.ModelSpec(ell=0.0, coeffs={3: 1j}, omega=1.0)
+    for winding in (1, 2):
+        with pytest.raises(ConfigError):
+            _pair(spec, winding, 5.0, 20, 0.0)
+
+
 def test_parity_is_reversal_and_involution():
-    pair = _pair(model.ModelSpec(coeffs={2: 1.0}), 0, 5.0, 11, 0.5)
+    grid = discrete.GridSpec(half_width=5.0, n=11, epsilon=0.5)
+    pair = discrete.build_operators(model.rectify_model(model.ModelSpec(coeffs={2: 1.0}), 0), grid)
     # reversing the grid index maps x to -x: the reversal is the parity
-    x = pair.gridspec.x
+    x = grid.x
     assert np.allclose(x[::-1], -x, rtol=0, atol=1e-14)
     # as a matrix it is an involution, and P H P reverses both axes of H
     P = np.eye(pair.n)[::-1]
@@ -86,7 +96,7 @@ def test_pt_residual_equals_dense_parity_reference():
     for pair in [
         _pair(model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1, 3.0, 41, 0.4),
         _pair(model.ModelSpec(coeffs={3: 1.0}), 0, 3.0, 41, 0.4),
-        discrete.OperatorPair(bands=bands, w_diag=w, gridspec=None),
+        discrete.OperatorPair(bands=bands, w_diag=w),
     ]:
         H, W, P = pair.H, pair.W, np.eye(pair.n)[::-1]
         assert np.array_equal(P @ H @ P, H[::-1, ::-1])

@@ -27,7 +27,7 @@ THETA2 = np.array([[1.0, -1.0], [-1.0, 3.0]], dtype=complex)
 @pytest.fixture()
 def hand_pair():
     bands = np.array([[0.0, 1.0], [1.0, 2.0], [0.0, 0.0]], dtype=complex)
-    return OperatorPair(bands=bands, w_diag=np.ones(2, dtype=complex), gridspec=None)
+    return OperatorPair(bands=bands, w_diag=np.ones(2, dtype=complex))
 
 
 @pytest.fixture()

@@ -1,7 +1,6 @@
 """Model definitions and the rectification of potentials."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +37,24 @@ def test_pt_flag():
     assert not model.ModelSpec(coeffs={2: 1j}).pt_flag
 
 
+def test_powers_must_be_integers_not_bools_or_floats():
+    for k in (True, 2.0, 1.5):
+        with pytest.raises(ConfigError):
+            model.ModelSpec(coeffs={k: 1.0})
+    with pytest.raises(ConfigError):
+        model.ModelSpec(coeffs={True: 1j, 2.0: 1.0})
+
+
+def test_rectify_winding_must_be_a_non_negative_integer():
+    spec = model.ModelSpec(coeffs={2: 1.0})
+    for winding in (True, 1.0, -1):
+        with pytest.raises(ConfigError):
+            model.rectify_model(spec, winding)
+
+
+R = np.array([1.5 - 0.3j, -0.8 - 0.3j, 0.2 - 0.3j])
+
+
 def test_rectify_winding1_cubic_example():
     # (ell, omega^2 z^2 + i z^3) at winding 1: L = 3 ell + 1, exponents
     # 2*3+4 = 10 and 3*3+4 = 13, all coefficients multiplied by 9, weight 9 r^4;
@@ -45,43 +62,47 @@ def test_rectify_winding1_cubic_example():
     ell, omega = 0.2, 1.3
     spec = model.ModelSpec(ell=ell, coeffs={3: 1j}, omega=omega)
     rect = model.rectify_model(spec, winding=1)
-    assert rect.L == pytest.approx(3 * ell + 1)
-    assert rect.weight_prefactor == 9.0
-    assert rect.weight_power == 4
-    assert rect.rect_coeffs[Fraction(10)] == pytest.approx(9 * omega**2)
-    assert rect.rect_coeffs[Fraction(13)] == pytest.approx(-9j)
+    L = 3 * ell + 1
+    expected = L * (L + 1) / R**2 + 9 * omega**2 * R**10 - 9j * R**13
+    assert np.allclose(rect.potential(R), expected, rtol=1e-13, atol=0)
+    assert np.allclose(rect.weight(R), 9 * R**4, rtol=1e-15, atol=0)
     assert rect.pt_flag
 
 
 def test_rectify_winding2_quadratic_example():
-    spec = model.ModelSpec(ell=0.0, coeffs={2: 1.0})
-    rect = model.rectify_model(spec, winding=2)
-    assert rect.L == pytest.approx(2.0)
-    assert rect.weight_prefactor == 25.0
-    assert rect.weight_power == 8
-    assert set(rect.rect_coeffs) == {Fraction(18)}
-    assert rect.rect_coeffs[Fraction(18)] == pytest.approx(25.0 + 0j)
+    rect = model.rectify_model(model.ModelSpec(ell=0.0, coeffs={2: 1.0}), winding=2)
+    # L = 2 at ell = 0, the power 2*5+8 = 18, the weight 25 r^8
+    expected = 2 * 3 / R**2 + 25 * R**18
+    assert np.allclose(rect.potential(R), expected, rtol=1e-13, atol=0)
+    assert np.allclose(rect.weight(R), 25 * R**8, rtol=1e-15, atol=0)
 
 
 def test_rectify_zero_winding_is_identity_with_unit_weight():
     spec = model.ModelSpec(ell=0.1, coeffs={2: 1.0, 1: 1j})
     rect = model.rectify_model(spec, winding=0)
-    assert rect.L == pytest.approx(0.1)
-    assert rect.weight_prefactor == 1.0
-    assert rect.weight_power == 0
-    assert set(rect.rect_coeffs) == {Fraction(1), Fraction(2)}
-    assert rect.rect_coeffs[Fraction(1)] == 1j
-    assert rect.rect_coeffs[Fraction(2)] == pytest.approx(1.0 + 0j)
-    r = np.array([0.3 - 0.5j, -1.2 - 0.5j])
-    assert np.allclose(rect.weight(r), 1.0)
+    expected = 0.1 * 1.1 / R**2 + 1j * R + R**2
+    assert np.allclose(rect.potential(R), expected, rtol=1e-15, atol=0)
+    assert np.array_equal(rect.weight(R), np.ones(3))
+
+
+def test_zero_winding_potential_is_the_line_potential_bit_for_bit():
+    spec = model.ModelSpec(ell=0.3, coeffs={1: 1j, 2: 1.0, 3: 0.5}, omega=0.7)
+    rect = model.rectify_model(spec, winding=0)
+    r = np.linspace(-4.0, 4.0, 101) - 0.5j
+    assert np.array_equal(rect.potential(r), spec.potential(r))
+    assert np.array_equal(rect.weight(r), np.ones(101))
 
 
 def test_rectified_potential_separates_centrifugal():
+    # W ell(ell+1)/z^2 = 9 ell(ell+1)/r^2, and the Schwarzian term (9-1)/(4r^2)
+    # completes it to L(L+1)/r^2 with L = 3(ell + 1/2) - 1/2
     spec = model.ModelSpec(ell=0.2, coeffs={2: 1.0})
     rect = model.rectify_model(spec, winding=1)
     r = 1.5 - 0.3j
-    expected = rect.L * (rect.L + 1) / r**2 + 9.0 * r**10
-    assert rect.potential(r) == pytest.approx(expected)
+    L = 3 * 0.7 - 0.5
+    assert 9 * 0.2 * 1.2 + 2.0 == pytest.approx(L * (L + 1), rel=1e-15)
+    expected = L * (L + 1) / r**2 + 9.0 * r**10
+    assert rect.potential(r) == pytest.approx(expected, rel=1e-14)
 
 
 def test_weight_matches_conformal_jacobian_change():

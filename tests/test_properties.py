@@ -65,27 +65,34 @@ def test_arg_span_scales_with_winding_degree(eps, N, margin):
 
 @given(ells, windings)
 def test_centrifugal_strength_is_affine_in_ell(ell, N):
+    # W ell(ell+1)/z^2 plus the Schwarzian term is L(L+1)/r^2 with
+    # L = q(ell + 1/2) - 1/2, so one more unit of ell moves L by q
     q = 2 * N + 1
-    spec = model.ModelSpec(ell=ell, coeffs={2: 1.0}, omega=0.0)
-    rect = model.rectify_model(spec, N)
-    assert rect.L == pytest.approx(q * (ell + 0.5) - 0.5, rel=1e-12)
-    bumped = model.rectify_model(model.ModelSpec(ell=ell + 1.0, coeffs={2: 1.0}, omega=0.0), N)
-    assert bumped.L - rect.L == pytest.approx(q, rel=1e-12)
+    r = np.array([0.7 - 0.3j, -1.4 - 0.3j, 2.1 - 0.3j])
+
+    def strength(l):
+        return r**2 * model.rectify_model(model.ModelSpec(ell=l), N).potential(r)
+
+    L = q * (ell + 0.5) - 0.5
+    assert np.allclose(strength(ell), L * (L + 1), rtol=1e-13, atol=1e-15)
+    assert np.allclose(strength(ell + 1.0), (L + q) * (L + q + 1), rtol=1e-13, atol=0)
     if ell == 0.0:
-        assert rect.L == N
+        assert np.allclose(strength(ell), N * (N + 1), rtol=1e-13, atol=0)
 
 
 @given(st.dictionaries(powers, coeff_vals, min_size=1, max_size=4), windings)
 def test_exponent_arithmetic(coeffs, N):
+    # the weight is q^2 r^(4N), and each term c_k z^k alone pulls back to
+    # (-1)^(N k) q^2 c_k r^(kq+4N) next to the Schwarzian term
     q = 2 * N + 1
-    spec = model.ModelSpec(ell=0.0, coeffs=coeffs, omega=0.0)
-    rect = model.rectify_model(spec, N)
-    assert rect.weight_power == 4 * N
-    assert rect.weight_prefactor == q * q
-    assert {int(p) for p in rect.rect_coeffs} == {k * q + 4 * N for k in coeffs}
+    r = np.array([0.9 - 0.2j, -1.3 - 0.2j, 0.4 - 0.2j])
+    schwarzian = (q * q - 1) / (4 * r**2)
     for k, c in coeffs.items():
-        # the branch phase of z^k = (-i)^k (i r)^(kq) is (-1)^(N k)
-        assert rect.rect_coeffs[k * q + 4 * N] == pytest.approx((-1) ** (N * k) * c * q * q, rel=1e-12)
+        rect = model.rectify_model(model.ModelSpec(coeffs={k: c}), N)
+        term = (-1) ** (N * k) * q * q * c * r ** (k * q + 4 * N)
+        scale = np.abs(schwarzian) + np.abs(term)
+        assert np.all(np.abs(rect.potential(r) - schwarzian - term) <= 1e-14 * scale)
+    assert np.allclose(rect.weight(r), q * q * r ** (4 * N), rtol=1e-15, atol=0)
 
 
 @given(
@@ -98,8 +105,8 @@ def test_exponent_arithmetic(coeffs, N):
     ),
 )
 def test_rectified_potential_is_the_image_of_the_spiral_one(coeffs, N, ell, rs):
-    # V_rect(r) = (q^2-1)/(4r^2) + (dz/dr)^2 V(z(r)) term by term; a rule that
-    # drops the branch phase (-1)^(N k) breaks it whenever N k is odd
+    # V_rect(r), computed through z(r), against its closed form term by term;
+    # losing the branch phase (-1)^(N k) breaks it whenever N k is odd
     spec = model.ModelSpec(ell=ell, coeffs=coeffs, omega=0.0)
     assert rectification_residual(spec, N, np.array(rs)) < 1e-14
 
@@ -151,7 +158,7 @@ def test_banded_products_match_dense(data, n):
     bands[0, 0] = bands[2, -1] = 0.0
     w = data.draw(hnp.arrays(complex, n, elements=coeff_vals))
     X = data.draw(hnp.arrays(complex, (n, 3), elements=entries))
-    pair = discrete.OperatorPair(bands=bands, w_diag=w, gridspec=None)
+    pair = discrete.OperatorPair(bands=bands, w_diag=w)
     H = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
     assert np.array_equal(pair.H, H)
     assert np.array_equal(pair.W, np.diag(w))
@@ -174,9 +181,7 @@ def test_pt_real_basis_matches_complex_eigensolve(data, n):
     bands = np.zeros((3, n), dtype=complex)
     bands[1] = (a + a[::-1]) + 1j * (b - b[::-1])
     bands[0, 1:], bands[2, :-1] = sup, sup[::-1]
-    pair = discrete.OperatorPair(
-        bands=bands, w_diag=np.ones(n, dtype=complex), gridspec=None, pt_symmetric=True
-    )
+    pair = discrete.OperatorPair(bands=bands, w_diag=np.ones(n, dtype=complex), pt_symmetric=True)
     H = pair.H
     assert np.array_equal(H[::-1, ::-1], H.conj())
     eps = np.finfo(float).eps

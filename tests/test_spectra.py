@@ -30,7 +30,7 @@ def _pair(diag, sup=None):
     bands[1] = diag
     if sup is not None:
         bands[0, 1:] = sup
-    return OperatorPair(bands=bands, w_diag=np.ones(n, dtype=complex), gridspec=None)
+    return OperatorPair(bands=bands, w_diag=np.ones(n, dtype=complex))
 
 
 # Hand-worked pair: H = [[1, 1], [0, 2]], W = I.
