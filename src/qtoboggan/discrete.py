@@ -23,6 +23,7 @@ __all__ = [
     "OperatorPair",
     "build_operators",
     "band_matmul",
+    "band_rmatmul",
     "pt_residual",
     "save_matrix_bin",
     "load_matrix_bin",
@@ -108,7 +109,7 @@ def band_matmul(bands: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.n
     """H @ X, or H^dag @ X when `adjoint`, for H held as (1, 1) bands.
 
     X has n rows (a vector or a matrix); the cost is O(size of X).
-    X @ H is the adjoint of H^dag @ X^dag.
+    `band_rmatmul` gives X @ H.
     """
     sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
     if adjoint:
@@ -117,6 +118,14 @@ def band_matmul(bands: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.n
     Y = diag[col] * X
     Y[:-1] += sup[col] * X[1:]
     Y[1:] += sub[col] * X[:-1]
+    return Y
+
+
+def band_rmatmul(X: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """X @ H for H held as (1, 1) bands; X has n columns, the cost is O(size of X)."""
+    Y = X * bands[1]
+    Y[..., :-1] += X[..., 1:] * bands[2, :-1]
+    Y[..., 1:] += X[..., :-1] * bands[0, 1:]
     return Y
 
 

@@ -11,31 +11,34 @@ W = I, and realizes physical-space operators through the Hermitian square
 root of Theta.  W enters only through its diagonal, as row and column scalings,
 and H only through its bands.
 
-A PT-symmetric W = I eigensystem whose retained eigenvalues are all exactly
-real, with sigma = 1, is built in the real PT basis: each ket and double-ket
-is U y p with U = (I + iP)/sqrt(2), y real and p a unit phase, so S, S^{-1},
-Theta and the span's eigenvalues come from real matrices and Theta is mapped
-back by U in O(n^2).  The similarity is exact, so the result agrees with the
-complex chain to rounding; every other eigensystem takes the complex chain.
+An eigensystem held in the PT frame (see spectra: W = I, each ket and
+double-ket U y p with U = (I + iP)/sqrt(2) and p a unit phase) is built from
+its frame vectors y: S_r, S_r^{-1}, Theta_r = U^dag Theta U, the span's
+eigenvalues and the quasi-Hermiticity and Hermiticity residuals, all real
+when y and kappa are.  Frobenius norms are invariant under U, so those
+residuals are Theta's own.  Only then are S = diag(conj p) S_r diag(p), M
+alike and Theta = U Theta_r U^dag formed, in O(n^2).  The similarity is
+exact, so the result agrees with the complex chain to rounding; every other
+eigensystem takes the complex chain on its kets.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .discrete import OperatorPair, band_matmul
+from .discrete import OperatorPair, band_matmul, band_rmatmul
 from .errors import (
     IllConditionedS,
     IncompleteBasisWarning,
     NonPositiveTheta,
     SingularTheta,
 )
-from .spectra import Eigensystem, _operator_from_real_basis, _to_real_basis
+from .spectra import Eigensystem, _operator_from_real_basis, _pt_matmul
 
 __all__ = [
     "MetricResult",
@@ -74,9 +77,17 @@ class MetricResult:
 
 
 def build_S(es: Eigensystem) -> np.ndarray:
-    """Mode-space overlap matrix S_{ll'} = <<l|W^2|l'> over retained modes."""
+    """Mode-space overlap matrix S_{ll'} = <<l|W^2|l'> over retained modes.
+
+    Of a frame-backed eigensystem (W = I) it is the frame's own
+    S_r = Y_L^dag Y_R, real when the frame is; the kets' S is
+    diag(conj p) S_r diag(p).
+    """
+    R, L = es.vectors
+    if es.phase is not None:
+        return L.conj().T @ R
     w = es.pair.w_diag[:, np.newaxis]
-    return es.left.conj().T @ (w * (w * es.right))
+    return L.conj().T @ (w * (w * R))
 
 
 def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
@@ -92,36 +103,6 @@ def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
     return getrs(lu, piv, np.eye(S.shape[0], dtype=S.dtype))[0]
 
 
-def _real_frame(es: Eigensystem) -> Tuple[Eigensystem, Optional[np.ndarray]]:
-    """(es in the real PT basis, its column phases p), or (es, None) if it has none.
-
-    For a PT-symmetric W = I pair the real-basis eigensolve gives each mode of
-    exactly real lambda as U y with y real; normalization leaves U y p for
-    both kets and double-kets, one unit phase p per column, since sigma = 1
-    makes their phases equal up to sign.  Returns es with the real y as its
-    kets, W = I held as real ones, and p, read from the largest-modulus entry
-    of each column of U^dag R.
-    """
-    pair = es.pair
-    if not (
-        pair.pt_symmetric
-        and np.all(pair.w_diag == 1.0)
-        and not es.lambdas.imag.any()
-        and np.all(es.sigmas == 1.0)
-    ):
-        return es, None
-    Z = _to_real_basis(es.right)
-    anchor = Z[np.argmax(np.abs(Z), axis=0), np.arange(es.m)]
-    phase = anchor / np.abs(anchor)
-    frame = replace(
-        es,
-        pair=replace(pair, w_diag=pair.w_diag.real),
-        right=(Z / phase).real,
-        left=(_to_real_basis(es.left) / phase).real,
-    )
-    return frame, phase
-
-
 def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
     """Assemble Theta[kappa] from the double series with M = S^{-1}.
 
@@ -135,8 +116,8 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     m; an exact zero pivot reads as inf.  cond_Theta is the ratio of the
     largest to the smallest |eigenvalue| of the Hermitian part of Theta on the
     span, the eigenvalues min_eig is read from; it is cond_2 when Theta is
-    Hermitian.  An eigensystem `_real_frame` accepts runs the same chain on its
-    real kets and maps S, M and Theta back (see the module docstring).
+    Hermitian.  A frame-backed eigensystem runs the chain and its diagnostics
+    in its frame and maps S, M and Theta out last (see the module docstring).
     """
     pair = es.pair
     n, m = pair.n, es.m
@@ -151,10 +132,11 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
             IncompleteBasisWarning,
             stacklevel=2,
         )
-    es, phase = _real_frame(es)
+    in_frame = es.phase is not None
+    R, L = es.vectors
     k = kappa
-    if phase is not None:
-        # a real kappa keeps the chain real; a complex one makes Theta complex
+    if in_frame:
+        # a real kappa keeps a real frame real; a complex one makes Theta_r complex
         k = kappa if kappa.imag.any() else kappa.real
     S = build_S(es)
     M = _invert_full(S)
@@ -164,28 +146,27 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         cond_S = float(np.sqrt(np.prod(norms)))
     if not cond_S <= COND_S_THRESHOLD:
         raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
-    w = es.pair.w_diag
-    A = (w.conj()[:, np.newaxis] * es.left) * k.conj()[np.newaxis, :]
-    B = k[:, np.newaxis] * (es.left.conj().T * w[np.newaxis, :])
+    if in_frame:  # W = I
+        A = L * k.conj()[np.newaxis, :]
+        B = k[:, np.newaxis] * L.conj().T
+    else:
+        w = pair.w_diag
+        A = (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]
+        B = k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
     Theta = A @ M @ B
     # freed before the residuals allocate theirs: this sets the peak memory
     del A, B
 
     span = Theta
     if m < n:
-        Q = np.linalg.qr(es.right)[0]
+        Q = np.linalg.qr(R)[0]
         span = Q.conj().T @ Theta @ Q
         del Q
     eigs = scipy.linalg.eigvalsh((span + span.conj().T) / 2.0)
-    # the real frame's kets go before the residuals too
-    del span, es
-    if phase is not None:
-        # S = diag(conj p) S_r diag(p), and M alike; Theta = U Theta_r U^dag
-        rephase = phase.conj()[:, np.newaxis] * phase[np.newaxis, :]
-        S, M = S * rephase, M * rephase
-        Theta = _operator_from_real_basis(Theta)
+    del span
     mag = np.abs(eigs)
-    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair)
+    # Frobenius norms are invariant under U, so the frame's residuals are Theta's
+    quasiH, quasiW = quasi_hermiticity_residuals(Theta, pair, in_frame=in_frame)
     diagnostics = {
         "quasiH": quasiH,
         "quasiW": quasiW,
@@ -194,25 +175,38 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         "cond_S": cond_S,
         "cond_Theta": float(mag.max() / mag.min()) if mag.min() > 0 else np.inf,
     }
+    if in_frame:
+        # S = diag(conj p) S_r diag(p), and M alike; Theta = U Theta_r U^dag
+        rephase = es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :]
+        S, M = S * rephase, M * rephase
+        Theta = _operator_from_real_basis(Theta)
     return MetricResult(S=S, M=M, Theta=Theta, diagnostics=diagnostics, kappa_used=kappa)
 
 
-def quasi_hermiticity_residuals(theta: np.ndarray, pair: OperatorPair) -> Tuple[float, float]:
+def quasi_hermiticity_residuals(
+    theta: np.ndarray, pair: OperatorPair, in_frame: bool = False
+) -> Tuple[float, float]:
     """(||H^dag Theta - Theta H||_F, same for W), each / (||Theta||_F * ||op||_F).
 
+    With `in_frame`, `theta` is Theta_r = U^dag Theta U of a PT-symmetric
+    W = I pair, and H acts as A = U^dag H U = Re H - (Im H) P (see spectra):
+    the residuals are those of A and Theta_r, equal to the ambient ones.
     A singular Theta is not rejected here: build_metric reports it through
     min_eig and cond_Theta.
     """
-    w = pair.w_diag
     if not np.all(np.isfinite(theta)):
         raise SingularTheta("Theta contains non-finite entries")
     tnorm = np.linalg.norm(theta)
-    # Theta H is the adjoint of H^dag Theta^dag.  In place: this sets the layer's peak memory
-    theta_H = band_matmul(pair.bands, theta.conj().T, adjoint=True)
-    theta_H = np.conjugate(theta_H, out=theta_H).T
-    D = band_matmul(pair.bands, theta, adjoint=True)
-    D -= theta_H
-    del theta_H
+    if in_frame:
+        # A^T Theta - Theta A: A is real, and Theta A = Theta Re H - (Theta Im H) P
+        D = _pt_matmul(pair.bands, theta, transpose=True)
+        D -= band_rmatmul(theta, pair.bands.real)
+        D += band_rmatmul(theta, pair.bands.imag)[:, ::-1]
+        w = pair.w_diag.real
+    else:
+        D = band_matmul(pair.bands, theta, adjoint=True)
+        D -= band_rmatmul(theta, pair.bands)
+        w = pair.w_diag
     rH = np.linalg.norm(D) / (tnorm * np.linalg.norm(pair.bands))
     D = np.multiply(w.conj()[:, np.newaxis], theta, out=D)
     D -= theta * w[np.newaxis, :]

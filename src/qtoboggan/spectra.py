@@ -11,16 +11,23 @@ The dense solve takes one of three routes.  A W != I pencil goes through QZ.
 With W = I the problem is standard; if the pair is also PT-symmetric
 (P H P = conj(H), P the index reversal), U = (I + iP)/sqrt(2) is unitary and
 U^dag H U = Re H - (Im H) P is real, so one real eigensolve yields the same
-eigenpairs, mapped back by U.  The similarity is exact, not a perturbation:
-only rounding separates the two, and real eigenvalues come out exactly real.
-Other W = I pairs take the complex standard eigensolve.  The metric layer
-builds Theta for such a PT pair in the same real basis, through U^dag.
+eigenpairs.  The similarity is exact, not a perturbation: only rounding
+separates the two, and real eigenvalues come out exactly real.  Other W = I
+pairs take the complex standard eigensolve.
+
+QZ and the complex eigensolve store the kets.  The PT route stores its frame
+instead: the eigenvectors Y of A, real for every real eigenvalue, and one
+unit phase p per mode, each ket being U y p.  Residuals, sigma and the
+biorthogonal Gram run on Y, filtering keeps Y real, and the metric layer
+works on it too; the kets are built from the frame only when a caller reads
+`right` or `left`.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,18 +73,25 @@ PARITY_OVERLAP_FLOOR = 1e-12
 class Eigensystem:
     """Paired eigensystem of the pencil `pair`, H psi = lambda W psi.
 
-    `left[:, j]` stores the vector whose conjugate transpose is the double-ket
-    bra <<lambda_j|; `right[:, j]` is the ket.  m = len(lambdas) may be smaller
-    than `pair.n` after filtering.
+    `right[:, j]` is the ket |lambda_j> and `left[:, j]` the vector whose
+    conjugate transpose is the double-ket bra <<lambda_j|.  m = len(lambdas)
+    may be smaller than `pair.n` after filtering.
+
+    `vectors` holds (right, left) as solved.  Without `phase` they are the
+    kets themselves.  The PT route (see solve_generalized) sets `phase`: then
+    they are the eigenvectors Y_R, Y_L of the real A = U^dag H U, real
+    exactly when every lambda is, and each ket is U Y diag(phase) with
+    U = (I + iP)/sqrt(2).  Such a system computes in that frame; `right` and
+    `left` build the kets on first read and keep them.
     """
 
     pair: OperatorPair
     lambdas: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    vectors: Tuple[np.ndarray, np.ndarray]
     sigmas: np.ndarray
     residual_right: np.ndarray
     residual_left: np.ndarray
+    phase: Optional[np.ndarray] = None
     discarded: int = 0
     gram: Optional[np.ndarray] = None
 
@@ -85,12 +99,28 @@ class Eigensystem:
     def m(self) -> int:
         return len(self.lambdas)
 
+    @cached_property
+    def right(self) -> np.ndarray:
+        R = self.vectors[0]
+        return R if self.phase is None else _kets_from_frame(R, self.phase)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        L = self.vectors[1]
+        return L if self.phase is None else _kets_from_frame(L, self.phase)
+
     def take(self, idx: np.ndarray, discarded: int = 0) -> "Eigensystem":
+        R, L = self.vectors
+        phase = self.phase
+        if phase is not None:
+            phase = phase[idx]
+            if np.iscomplexobj(R) and not self.lambdas[idx].imag.any():
+                R, L = R.real, L.real  # a real eigenvalue's frame vectors are real
         return replace(
             self,
             lambdas=self.lambdas[idx],
-            right=self.right[:, idx],
-            left=self.left[:, idx],
+            vectors=(R[:, idx], L[:, idx]),
+            phase=phase,
             sigmas=self.sigmas[idx],
             residual_right=self.residual_right[idx],
             residual_left=self.residual_left[idx],
@@ -125,14 +155,24 @@ def _pt_real_form(bands: np.ndarray) -> np.ndarray:
     return A
 
 
-def _from_real_basis(Y: np.ndarray) -> np.ndarray:
-    """U Y with U = (I + iP)/sqrt(2): eigenvectors of A to those of H."""
-    return (Y + 1j * Y[::-1]) / np.sqrt(2.0)
+def _pt_matmul(bands: np.ndarray, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A Y, or A^T Y when `transpose`, for A = Re H - (Im H) P; O(size of Y).
+
+    A^T = (Re H)^T - P (Im H)^T.  A real Y gives a real product.
+    """
+    re, im = bands.real, bands.imag
+    if transpose:
+        AY = band_matmul(re, Y, adjoint=True)
+        AY -= band_matmul(im, Y, adjoint=True)[::-1]
+    else:
+        AY = band_matmul(re, Y)
+        AY -= band_matmul(im, Y[::-1])
+    return AY
 
 
-def _to_real_basis(V: np.ndarray) -> np.ndarray:
-    """U^dag V with U = (I + iP)/sqrt(2): eigenvectors of H to those of A."""
-    return (V - 1j * V[::-1]) / np.sqrt(2.0)
+def _kets_from_frame(Y: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """U Y diag(phase) with U = (I + iP)/sqrt(2): frame vectors to kets of H."""
+    return (Y + 1j * Y[::-1]) * (phase / np.sqrt(2.0))[np.newaxis, :]
 
 
 def _operator_from_real_basis(X: np.ndarray) -> np.ndarray:
@@ -144,31 +184,77 @@ def _operator_from_real_basis(X: np.ndarray) -> np.ndarray:
     return T
 
 
+def _frame_eigensystem(
+    pair: OperatorPair, lam: np.ndarray, YR: np.ndarray, YL: np.ndarray
+) -> Eigensystem:
+    """The PT route's eigensystem, kept in the frame of U = (I + iP)/sqrt(2).
+
+    YR, YL are LAPACK's unit eigenvectors of A = U^dag H U (W = I).  Each
+    column's phase p puts the largest-modulus entry of its ket U y_R on the
+    positive real axis, as `_normalize_columns` does on the other routes:
+    |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2) peaks at i and n-1-i alike, and
+    the first of the two is taken.  The double-ket U y_L carries the same p,
+    so sigma = y_L^dag y_R.  Residuals are ||A y - lam y|| / ||y|| and
+    ||A^T y - conj(lam) y|| / ||y||, the kets' own since U is unitary.  The
+    modes of real lambda, whose vectors are real, run in real arithmetic.
+    """
+    m = len(lam)
+    phase, sigmas = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+    res_r, res_l = np.empty(m), np.empty(m)
+    real = lam.imag == 0
+    # np.real views the real modes' vectors, whose imaginary parts are zero
+    for cols, part in ((real, np.real), (~real, np.asarray)):
+        if not cols.any():
+            continue
+        yr, yl, lc = part(YR)[:, cols], part(YL)[:, cols], part(lam[cols])
+        mod = np.hypot(yr, yr[::-1]) if np.isrealobj(yr) else np.abs(yr + 1j * yr[::-1])
+        top = np.argmax(mod, axis=0)
+        at = np.arange(yr.shape[1])
+        anchor = yr[top, at] + 1j * yr[::-1][top, at]
+        phase[cols] = anchor.conj() / np.abs(anchor)
+        for res, y, transpose, mu in ((res_r, yr, False, lc), (res_l, yl, True, lc.conj())):
+            D = _pt_matmul(pair.bands, y, transpose)
+            D -= y * mu
+            res[cols] = np.linalg.norm(D, axis=0) / np.linalg.norm(y, axis=0)
+        sigmas[cols] = np.einsum("ij,ij->j", yl.conj(), yr)
+    if real.all():
+        YR, YL = YR.real.copy(), YL.real.copy()
+    return Eigensystem(
+        pair=pair,
+        lambdas=lam,
+        vectors=(YR, YL),
+        sigmas=sigmas,
+        residual_right=res_r,
+        residual_left=res_l,
+        phase=phase,
+    )
+
+
 def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:
     """All n eigenpairs with right kets and left double-kets, index-paired.
 
     Three routes, by the structure of the pair.  W != I: QZ on (H, W).
-    W = I and PT-symmetric: one real eigensolve of A = Re H - (Im H) P,
-    which is unitarily similar to H through U = (I + iP)/sqrt(2); both of
-    LAPACK's vector families of A are mapped back by U (the left vectors too,
-    since u^dag A = lam u^dag gives (U u)^dag H = lam (U u)^dag).  Real modes
-    then carry Im lambda == 0 exactly.  Other W = I pairs: the complex
-    standard eigensolve of H.
+    W = I and PT-symmetric (the PT route): one real eigensolve of
+    A = Re H - (Im H) P, which is unitarily similar to H through
+    U = (I + iP)/sqrt(2); both of LAPACK's vector families of A are kept in
+    that frame (the left ones too, since u^dag A = lam u^dag gives
+    (U u)^dag H = lam (U u)^dag), and real modes carry Im lambda == 0
+    exactly.  Other W = I pairs: the complex standard eigensolve of H.
 
     `tol` is the pairing-ambiguity threshold: two eigenvalues closer than
     tol*max(1, |lambda|) make the left/right pairing non-canonical and raise
     DegeneratePairing.  Per-mode residuals ||H v - lam W v|| / ||W v|| (and the
-    left analogue) are reported against the complex bands, not gated.
+    left analogue) are reported, not gated.
     """
     import scipy.linalg
 
     w, n = operators.w_diag, operators.n
+    pt_route = operators.pt_symmetric and np.all(w == 1.0)
     try:
         if not np.all(w == 1.0):
             lam, VL, VR = scipy.linalg.eig(operators.H, operators.W, left=True, right=True)
-        elif operators.pt_symmetric:
-            lam, YL, YR = scipy.linalg.eig(_pt_real_form(operators.bands), left=True, right=True)
-            VL, VR = _from_real_basis(YL), _from_real_basis(YR)
+        elif pt_route:
+            lam, VL, VR = scipy.linalg.eig(_pt_real_form(operators.bands), left=True, right=True)
         else:
             # the standard eigensolve avoids the ~10x cost of QZ with B = I
             lam, VL, VR = scipy.linalg.eig(operators.H, None, left=True, right=True)
@@ -190,6 +276,8 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
             raise DegeneratePairing(
                 f"eigenvalues {lam[j]} and {lam[j + k]} coincide within tol={tol}"
             )
+    if pt_route:
+        return _frame_eigensystem(operators, lam, VR, VL)
 
     VR = _normalize_columns(VR)
     VL = _normalize_columns(VL)
@@ -203,8 +291,7 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     return Eigensystem(
         pair=operators,
         lambdas=lam,
-        right=VR,
-        left=VL,
+        vectors=(VR, VL),
         sigmas=sig,
         residual_right=res_r,
         residual_left=res_l,
@@ -370,10 +457,13 @@ def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensy
     """Rescale double-kets so sigma_lam = <<lam|W|lam> = 1 exactly.
 
     Right kets are untouched; the weighted Gram matrix after rescaling is
-    stored on the result for inspection.
+    stored on the result for inspection.  A frame-backed system (W = I)
+    rescales Y_L in its own arithmetic; its kets' Gram is the frame's,
+    rephased: diag(conj p) Y_L^dag Y_R diag(p).
     """
-    WV = es.pair.w_diag[:, np.newaxis] * es.right
-    sig = np.einsum("ij,ij->j", es.left.conj(), WV)
+    R, L = es.vectors
+    WR = R if es.phase is not None else es.pair.w_diag[:, np.newaxis] * R
+    sig = np.einsum("ij,ij->j", L.conj(), WR)
     floor = sigma_tol * max(1.0, float(np.median(np.abs(sig))))
     if np.any(np.abs(sig) < floor):
         j = int(np.argmin(np.abs(sig)))
@@ -381,9 +471,11 @@ def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensy
             f"mode {j} (lambda={es.lambdas[j]}) has |sigma|={abs(sig[j]):.3e} "
             "below threshold (exceptional point)"
         )
-    left = es.left / sig.conj()[np.newaxis, :]
-    gram = left.conj().T @ WV
-    return replace(es, left=left, sigmas=np.ones(es.m, dtype=complex), gram=gram)
+    L = L / sig.conj()
+    gram = L.conj().T @ WR
+    if es.phase is not None:
+        gram = gram * (es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :])
+    return replace(es, vectors=(R, L), sigmas=np.ones(es.m, dtype=complex), gram=gram)
 
 
 def completeness_residual(es: Eigensystem) -> float:
@@ -411,7 +503,8 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
     """|lam> -> |lam>/kappa and <<lam| -> kappa*<<lam| simultaneously.
 
     sigma, Gram, completeness and rebuild residuals are invariant; the stored
-    kets change.
+    kets change.  The result stores kets, also when `es` is held in the PT
+    frame.
     """
     kappa = np.asarray(kappa, dtype=complex)
     if kappa.shape != (es.m,):
@@ -420,8 +513,8 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
         raise ZeroKappa("kappa entries must be nonzero")
     return replace(
         es,
-        right=es.right / kappa[np.newaxis, :],
-        left=es.left * kappa.conj()[np.newaxis, :],
+        vectors=(es.right / kappa[np.newaxis, :], es.left * kappa.conj()[np.newaxis, :]),
+        phase=None,
     )
 
 

@@ -504,7 +504,7 @@ def test_validate_kappa_gram_check_catches_a_conjugation_slip(tmp_path, capsys, 
 
     def kappa_for_its_conjugate(es, kappa):
         # double-kets dressed by kappa where conj(kappa) belongs
-        return replace(es, right=es.right / kappa, left=es.left * kappa)
+        return replace(es, vectors=(es.right / kappa, es.left * kappa), phase=None)
 
     monkeypatch.setattr(spectra, "apply_kappa", kappa_for_its_conjugate)
     code, entries, _ = run_validate(tmp_path, capsys)
@@ -567,6 +567,25 @@ def test_validate_builds_both_homogeneity_metrics_in_one_frame(tmp_path):
     assert len(checks) == 19
     homogeneity = next(item for item in checks if item["name"] == "kappa_homogeneity")
     assert homogeneity["value"] <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
+def test_frame_route_commands_build_no_kets(tmp_path, monkeypatch):
+    # on a PT-symmetric W = I pair spectrum and metric stay in the real frame
+    # from the eigensolve to Theta; validate reads the kets, so it builds some
+    from qtoboggan import spectra
+
+    built = []
+    to_kets = spectra._kets_from_frame
+    monkeypatch.setattr(
+        spectra, "_kets_from_frame", lambda Y, phase: built.append(Y.shape) or to_kets(Y, phase)
+    )
+    config = cli.load_config(write_config(tmp_path, base_config()))
+    for command in ("spectrum", "metric"):
+        assert cli.run(config, command=command, out_dir=str(tmp_path / command)) == 0
+    assert built == []
+    assert cli.run(config, command="validate", out_dir=str(tmp_path / "validate")) == 0
+    assert built
 
 
 def test_kappa_gram_check_passes_at_a_draw_the_dressed_comparison_failed(tmp_path):

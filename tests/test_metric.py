@@ -203,22 +203,21 @@ def _serial_metric(es, kappa=None):
 
 
 def _frame_serial_metric(es):
-    """The real PT-basis chain (kappa = 1): U^dag R = Y_R diag(p), U^dag L = Y_L diag(p).
+    """The frame chain (kappa = 1) on the stored Y_R, Y_L and phases p.
 
-    U = (I + iP)/sqrt(2); S and M return as diag(conj p) X diag(p), and
-    Theta as U Theta_r U^dag = ((X + PXP) + i (PX - XP)) / 2.
+    S and M return as diag(conj p) X diag(p), Theta as
+    U Theta_r U^dag = ((X + PXP) + i (PX - XP)) / 2 with U = (I + iP)/sqrt(2);
+    the diagnostics are those of Theta_r.
     """
-    def u_dag(V):
-        return (V - 1j * V[::-1]) / np.sqrt(2.0)
-
-    Z = u_dag(es.right)
-    anchor = Z[np.argmax(np.abs(Z), axis=0), np.arange(es.m)]
-    phase = anchor / np.abs(anchor)
-    YR, YL = (Z / phase).real, (u_dag(es.left) / phase).real
+    YR, YL = es.vectors
     S, M, X, span, eigs = _serial_chain(YL, YR, np.ones(es.pair.n), np.ones(es.m))
-    rephase = phase.conj()[:, np.newaxis] * phase[np.newaxis, :]
-    Theta = 0.5 * ((X + X[::-1, ::-1]) + 1j * (X[::-1] - X[:, ::-1]))
-    return S * rephase, M * rephase, Theta, span, _serial_diagnostics(es.pair, Theta, eigs)
+    diagnostics = _serial_diagnostics(es.pair, X, eigs)
+    diagnostics["quasiH"], diagnostics["quasiW"] = metric.quasi_hermiticity_residuals(
+        X, es.pair, in_frame=True
+    )
+    rephase = es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :]
+    Theta = 0.5 * (1j * (X[::-1] - X[:, ::-1]) + X + X[::-1, ::-1])
+    return S * rephase, M * rephase, Theta, span, diagnostics
 
 
 def _case(case, request):
@@ -251,17 +250,46 @@ def _quiet_metric(es, kappa=None):
     ["hand", "harmonic_subset", "cubic_coarse", "harmonic_one_complex_mode", "harmonic_unnormalized"],
 )
 def test_metric_is_bitwise_the_serial_one(case, request):
-    # only the PT-symmetric W = I set with every retained lambda real and
-    # sigma = 1 takes the real basis
+    # every eigensystem of the PT-symmetric W = I harmonic pair is held in the
+    # frame, whether its lambdas are real or not and whatever its sigma
     es = _case(case, request)
-    in_frame = case == "harmonic_subset"
-    assert (metric._real_frame(es)[1] is not None) == in_frame
+    in_frame = case.startswith("harmonic")
+    assert (es.phase is not None) == in_frame
     S, M, Theta, _, diagnostics = (_frame_serial_metric if in_frame else _serial_metric)(es)
     res = _quiet_metric(es)
     assert np.array_equal(res.S, S)
     assert np.array_equal(res.M, M)
     assert np.array_equal(res.Theta, Theta)
     assert {key: res.diagnostics[key] for key in diagnostics} == diagnostics
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_frame_quasi_hermiticity_is_the_ambient_one(harmonic_small, real):
+    # an O(1) residual, so the two agree to rounding rather than both being noise
+    pair = harmonic_small[0]
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((pair.n, pair.n))
+    if not real:
+        X = X + 1j * rng.standard_normal((pair.n, pair.n))
+    U = (np.eye(pair.n) + 1j * np.eye(pair.n)[::-1]) / np.sqrt(2.0)
+    framed = metric.quasi_hermiticity_residuals(X, pair, in_frame=True)
+    ambient = metric.quasi_hermiticity_residuals(U @ X @ U.conj().T, pair)
+    assert framed[0] > 0.01
+    assert framed[0] == pytest.approx(ambient[0], rel=1e-12)
+    assert framed[1] == ambient[1] == 0.0
+
+
+def test_band_rmatmul_is_theta_times_h(cubic_coarse):
+    # quasi_hermiticity_residuals forms Theta H from the right; it agrees with
+    # the conjugate transpose of H^dag Theta^dag it used to take, to rounding
+    pair = cubic_coarse.pair
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((pair.n, pair.n)) + 1j * rng.standard_normal((pair.n, pair.n))
+    XH = discrete.band_rmatmul(X, pair.bands)
+    by_adjoint = discrete.band_matmul(pair.bands, X.conj().T, adjoint=True).conj().T
+    scale = np.abs(X).max() * np.abs(pair.bands).max()
+    assert np.abs(XH - by_adjoint).max() <= 4 * np.finfo(float).eps * scale
+    assert np.abs(XH - X @ pair.H).max() <= 4 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("kappa", ["one", "complex"])
@@ -306,9 +334,9 @@ def test_planted_ill_conditioned_overlap_fails_the_gate(harmonic_small, monkeypa
     )
     S = (U * np.geomspace(1.0, 1.0 / 2e12, m)[np.newaxis, :]) @ V.conj().T
     assert np.linalg.cond(S) == pytest.approx(2e12, rel=1e-2)
-    # the real-basis chain forms S through build_S too: it is handed the real kets
+    # the frame chain forms S through build_S too: it is handed the real frame
     handed = []
-    monkeypatch.setattr(metric, "build_S", lambda es: handed.append(es.right.dtype) or S)
+    monkeypatch.setattr(metric, "build_S", lambda es: handed.append(es.vectors[0].dtype) or S)
     with pytest.warns(IncompleteBasisWarning), pytest.raises(IllConditionedS):
         metric.build_metric(es_sub)
     assert handed == [np.dtype(float)]
@@ -319,7 +347,7 @@ def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, mo
     _, _, es_sub = harmonic_small
     handed = []
     monkeypatch.setattr(
-        metric, "build_S", lambda es: handed.append(es.right.dtype) or np.zeros((es.m, es.m))
+        metric, "build_S", lambda es: handed.append(es.vectors[0].dtype) or np.zeros((es.m, es.m))
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -301,6 +301,54 @@ def test_pt_grid_pair_retains_exactly_real_modes(harmonic_small):
     assert np.allclose(es_sub.lambdas, complex_route.lambdas, rtol=1e-10, atol=0)
 
 
+def test_pt_route_keeps_its_frame_real_once_filtered(harmonic_small):
+    pair, es_full, es_sub = harmonic_small
+    # the complete set holds complex-conjugate pairs, whose frame vectors are complex
+    assert es_full.phase is not None and es_full.vectors[0].dtype == complex
+    assert es_sub.phase is not None
+    assert all(Y.dtype == float for Y in es_sub.vectors)
+    assert np.all(np.abs(es_sub.phase) == pytest.approx(1.0, abs=1e-15))
+
+
+def test_frame_residuals_are_those_of_the_kets(harmonic_small):
+    # ||A y - lam y|| / ||y|| in the frame against ||H v - lam v|| / ||v|| on v = U y p
+    pair, es_full, _ = harmonic_small
+    lam, R, L = es_full.lambdas, es_full.right, es_full.left
+    HR = discrete.band_matmul(pair.bands, R)
+    HdL = discrete.band_matmul(pair.bands, L, adjoint=True)
+    res_r = np.linalg.norm(HR - R * lam, axis=0) / np.linalg.norm(R, axis=0)
+    res_l = np.linalg.norm(HdL - L * lam.conj(), axis=0) / np.linalg.norm(L, axis=0)
+    assert np.abs(es_full.residual_right - res_r).max() <= 1e-12
+    assert np.abs(es_full.residual_left - res_l).max() <= 1e-12
+
+
+def test_frame_kets_are_unit_with_a_real_positive_anchor(harmonic_small):
+    # the convention of the other routes, so S.bin keeps its phases.  |U y| takes
+    # its largest value twice, at i and n - 1 - i: the first of the two is the anchor
+    for es in harmonic_small[1:]:
+        R, mod = es.right, np.abs(es.right)
+        assert np.abs(np.linalg.norm(R, axis=0) - 1.0).max() <= 1e-13
+        top = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=0), axis=0)
+        anchor = R[top, np.arange(es.m)]
+        assert np.abs(anchor.imag).max() <= 1e-15 and anchor.real.min() > 0
+
+
+def test_frame_kets_are_built_once_on_first_read(harmonic_small, monkeypatch):
+    pair = harmonic_small[0]
+    built = []
+    to_kets = spectra._kets_from_frame
+    monkeypatch.setattr(
+        spectra, "_kets_from_frame", lambda Y, phase: built.append(Y.shape) or to_kets(Y, phase)
+    )
+    es = spectra.normalize_biorthogonal(spectra.filter_real(spectra.solve_generalized(pair, 1e-12)))
+    assert built == []
+    first = es.right
+    assert es.right is first and es.left is es.left
+    assert built == [(pair.n, es.m)] * 2
+    # sigma = 1 and the Gram are those of the kets
+    assert np.abs(es.left.conj().T @ es.right - es.gram).max() <= 1e-12
+
+
 def test_nearest_eigenpairs_match_dense_solve(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     shifts = [0.9, 2.8, 5.2, 7.3, 1.2 + 0.1j]
