@@ -177,7 +177,7 @@ def save_matrix_bin(A: np.ndarray, path: str, h: float, epsilon: float) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQdd", rows, cols, float(h), float(epsilon)))
-        fh.write(A.astype("<c16").tobytes(order="C"))
+        fh.write(A.astype("<c16", copy=False).data)  # no copy on a little-endian host
     with open(path + ".txt", "w", encoding="utf-8") as fh:
         fh.write(
             "qtoboggan matrix dump\n"

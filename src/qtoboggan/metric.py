@@ -84,9 +84,7 @@ def build_S(es: Eigensystem) -> np.ndarray:
     diag(conj p) S_r diag(p).
     """
     R, L = es.vectors
-    if es.phase is not None:
-        return L.conj().T @ R
-    w = es.pair.w_diag[:, np.newaxis]
+    w = es.weights[:, np.newaxis]
     return L.conj().T @ (w * (w * R))
 
 
@@ -146,13 +144,9 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         cond_S = float(np.sqrt(np.prod(norms)))
     if not cond_S <= COND_S_THRESHOLD:
         raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
-    if in_frame:  # W = I
-        A = L * k.conj()[np.newaxis, :]
-        B = k[:, np.newaxis] * L.conj().T
-    else:
-        w = pair.w_diag
-        A = (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]
-        B = k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
+    w = es.weights
+    A = (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]
+    B = k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
     Theta = A @ M @ B
     # freed before the residuals allocate theirs: this sets the peak memory
     del A, B

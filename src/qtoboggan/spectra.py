@@ -81,8 +81,9 @@ class Eigensystem:
     kets themselves.  The PT route (see solve_generalized) sets `phase`: then
     they are the eigenvectors Y_R, Y_L of the real A = U^dag H U, real
     exactly when every lambda is, and each ket is U Y diag(phase) with
-    U = (I + iP)/sqrt(2).  Such a system computes in that frame; `right` and
-    `left` build the kets on first read and keep them.
+    U = (I + iP)/sqrt(2).  Such a system computes in that frame, with W = I
+    as real ones (`weights`), so one formula serves both storages; `right`
+    and `left` build the kets on first read and keep them.
     """
 
     pair: OperatorPair
@@ -98,6 +99,12 @@ class Eigensystem:
     @property
     def m(self) -> int:
         return len(self.lambdas)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The diagonal of W in the arithmetic of `vectors`: real ones in the frame."""
+        w = self.pair.w_diag
+        return w if self.phase is None else w.real
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -192,11 +199,13 @@ def _frame_eigensystem(
     YR, YL are LAPACK's unit eigenvectors of A = U^dag H U (W = I).  Each
     column's phase p puts the largest-modulus entry of its ket U y_R on the
     positive real axis, as `_normalize_columns` does on the other routes:
-    |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2) peaks at i and n-1-i alike, and
-    the first of the two is taken.  The double-ket U y_L carries the same p,
-    so sigma = y_L^dag y_R.  Residuals are ||A y - lam y|| / ||y|| and
-    ||A^T y - conj(lam) y|| / ||y||, the kets' own since U is unitary.  The
-    modes of real lambda, whose vectors are real, run in real arithmetic.
+    |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2), and the anchor is its first
+    argmax.  For real y it is hypot(y_i, y_{n-1-i}), which peaks at i and
+    n-1-i alike, so the first of the two is taken.  The double-ket U y_L
+    carries the same p, so sigma = y_L^dag y_R.  Residuals are
+    ||A y - lam y|| / ||y|| and ||A^T y - conj(lam) y|| / ||y||, the kets'
+    own since U is unitary.  The modes of real lambda, whose vectors are
+    real, run in real arithmetic.
     """
     m = len(lam)
     phase, sigmas = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
@@ -217,8 +226,6 @@ def _frame_eigensystem(
             D -= y * mu
             res[cols] = np.linalg.norm(D, axis=0) / np.linalg.norm(y, axis=0)
         sigmas[cols] = np.einsum("ij,ij->j", yl.conj(), yr)
-    if real.all():
-        YR, YL = YR.real.copy(), YL.real.copy()
     return Eigensystem(
         pair=pair,
         lambdas=lam,
@@ -462,7 +469,7 @@ def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensy
     rephased: diag(conj p) Y_L^dag Y_R diag(p).
     """
     R, L = es.vectors
-    WR = R if es.phase is not None else es.pair.w_diag[:, np.newaxis] * R
+    WR = es.weights[:, np.newaxis] * R
     sig = np.einsum("ij,ij->j", L.conj(), WR)
     floor = sigma_tol * max(1.0, float(np.median(np.abs(sig))))
     if np.any(np.abs(sig) < floor):
