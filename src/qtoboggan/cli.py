@@ -540,8 +540,11 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
 
     # uniform-kappa homogeneity: Theta[c kappa] = |c|^2 Theta[kappa]
     c, theta = _HOMOGENEITY_SCALE, result.Theta
-    rc = metric.build_metric(es, kappa=c * result.kappa_used)
-    hom = float(np.linalg.norm(rc.Theta - abs(c) ** 2 * theta) / np.linalg.norm(theta))
+    # each metric result keeps its frame matrices beside the operators read from
+    # it, so validate keeps only the operators its later checks read
+    theta_c = metric.build_metric(es, kappa=c * result.kappa_used).Theta
+    hom = float(np.linalg.norm(theta_c - abs(c) ** 2 * theta) / np.linalg.norm(theta))
+    del theta_c
     yield "kappa_homogeneity", hom, tol["kappa_invariance"], False
 
     try:
@@ -553,8 +556,10 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
         off = result_full.S - np.diag(np.diag(result_full.S))
         ratio = float(np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(result_full.S))))
         yield "degeneration_S_offdiag", ratio, tol["w_identity_offdiag"], False
+        theta_full = result_full.Theta
+        del result_full
         single = metric.single_series_theta(es_all)
-        dd = float(np.linalg.norm(result_full.Theta - single) / np.linalg.norm(single))
+        dd = float(np.linalg.norm(theta_full - single) / np.linalg.norm(single))
         yield "degeneration_theta", dd, tol["degeneration"], False
 
     similarity = metric.theta_eigenvector_residual(es, result.Theta)

@@ -16,16 +16,19 @@ double-ket U y p with U = (I + iP)/sqrt(2) and p a unit phase) is built from
 its frame vectors y: S_r, S_r^{-1}, Theta_r = U^dag Theta U, the span's
 eigenvalues and the quasi-Hermiticity and Hermiticity residuals, all real
 when y and kappa are.  Frobenius norms are invariant under U, so those
-residuals are Theta's own.  Only then are S = diag(conj p) S_r diag(p), M
-alike and Theta = U Theta_r U^dag formed, in O(n^2).  The similarity is
-exact, so the result agrees with the complex chain to rounding; every other
-eigensystem takes the complex chain on its kets.
+residuals are Theta's own.  The MetricResult keeps S_r, S_r^{-1} and Theta_r
+and builds S = diag(conj p) S_r diag(p), M alike and Theta = U Theta_r U^dag,
+in O(n^2), each on its first read: the metric command writes Theta and S and
+never forms M.  The similarity is exact, so the result agrees with the
+complex chain to rounding; every other eigensystem takes the complex chain on
+its kets.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -67,13 +70,41 @@ class MetricResult:
     When the eigensystem is a strict subset of the modes (m < n), Theta is a
     subspace metric and min_eig / cond_Theta are restricted to the retained
     span (quasiH/quasiW stay ambient: the defect lives in the full space).
+
+    `matrices` holds (S, M, Theta) as built.  Without `phase` they are those
+    operators themselves.  Built from a frame-backed eigensystem they are its
+    frame's S_r, M_r and Theta_r = U^dag Theta U, and `phase` is the
+    eigensystem's: then `S`, `M` and `Theta` are built on first read and kept,
+    S and M as diag(conj p) X diag(p) and Theta as U Theta_r U^dag.  A caller
+    that reads only Theta and S, as the metric command does, never forms M.
     """
 
-    S: np.ndarray
-    M: np.ndarray
-    Theta: np.ndarray
+    matrices: Tuple[np.ndarray, np.ndarray, np.ndarray]
     diagnostics: Dict[str, Optional[float]]
     kappa_used: np.ndarray
+    phase: Optional[np.ndarray] = None
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self._rephased(self.matrices[0])
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return self._rephased(self.matrices[1])
+
+    @cached_property
+    def Theta(self) -> np.ndarray:
+        X = self.matrices[2]
+        return X if self.phase is None else _operator_from_real_basis(X)
+
+    def _rephased(self, X: np.ndarray) -> np.ndarray:
+        """diag(conj p) X diag(p), X the first factor of each product."""
+        if self.phase is None:
+            return X
+        rephase = self.phase.conj()[:, np.newaxis] * self.phase[np.newaxis, :]
+        # not X * (...): NumPy would reuse the temporary as rephase *= X, whose
+        # swapped complex product rounds differently
+        return np.multiply(X, rephase, out=rephase)
 
 
 def build_S(es: Eigensystem) -> np.ndarray:
@@ -115,7 +146,8 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     largest to the smallest |eigenvalue| of the Hermitian part of Theta on the
     span, the eigenvalues min_eig is read from; it is cond_2 when Theta is
     Hermitian.  A frame-backed eigensystem runs the chain and its diagnostics
-    in its frame and maps S, M and Theta out last (see the module docstring).
+    in its frame, and the result keeps S, M and Theta there until they are
+    read (see MetricResult).
     """
     pair = es.pair
     n, m = pair.n, es.m
@@ -169,12 +201,9 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         "cond_S": cond_S,
         "cond_Theta": float(mag.max() / mag.min()) if mag.min() > 0 else np.inf,
     }
-    if in_frame:
-        # S = diag(conj p) S_r diag(p), and M alike; Theta = U Theta_r U^dag
-        rephase = es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :]
-        S, M = S * rephase, M * rephase
-        Theta = _operator_from_real_basis(Theta)
-    return MetricResult(S=S, M=M, Theta=Theta, diagnostics=diagnostics, kappa_used=kappa)
+    return MetricResult(
+        matrices=(S, M, Theta), diagnostics=diagnostics, kappa_used=kappa, phase=es.phase
+    )
 
 
 def quasi_hermiticity_residuals(

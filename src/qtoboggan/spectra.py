@@ -183,10 +183,19 @@ def _kets_from_frame(Y: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 def _operator_from_real_basis(X: np.ndarray) -> np.ndarray:
-    """U X U^dag = ((X + P X P) + i (P X - X P)) / 2, from reversed views in O(n^2)."""
-    T = 1j * (X[::-1] - X[:, ::-1])
-    T += X
-    T += X[::-1, ::-1]
+    """U X U^dag = ((X + P X P) + i (P X - X P)) / 2, from reversed views in O(n^2).
+
+    A real X fills the two parts of one complex array in place; a complex X
+    (from a complex kappa or a complex mode) mixes them, so it sums complex terms.
+    """
+    if np.iscomplexobj(X):
+        T = 1j * (X[::-1] - X[:, ::-1])
+        T += X
+        T += X[::-1, ::-1]
+    else:
+        T = np.empty(X.shape, dtype=complex)
+        np.add(X, X[::-1, ::-1], out=T.real)
+        np.subtract(X[::-1], X[:, ::-1], out=T.imag)
     T *= 0.5
     return T
 

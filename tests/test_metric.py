@@ -5,6 +5,7 @@ H = [[1,1],[0,2]], W = I.  Sigma-normalized left double-kets are
 eigenvalues 2 +/- sqrt(2) > 0 and H^dag Theta = Theta H exactly.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -285,6 +286,51 @@ def test_metric_is_bitwise_the_serial_one(case, request):
     assert np.array_equal(res.M, M)
     assert np.array_equal(res.Theta, Theta)
     assert {key: res.diagnostics[key] for key in diagnostics} == diagnostics
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_operator_from_real_basis_is_u_x_u_dagger(real):
+    # odd n, so the middle row and column map onto themselves
+    n = 7
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((n, n))
+    if not real:
+        X = X + 1j * rng.standard_normal((n, n))
+    U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
+    T = spectra._operator_from_real_basis(X)
+    assert np.abs(T - U @ X @ U.conj().T).max() <= 8 * np.finfo(float).eps * np.abs(X).max()
+    if real:
+        # the complex-sum formula a complex X takes, to the bit
+        summed = 1j * (X[::-1] - X[:, ::-1])
+        summed += X
+        summed += X[::-1, ::-1]
+        summed *= 0.5
+        assert T.tobytes() == summed.tobytes()
+
+
+def test_frame_metric_forms_s_and_theta_on_read_and_no_m(harmonic_model):
+    # the harmonic line's grid: S_r, M_r and Theta_r, then Theta and S read as
+    # the metric command reads them, peak at 6.6 real n x n arrays; mapping all
+    # three out inside build_metric peaked at 9.3
+    pair = discrete.build_operators(
+        model.rectify_model(harmonic_model, 0),
+        discrete.GridSpec(half_width=9.0, n=400, epsilon=0.5),
+    )
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.normalize_biorthogonal(spectra.filter_real(es))
+    assert es.phase is not None and es.m < pair.n
+    tracemalloc.start()
+    try:
+        res = _quiet_metric(es)
+        built = set(vars(res))
+        res.Theta, res.S
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not built & {"S", "M", "Theta"}
+    assert "M" not in vars(res)
+    assert peak <= 7.5 * pair.n**2 * np.dtype(float).itemsize
+    assert res.M.shape == (es.m, es.m) and "M" in vars(res)
 
 
 @pytest.mark.parametrize("real", [True, False])
