@@ -15,11 +15,12 @@ An eigensystem held in the PT frame (see spectra: W = I, each ket and
 double-ket U y p with U = (I + iP)/sqrt(2) and p a unit phase) is built from
 its frame vectors y: S_r, S_r^{-1}, Theta_r = U^dag Theta U, the span's
 eigenvalues and the quasi-Hermiticity and Hermiticity residuals, all real
-when y and kappa are.  Frobenius norms are invariant under U, so those
-residuals are Theta's own.  The MetricResult keeps S_r, S_r^{-1} and Theta_r
-and builds S = diag(conj p) S_r diag(p), M alike and Theta = U Theta_r U^dag,
-in O(n^2), each on its first read: the metric command writes Theta and S and
-never forms M.  The similarity is exact, so the result agrees with the
+when y and kappa are.  S_r is the frame's biorthogonal Gram, which a
+normalized eigensystem already stores.  Frobenius norms are invariant under
+U, so those residuals are Theta's own.  The MetricResult keeps S_r, S_r^{-1}
+and Theta_r and builds S = diag(conj p) S_r diag(p), M alike and
+Theta = U Theta_r U^dag, in O(n^2), each on its first read: the metric
+command writes Theta and S and never forms M.  The similarity is exact, so the result agrees with the
 complex chain to rounding; every other eigensystem takes the complex chain on
 its kets.
 """
@@ -112,8 +113,12 @@ def build_S(es: Eigensystem) -> np.ndarray:
 
     Of a frame-backed eigensystem (W = I) it is the frame's own
     S_r = Y_L^dag Y_R, real when the frame is; the kets' S is
-    diag(conj p) S_r diag(p).
+    diag(conj p) S_r diag(p).  With W = I, S_r is the frame's biorthogonal
+    Gram, so a normalized frame-backed system returns its stored
+    `vector_gram` itself, the array the formula below would rebuild.
     """
+    if es.phase is not None and es.vector_gram is not None:
+        return es.vector_gram
     R, L = es.vectors
     w = es.weights[:, np.newaxis]
     return L.conj().T @ (w * (w * R))

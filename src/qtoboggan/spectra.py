@@ -19,8 +19,8 @@ QZ and the complex eigensolve store the kets.  The PT route stores its frame
 instead: the eigenvectors Y of A, real for every real eigenvalue, and one
 unit phase p per mode, each ket being U y p.  Residuals, sigma and the
 biorthogonal Gram run on Y, filtering keeps Y real, and the metric layer
-works on it too; the kets are built from the frame only when a caller reads
-`right` or `left`.
+works on it too, taking the frame's Gram as its S; the kets and their Gram
+are built from the frame only when a caller reads `right`, `left` or `gram`.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ class Eigensystem:
     U = (I + iP)/sqrt(2).  Such a system computes in that frame, with W = I
     as real ones (`weights`), so one formula serves both storages; `right`
     and `left` build the kets on first read and keep them.
+
+    `vector_gram` is the Gram L^dag W R of `vectors` that normalize_biorthogonal
+    forms, None before it: the kets' own without `phase`, the frame's
+    Y_L^dag Y_R with it, which is also the metric's S_r (see metric.build_S).
+    `gram` reads the kets' Gram from it.
     """
 
     pair: OperatorPair
@@ -94,11 +99,26 @@ class Eigensystem:
     residual_left: np.ndarray
     phase: Optional[np.ndarray] = None
     discarded: int = 0
-    gram: Optional[np.ndarray] = None
+    vector_gram: Optional[np.ndarray] = None
 
     @property
     def m(self) -> int:
         return len(self.lambdas)
+
+    @property
+    def gram(self) -> Optional[np.ndarray]:
+        """The kets' Gram <<l|W|l'>, a new array on each read; None if not normalized.
+
+        Of a frame-backed system it is diag(conj p) Y_L^dag Y_R diag(p).
+        """
+        g = self.vector_gram
+        if g is None:
+            return None
+        if self.phase is None:
+            return g.copy()
+        # as written NumPy multiplies into the temporary, (conj p p^T) *= g;
+        # the other operand order rounds the complex products differently
+        return g * (self.phase.conj()[:, np.newaxis] * self.phase[np.newaxis, :])
 
     @property
     def weights(self) -> np.ndarray:
@@ -132,7 +152,7 @@ class Eigensystem:
             residual_right=self.residual_right[idx],
             residual_left=self.residual_left[idx],
             discarded=self.discarded + discarded,
-            gram=None,
+            vector_gram=None,
         )
 
 
@@ -430,7 +450,9 @@ def nearest_eigenpairs(
     sup, diag, sub = np.abs(pair.bands).max(axis=1)
     norm_H = float(diag + sup + sub)  # >= ||H||_inf
     norm_W = float(np.abs(w).max())
-    start = np.random.default_rng(0).standard_normal(n).astype(complex)
+    # a fixed start without parity symmetry (an even one barely overlaps the
+    # odd modes): the centred fractional parts of k^2 (sqrt(5) - 1)/2
+    start = ((np.arange(n) ** 2 * 0.6180339887498949) % 1.0 - 0.5).astype(complex)
     shifts = np.asarray(list(shifts), dtype=complex)
     lambdas = np.empty(len(shifts), dtype=complex)
     right = np.empty((n, len(shifts)), dtype=complex)
@@ -472,10 +494,10 @@ def filter_real(es: Eigensystem, tol_im: float = 1e-6) -> Eigensystem:
 def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensystem:
     """Rescale double-kets so sigma_lam = <<lam|W|lam> = 1 exactly.
 
-    Right kets are untouched; the weighted Gram matrix after rescaling is
-    stored on the result for inspection.  A frame-backed system (W = I)
-    rescales Y_L in its own arithmetic; its kets' Gram is the frame's,
-    rephased: diag(conj p) Y_L^dag Y_R diag(p).
+    Right kets are untouched.  The weighted Gram of the stored vectors after
+    rescaling is kept on the result as `vector_gram`, as formed: a
+    frame-backed system (W = I) rescales Y_L and forms Y_L^dag Y_R in its own
+    arithmetic, real when the frame is, and `gram` rephases it to the kets'.
     """
     R, L = es.vectors
     WR = es.weights[:, np.newaxis] * R
@@ -488,10 +510,9 @@ def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensy
             "below threshold (exceptional point)"
         )
     L = L / sig.conj()
-    gram = L.conj().T @ WR
-    if es.phase is not None:
-        gram = gram * (es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :])
-    return replace(es, vectors=(R, L), sigmas=np.ones(es.m, dtype=complex), gram=gram)
+    return replace(
+        es, vectors=(R, L), sigmas=np.ones(es.m, dtype=complex), vector_gram=L.conj().T @ WR
+    )
 
 
 def completeness_residual(es: Eigensystem) -> float:
@@ -519,8 +540,8 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
     """|lam> -> |lam>/kappa and <<lam| -> kappa*<<lam| simultaneously.
 
     sigma, Gram, completeness and rebuild residuals are invariant; the stored
-    kets change.  The result stores kets, also when `es` is held in the PT
-    frame.
+    kets change.  The result stores kets and the kets' Gram of `es`, also when
+    `es` is held in the PT frame.
     """
     kappa = np.asarray(kappa, dtype=complex)
     if kappa.shape != (es.m,):
@@ -531,6 +552,7 @@ def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
         es,
         vectors=(es.right / kappa[np.newaxis, :], es.left * kappa.conj()[np.newaxis, :]),
         phase=None,
+        vector_gram=es.gram,
     )
 
 

@@ -684,6 +684,37 @@ def test_compare_and_shoot_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+NO_NUMPY_RANDOM_PROBE = """
+import sys
+from qtoboggan import cli
+root = sys.argv[1]
+loaded = []
+for command, config, *overrides in (
+    ("compare", "harmonic_line.json", "--override", "grid.n=900"),
+    ("shoot", "cubic_winding1.json"),
+):
+    code = cli.main(["--config", f"{root}/configs/{config}", "--command", command,
+                     "--out", f"{sys.argv[2]}/{command}", *overrides])
+    loaded.append((code, "numpy.random" in sys.modules))
+print(loaded)
+"""
+
+
+def test_compare_and_shoot_load_no_numpy_random(tmp_path):
+    # numpy.random adds ~5 MB to the resident set of a process that draws nothing
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", NO_NUMPY_RANDOM_PROBE, root, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[(0, False), (0, False)]"
+
+
 BRANCH_PROBE = """
 import json, sys
 from qtoboggan import cli

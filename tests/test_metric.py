@@ -288,6 +288,37 @@ def test_metric_is_bitwise_the_serial_one(case, request):
     assert {key: res.diagnostics[key] for key in diagnostics} == diagnostics
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["hand", "harmonic_subset", "cubic_coarse", "harmonic_one_complex_mode", "harmonic_unnormalized"],
+)
+def test_build_S_and_gram_are_bitwise_the_formulas(case, request):
+    # each case normalized too, so every storage is also read with a Gram
+    es = _case(case, request)
+    in_frame = es.phase is not None
+    w = (np.ones(es.pair.n) if in_frame else es.pair.w_diag)[:, np.newaxis]
+    normed = spectra.normalize_biorthogonal(es)
+    for each in (es, normed):
+        R, L = each.vectors
+        assert np.array_equal(metric.build_S(each), L.conj().T @ (w * (w * R)))
+    es = normed
+    # the kets' Gram as normalize_biorthogonal stored it, rephased in the frame
+    gram = L.conj().T @ (w * R)
+    if in_frame:
+        gram = gram * (es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :])
+    assert np.array_equal(es.gram, gram)
+    if in_frame:
+        # a normalized frame system's S_r is its stored Gram, not a new m x m array
+        tracemalloc.start()
+        try:
+            S = metric.build_S(es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S is es.vector_gram and peak < es.m * es.m
+        assert np.array_equal(_quiet_metric(es).matrices[0], S)
+
+
 @pytest.mark.parametrize("real", [True, False])
 def test_operator_from_real_basis_is_u_x_u_dagger(real):
     # odd n, so the middle row and column map onto themselves

@@ -166,6 +166,27 @@ def test_apply_kappa_gram_moves_by_exact_ratio(harmonic_small):
     assert np.abs(gram_k - predicted).max() < 1e-12
 
 
+def test_apply_kappa_carries_the_kets_gram_of_a_frame_system(harmonic_small):
+    # the result stores kets, so a frame Gram carried over would be read as theirs
+    es_sub = harmonic_small[2]
+    assert es_sub.phase is not None and es_sub.vector_gram.dtype == np.dtype(float)
+    kappa = np.linspace(0.5, 2.0, es_sub.m) * np.exp(1j * np.linspace(0.0, 6.0, es_sub.m))
+    es_k = spectra.apply_kappa(es_sub, kappa)
+    assert es_k.phase is None
+    assert np.array_equal(es_k.gram, es_sub.gram)
+
+
+@pytest.mark.parametrize("case", ["hand", "frame"])
+def test_gram_is_a_new_array_on_each_read(hand, harmonic_small, case):
+    # callers may subtract the identity from it in place
+    es = hand if case == "hand" else harmonic_small[2]
+    first = es.gram
+    first[np.diag_indices_from(first)] -= 1.0
+    again = es.gram
+    assert not np.shares_memory(first, again) and not np.shares_memory(again, es.vector_gram)
+    assert np.array_equal(np.diag(again), np.diag(first) + 1.0)
+
+
 def test_apply_kappa_rejects_zero(hand):
     with pytest.raises(ZeroKappa):
         spectra.apply_kappa(hand, np.array([1.0, 0.0]))
