@@ -1,14 +1,16 @@
 """Uniform-grid discretization of the rectified problem on the shifted line.
 
 The pencil H psi = E W psi keeps its structure: H (3-point Laplacian plus
-rectified potential, Dirichlet ends) is held as its three bands, the weight W
-as its diagonal, and parity P is the index reversal.  Dense matrices are
-built only on request.  The grid is symmetric about x = 0 so that P is an
-exact permutation and PT identities are checkable to machine precision.
+rectified potential, Dirichlet ends) is complex-symmetric and held as its
+diagonal and off-diagonal, the weight W as its diagonal, and parity P is the
+index reversal.  Dense matrices are built only on request.  The grid is
+symmetric about x = 0 so that P is an exact permutation and PT identities are
+checkable to machine precision.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Tuple
@@ -23,7 +25,6 @@ __all__ = [
     "OperatorPair",
     "build_operators",
     "band_matmul",
-    "band_rmatmul",
     "pt_residual",
     "save_matrix_bin",
     "load_matrix_bin",
@@ -67,31 +68,29 @@ class GridSpec:
 class OperatorPair:
     """The generalized eigenproblem H psi = E W psi in its grid structure.
 
-    `bands` holds the tridiagonal H in the (1, 1) band layout, column j of H
-    in column j of `bands` (bands[k, j] = H[j - 1 + k, j]): row 0 the
-    superdiagonal, row 1 the diagonal, row 2 the subdiagonal; the unused
-    corners bands[0, 0] and bands[2, -1] are zero.  `w_diag` is the
-    diagonal of W.  `pt_symmetric` is the model's PT balance carried onto the
-    grid: P H P = conj(H) and P W P = conj(W) hold by construction (real
-    even and imaginary odd coefficients on a grid symmetric about x = 0), so
-    the eigensolver may rely on it without testing the bands.
+    H is tridiagonal and complex-symmetric (H = H^T): `diag` is its diagonal
+    and `off` (length n - 1) its off-diagonal, off[j] = H[j, j + 1] = H[j + 1, j].
+    `w_diag` is the diagonal of W.  `pt_symmetric` is the model's PT balance
+    carried onto the grid: P H P = conj(H) and P W P = conj(W) hold by
+    construction (real even and imaginary odd coefficients on a grid symmetric
+    about x = 0), so the eigensolver may rely on it without testing H.
     """
 
-    bands: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
     w_diag: np.ndarray
     pt_symmetric: bool = False
 
     @property
     def n(self) -> int:
-        return self.bands.shape[1]
+        return len(self.diag)
 
     @property
     def H(self) -> np.ndarray:
         """Dense H, built on each access."""
         n = self.n
-        H = np.diag(self.bands[1])
-        H.flat[1::n + 1] = self.bands[0, 1:]
-        H.flat[n::n + 1] = self.bands[2, :-1]
+        H = np.diag(self.diag)
+        H.flat[1::n + 1] = H.flat[n::n + 1] = self.off
         return H
 
     @property
@@ -100,37 +99,31 @@ class OperatorPair:
         return np.diag(self.w_diag)
 
     @property
+    def H_norm(self) -> float:
+        """||H||_F, summed over (0, off, diag, off, 0), the entries of H's (1, 1) band storage."""
+        return float(np.linalg.norm(np.concatenate([[0], self.off, self.diag, self.off, [0]])))
+
+    @property
     def weight_condition(self) -> float:
         d = np.abs(self.w_diag)
         return float(d.max() / d.min())
 
 
-def band_matmul(bands: np.ndarray, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """H @ X, or H^dag @ X when `adjoint`, for H held as (1, 1) bands.
+def band_matmul(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """H @ X for the tridiagonal H = H^T with diagonal `diag` and off-diagonal `off`.
 
-    X has n rows (a vector or a matrix); the cost is O(size of X).
-    `band_rmatmul` gives X @ H.
+    X has n rows (a vector or a matrix); the cost is O(size of X).  X @ H is
+    band_matmul(diag, off, X.T).T and H^dag @ X is band_matmul(diag.conj(), off.conj(), X).
     """
-    sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
-    if adjoint:
-        sup, diag, sub = sub.conj(), diag.conj(), sup.conj()
     col = (slice(None),) + (np.newaxis,) * (np.ndim(X) - 1)
     Y = diag[col] * X
-    Y[:-1] += sup[col] * X[1:]
-    Y[1:] += sub[col] * X[:-1]
-    return Y
-
-
-def band_rmatmul(X: np.ndarray, bands: np.ndarray) -> np.ndarray:
-    """X @ H for H held as (1, 1) bands; X has n columns, the cost is O(size of X)."""
-    Y = X * bands[1]
-    Y[..., :-1] += X[..., 1:] * bands[2, :-1]
-    Y[..., 1:] += X[..., :-1] * bands[0, 1:]
+    Y[:-1] += off[col] * X[1:]
+    Y[1:] += off[col] * X[:-1]
     return Y
 
 
 def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
-    """Assemble the bands of H and the diagonal of W for a rectified model on a grid.
+    """Assemble the diagonal and off-diagonal of H and the diagonal of W for a rectified model.
 
     H = (-1/h^2) tridiag(1, -2, 1) + diag(V_rect(r_j)) with Dirichlet ends;
     W_jj = W(r_j) = (2N+1)^2 r_j^(4N).
@@ -140,29 +133,26 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
             "epsilon = 0 at winding > 0 or with a centrifugal term samples the singularity"
         )
     h, r = grid.h, grid.r
-    bands = np.zeros((3, grid.n), dtype=complex)
-    bands[0, 1:] = bands[2, :-1] = -1.0 / h**2
-    bands[1] = 2.0 / h**2 + model.potential(r)
+    off = np.full(grid.n - 1, -1.0 / h**2, dtype=complex)
+    diag = 2.0 / h**2 + model.potential(r)
     w = model.weight(r)
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
-    return OperatorPair(bands=bands, w_diag=w, pt_symmetric=model.pt_flag)
+    return OperatorPair(diag=diag, off=off, w_diag=w, pt_symmetric=model.pt_flag)
 
 
 def pt_residual(pair: OperatorPair) -> float:
     """Parity pseudo-Hermiticity defect of the discretized pair.
 
     max(||P H P - H^dag||_F, ||P W P - W^dag||_F) / (||H||_F + ||W||_F) with P
-    the index reversal.  P H P reverses each band and swaps the off-diagonals,
-    so every norm is taken over the bands in O(n).
+    the index reversal.  P H P reverses the diagonal and the off-diagonal,
+    so every norm is taken over them in O(n).
     """
-    sup, diag, sub = pair.bands[0, 1:], pair.bands[1], pair.bands[2, :-1]
-    w = pair.w_diag
-    dH = np.linalg.norm(
-        np.concatenate([diag[::-1] - diag.conj(), sub[::-1] - sub.conj(), sup[::-1] - sup.conj()])
-    )
+    diag, off, w = pair.diag, pair.off, pair.w_diag
+    d_off = off[::-1] - off.conj()
+    dH = np.linalg.norm(np.concatenate([diag[::-1] - diag.conj(), d_off, d_off]))
     dW = np.linalg.norm(w[::-1] - w.conj())
-    return float(max(dH, dW) / (np.linalg.norm(pair.bands) + np.linalg.norm(w)))
+    return float(max(dH, dW) / (pair.H_norm + np.linalg.norm(w)))
 
 
 def save_matrix_bin(A: np.ndarray, path: str, h: float, epsilon: float) -> None:
@@ -197,8 +187,7 @@ def load_matrix_bin(path: str) -> Tuple[np.ndarray, float, float]:
         if len(header) != 32:
             raise ConfigError(f"{path}: header truncated to {len(header)} of 32 bytes")
         rows, cols, h, epsilon = struct.unpack("<QQdd", header)
-        payload = fh.read(rows * cols * 16)
-        if len(payload) != rows * cols * 16 or fh.read(1):
+        if rows * cols * 16 != os.fstat(fh.fileno()).st_size - fh.tell():
             raise ConfigError(f"{path}: payload is not {rows}x{cols} complex128 entries")
-    A = np.frombuffer(payload, dtype="<c16").reshape(rows, cols).astype(np.complex128)
-    return A, h, epsilon
+        A = np.fromfile(fh, dtype="<c16", count=rows * cols).reshape(rows, cols)
+    return A.astype(np.complex128, copy=False), h, epsilon

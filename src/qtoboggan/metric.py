@@ -9,7 +9,7 @@ measures (never assumes) Hermiticity and positivity, takes the kappa
 ambiguity as an argument, degenerates to the single-series expansion when
 W = I, and realizes physical-space operators through the Hermitian square
 root of Theta.  W enters only through its diagonal, as row and column scalings,
-and H only through its bands.
+and H only through its diagonal and off-diagonal.
 
 An eigensystem held in the PT frame (see spectra: W = I, each ket and
 double-ket U y p with U = (I + iP)/sqrt(2) and p a unit phase) is built from
@@ -20,9 +20,9 @@ normalized eigensystem already stores.  Frobenius norms are invariant under
 U, so those residuals are Theta's own.  The MetricResult keeps S_r, S_r^{-1}
 and Theta_r and builds S = diag(conj p) S_r diag(p), M alike and
 Theta = U Theta_r U^dag, in O(n^2), each on its first read: the metric
-command writes Theta and S and never forms M.  The similarity is exact, so the result agrees with the
-complex chain to rounding; every other eigensystem takes the complex chain on
-its kets.
+command writes Theta and S and never forms M.  The similarity is exact, so
+the result agrees with the complex chain to rounding; every other
+eigensystem takes the complex chain on its kets.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .discrete import OperatorPair, band_matmul, band_rmatmul
+from .discrete import OperatorPair, band_matmul
 from .errors import (
     IllConditionedS,
     IncompleteBasisWarning,
@@ -225,17 +225,18 @@ def quasi_hermiticity_residuals(
     if not np.all(np.isfinite(theta)):
         raise SingularTheta("Theta contains non-finite entries")
     tnorm = np.linalg.norm(theta)
+    diag, off = pair.diag, pair.off
     if in_frame:
         # A^T Theta - Theta A: A is real, and Theta A = Theta Re H - (Theta Im H) P
-        D = _pt_matmul(pair.bands, theta, transpose=True)
-        D -= band_rmatmul(theta, pair.bands.real)
-        D += band_rmatmul(theta, pair.bands.imag)[:, ::-1]
+        D = _pt_matmul(pair, theta, transpose=True)
+        D -= band_matmul(diag.real, off.real, theta.T).T
+        D += band_matmul(diag.imag, off.imag, theta.T).T[:, ::-1]
         w = pair.w_diag.real
     else:
-        D = band_matmul(pair.bands, theta, adjoint=True)
-        D -= band_rmatmul(theta, pair.bands)
+        D = band_matmul(diag.conj(), off.conj(), theta)
+        D -= band_matmul(diag, off, theta.T).T
         w = pair.w_diag
-    rH = np.linalg.norm(D) / (tnorm * np.linalg.norm(pair.bands))
+    rH = np.linalg.norm(D) / (tnorm * pair.H_norm)
     D = np.multiply(w.conj()[:, np.newaxis], theta, out=D)
     D -= theta * w[np.newaxis, :]
     rW = np.linalg.norm(D) / (tnorm * np.linalg.norm(w))
@@ -270,7 +271,7 @@ def physical_operators(pair: OperatorPair, theta: np.ndarray) -> Tuple[float, fl
     root = np.sqrt(d)
     Omega = (Q * root[np.newaxis, :]) @ Q.conj().T
     Omega_inv = (Q / root[np.newaxis, :]) @ Q.conj().T
-    h = Omega @ band_matmul(pair.bands, Omega_inv)
+    h = Omega @ band_matmul(pair.diag, pair.off, Omega_inv)
     w = (Omega * pair.w_diag[np.newaxis, :]) @ Omega_inv
     rh = float(np.linalg.norm(h - h.conj().T) / np.linalg.norm(h))
     rw = float(np.linalg.norm(w - w.conj().T) / np.linalg.norm(w))
@@ -298,7 +299,7 @@ def theta_eigenvector_residual(es: Eigensystem, theta: np.ndarray) -> float:
     """
     pair = es.pair
     T = theta @ es.right
-    R = band_matmul(pair.bands, T, adjoint=True)
+    R = band_matmul(pair.diag.conj(), pair.off.conj(), T)
     R -= (pair.w_diag.conj()[:, np.newaxis] * T) * es.lambdas
     per_mode = np.linalg.norm(R, axis=0) / np.linalg.norm(T, axis=0)
-    return float(per_mode.max() / np.linalg.norm(pair.bands))
+    return float(per_mode.max() / pair.H_norm)

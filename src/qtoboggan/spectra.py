@@ -164,36 +164,30 @@ def _normalize_columns(V: np.ndarray) -> np.ndarray:
     return V / phase[np.newaxis, :]
 
 
-def _pt_real_form(bands: np.ndarray) -> np.ndarray:
-    """A = Re H - (Im H) P as a dense real matrix, from the (1, 1) bands of H.
+def _pt_real_form(pair: OperatorPair) -> np.ndarray:
+    """A = Re H - (Im H) P as a dense real matrix, filled in place from H's diagonals.
 
     (Im H) P reverses the columns of Im H, so its tridiagonal becomes an
     anti-tridiagonal.  If P H P = conj(H) then A = U^dag H U with
     U = (I + iP)/sqrt(2).
     """
-    n = bands.shape[1]
+    n = pair.n
     A = np.zeros((n, n))
-    cols = np.arange(n)
-    for k in range(3):  # bands[k, j] = H[j - 1 + k, j]
-        rows = cols - 1 + k
-        ok = (rows >= 0) & (rows < n)
-        A[rows[ok], cols[ok]] += bands[k, ok].real
-        A[rows[ok], n - 1 - cols[ok]] -= bands[k, ok].imag
+    for M, sign, part in ((A, 1.0, np.real), (A[:, ::-1], -1.0, np.imag)):
+        M.flat[:: n + 1] += sign * part(pair.diag)
+        M.flat[1 :: n + 1] += sign * part(pair.off)
+        M.flat[n :: n + 1] += sign * part(pair.off)
     return A
 
 
-def _pt_matmul(bands: np.ndarray, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _pt_matmul(pair: OperatorPair, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
     """A Y, or A^T Y when `transpose`, for A = Re H - (Im H) P; O(size of Y).
 
-    A^T = (Re H)^T - P (Im H)^T.  A real Y gives a real product.
+    H = H^T, so A^T = Re H - P (Im H).  A real Y gives a real product.
     """
-    re, im = bands.real, bands.imag
-    if transpose:
-        AY = band_matmul(re, Y, adjoint=True)
-        AY -= band_matmul(im, Y, adjoint=True)[::-1]
-    else:
-        AY = band_matmul(re, Y)
-        AY -= band_matmul(im, Y[::-1])
+    re, im = (pair.diag.real, pair.off.real), (pair.diag.imag, pair.off.imag)
+    AY = band_matmul(*re, Y)
+    AY -= band_matmul(*im, Y)[::-1] if transpose else band_matmul(*im, Y[::-1])
     return AY
 
 
@@ -251,7 +245,7 @@ def _frame_eigensystem(
         anchor = yr[top, at] + 1j * yr[::-1][top, at]
         phase[cols] = anchor.conj() / np.abs(anchor)
         for res, y, transpose, mu in ((res_r, yr, False, lc), (res_l, yl, True, lc.conj())):
-            D = _pt_matmul(pair.bands, y, transpose)
+            D = _pt_matmul(pair, y, transpose)
             D -= y * mu
             res[cols] = np.linalg.norm(D, axis=0) / np.linalg.norm(y, axis=0)
         sigmas[cols] = np.einsum("ij,ij->j", yl.conj(), yr)
@@ -287,13 +281,12 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     w, n = operators.w_diag, operators.n
     pt_route = operators.pt_symmetric and np.all(w == 1.0)
     try:
-        if not np.all(w == 1.0):
-            lam, VL, VR = scipy.linalg.eig(operators.H, operators.W, left=True, right=True)
-        elif pt_route:
-            lam, VL, VR = scipy.linalg.eig(_pt_real_form(operators.bands), left=True, right=True)
+        if pt_route:
+            lam, VL, VR = scipy.linalg.eig(_pt_real_form(operators), left=True, right=True)
         else:
-            # the standard eigensolve avoids the ~10x cost of QZ with B = I
-            lam, VL, VR = scipy.linalg.eig(operators.H, None, left=True, right=True)
+            # with W = I the standard eigensolve avoids the ~10x cost of QZ with B = I
+            W = None if np.all(w == 1.0) else operators.W
+            lam, VL, VR = scipy.linalg.eig(operators.H, W, left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
         raise SolverFailure(f"generalized eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(lam)):
@@ -319,8 +312,8 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     VL = _normalize_columns(VL)
     WVR = w[:, np.newaxis] * VR
     WVL = w.conj()[:, np.newaxis] * VL
-    HVR = band_matmul(operators.bands, VR)
-    HdVL = band_matmul(operators.bands, VL, adjoint=True)
+    HVR = band_matmul(operators.diag, operators.off, VR)
+    HdVL = band_matmul(operators.diag.conj(), operators.off.conj(), VL)
     res_r = np.linalg.norm(HVR - WVR * lam, axis=0) / np.linalg.norm(WVR, axis=0)
     res_l = np.linalg.norm(HdVL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
     sig = np.einsum("ij,ij->j", VL.conj(), WVR)
@@ -337,7 +330,7 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
 def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0) -> np.ndarray:
     """The k eigenvalues of H psi = lambda W psi nearest `sigma`, sorted by (Re, Im).
 
-    Shift-invert Arnoldi on the bands of H scaled by the diagonal of W (never
+    Shift-invert Arnoldi on the tridiagonal H scaled by the diagonal of W (never
     zero: build_operators rejects a vanishing weight), so large n stays cheap;
     each Arnoldi value is then polished by banded inverse iteration at it
     (`nearest_eigenpairs`), and SolverFailure is raised if two of them polish
@@ -350,8 +343,8 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
     if k >= n - 1:
         raise ValueError(f"shift-invert Arnoldi needs k < n - 1, got k={k} at n={n}")
     # H v = lam W v with invertible diagonal W is the standard problem
-    # (W^{-1} H) v = lam v; the dia format stores the bands as they are.
-    tri = sp.dia_matrix((operators.bands, (1, 0, -1)), shape=(n, n))
+    # (W^{-1} H) v = lam v
+    tri = sp.diags([operators.off, operators.diag, operators.off], [1, 0, -1])
     # a fixed start vector: ARPACK's random one makes ill-conditioned
     # modes differ from call to call
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
@@ -372,19 +365,18 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
     return lam[np.lexsort((lam.imag, lam.real))]
 
 
-def _tridiagonal_lu(bands: np.ndarray) -> Tuple[List[complex], ...]:
-    """LU with partial pivoting of a tridiagonal matrix in (1, 1) bands layout.
+def _tridiagonal_lu(diag: np.ndarray, off: np.ndarray) -> Tuple[List[complex], ...]:
+    """LU with partial pivoting of the symmetric tridiagonal matrix with `diag` and `off`.
 
     LAPACK's ?gttrf on Python scalars: at each column the row with the larger
     |Re| + |Im| of the diagonal and subdiagonal entries is the pivot, and an
     interchange fills a second superdiagonal.  Returns (mult, diag, sup, sup2,
-    swapped): the multipliers, the three bands of U and which columns
+    swapped): the multipliers, the three diagonals of U and which columns
     interchanged rows.  An exact zero pivot raises LinAlgError.
     """
-    sup, diag, sub = bands.tolist()
-    n = len(diag)
-    sup = sup[1:] + [0j]  # sup[k] = A[k, k + 1]
-    mult = sub[:-1]  # sub[k] = A[k + 1, k], overwritten by the multiplier
+    diag, n = diag.tolist(), len(diag)
+    sup = off.tolist() + [0j]  # sup[k] = A[k, k + 1]
+    mult = off.tolist()  # A[k + 1, k], overwritten by the multiplier
     sup2 = [0j] * n
     swapped = [False] * (n - 1)
     for k in range(n - 1):
@@ -441,14 +433,13 @@ def nearest_eigenpairs(
     w, n = pair.w_diag, pair.n
 
     def residual(x: np.ndarray) -> Tuple[complex, float, float]:
-        Hx, Wx = band_matmul(pair.bands, x), w * x
+        Hx, Wx = band_matmul(pair.diag, pair.off, x), w * x
         norm_Wx = float(np.linalg.norm(Wx))
         lam = np.vdot(Wx, Hx) / norm_Wx**2
         return lam, float(np.linalg.norm(Hx - lam * Wx)) / norm_Wx, norm_Wx
 
-    bands = pair.bands.copy()
-    sup, diag, sub = np.abs(pair.bands).max(axis=1)
-    norm_H = float(diag + sup + sub)  # >= ||H||_inf
+    off = np.abs(pair.off).max()
+    norm_H = float(np.abs(pair.diag).max() + off + off)  # >= ||H||_inf
     norm_W = float(np.abs(w).max())
     # a fixed start without parity symmetry (an even one barely overlaps the
     # odd modes): the centred fractional parts of k^2 (sqrt(5) - 1)/2
@@ -458,9 +449,8 @@ def nearest_eigenpairs(
     right = np.empty((n, len(shifts)), dtype=complex)
     residuals = np.empty(len(shifts))
     for j, shift in enumerate(shifts):
-        bands[1] = pair.bands[1] - shift * w
         try:
-            lu = _tridiagonal_lu(bands)
+            lu = _tridiagonal_lu(pair.diag - shift * w, pair.off)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"shift {shift} is an exact eigenvalue of the pencil") from exc
         x, best = start, (np.inf, start, np.nan)

@@ -1,5 +1,8 @@
 """Grid discretization: operator assembly, parity residual, matrix IO."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,15 +91,13 @@ def test_pt_residual_flags_non_pt_models():
 
 
 def test_pt_residual_equals_dense_parity_reference():
-    # random non-symmetric bands and a random complex weight besides two models
+    # a random complex-symmetric H and a random complex weight besides two models
     rng = np.random.default_rng(7)
-    bands = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
-    bands[0, 0] = bands[2, -1] = 0.0
-    w = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    diag, off, w = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (9, 8, 9))
     for pair in [
         _pair(model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1, 3.0, 41, 0.4),
         _pair(model.ModelSpec(coeffs={3: 1.0}), 0, 3.0, 41, 0.4),
-        discrete.OperatorPair(bands=bands, w_diag=w),
+        discrete.OperatorPair(diag=diag, off=off, w_diag=w),
     ]:
         H, W, P = pair.H, pair.W, np.eye(pair.n)[::-1]
         assert np.array_equal(P @ H @ P, H[::-1, ::-1])
@@ -145,3 +146,28 @@ def test_matrix_bin_damaged_file_is_config_error(tmp_path, damage):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ConfigError):
         discrete.load_matrix_bin(str(path))
+
+
+@pytest.mark.parametrize("shape", [(2**40, 2**10), (2**33, 2**33)], ids=["memory", "overflow"])
+def test_matrix_bin_header_larger_than_the_file_is_config_error(tmp_path, shape):
+    # a 68-byte file whose header promises 2^50 or 2^66 entries: the size check
+    # answers before any allocation (MemoryError, OverflowError unchecked)
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(b"QTBM" + struct.pack("<QQdd", *shape, 0.25, 0.5) + b"\x00" * 32)
+    with pytest.raises(ConfigError, match="payload"):
+        discrete.load_matrix_bin(str(path))
+
+
+def test_matrix_bin_load_reads_into_one_array(tmp_path):
+    # the payload lands in the returned array: no bytes object, no dtype copy
+    A = np.arange(300 * 300).reshape(300, 300) * (1.0 + 0.5j)
+    path = tmp_path / "m.bin"
+    discrete.save_matrix_bin(A, str(path), h=0.25, epsilon=0.5)
+    tracemalloc.start()
+    try:
+        B, _, _ = discrete.load_matrix_bin(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(A, B) and B.dtype == np.complex128 and B.flags.writeable
+    assert peak <= 1.2 * A.nbytes

@@ -1,8 +1,14 @@
 """Metric-operator assembly against a 2x2 hand-worked oracle.
 
-H = [[1,1],[0,2]], W = I.  Sigma-normalized left double-kets are
-(1,-1) and (0,sqrt(2)), so Theta = L L^dag = [[1,-1],[-1,3]]:
-eigenvalues 2 +/- sqrt(2) > 0 and H^dag Theta = Theta H exactly.
+H = [[1 + 0.6i, 1], [1, 1 - 0.6i]] = H^T, W = I: non-normal, with
+lambda = 1 -/+ 0.8 and unit kets v = (1, b)/sqrt(2), b = -/+0.8 - 0.6i
+(|b| = 1).  As H = H^T, each double-ket is conj(v) up to scale, and
+sigma = v^T v = (1 + b^2)/2 = 0.64 +/- 0.48i, |sigma| = 0.8, so the
+sigma-normalized double-kets L = conj(v)/conj(sigma) have norm 1.25.
+S = L^dag R = I and M = I, so cond_S = 1.  Theta = L L^dag
+= sum conj(v v^dag)/0.64 = [[1, -0.6i], [0.6i, 1]]/0.64
+= [[25, -15i], [15i, 25]]/16: Hermitian, eigenvalues 40/16 and 10/16,
+so min_eig = 0.625 and cond_Theta = 4, and H^dag Theta = Theta H exactly.
 """
 
 import tracemalloc
@@ -21,14 +27,18 @@ from qtoboggan.errors import (
     SingularTheta,
 )
 
-H2 = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-THETA2 = np.array([[1.0, -1.0], [-1.0, 3.0]], dtype=complex)
+H2 = np.array([[1.0 + 0.6j, 1.0], [1.0, 1.0 - 0.6j]])
+THETA2 = np.array([[25.0, -15.0j], [15.0j, 25.0]]) / 16.0
 
 
 @pytest.fixture()
 def hand_pair():
-    bands = np.array([[0.0, 1.0], [1.0, 2.0], [0.0, 0.0]], dtype=complex)
-    return OperatorPair(bands=bands, w_diag=np.ones(2, dtype=complex))
+    # not flagged PT-symmetric, so it takes the complex standard eigensolve
+    return OperatorPair(
+        diag=np.array([1.0 + 0.6j, 1.0 - 0.6j]),
+        off=np.array([1.0 + 0j]),
+        w_diag=np.ones(2, dtype=complex),
+    )
 
 
 @pytest.fixture()
@@ -53,9 +63,9 @@ def test_hand_diagnostics(hand_result):
     assert d["quasiH"] < 1e-12
     assert d["quasiW"] < 1e-12
     assert d["hermiticity"] < 1e-12
-    assert d["min_eig"] == pytest.approx(2.0 - np.sqrt(2.0), rel=1e-9)
+    assert d["min_eig"] == pytest.approx(0.625, rel=1e-9)
     assert d["cond_S"] == pytest.approx(1.0, rel=1e-9)
-    assert d["cond_Theta"] == pytest.approx(3.0 + 2.0 * np.sqrt(2.0), rel=1e-9)
+    assert d["cond_Theta"] == pytest.approx(4.0, rel=1e-9)
 
 
 def test_hand_delta_identity_and_single_series(hand_result):
@@ -183,12 +193,12 @@ def _serial_diagnostics(pair, Theta, eigs):
     """build_metric's diagnostics of Theta, minus cond_S."""
     w = pair.w_diag
     tnorm = np.linalg.norm(Theta)
-    Hd_theta = discrete.band_matmul(pair.bands, Theta, adjoint=True)
-    theta_H = discrete.band_matmul(pair.bands, Theta.conj().T, adjoint=True).conj().T
+    Hd_theta = discrete.band_matmul(pair.diag.conj(), pair.off.conj(), Theta)
+    theta_H = discrete.band_matmul(pair.diag, pair.off, Theta.T).T
     quasiW = w.conj()[:, np.newaxis] * Theta - Theta * w[np.newaxis, :]
     mag = np.abs(eigs)
     return {
-        "quasiH": float(np.linalg.norm(Hd_theta - theta_H) / (tnorm * np.linalg.norm(pair.bands))),
+        "quasiH": float(np.linalg.norm(Hd_theta - theta_H) / (tnorm * pair.H_norm)),
         "quasiW": float(np.linalg.norm(quasiW) / (tnorm * np.linalg.norm(w))),
         "hermiticity": float(np.linalg.norm(Theta - Theta.conj().T) / np.linalg.norm(Theta)),
         "min_eig": float(eigs.min()),
@@ -203,30 +213,25 @@ def _serial_metric(es, kappa=None):
     return S, M, Theta, span, _serial_diagnostics(es.pair, Theta, eigs)
 
 
-def _frame_quasiH(bands, X):
+def _frame_quasiH(pair, X):
     """||A^T X - X A||_F / (||X||_F ||H||_F) for A = Re H - (Im H) P.
 
-    A^T X - X A = (Re H)^T X - P (Im H)^T X - X Re H + (X Im H) P, each
+    A^T X - X A = Re H X - P Im H X - X Re H + (X Im H) P with H = H^T, each
     tridiagonal product written out in the order build_metric sums it.
     """
 
-    def transpose_times(b, X):  # T^T X for the real tridiagonal T held as bands b
-        Y = b[1][:, np.newaxis] * X
-        Y[:-1] += b[2, :-1][:, np.newaxis] * X[1:]
-        Y[1:] += b[0, 1:][:, np.newaxis] * X[:-1]
+    def times(d, o, X):  # T X for the real symmetric tridiagonal T with diagonals d, o
+        Y = d[:, np.newaxis] * X
+        Y[:-1] += o[:, np.newaxis] * X[1:]
+        Y[1:] += o[:, np.newaxis] * X[:-1]
         return Y
 
-    def times(X, b):  # X T
-        Y = X * b[1]
-        Y[:, :-1] += X[:, 1:] * b[2, :-1]
-        Y[:, 1:] += X[:, :-1] * b[0, 1:]
-        return Y
-
-    D = transpose_times(bands.real, X)
-    D -= transpose_times(bands.imag, X)[::-1]
-    D -= times(X, bands.real)
-    D += times(X, bands.imag)[:, ::-1]
-    return float(np.linalg.norm(D) / (np.linalg.norm(X) * np.linalg.norm(bands)))
+    re, im = (pair.diag.real, pair.off.real), (pair.diag.imag, pair.off.imag)
+    D = times(*re, X)
+    D -= times(*im, X)[::-1]
+    D -= times(*re, X.T).T
+    D += times(*im, X.T).T[:, ::-1]
+    return float(np.linalg.norm(D) / (np.linalg.norm(X) * pair.H_norm))
 
 
 def _frame_serial_metric(es):
@@ -239,7 +244,7 @@ def _frame_serial_metric(es):
     YR, YL = es.vectors
     S, M, X, span, eigs = _serial_chain(YL, YR, np.ones(es.pair.n), np.ones(es.m))
     diagnostics = _serial_diagnostics(es.pair, X, eigs)
-    diagnostics["quasiH"] = _frame_quasiH(es.pair.bands, X)
+    diagnostics["quasiH"] = _frame_quasiH(es.pair, X)
     rephase = es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :]
     Theta = 0.5 * (1j * (X[::-1] - X[:, ::-1]) + X + X[::-1, ::-1])
     return S * rephase, M * rephase, Theta, span, diagnostics
@@ -380,19 +385,6 @@ def test_frame_quasi_hermiticity_is_the_ambient_one(harmonic_small, real):
     assert framed[1] == ambient[1] == 0.0
 
 
-def test_band_rmatmul_is_theta_times_h(cubic_coarse):
-    # quasi_hermiticity_residuals forms Theta H from the right; it agrees with
-    # the conjugate transpose of H^dag Theta^dag it used to take, to rounding
-    pair = cubic_coarse.pair
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((pair.n, pair.n)) + 1j * rng.standard_normal((pair.n, pair.n))
-    XH = discrete.band_rmatmul(X, pair.bands)
-    by_adjoint = discrete.band_matmul(pair.bands, X.conj().T, adjoint=True).conj().T
-    scale = np.abs(X).max() * np.abs(pair.bands).max()
-    assert np.abs(XH - by_adjoint).max() <= 4 * np.finfo(float).eps * scale
-    assert np.abs(XH - X @ pair.H).max() <= 4 * np.finfo(float).eps * scale
-
-
 @pytest.mark.parametrize("kappa", ["one", "complex"])
 def test_real_frame_agrees_with_the_complex_chain(harmonic_small, kappa):
     es = harmonic_small[2]
@@ -458,9 +450,11 @@ def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, mo
     assert handed == [np.dtype(float)]
 
 
-def test_zero_theta_eigenvalue_reads_infinite_cond_without_a_warning(hand_result, monkeypatch):
-    # M = diag(1, 0) makes Theta = L diag(1, 0) L^dag rank one
-    es, _ = hand_result
+def test_zero_theta_eigenvalue_reads_infinite_cond_without_a_warning(monkeypatch):
+    # H = diag(1, 2) has the unit vectors for L, so M = diag(1, 0) makes
+    # Theta = L diag(1, 0) L^dag = diag(1, 0), with an exact zero eigenvalue
+    pair = OperatorPair(diag=np.array([1.0, 2.0]), off=np.zeros(1), w_diag=np.ones(2))
+    es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair, tol=1e-12))
     monkeypatch.setattr(metric, "_invert_full", lambda S: np.diag([1.0, 0.0]).astype(complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

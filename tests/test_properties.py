@@ -154,18 +154,22 @@ def _assert_product(got, A, B):
 
 @given(data=st.data(), n=st.integers(min_value=2, max_value=12))
 def test_banded_products_match_dense(data, n):
-    bands = data.draw(hnp.arrays(complex, (3, n), elements=entries))
-    bands[0, 0] = bands[2, -1] = 0.0
+    diag = data.draw(hnp.arrays(complex, n, elements=entries))
+    off = data.draw(hnp.arrays(complex, n - 1, elements=entries))
     w = data.draw(hnp.arrays(complex, n, elements=coeff_vals))
     X = data.draw(hnp.arrays(complex, (n, 3), elements=entries))
-    pair = discrete.OperatorPair(bands=bands, w_diag=w)
-    H = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    pair = discrete.OperatorPair(diag=diag, off=off, w_diag=w)
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     assert np.array_equal(pair.H, H)
     assert np.array_equal(pair.W, np.diag(w))
-    _assert_product(discrete.band_matmul(bands, X[:, 0]), H, X[:, 0])
-    _assert_product(discrete.band_matmul(bands, X, adjoint=True), H.conj().T, X)
-    # X^T H, through the adjoint identity the metric uses for Theta H
-    _assert_product(discrete.band_matmul(bands, X.conj(), adjoint=True).conj().T, X.T, H)
+    # ||H||_F over the (1, 1) band storage, zero corners included
+    assert pair.H_norm == np.linalg.norm(np.array([0.0, *off, *diag, *off, 0.0]))
+    assert pair.H_norm == pytest.approx(np.linalg.norm(H), rel=1e-14)
+    for Y in (X[:, 0], X):
+        _assert_product(discrete.band_matmul(diag, off, Y), H, Y)
+        _assert_product(discrete.band_matmul(diag.conj(), off.conj(), Y), H.conj().T, Y)
+        # Y^T H through H = H^T, as the metric forms Theta H
+        _assert_product(discrete.band_matmul(diag, off, Y).T, Y.T, H)
 
 
 @given(data=st.data(), n=st.integers(min_value=2, max_value=24))
@@ -177,16 +181,17 @@ def test_pt_real_basis_matches_complex_eigensolve(data, n):
     a, b = data.draw(vals), data.draw(vals)
     mags = data.draw(hnp.arrays(float, n - 1, elements=st.floats(min_value=0.1, max_value=10.0)))
     signs = data.draw(hnp.arrays(bool, n - 1))
-    sup = np.where(signs, mags, -mags)
-    bands = np.zeros((3, n), dtype=complex)
-    bands[1] = (a + a[::-1]) + 1j * (b - b[::-1])
-    bands[0, 1:], bands[2, :-1] = sup, sup[::-1]
-    pair = discrete.OperatorPair(bands=bands, w_diag=np.ones(n, dtype=complex), pt_symmetric=True)
+    off = np.where(signs, mags, -mags)
+    off[n // 2:] = off[: (n - 1) // 2][::-1]  # palindromic, so P maps H = H^T onto conj(H)
+    diag = (a + a[::-1]) + 1j * (b - b[::-1])
+    pair = discrete.OperatorPair(
+        diag=diag, off=off.astype(complex), w_diag=np.ones(n, dtype=complex), pt_symmetric=True
+    )
     H = pair.H
-    assert np.array_equal(H[::-1, ::-1], H.conj())
+    assert np.array_equal(H[::-1, ::-1], H.conj()) and np.array_equal(H, H.T)
     eps = np.finfo(float).eps
     U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
-    A = spectra._pt_real_form(bands)
+    A = spectra._pt_real_form(pair)
     assert np.abs(U.conj().T @ H @ U - A).max() <= 8 * eps * np.abs(H).max()
 
     try:
@@ -284,30 +289,29 @@ def test_cumulative_trapezoid_matches_scipy_exactly(args):
 
 @given(data=st.data(), n=st.integers(min_value=3, max_value=40))
 def test_tridiagonal_lu_matches_solve_banded(data, n):
-    # entries of modulus 0.5-2 with the subdiagonal scaled by 1e-2, 1 or 1e2
-    # per column; column 0 is forced to pivot on the subdiagonal and column 1
-    # (whose updated diagonal is then ~sup[0]) on the diagonal, so every draw
-    # takes both branches
-    mods = data.draw(hnp.arrays(float, (3, n), elements=st.floats(0.5, 2.0)))
-    phases = data.draw(hnp.arrays(float, (3, n), elements=st.floats(0.0, 2 * np.pi)))
-    scales = data.draw(hnp.arrays(float, n, elements=st.sampled_from([1e-2, 1.0, 1e2])))
+    # a complex-symmetric tridiagonal with entries of modulus 0.5-2 and the
+    # off-diagonal scaled by 1e-2, 1 or 1e2 per column; column 0 is forced to
+    # pivot on the subdiagonal and column 1 (whose updated diagonal is then
+    # ~off[0]) on the diagonal, so every draw takes both branches
+    mods = data.draw(hnp.arrays(float, (2, n), elements=st.floats(0.5, 2.0)))
+    phases = data.draw(hnp.arrays(float, (2, n), elements=st.floats(0.0, 2 * np.pi)))
+    scales = data.draw(hnp.arrays(float, n - 1, elements=st.sampled_from([1e-2, 1.0, 1e2])))
     scales[:2] = 1e2, 1e-2
-    bands = mods * np.exp(1j * phases)
-    bands[2] *= scales
-    bands[0, 0] = bands[2, -1] = 0.0
+    diag, off = mods * np.exp(1j * phases)
+    off = off[:-1] * scales
     B = data.draw(hnp.arrays(complex, (n, 3), elements=coeff_vals))
 
-    mult, diag, sup, sup2, swapped = lu = spectra._tridiagonal_lu(bands)
+    mult, udiag, sup, sup2, swapped = lu = spectra._tridiagonal_lu(diag, off)
     assert swapped[0] and not swapped[1]
     # the same row interchanges and factors as LAPACK's zgttrf
-    ref_lu = scipy.linalg.lapack.zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    ref_lu = scipy.linalg.lapack.zgttrf(off, diag, off)
     assert ref_lu[-1] == 0
     assert np.array_equal(ref_lu[4][:-1] != np.arange(1, n), swapped)
-    for ours, ref in zip((mult, diag, sup[:-1], sup2[:-2]), ref_lu[:4]):
+    for ours, ref in zip((mult, udiag, sup[:-1], sup2[:-2]), ref_lu[:4]):
         assert np.linalg.norm(np.array(ours) - ref) <= 1e-12 * np.linalg.norm(ref)
-    ref = scipy.linalg.solve_banded((1, 1), bands, B)
+    ref = scipy.linalg.solve_banded((1, 1), np.array([[0, *off], diag, [*off, 0]]), B)
     reused = np.column_stack([spectra._tridiagonal_solve(lu, B[:, j]) for j in range(3)])
     assert np.linalg.norm(reused - ref) <= 1e-12 * np.linalg.norm(ref)
     for j in range(3):
-        fresh = spectra._tridiagonal_solve(spectra._tridiagonal_lu(bands), B[:, j])
+        fresh = spectra._tridiagonal_solve(spectra._tridiagonal_lu(diag, off), B[:, j])
         assert np.array_equal(reused[:, j], fresh)

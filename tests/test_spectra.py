@@ -23,22 +23,19 @@ from reference_values import CUBIC_TOBOGGAN_GRID_LOWEST, CUBIC_TOBOGGAN_SHOOT_LO
 
 
 
-def _pair(diag, sup=None):
-    """W = I pair whose H has the given diagonal and superdiagonal (zero subdiagonal)."""
-    n = len(diag)
-    bands = np.zeros((3, n), dtype=complex)
-    bands[1] = diag
-    if sup is not None:
-        bands[0, 1:] = sup
-    return OperatorPair(bands=bands, w_diag=np.ones(n, dtype=complex))
+def _pair(diag, off=None):
+    """W = I pair whose H = H^T has the given diagonal and off-diagonal (zero if None)."""
+    diag = np.asarray(diag, dtype=complex)
+    off = np.zeros(len(diag) - 1, dtype=complex) if off is None else np.asarray(off, dtype=complex)
+    return OperatorPair(diag=diag, off=off, w_diag=np.ones(len(diag), dtype=complex))
 
 
-# Hand-worked pair: H = [[1, 1], [0, 2]], W = I.
-# lambda = 1: right (1,0);           lambda = 2: right (1,1)/sqrt(2)
-# left eigvecs of H^dag: (1,-1)/sqrt(2) and (0,1); sigma = 1/sqrt(2) each;
-# after sigma-normalization: left_1 = (1,-1), left_2 = (0, sqrt(2)).
-H2 = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-PAIR2 = _pair([1.0, 2.0], [1.0])
+# Hand-worked non-normal pair: H = [[1 + 0.6i, 1], [1, 1 - 0.6i]] = H^T, W = I.
+# lambda = 0.2: right (1, -0.8 - 0.6i)/sqrt(2); lambda = 1.8: right (1, 0.8 - 0.6i)/sqrt(2).
+# Left eigvecs of H^dag = conj(H) are the conjugate kets; sigma = v^T v = 0.64 +/- 0.48i,
+# |sigma| = 0.8, so the sigma-normalized left columns have norm 1/0.8 = 1.25.
+H2 = np.array([[1.0 + 0.6j, 1.0], [1.0, 1.0 - 0.6j]])
+PAIR2 = _pair([1.0 + 0.6j, 1.0 - 0.6j], [1.0])
 
 
 @pytest.fixture()
@@ -54,16 +51,18 @@ def _angle(u, v):
 
 def test_hand_eigenvalues_and_vectors(hand):
     assert np.array_equal(PAIR2.H, H2) and np.array_equal(PAIR2.W, np.eye(2))
-    assert np.allclose(hand.lambdas, [1.0, 2.0], atol=1e-12)
+    assert np.allclose(hand.lambdas, [0.2, 1.8], atol=1e-12)
     # arccos of a rounded unit overlap cannot resolve angles below ~2e-8,
     # so exactly-collinear vectors still report up to that much.
-    assert _angle(hand.right[:, 0], [1.0, 0.0]) < 1e-7
-    assert _angle(hand.right[:, 1], [1.0, 1.0]) < 1e-7
-    assert _angle(hand.left[:, 0], [1.0, -1.0]) < 1e-7
-    assert _angle(hand.left[:, 1], [0.0, 1.0]) < 1e-7
+    assert _angle(hand.right[:, 0], [1.0, -0.8 - 0.6j]) < 1e-7
+    assert _angle(hand.right[:, 1], [1.0, 0.8 - 0.6j]) < 1e-7
+    assert _angle(hand.left[:, 0], [1.0, -0.8 + 0.6j]) < 1e-7
+    assert _angle(hand.left[:, 1], [1.0, 0.8 + 0.6j]) < 1e-7
+    # the kets are not orthogonal: H is not normal
+    assert abs(np.vdot(hand.right[:, 0], hand.right[:, 1])) == pytest.approx(0.6, rel=1e-12)
     # sigma-normalized left columns have the exact hand magnitudes
-    assert np.linalg.norm(hand.left[:, 0]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert np.linalg.norm(hand.left[:, 1]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert np.linalg.norm(hand.left[:, 0]) == pytest.approx(1.25, rel=1e-12)
+    assert np.linalg.norm(hand.left[:, 1]) == pytest.approx(1.25, rel=1e-12)
 
 
 def test_hand_biorthogonality_and_identities(hand):
@@ -79,9 +78,11 @@ def test_right_kets_unit_norm_with_positive_leading_phase(hand):
     norms = np.linalg.norm(hand.right, axis=0)
     assert np.allclose(norms, 1.0, atol=1e-13)
     for j in range(2):
-        lead = hand.right[np.argmax(np.abs(hand.right[:, j])), j]
-        assert abs(lead.imag) < 1e-14
-        assert lead.real > 0
+        # both entries of each hand ket have modulus 1/sqrt(2), so rounding
+        # decides which is the anchor: one of them is real-positive
+        col = hand.right[:, j]
+        top = col[np.abs(col) >= (1.0 - 1e-12) * np.abs(col).max()]
+        assert any(abs(lead.imag) < 1e-14 and lead.real > 0 for lead in top)
 
 
 def test_degenerate_pairing_detected():
@@ -126,7 +127,9 @@ def test_filter_real_empty_raises():
 
 
 def test_self_orthogonal_mode_detected():
-    pair = _pair([1.0, 1.0 + 1e-8], [1.0])
+    # the exceptional point of H = H^T: lambda = 1 twice, one ket (1, -i)
+    # with v^T v = 0; LAPACK splits it by ~sqrt(eps), leaving |sigma| ~ 1e-8
+    pair = _pair([1.0 + 1.0j, 1.0 - 1.0j], [1.0])
     es = spectra.solve_generalized(pair, tol=1e-12)
     with pytest.raises(SelfOrthogonalMode):
         spectra.normalize_biorthogonal(es, sigma_tol=1e-6)
@@ -192,10 +195,11 @@ def test_apply_kappa_rejects_zero(hand):
         spectra.apply_kappa(hand, np.array([1.0, 0.0]))
 
 
-def test_quasiparity_vanishing_overlap(hand):
+def test_quasiparity_vanishing_overlap():
     # the reversal of two entries swaps them, and (1,0) is orthogonal to (0,1)
+    es = spectra.normalize_biorthogonal(spectra.solve_generalized(_pair([1.0, 2.0]), tol=1e-12))
     with pytest.raises(VanishingParityOverlap):
-        spectra.quasiparity_leftkets(hand)
+        spectra.quasiparity_leftkets(es)
 
 
 def test_quasiparity_matches_solved_left_vectors(harmonic_small):
@@ -266,8 +270,8 @@ def test_weight_scaling_matches_dense_weight_products(cubic_model):
     W = pair.W
     es = spectra.solve_generalized(pair, tol=1e-12)
     lam, VR, VL = es.lambdas, es.right, es.left
-    HVR = discrete.band_matmul(pair.bands, VR)
-    HdVL = discrete.band_matmul(pair.bands, VL, adjoint=True)
+    HVR = discrete.band_matmul(pair.diag, pair.off, VR)
+    HdVL = discrete.band_matmul(pair.diag.conj(), pair.off.conj(), VL)
     res_r = np.linalg.norm(HVR - (W @ VR) * lam, axis=0) / np.linalg.norm(W @ VR, axis=0)
     res_l = np.linalg.norm(HdVL - (W.conj().T @ VL) * lam.conj(), axis=0) / (
         np.linalg.norm(W.conj().T @ VL, axis=0)
@@ -335,8 +339,8 @@ def test_frame_residuals_are_those_of_the_kets(harmonic_small):
     # ||A y - lam y|| / ||y|| in the frame against ||H v - lam v|| / ||v|| on v = U y p
     pair, es_full, _ = harmonic_small
     lam, R, L = es_full.lambdas, es_full.right, es_full.left
-    HR = discrete.band_matmul(pair.bands, R)
-    HdL = discrete.band_matmul(pair.bands, L, adjoint=True)
+    HR = discrete.band_matmul(pair.diag, pair.off, R)
+    HdL = discrete.band_matmul(pair.diag.conj(), pair.off.conj(), L)
     res_r = np.linalg.norm(HR - R * lam, axis=0) / np.linalg.norm(R, axis=0)
     res_l = np.linalg.norm(HdL - L * lam.conj(), axis=0) / np.linalg.norm(L, axis=0)
     assert np.abs(es_full.residual_right - res_r).max() <= 1e-12
@@ -424,6 +428,8 @@ def test_save_spectrum_csv(tmp_path, hand):
     spectra.save_spectrum_csv(hand, str(out))
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["re_lambda"] for r in rows] == ["1.0", "2.0"]
+    # repr round-trips each value to the bit
+    for key, part in (("re_lambda", np.real), ("im_lambda", np.imag)):
+        assert [float(r[key]) for r in rows] == part(hand.lambdas).tolist()
     assert {"index", "re_lambda", "im_lambda", "residual_right", "residual_left",
             "sigma_re", "sigma_im"} <= set(rows[0])
