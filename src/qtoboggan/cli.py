@@ -195,6 +195,8 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
 
     seed = raw.get("seed", 0)
     require_int("seed", seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
@@ -432,7 +434,8 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
             unmatched.append({
                 "guess": _complex_json(guesses[g]),
                 "root": _complex_json(roots[r]),
-                "reason": f"grid mode {lams[r].real!r} is already matched to root {roots[rival].real!r}",
+                "reason": (f"grid mode {float(lams[r].real)!r} is already matched"
+                           f" to root {float(roots[rival].real)!r}"),
             })
     for g in range(len(guesses)):
         if g not in root_of:

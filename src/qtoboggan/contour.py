@@ -1,11 +1,11 @@
-"""The spiral integration path, and the rectification map onto the straight line.
+"""The spiral integration path, and the polynomial map from the straight line onto it.
 
 A path is parametrized by the angle ``gamma`` in (-pi/2, pi/2).  The spiral
 with winding number ``N`` winds ``N`` extra half-turns around the origin; the
 ``N = 0`` case degenerates to the straight shifted line ``x - i*epsilon``.
-The rectified partner of a spiral point is the point on the straight line
-with the same ``gamma``; the fractional-power branch is always fixed by the
-parametrization, never by a principal cut.
+``unrectify`` sends the line point with angle ``gamma`` to the spiral point
+with the same ``gamma``, so the grid route on the line and the shooting route
+on the spiral trace one curve.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, require_int
 
-__all__ = [
-    "ContourSpec",
-    "spiral",
-    "rectify",
-    "unrectify",
-    "winding_arg_span",
-]
+__all__ = ["ContourSpec", "spiral", "unrectify"]
 
 
 @dataclass(frozen=True)
@@ -67,30 +61,6 @@ def spiral(gammas: np.ndarray, epsilon: float, q: int):
     return z, zdot, acc
 
 
-def rectify(z: np.ndarray, gammas: np.ndarray, winding: int) -> np.ndarray:
-    """Map spiral points z(gamma) to the straight line.
-
-    The fractional power uses the parametrization branch arg(i*z) = (2N+1)*gamma:
-    r = -i * |z|^(1/(2N+1)) * exp(i*gamma).  Rejects paths through z = 0.
-    """
-    mod = np.abs(z)
-    if np.any(mod == 0.0):
-        raise ConfigError("rectify: path crosses z = 0")
-    return -1j * mod ** (1.0 / (2 * winding + 1)) * np.exp(1j * np.asarray(gammas))
-
-
 def unrectify(r: np.ndarray, winding: int) -> np.ndarray:
-    """Exact inverse of rectification: z = -i * (i*r)^(2N+1) (a polynomial map)."""
+    """Line point r to spiral point z = -i * (i*r)^(2N+1), a polynomial map (no branch cut)."""
     return -1j * (1j * np.asarray(r, dtype=complex)) ** (2 * winding + 1)
-
-
-def winding_arg_span(spec: ContourSpec, n_samples: int = 2001, margin: float = 1e-3) -> float:
-    """Continuously tracked increase of arg(i*z(gamma)) across the path.
-
-    Equals (2N+1)*pi in exact arithmetic (up to the gamma truncation margin);
-    used by the winding invariant check.
-    """
-    gs = np.linspace(-np.pi / 2 + margin, np.pi / 2 - margin, n_samples)
-    z, _, _ = spiral(gs, spec.epsilon, spec.degree)
-    args = np.unwrap(np.angle(1j * z))
-    return float(args[-1] - args[0])

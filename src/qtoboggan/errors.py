@@ -5,6 +5,7 @@ callers can discriminate programmatically and the CLI can translate them
 into stable exit codes.
 """
 
+import math
 import numbers
 
 
@@ -23,10 +24,16 @@ def require_int(name: str, value: object) -> None:
 
 
 def require_real(name: str, value: object) -> float:
-    """`value` as a float; ConfigError unless it is a real number, and bools are not."""
+    """`value` as a float; ConfigError unless it is a finite real number, and bools are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return out
 
 
 class DegeneratePairing(QTobogganError):
@@ -75,10 +82,6 @@ class SchemaMismatch(QTobogganError):
 
 class UnverifiedMode(QTobogganError):
     """A grid mode matched to a shooting root fails its residual or reality gate."""
-
-
-class NoConvergence(QTobogganError):
-    """A single root search failed to converge (reported per guess, not fatal)."""
 
 
 class IncompleteBasisWarning(UserWarning):

@@ -14,7 +14,7 @@ r = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "ModelSpec",
     "RectifiedModel",
     "rectify_model",
-    "wavefunction_pullback",
-    "wavefunction_pushforward",
     "model_from_dict",
 ]
 
@@ -114,39 +112,6 @@ def rectify_model(spec: ModelSpec, winding: int) -> RectifiedModel:
     if winding < 0:
         raise ConfigError(f"winding must be a non-negative integer, got {winding}")
     return RectifiedModel(spec=spec, winding=int(winding))
-
-
-def _branch_power(z: np.ndarray, gammas: np.ndarray, winding: int, exponent: float) -> np.ndarray:
-    """z^exponent along the path with the branch arg(z) = (2N+1)*gamma - pi/2."""
-    mod = np.abs(z)
-    if np.any(mod == 0.0):
-        raise ConfigError("wavefunction pullback: path crosses z = 0")
-    arg = (2 * winding + 1) * np.asarray(gammas) - np.pi / 2
-    return np.exp(exponent * (np.log(mod) + 1j * arg))
-
-
-def wavefunction_pullback(
-    phi_values: Sequence[complex], z: np.ndarray, gammas: np.ndarray, winding: int
-) -> np.ndarray:
-    """Pull spiral wavefunction samples back to the line: psi = z^(-N/(2N+1)) * phi.
-
-    The fractional power is evaluated on the branch fixed by the angles `gammas`
-    of the spiral points `z`.
-    """
-    if len(phi_values) != len(z):
-        raise ConfigError("phi_values and z must have equal length")
-    factor = _branch_power(z, gammas, winding, -winding / (2 * winding + 1))
-    return np.asarray(phi_values, dtype=complex) * factor
-
-
-def wavefunction_pushforward(
-    psi_values: Sequence[complex], z: np.ndarray, gammas: np.ndarray, winding: int
-) -> np.ndarray:
-    """Exact inverse of wavefunction_pullback: phi = z^(+N/(2N+1)) * psi."""
-    if len(psi_values) != len(z):
-        raise ConfigError("psi_values and z must have equal length")
-    factor = _branch_power(z, gammas, winding, winding / (2 * winding + 1))
-    return np.asarray(psi_values, dtype=complex) * factor
 
 
 def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:

@@ -37,7 +37,6 @@ from .errors import (
     DegeneratePairing,
     EmptySpectrum,
     IncompleteBasis,
-    NoConvergence,
     SelfOrthogonalMode,
     SolverFailure,
     VanishingParityOverlap,
@@ -354,7 +353,7 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
             k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"shift-invert Arnoldi did not converge: {exc}") from exc
+        raise SolverFailure(f"shift-invert Arnoldi did not converge: {exc}") from exc
     # Arnoldi stops anywhere within its tolerance on ill-conditioned modes;
     # inverse iteration at its values takes each to rounding level
     lam = nearest_eigenpairs(operators, lam)[0]

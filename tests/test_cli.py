@@ -173,6 +173,37 @@ def test_bool_in_a_real_field_exits_4(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize(
+    "config, command, override",
+    [
+        ("cubic_winding1.json", "shoot", "shoot.root_tol=1e400"),
+        ("harmonic_line.json", "spectrum", "grid.half_width=1e400"),
+        ("cubic_winding1.json", "compare", "tolerances.compare_rel=Infinity"),
+        # an integer literal too large for a float
+        ("harmonic_line.json", "spectrum", "grid.half_width=1" + "0" * 400),
+    ],
+    ids=["root_tol", "half_width", "compare_rel", "half_width_integer"],
+)
+def test_non_finite_real_exits_4(tmp_path, capsys, config, command, override):
+    # JSON 1e400 reads as inf: root_tol=1e400 returned the secant's starting
+    # points as roots, half_width=1e400 failed in the eigensolver (exit 3), and
+    # an infinite compare_rel was written to compare.json as bare Infinity
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", config)
+    argv = ["--config", path, "--command", command, "--override", override,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert "must be a finite real number" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_4(tmp_path, capsys):
+    # numpy.random.default_rng(-1) used to raise ValueError out of validate (exit 1)
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", "validate", "--override", "seed=-1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "coeffs, message",
     [
         ("[[2.5, 1.0, 0.0]]", "model.coeffs power must be an integer"),
@@ -360,6 +391,21 @@ def test_compare_two_roots_on_one_grid_mode_is_unmatched(tmp_path, monkeypatch):
     assert payload["compared_modes"] == 1
     [item] = payload["unmatched_guesses"]
     assert item["guess"] == [1.1, 0.0] and item["root"] == [1.0004, 0.0]
+
+
+def test_compare_unmatched_reason_names_plain_floats(tmp_path, monkeypatch):
+    # numpy 2 scalars repr as np.float64(...), which tied the text to numpy's version
+    import numpy as np
+
+    monkeypatch.setattr(cli, "_shoot_roots", lambda config: np.array([1.0, 1.0004], dtype=complex))
+    path = compare_config(tmp_path, [0.9, 1.1])
+    out = tmp_path / "c"
+    assert cli.main(["--config", path, "--out", str(out)]) == 2
+    [item] = json.loads((out / "compare.json").read_text())["unmatched_guesses"]
+    assert "np.float64(" not in item["reason"]
+    words = item["reason"].split()
+    assert words[:2] == ["grid", "mode"] and float(words[2]) == pytest.approx(1.0, abs=1e-3)
+    assert item["reason"].endswith(" is already matched to root 1.0")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Path geometry: spiral samples, rectification, winding bookkeeping."""
+"""Path geometry: spiral samples, their derivatives, and the contour spec."""
 
 import math
 
@@ -42,30 +42,6 @@ def test_degree_is_odd_winding_count():
     assert contour.ContourSpec(epsilon=1.0, winding=3).degree == 7
 
 
-@pytest.mark.parametrize("winding", [0, 1, 2])
-def test_rectify_matches_line_partner(winding):
-    gs = np.linspace(-1.3, 1.3, 41)
-    rs = contour.rectify(_z(gs, 0.4, winding), gs, winding)
-    assert np.allclose(rs, _z(gs, 0.4, 0), atol=1e-13)
-
-
-@pytest.mark.parametrize("winding", [0, 1, 2])
-def test_unrectify_inverts_rectify(winding):
-    gs = np.linspace(-1.2, 1.2, 37)
-    ref = _z(gs, 0.8, winding)
-    zs = contour.unrectify(contour.rectify(ref, gs, winding), winding)
-    assert np.allclose(zs, ref, rtol=1e-12, atol=1e-13)
-
-
-@pytest.mark.parametrize("winding", [0, 1, 2])
-def test_winding_arg_span(winding):
-    spec = contour.ContourSpec(epsilon=0.5, winding=winding)
-    q = 2 * winding + 1
-    margin = 1e-3
-    span = contour.winding_arg_span(spec, margin=margin)
-    assert span == pytest.approx(q * (math.pi - 2 * margin), abs=1e-6)
-
-
 def test_epsilon_must_be_positive():
     with pytest.raises(ConfigError):
         contour.ContourSpec(epsilon=0.0)
@@ -86,8 +62,3 @@ def test_gamma_domain_is_open_interval():
         contour.spiral(np.array([0.0, math.pi / 2]), 1.0, 1)
     with pytest.raises(ConfigError):
         contour.spiral(np.array([-2.0]), 1.0, 1)
-
-
-def test_rectify_rejects_origin_crossing():
-    with pytest.raises(ConfigError):
-        contour.rectify(np.array([0.0 + 0.0j]), np.array([0.0]), 1)

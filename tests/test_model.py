@@ -1,11 +1,9 @@
 """Model definitions and the rectification of potentials."""
 
-import math
-
 import numpy as np
 import pytest
 
-from qtoboggan import contour, model
+from qtoboggan import model
 from qtoboggan.errors import ConfigError
 
 
@@ -114,33 +112,6 @@ def test_weight_matches_conformal_jacobian_change():
     q = 3
     dzdr = q * (1j * r) ** (q - 1)
     assert np.allclose(rect.weight(r), dzdr**2, rtol=1e-12, atol=0.0)
-
-
-def _spiral_points(gammas, eps, winding):
-    gs = np.asarray(gammas, dtype=float)
-    z, _, _ = contour.spiral(gs, eps, 2 * winding + 1)
-    return z, gs
-
-
-def test_wavefunction_pullback_branch_at_center():
-    z, gs = _spiral_points([0.0], 0.5, 1)
-    out = model.wavefunction_pullback([1.0], z, gs, winding=1)
-    # z = -i/8 on the branch arg z = -pi/2: z^(-1/3) = 2 exp(i pi/6)
-    assert out[0] == pytest.approx(2.0 * np.exp(1j * math.pi / 6), abs=1e-12)
-
-
-def test_pullback_pushforward_round_trip():
-    z, gs = _spiral_points(np.linspace(-1.2, 1.2, 17), 0.4, 2)
-    phi = np.exp(1j * np.linspace(0, 3, 17)) * np.linspace(1, 2, 17)
-    psi = model.wavefunction_pullback(phi, z, gs, 2)
-    back = model.wavefunction_pushforward(psi, z, gs, 2)
-    assert np.allclose(back, phi, rtol=1e-12)
-
-
-def test_pullback_length_mismatch():
-    z, gs = _spiral_points([0.0, 0.1], 0.4, 1)
-    with pytest.raises(ConfigError):
-        model.wavefunction_pullback([1.0], z, gs, 1)
 
 
 def test_model_from_dict_rejects_unknown_keys():

@@ -30,20 +30,25 @@ def _z(gs, eps, N):
     return z
 
 
-@given(epsilons, windings, st.lists(gammas, min_size=1, max_size=20))
-def test_rectify_round_trip(eps, N, gs):
-    expect = _z(gs, eps, N)
-    r = contour.rectify(expect, gs, N)
-    z = contour.unrectify(r, N)
-    assert np.allclose(z, expect, rtol=1e-12, atol=0.0)
-
-
 @given(epsilons, st.lists(gammas, min_size=1, max_size=20))
 def test_zero_winding_spiral_is_the_line(eps, gs):
     # the winding-0 spiral is its own rectified partner, x - i*eps
     z = _z(gs, eps, 0)
     assert np.allclose(z, eps * np.tan(gs) - 1j * eps, rtol=1e-12, atol=1e-12 * eps)
-    assert np.allclose(contour.rectify(z, gs, 0), z, rtol=1e-12, atol=0.0)
+
+
+@given(epsilons, windings, st.lists(gammas, min_size=1, max_size=20))
+def test_grid_map_and_weight_trace_the_spiral(eps, N, gs):
+    # the line point r = eps tan(gamma) - i eps maps onto the spiral point of
+    # the same gamma, and the grid's weight is (dz/dr)^2 along that spiral,
+    # with dz/dr = zdot / (dr/dgamma) and dr/dgamma = eps sec^2(gamma)
+    gs = np.asarray(gs, dtype=float)
+    z, zdot, _ = contour.spiral(gs, eps, 2 * N + 1)
+    r = eps * np.tan(gs) - 1j * eps
+    assert np.allclose(contour.unrectify(r, N), z, rtol=1e-12, atol=0.0)
+    dzdr = zdot * np.cos(gs) ** 2 / eps
+    weight = model.rectify_model(model.ModelSpec(), N).weight(r)
+    assert np.allclose(weight, dzdr**2, rtol=1e-12, atol=0.0)
 
 
 @given(epsilons, windings, gammas)
@@ -54,13 +59,6 @@ def test_spiral_polar_form(eps, N, gamma):
     assert abs(z) == pytest.approx(rho**q, rel=1e-12)
     # the branch of i*z advances by q*gamma
     assert np.angle(1j * z * np.exp(-1j * q * gamma)) == pytest.approx(0.0, abs=1e-10)
-
-
-@given(epsilons, windings, st.floats(min_value=1e-4, max_value=0.3, allow_nan=False))
-def test_arg_span_scales_with_winding_degree(eps, N, margin):
-    spec = contour.ContourSpec(epsilon=eps, winding=N)
-    span = contour.winding_arg_span(spec, margin=margin)
-    assert span == pytest.approx((2 * N + 1) * (np.pi - 2 * margin), abs=1e-6)
 
 
 @given(ells, windings)
@@ -127,20 +125,6 @@ def test_balanced_models_stay_balanced_under_rectification(ks, vals, N):
     spec = model.ModelSpec(ell=0.0, coeffs=coeffs, omega=0.0)
     assert spec.pt_flag
     assert model.rectify_model(spec, N).pt_flag
-
-
-@given(
-    epsilons,
-    windings,
-    st.lists(gammas, min_size=1, max_size=12),
-    st.lists(coeff_vals, min_size=12, max_size=12),
-)
-def test_pullback_pushforward_identity(eps, N, gs, phis):
-    z = _z(gs, eps, N)
-    phi = np.array(phis[: len(z)])
-    psi = model.wavefunction_pullback(phi, z, gs, N)
-    back = model.wavefunction_pushforward(psi, z, gs, N)
-    assert np.allclose(back, phi, rtol=1e-12, atol=1e-300)
 
 
 entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
