@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
+import ctypes
 import json
 import math
 import os
@@ -271,16 +273,19 @@ def _require_shoot(config: RunConfig) -> None:
         raise ConfigError("this command needs shoot.guesses in the config")
 
 
-def _grid_eigensystem(config: RunConfig):
+def _grid_eigensystem(config: RunConfig, keep_raw: bool = False):
     """Rectify, discretize, solve, filter, and normalize; returns (es, es_raw).
 
     es_raw is the unfiltered, unnormalized solve, so a caller can normalize the
-    complete mode set without solving twice.
+    complete mode set without solving twice; without `keep_raw` it is None,
+    dropped as soon as it is filtered.
     """
     rect = model.rectify_model(config.model, config.contour.winding)
     pair = discrete.build_operators(rect, config.grid)
     es_raw = spectra.solve_generalized(pair, tol=config.tolerances["pairing"])
     es = spectra.filter_real(es_raw, tol_im=config.tolerances["filter_im"])
+    if not keep_raw:
+        es_raw = None
     es = spectra.normalize_biorthogonal(es, sigma_tol=config.tolerances["sigma_floor"])
     return es, es_raw
 
@@ -288,8 +293,6 @@ def _grid_eigensystem(config: RunConfig):
 def _write_spectrum_artifacts(out_dir: str, es) -> None:
     pair = es.pair
     spectra.save_spectrum_csv(es, os.path.join(out_dir, "spectrum.csv"))
-    gram_off = es.gram
-    gram_off[np.diag_indices_from(gram_off)] -= 1.0
     payload = {
         "n": pair.n,
         "retained_modes": es.m,
@@ -297,7 +300,7 @@ def _write_spectrum_artifacts(out_dir: str, es) -> None:
         "pt_residual": discrete.pt_residual(pair),
         "max_residual_right": float(es.residual_right.max()),
         "max_residual_left": float(es.residual_left.max()),
-        "max_offdiag_gram": float(np.abs(gram_off).max()),
+        "max_offdiag_gram": es.max_offdiag_gram(),
         "weight_condition": pair.weight_condition,
     }
     _json_dump(payload, os.path.join(out_dir, "residuals.json"))
@@ -331,6 +334,7 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     es = _grid_eigensystem(config)[0]
     _write_spectrum_artifacts(out_dir, es)
     result = metric.build_metric(es)
+    del es  # the result keeps what it reads of it, S and the phases
     h = config.grid.h
     eps = config.grid.epsilon
     discrete.save_matrix_bin(result.Theta, os.path.join(out_dir, "theta.bin"), h, eps)
@@ -365,13 +369,10 @@ def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
             writer.writerow([j, repr(float(r.real)), repr(float(r.imag))])
     if config.scan is not None:
         energies = np.linspace(config.scan["start"], config.scan["stop"], config.scan["count"])
-    elif len(roots):
-        lo = float(roots.real.min()) - 1.0
-        hi = float(roots.real.max()) + 1.0
-        energies = np.linspace(lo, hi, 101)
     else:
-        g = np.asarray(config.guesses)
-        energies = np.linspace(float(g.real.min()) - 1.0, float(g.real.max()) + 1.0, 101)
+        # about the roots, or about the guesses when none converged
+        ref = (roots if len(roots) else np.asarray(config.guesses)).real
+        energies = np.linspace(float(ref.min()) - 1.0, float(ref.max()) + 1.0, 101)
     abs_F = shoot.scan_mismatch(config.model, config.contour, config.shoot_cfg, energies)
     shoot.save_scan_csv(os.path.join(out_dir, "scan.csv"), energies, abs_F)
     return 0
@@ -497,7 +498,7 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
 
     tol = config.tolerances
     rng = np.random.default_rng(config.seed)
-    es, es_raw = _grid_eigensystem(config)
+    es, es_raw = _grid_eigensystem(config, keep_raw=True)
     # The complete mode set (no reality filter) supports resolution-of-identity
     # checks; normalization of it can fail on defective pairs, which we report
     # as a failed check rather than a crash.
@@ -511,15 +512,14 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
         yield "pt_residual", discrete.pt_residual(es.pair), tol["pt"], False
     residual = max(es.residual_right.max(), es.residual_left.max())
     yield "max_mode_residual", residual, tol["residual"], False
-    gram = es.gram
-    yield "gram_offdiag", float(np.abs(gram - np.eye(es.m)).max()), tol["gram"], False
+    yield "gram_offdiag", es.max_offdiag_gram(), tol["gram"], False
     yield "completeness", spectra.completeness_residual(es_all), tol["completeness"], False
     yield "rebuild", spectra.spectral_rebuild_residual(es_all), tol["rebuild"], False
 
     # kappa invariance of spectrum-level quantities
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
     es_k = spectra.apply_kappa(es, kappa)
-    gram_k = es_k.left.conj().T @ (es.pair.w_diag[:, np.newaxis] * es_k.right)
+    gram, gram_k = es.gram, es_k.left.conj().T @ (es.pair.w_diag[:, np.newaxis] * es_k.right)
     # Rescaling moves each gram entry by exactly kappa_i / kappa_j.  Undoing
     # that on gram_k, rather than dressing the Gram with it, cancels solver noise
     # in the off-diagonals without amplifying rounding by |kappa_i / kappa_j|.
@@ -539,15 +539,14 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
     result = metric.build_metric(es)
     ms = float(np.linalg.norm(result.M @ result.S - np.eye(es.m)) / np.linalg.norm(np.eye(es.m)))
     yield "ms_identity", ms, tol["ms_identity"], False
-    delta = metric.delta_identity_residual(es, result.Theta)
+    theta = result.Theta  # each read builds it anew: read once for the three checks
+    delta = metric.delta_identity_residual(es, theta)
     yield "delta_identity", delta, tol["delta_identity"], False
     for name, key, limit, larger_ok in _metric_gates(tol):
         yield name, result.diagnostics[key], limit, larger_ok
 
     # uniform-kappa homogeneity: Theta[c kappa] = |c|^2 Theta[kappa]
-    c, theta = _HOMOGENEITY_SCALE, result.Theta
-    # each metric result keeps its frame matrices beside the operators read from
-    # it, so validate keeps only the operators its later checks read
+    c = _HOMOGENEITY_SCALE
     theta_c = metric.build_metric(es, kappa=c * result.kappa_used).Theta
     hom = float(np.linalg.norm(theta_c - abs(c) ** 2 * theta) / np.linalg.norm(theta))
     del theta_c
@@ -568,7 +567,7 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
         dd = float(np.linalg.norm(theta_full - single) / np.linalg.norm(single))
         yield "degeneration_theta", dd, tol["degeneration"], False
 
-    similarity = metric.theta_eigenvector_residual(es, result.Theta)
+    similarity = metric.theta_eigenvector_residual(es, theta)
     yield "theta_similarity_spectrum", similarity, tol["quasi_hermiticity"], False
 
     if config.shoot_cfg is None or not config.guesses:
@@ -656,6 +655,13 @@ def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # glibc raises its mmap threshold to the largest block freed so far, and the
+    # n x n arrays then fragment the heap: metric at n = 900 peaked at 112 or
+    # 119 MB from run to run, and at 110-113 MB with it fixed (-3: M_MMAP_THRESHOLD)
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 1 << 20)
     parser = argparse.ArgumentParser(
         prog="qtoboggan",
         description="Winding-contour eigenproblems: rectified spectra, metric operators, shooting.",

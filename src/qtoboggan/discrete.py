@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _MAGIC = b"QTBM"
+
+# columns (or rows) per piece wherever an n x n array is taken in pieces
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -109,17 +112,32 @@ class OperatorPair:
         return float(d.max() / d.min())
 
 
-def band_matmul(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+def band_matmul(
+    diag: np.ndarray, off: np.ndarray, X: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """H @ X for the tridiagonal H = H^T with diagonal `diag` and off-diagonal `off`.
 
     X has n rows (a vector or a matrix); the cost is O(size of X).  X @ H is
     band_matmul(diag, off, X.T).T and H^dag @ X is band_matmul(diag.conj(), off.conj(), X).
+    Given `out`, a view shaped like X, H @ X is added to it in place (negated
+    diagonals subtract it, to the same bits).  Each entry rounds as
+    (diag x + off x_above) + off x_below, in X's memory order; an n x n X goes
+    BLOCK columns at a time.
     """
     col = (slice(None),) + (np.newaxis,) * (np.ndim(X) - 1)
-    Y = diag[col] * X
-    Y[:-1] += off[col] * X[1:]
-    Y[1:] += off[col] * X[:-1]
-    return Y
+    add = out is not None
+    if not add:
+        out = np.empty_like(X, dtype=np.result_type(diag, off, X))
+    square = np.ndim(X) == 2 and X.shape[0] == X.shape[1]
+    for j in range(0, len(X), BLOCK) if square else [0]:
+        cols = np.s_[:, j : j + BLOCK] if square else np.s_[...]
+        x = X[cols]
+        y = np.multiply(diag[col], x, out=None if add else out[cols])
+        y[:-1] += off[col] * x[1:]
+        y[1:] += off[col] * x[:-1]
+        if add:
+            np.add(out[cols], y, out=out[cols])
+    return out
 
 
 def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:

@@ -94,3 +94,7 @@ class StepTooCoarseWarning(UserWarning):
 
 class NoConvergenceWarning(UserWarning):
     """A root guess was dropped after failing to converge."""
+
+
+class MergedRootWarning(UserWarning):
+    """Roots found from different guesses coincide and are kept as one."""

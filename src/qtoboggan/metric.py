@@ -13,36 +13,27 @@ and H only through its diagonal and off-diagonal.
 
 An eigensystem held in the PT frame (see spectra: W = I, each ket and
 double-ket U y p with U = (I + iP)/sqrt(2) and p a unit phase) is built from
-its frame vectors y: S_r, S_r^{-1}, Theta_r = U^dag Theta U, the span's
-eigenvalues and the quasi-Hermiticity and Hermiticity residuals, all real
-when y and kappa are.  S_r is the frame's biorthogonal Gram, which a
-normalized eigensystem already stores.  Frobenius norms are invariant under
-U, so those residuals are Theta's own.  The MetricResult keeps S_r, S_r^{-1}
-and Theta_r and builds S = diag(conj p) S_r diag(p), M alike and
-Theta = U Theta_r U^dag, in O(n^2), each on its first read: the metric
-command writes Theta and S and never forms M.  The similarity is exact, so
-the result agrees with the complex chain to rounding; every other
-eigensystem takes the complex chain on its kets.
+its frame vectors y, in real arithmetic when y and kappa are real: S_r (the
+frame's stored biorthogonal Gram), Theta_r = U^dag Theta U, the span's
+eigenvalues and the residuals, which are Theta's own as U keeps Frobenius
+norms.  The exact similarity makes the result the complex chain's to
+rounding.  A MetricResult keeps S and Theta as built, no M, and forms S,
+M = S^{-1} and Theta anew on each read, so the metric command holds one n x n
+operator at a time as it writes Theta and S.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .discrete import OperatorPair, band_matmul
-from .errors import (
-    IllConditionedS,
-    IncompleteBasisWarning,
-    NonPositiveTheta,
-    SingularTheta,
-)
-from .spectra import Eigensystem, _operator_from_real_basis, _pt_matmul
+from .discrete import BLOCK, OperatorPair, band_matmul
+from .errors import IllConditionedS, IncompleteBasisWarning, NonPositiveTheta, SingularTheta
+from .spectra import Eigensystem, _operator_from_real_basis
 
 __all__ = [
     "MetricResult",
@@ -72,36 +63,35 @@ class MetricResult:
     subspace metric and min_eig / cond_Theta are restricted to the retained
     span (quasiH/quasiW stay ambient: the defect lives in the full space).
 
-    `matrices` holds (S, M, Theta) as built.  Without `phase` they are those
-    operators themselves.  Built from a frame-backed eigensystem they are its
-    frame's S_r, M_r and Theta_r = U^dag Theta U, and `phase` is the
-    eigensystem's: then `S`, `M` and `Theta` are built on first read and kept,
-    S and M as diag(conj p) X diag(p) and Theta as U Theta_r U^dag.  A caller
-    that reads only Theta and S, as the metric command does, never forms M.
+    `matrices` holds (S, Theta) as built: the operators themselves, or with
+    the eigensystem's `phase` its frame's S_r and Theta_r = U^dag Theta U.
+    `S`, `M` and `Theta` build a new array on each read and keep none: S and M
+    as diag(conj p) X diag(p), Theta as U Theta_r U^dag, M from S by the same
+    `_invert_full` as build_metric, to the same bits.
     """
 
-    matrices: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    matrices: Tuple[np.ndarray, np.ndarray]
     diagnostics: Dict[str, Optional[float]]
     kappa_used: np.ndarray
     phase: Optional[np.ndarray] = None
 
-    @cached_property
+    @property
     def S(self) -> np.ndarray:
-        return self._rephased(self.matrices[0])
+        S = self.matrices[0]
+        return S.copy() if self.phase is None else self._rephased(S)
 
-    @cached_property
+    @property
     def M(self) -> np.ndarray:
-        return self._rephased(self.matrices[1])
+        M = _invert_full(self.matrices[0])
+        return M if self.phase is None else self._rephased(M)
 
-    @cached_property
+    @property
     def Theta(self) -> np.ndarray:
-        X = self.matrices[2]
-        return X if self.phase is None else _operator_from_real_basis(X)
+        X = self.matrices[1]
+        return X.copy() if self.phase is None else _operator_from_real_basis(X)
 
     def _rephased(self, X: np.ndarray) -> np.ndarray:
-        """diag(conj p) X diag(p), X the first factor of each product."""
-        if self.phase is None:
-            return X
+        """diag(conj p) X diag(p) as a new array, X the first factor of each product."""
         rephase = self.phase.conj()[:, np.newaxis] * self.phase[np.newaxis, :]
         # not X * (...): NumPy would reuse the temporary as rephase *= X, whose
         # swapped complex product rounds differently
@@ -134,7 +124,9 @@ def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
     lu, piv, info = getrf(S)
     if info > 0:
         return None
-    return getrs(lu, piv, np.eye(S.shape[0], dtype=S.dtype))[0]
+    # the identity in Fortran order is solved in place, not copied
+    eye = np.eye(S.shape[0], dtype=S.dtype, order="F")
+    return getrs(lu, piv, eye, overwrite_b=1)[0]
 
 
 def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
@@ -150,29 +142,21 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     m; an exact zero pivot reads as inf.  cond_Theta is the ratio of the
     largest to the smallest |eigenvalue| of the Hermitian part of Theta on the
     span, the eigenvalues min_eig is read from; it is cond_2 when Theta is
-    Hermitian.  A frame-backed eigensystem runs the chain and its diagnostics
-    in its frame, and the result keeps S, M and Theta there until they are
-    read (see MetricResult).
+    Hermitian.  A frame-backed eigensystem runs the chain in its frame (see
+    MetricResult).
     """
     pair = es.pair
     n, m = pair.n, es.m
-    if kappa is None:
-        kappa = np.ones(m, dtype=complex)
-    kappa = np.asarray(kappa, dtype=complex)
+    kappa = np.ones(m, dtype=complex) if kappa is None else np.asarray(kappa, dtype=complex)
     if kappa.shape != (m,):
         raise ValueError(f"kappa must have shape ({m},), got {kappa.shape}")
     if m < n:
-        warnings.warn(
-            f"retained modes m={m} < n={n}: Theta is a subspace metric",
-            IncompleteBasisWarning,
-            stacklevel=2,
-        )
+        message = f"retained modes m={m} < n={n}: Theta is a subspace metric"
+        warnings.warn(message, IncompleteBasisWarning, stacklevel=2)
     in_frame = es.phase is not None
     R, L = es.vectors
-    k = kappa
-    if in_frame:
-        # a real kappa keeps a real frame real; a complex one makes Theta_r complex
-        k = kappa if kappa.imag.any() else kappa.real
+    # in the frame a real kappa keeps a real frame real; a complex one makes Theta_r complex
+    k = kappa.real if in_frame and not kappa.imag.any() else kappa
     S = build_S(es)
     M = _invert_full(S)
     cond_S = np.inf
@@ -182,15 +166,18 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     if not cond_S <= COND_S_THRESHOLD:
         raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
     w = es.weights
-    A = (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]
-    B = k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
+    if np.all(w == 1.0) and np.all(k == 1.0):
+        A, B = L, L.conj().T  # what the formulas below give, to the bit, as copies
+    else:
+        A = (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]
+        B = k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
     Theta = A @ M @ B
-    # freed before the residuals allocate theirs: this sets the peak memory
-    del A, B
+    # freed before the span and residuals allocate theirs; M is formed again on read
+    del A, B, M
 
     span = Theta
     if m < n:
-        Q = np.linalg.qr(R)[0]
+        Q = scipy.linalg.qr(R, mode="economic")[0]
         span = Q.conj().T @ Theta @ Q
         del Q
     eigs = scipy.linalg.eigvalsh((span + span.conj().T) / 2.0)
@@ -207,7 +194,7 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         "cond_Theta": float(mag.max() / mag.min()) if mag.min() > 0 else np.inf,
     }
     return MetricResult(
-        matrices=(S, M, Theta), diagnostics=diagnostics, kappa_used=kappa, phase=es.phase
+        matrices=(S, Theta), diagnostics=diagnostics, kappa_used=kappa, phase=es.phase
     )
 
 
@@ -226,19 +213,22 @@ def quasi_hermiticity_residuals(
         raise SingularTheta("Theta contains non-finite entries")
     tnorm = np.linalg.norm(theta)
     diag, off = pair.diag, pair.off
+    # each product is added into D in place, BLOCK columns at a time
     if in_frame:
-        # A^T Theta - Theta A: A is real, and Theta A = Theta Re H - (Theta Im H) P
-        D = _pt_matmul(pair, theta, transpose=True)
-        D -= band_matmul(diag.real, off.real, theta.T).T
-        D += band_matmul(diag.imag, off.imag, theta.T).T[:, ::-1]
+        # A^T Theta - Theta A with A^T = Re H - P Im H, Theta A = Theta Re H - (Theta Im H) P
+        D = band_matmul(diag.real, off.real, theta)
+        band_matmul(-diag.imag, -off.imag, theta, out=D[::-1])
+        band_matmul(-diag.real, -off.real, theta.T, out=D.T)
+        band_matmul(diag.imag, off.imag, theta.T, out=D.T[::-1])
         w = pair.w_diag.real
     else:
         D = band_matmul(diag.conj(), off.conj(), theta)
-        D -= band_matmul(diag, off, theta.T).T
+        band_matmul(-diag, -off, theta.T, out=D.T)
         w = pair.w_diag
     rH = np.linalg.norm(D) / (tnorm * pair.H_norm)
     D = np.multiply(w.conj()[:, np.newaxis], theta, out=D)
-    D -= theta * w[np.newaxis, :]
+    for j in range(0, len(w), BLOCK):
+        D[:, j : j + BLOCK] -= theta[:, j : j + BLOCK] * w[j : j + BLOCK]
     rW = np.linalg.norm(D) / (tnorm * np.linalg.norm(w))
     return float(rH), float(rW)
 

@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contour import ContourSpec, spiral
-from .errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning
+from .errors import ConfigError, MergedRootWarning, NoConvergenceWarning, StepTooCoarseWarning
 from .errors import require_int, require_real
 from .model import ModelSpec
 
@@ -366,7 +366,8 @@ def find_eigenvalues(
 
     Returns converged roots (|F| < root_tol), deduplicated and sorted by real
     part.  Guesses that fail to converge are reported with a
-    NoConvergenceWarning and dropped.
+    NoConvergenceWarning and dropped; coinciding roots of different guesses
+    are kept once, with a MergedRootWarning.
     """
     guesses = np.asarray(list(search), dtype=complex)
     if guesses.size == 0:
@@ -408,20 +409,23 @@ def find_eigenvalues(
             NoConvergenceWarning,
             stacklevel=2,
         )
-    roots = E1[converged]
-    absF = np.abs(F1[converged])
+    roots, absF, start = E1[converged], np.abs(F1[converged]), guesses[converged]
     order = np.lexsort((roots.imag, roots.real))
-    roots, absF = roots[order], absF[order]
-    kept: List[complex] = []
-    kept_f: List[float] = []
-    for r, f in zip(roots, absF):
-        if kept and abs(r - kept[-1]) <= 1e-7 * max(1.0, abs(r)):
-            if f < kept_f[-1]:
-                kept[-1], kept_f[-1] = r, f
+    roots, absF, start = roots[order], absF[order], start[order]
+    kept: List[list] = []  # [root, its |F|, the guesses that found it]
+    for r, f, g in zip(roots, absF, start):
+        if kept and abs(r - kept[-1][0]) <= 1e-7 * max(1.0, abs(r)):
+            kept[-1][2].append(g)
+            if f < kept[-1][1]:
+                kept[-1][:2] = r, f
         else:
-            kept.append(complex(r))
-            kept_f.append(float(f))
-    return np.array(kept, dtype=complex)
+            kept.append([complex(r), float(f), [g]])
+    for root, _, found_from in kept:
+        if len(found_from) > 1:
+            named = ", ".join(f"{g:g}" for g in found_from)
+            message = f"guesses {named} converged to one root; kept once as {root:g}"
+            warnings.warn(message, MergedRootWarning, stacklevel=2)
+    return np.array([root for root, _, _ in kept], dtype=complex)
 
 
 def scan_mismatch(

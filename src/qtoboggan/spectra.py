@@ -15,12 +15,13 @@ eigenpairs.  The similarity is exact, not a perturbation: only rounding
 separates the two, and real eigenvalues come out exactly real.  Other W = I
 pairs take the complex standard eigensolve.
 
-QZ and the complex eigensolve store the kets.  The PT route stores its frame
-instead: the eigenvectors Y of A, real for every real eigenvalue, and one
-unit phase p per mode, each ket being U y p.  Residuals, sigma and the
-biorthogonal Gram run on Y, filtering keeps Y real, and the metric layer
-works on it too, taking the frame's Gram as its S; the kets and their Gram
-are built from the frame only when a caller reads `right`, `left` or `gram`.
+QZ and the complex eigensolve store the kets.  The PT route calls LAPACK's
+?geev itself and stores its frame: the eigenvectors Y of A, unpacked once and
+sorted from ?geev's real packing, real for every real eigenvalue, and one
+unit phase p per mode, each ket being U y p.  Residuals (BLOCK columns at a
+time), sigma and the Gram run on Y, filtering keeps Y real, and the metric
+takes the frame's Gram as its S; the kets and their Gram are built only when
+a caller reads `right`, `left` or `gram`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discrete import OperatorPair, band_matmul
+from .discrete import BLOCK, OperatorPair, band_matmul
 from .errors import (
     DegeneratePairing,
     EmptySpectrum,
@@ -76,13 +77,12 @@ class Eigensystem:
     conjugate transpose is the double-ket bra <<lambda_j|.  m = len(lambdas)
     may be smaller than `pair.n` after filtering.
 
-    `vectors` holds (right, left) as solved.  Without `phase` they are the
-    kets themselves.  The PT route (see solve_generalized) sets `phase`: then
-    they are the eigenvectors Y_R, Y_L of the real A = U^dag H U, real
-    exactly when every lambda is, and each ket is U Y diag(phase) with
-    U = (I + iP)/sqrt(2).  Such a system computes in that frame, with W = I
-    as real ones (`weights`), so one formula serves both storages; `right`
-    and `left` build the kets on first read and keep them.
+    `vectors` holds (right, left) as solved: the kets themselves, or, with
+    `phase` (the PT route), the eigenvectors Y_R, Y_L of the real
+    A = U^dag H U, real exactly when every lambda is, each ket U Y diag(phase)
+    with U = (I + iP)/sqrt(2).  Such a system computes in that frame, with
+    W = I as real ones (`weights`); `right` and `left` build the kets on first
+    read and keep them.
 
     `vector_gram` is the Gram L^dag W R of `vectors` that normalize_biorthogonal
     forms, None before it: the kets' own without `phase`, the frame's
@@ -110,14 +110,25 @@ class Eigensystem:
 
         Of a frame-backed system it is diag(conj p) Y_L^dag Y_R diag(p).
         """
-        g = self.vector_gram
-        if g is None:
-            return None
+        return None if self.vector_gram is None else self._gram_rows(slice(None))
+
+    def max_offdiag_gram(self) -> float:
+        """max |<<l|W|l'> - delta_ll'| over the kets' Gram, formed BLOCK rows at a time."""
+        worst = []
+        for i in range(0, self.m, BLOCK):
+            G = self._gram_rows(slice(i, i + BLOCK))
+            G[np.arange(len(G)), np.arange(i, i + len(G))] -= 1.0
+            worst.append(np.abs(G).max())
+        return float(np.max(worst))
+
+    def _gram_rows(self, rows: slice) -> np.ndarray:
+        g = self.vector_gram[rows]
         if self.phase is None:
             return g.copy()
-        # as written NumPy multiplies into the temporary, (conj p p^T) *= g;
-        # the other operand order rounds the complex products differently
-        return g * (self.phase.conj()[:, np.newaxis] * self.phase[np.newaxis, :])
+        rephase = self.phase[rows].conj()[:, np.newaxis] * self.phase[np.newaxis, :]
+        # (conj p p^T) *= g, as NumPy evaluates g * (conj p p^T) on a large
+        # temporary; the other operand order rounds the complex products differently
+        return np.multiply(rephase, g, out=rephase)
 
     @property
     def weights(self) -> np.ndarray:
@@ -155,10 +166,18 @@ class Eigensystem:
         )
 
 
-def _normalize_columns(V: np.ndarray) -> np.ndarray:
-    """Unit 2-norm columns with the largest-magnitude entry rotated real-positive."""
+def _normalize_columns(V: np.ndarray, pt_symmetric: bool = False) -> np.ndarray:
+    """Unit 2-norm columns, each rotated so its anchor entry is real-positive.
+
+    The anchor is the first entry of largest modulus, or on a PT-symmetric
+    pencil, where |v_i| = |v_{n-1-i}| up to rounding, the left member of the
+    mirror pair of largest |v_i|^2 + |v_{n-1-i}|^2 (as in _frame_eigensystem).
+    """
     V = V / np.linalg.norm(V, axis=0, keepdims=True)
-    anchor = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    mod = np.abs(V)
+    if pt_symmetric:
+        mod = mod**2 + mod[::-1] ** 2  # the same at i and n-1-i: argmax takes i
+    anchor = V[np.argmax(mod, axis=0), np.arange(V.shape[1])]
     phase = anchor / np.abs(anchor)
     return V / phase[np.newaxis, :]
 
@@ -168,10 +187,10 @@ def _pt_real_form(pair: OperatorPair) -> np.ndarray:
 
     (Im H) P reverses the columns of Im H, so its tridiagonal becomes an
     anti-tridiagonal.  If P H P = conj(H) then A = U^dag H U with
-    U = (I + iP)/sqrt(2).
+    U = (I + iP)/sqrt(2).  Fortran order lets ?geev overwrite A without a copy.
     """
     n = pair.n
-    A = np.zeros((n, n))
+    A = np.zeros((n, n), order="F")
     for M, sign, part in ((A, 1.0, np.real), (A[:, ::-1], -1.0, np.imag)):
         M.flat[:: n + 1] += sign * part(pair.diag)
         M.flat[1 :: n + 1] += sign * part(pair.off)
@@ -179,15 +198,18 @@ def _pt_real_form(pair: OperatorPair) -> np.ndarray:
     return A
 
 
-def _pt_matmul(pair: OperatorPair, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """A Y, or A^T Y when `transpose`, for A = Re H - (Im H) P; O(size of Y).
-
-    H = H^T, so A^T = Re H - P (Im H).  A real Y gives a real product.
-    """
-    re, im = (pair.diag.real, pair.off.real), (pair.diag.imag, pair.off.imag)
-    AY = band_matmul(*re, Y)
-    AY -= band_matmul(*im, Y)[::-1] if transpose else band_matmul(*im, Y[::-1])
-    return AY
+def _unpack_columns(V: np.ndarray, wi: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Columns `order` of ?geev's V, which holds x, y for x +/- iy of a +/- ib (wi > 0 first)."""
+    if not wi.any():
+        return V[:, order]
+    Y = np.zeros(V.shape, dtype=complex, order="F")
+    imag = wi[order]
+    lead = order - (imag < 0)  # the column holding x
+    for j in range(0, len(order), BLOCK):
+        Y.real[:, j : j + BLOCK] = V[:, lead[j : j + BLOCK]]
+    pairs = np.flatnonzero(imag)
+    Y.imag[:, pairs] = V[:, lead[pairs] + 1] * np.sign(imag[pairs])
+    return Y
 
 
 def _kets_from_frame(Y: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -219,44 +241,38 @@ def _frame_eigensystem(
     """The PT route's eigensystem, kept in the frame of U = (I + iP)/sqrt(2).
 
     YR, YL are LAPACK's unit eigenvectors of A = U^dag H U (W = I).  Each
-    column's phase p puts the largest-modulus entry of its ket U y_R on the
-    positive real axis, as `_normalize_columns` does on the other routes:
-    |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2), and the anchor is its first
-    argmax.  For real y it is hypot(y_i, y_{n-1-i}), which peaks at i and
-    n-1-i alike, so the first of the two is taken.  The double-ket U y_L
-    carries the same p, so sigma = y_L^dag y_R.  Residuals are
-    ||A y - lam y|| / ||y|| and ||A^T y - conj(lam) y|| / ||y||, the kets'
-    own since U is unitary.  The modes of real lambda, whose vectors are
-    real, run in real arithmetic.
+    column's phase p makes real-positive the entry of its ket U y_R at the
+    first argmax of |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2), as
+    `_normalize_columns` does; for real y that is hypot(y_i, y_{n-1-i}), the
+    same at i and n-1-i.  U y_L carries the same p, so sigma = y_L^dag y_R.
+    Residuals ||A y - lam y|| / ||y|| and ||A^T y - conj(lam) y|| / ||y|| are
+    the kets' own (U is unitary); the modes of real lambda run in real
+    arithmetic, BLOCK columns at a time.
     """
     m = len(lam)
     phase, sigmas = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
     res_r, res_l = np.empty(m), np.empty(m)
     real = lam.imag == 0
-    # np.real views the real modes' vectors, whose imaginary parts are zero
-    for cols, part in ((real, np.real), (~real, np.asarray)):
-        if not cols.any():
-            continue
-        yr, yl, lc = part(YR)[:, cols], part(YL)[:, cols], part(lam[cols])
-        mod = np.hypot(yr, yr[::-1]) if np.isrealobj(yr) else np.abs(yr + 1j * yr[::-1])
-        top = np.argmax(mod, axis=0)
-        at = np.arange(yr.shape[1])
-        anchor = yr[top, at] + 1j * yr[::-1][top, at]
-        phase[cols] = anchor.conj() / np.abs(anchor)
-        for res, y, transpose, mu in ((res_r, yr, False, lc), (res_l, yl, True, lc.conj())):
-            D = _pt_matmul(pair, y, transpose)
-            D -= y * mu
-            res[cols] = np.linalg.norm(D, axis=0) / np.linalg.norm(y, axis=0)
-        sigmas[cols] = np.einsum("ij,ij->j", yl.conj(), yr)
-    return Eigensystem(
-        pair=pair,
-        lambdas=lam,
-        vectors=(YR, YL),
-        sigmas=sigmas,
-        residual_right=res_r,
-        residual_left=res_l,
-        phase=phase,
-    )
+    for mask, part in ((real, np.real), (~real, np.asarray)):
+        modes = np.flatnonzero(mask)
+        for j in range(0, len(modes), BLOCK):
+            cols = modes[j : j + BLOCK]
+            # np.real views the real modes' vectors, whose imaginary parts are zero
+            yr, yl, lc = part(YR)[:, cols], part(YL)[:, cols], part(lam[cols])
+            mod = np.hypot(yr, yr[::-1]) if np.isrealobj(yr) else np.abs(yr + 1j * yr[::-1])
+            top = np.argmax(mod, axis=0)
+            at = np.arange(len(cols))
+            anchor = yr[top, at] + 1j * yr[::-1][top, at]
+            phase[cols] = anchor.conj() / np.abs(anchor)
+            for res, y, transpose, mu in ((res_r, yr, False, lc), (res_l, yl, True, lc.conj())):
+                D = band_matmul(pair.diag.real, pair.off.real, y)
+                # A = Re H - (Im H) P and, as H = H^T, A^T = Re H - P (Im H)
+                x, out = (y, D[::-1]) if transpose else (y[::-1], D)
+                band_matmul(-pair.diag.imag, -pair.off.imag, x, out=out)
+                D -= y * mu
+                res[cols] = np.linalg.norm(D, axis=0) / np.linalg.norm(y, axis=0)
+            sigmas[cols] = np.einsum("ij,ij->j", yl.conj(), yr)
+    return Eigensystem(pair, lam, (YR, YL), sigmas, res_r, res_l, phase=phase)
 
 
 def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:
@@ -281,7 +297,15 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     pt_route = operators.pt_symmetric and np.all(w == 1.0)
     try:
         if pt_route:
-            lam, VL, VR = scipy.linalg.eig(_pt_real_form(operators), left=True, right=True)
+            # as scipy.linalg.eig calls it, but on the Fortran-ordered A in place
+            geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=float)
+            lwork = scipy.linalg.lapack._compute_lwork(geev_lwork, n, compute_vl=1, compute_vr=1)
+            A = _pt_real_form(operators)
+            wr, wi, VL, VR, info = geev(A, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=1)
+            del A
+            if info != 0:
+                raise SolverFailure(f"real eigensolver ?geev failed with info = {info}")
+            lam = wr + 1j * wi
         else:
             # with W = I the standard eigensolve avoids the ~10x cost of QZ with B = I
             W = None if np.all(w == 1.0) else operators.W
@@ -292,7 +316,7 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
         raise SolverFailure("non-finite eigenvalues returned (W effectively singular)")
 
     order = np.lexsort((lam.imag, lam.real))
-    lam, VL, VR = lam[order], VL[:, order], VR[:, order]
+    lam = lam[order]
 
     # Pairing-ambiguity gate: scan real-sorted neighbors for coincidence.
     scale = np.maximum(1.0, np.abs(lam))
@@ -305,10 +329,13 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
                 f"eigenvalues {lam[j]} and {lam[j + k]} coincide within tol={tol}"
             )
     if pt_route:
+        # each unpacked family replaces LAPACK's, which is freed as it goes
+        VR = _unpack_columns(VR, wi, order)
+        VL = _unpack_columns(VL, wi, order)
         return _frame_eigensystem(operators, lam, VR, VL)
 
-    VR = _normalize_columns(VR)
-    VL = _normalize_columns(VL)
+    VR = _normalize_columns(VR[:, order], operators.pt_symmetric)
+    VL = _normalize_columns(VL[:, order], operators.pt_symmetric)
     WVR = w[:, np.newaxis] * VR
     WVL = w.conj()[:, np.newaxis] * VL
     HVR = band_matmul(operators.diag, operators.off, VR)
@@ -316,14 +343,7 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     res_r = np.linalg.norm(HVR - WVR * lam, axis=0) / np.linalg.norm(WVR, axis=0)
     res_l = np.linalg.norm(HdVL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
     sig = np.einsum("ij,ij->j", VL.conj(), WVR)
-    return Eigensystem(
-        pair=operators,
-        lambdas=lam,
-        vectors=(VR, VL),
-        sigmas=sig,
-        residual_right=res_r,
-        residual_left=res_l,
-    )
+    return Eigensystem(operators, lam, (VR, VL), sig, res_r, res_l)
 
 
 def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0) -> np.ndarray:
@@ -463,7 +483,7 @@ def nearest_eigenpairs(
             if res <= np.finfo(float).eps * (norm_H + abs(lam) * norm_W) / norm_Wx:
                 break
         residuals[j], right[:, j], lambdas[j] = best
-    return lambdas, _normalize_columns(right), residuals
+    return lambdas, _normalize_columns(right, pair.pt_symmetric), residuals
 
 
 def is_real(lambdas: np.ndarray, tol_im: float) -> np.ndarray:
@@ -574,20 +594,11 @@ def collinearity_angles(es: Eigensystem, candidate_left: np.ndarray) -> np.ndarr
 
 def save_spectrum_csv(es: Eigensystem, path: str) -> None:
     """CSV columns: index, re_lambda, im_lambda, residual_right, residual_left, sigma_re, sigma_im."""
+    header = ["index", "re_lambda", "im_lambda", "residual_right", "residual_left", "sigma_re", "sigma_im"]
+    lam, sig = es.lambdas, es.sigmas
+    columns = (lam.real, lam.imag, es.residual_right, es.residual_left, sig.real, sig.imag)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "re_lambda", "im_lambda", "residual_right", "residual_left", "sigma_re", "sigma_im"]
-        )
-        for j in range(es.m):
-            writer.writerow(
-                [
-                    j,
-                    repr(float(es.lambdas[j].real)),
-                    repr(float(es.lambdas[j].imag)),
-                    repr(float(es.residual_right[j])),
-                    repr(float(es.residual_left[j])),
-                    repr(float(es.sigmas[j].real)),
-                    repr(float(es.sigmas[j].imag)),
-                ]
-            )
+        writer.writerow(header)
+        for j, row in enumerate(zip(*columns)):
+            writer.writerow([j] + [repr(float(x)) for x in row])

@@ -592,8 +592,8 @@ def test_validate_homogeneity_check_catches_a_conjugation_slip(tmp_path, capsys,
         if kappa is None:
             return result
         # Theta is linear in the stored matrix, whether that is Theta or Theta_r
-        S, M, Theta = result.matrices
-        return replace(result, matrices=(S, M, kappa[0] ** 2 * Theta), kappa_used=kappa)
+        S, Theta = result.matrices
+        return replace(result, matrices=(S, kappa[0] ** 2 * Theta), kappa_used=kappa)
 
     monkeypatch.setattr(metric, "build_metric", kappa_for_its_conjugate)
     with pytest.warns(IncompleteBasisWarning):

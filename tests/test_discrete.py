@@ -171,3 +171,42 @@ def test_matrix_bin_load_reads_into_one_array(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(A, B) and B.dtype == np.complex128 and B.flags.writeable
     assert peak <= 1.2 * A.nbytes
+
+
+def _band_matmul_unblocked(diag, off, X):
+    """H @ X in one pass over X, the formula band_matmul blocks."""
+    Y = diag[:, np.newaxis] * X
+    Y[:-1] += off[:, np.newaxis] * X[1:]
+    Y[1:] += off[:, np.newaxis] * X[:-1]
+    return Y
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("view", ["plain", "transposed", "reversed"])
+def test_blocked_band_matmul_is_bitwise_the_unblocked_formula(dtype, view):
+    # n not a multiple of the block, so the last block is narrower
+    n = 3 * discrete.BLOCK + 5
+    rng = np.random.default_rng(4)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    diag, off, X = draw(n), draw(n - 1), draw(n, n)
+    X = {"plain": X, "transposed": X.T, "reversed": X[::-1]}[view]
+    want = _band_matmul_unblocked(diag, off, X)
+    got = discrete.band_matmul(diag, off, X)
+    # same bits in the same memory order, which column reductions depend on
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    # added into a transposed, row-reversed view in place; negated diagonals subtract
+    D = draw(n, n)
+    for sign in (1.0, -1.0):
+        expected = D.copy()
+        if sign > 0:
+            expected.T[::-1] += want
+        else:
+            expected.T[::-1] -= want
+        out = D.copy()
+        assert discrete.band_matmul(sign * diag, sign * off, X, out=out.T[::-1]).base is out
+        assert out.tobytes() == expected.tobytes()

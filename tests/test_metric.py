@@ -345,9 +345,9 @@ def test_operator_from_real_basis_is_u_x_u_dagger(real):
 
 
 def test_frame_metric_forms_s_and_theta_on_read_and_no_m(harmonic_model):
-    # the harmonic line's grid: S_r, M_r and Theta_r, then Theta and S read as
-    # the metric command reads them, peak at 6.6 real n x n arrays; mapping all
-    # three out inside build_metric peaked at 9.3
+    # the harmonic line's grid: S_r and Theta_r, then Theta and S read as the
+    # metric command reads them, peak at 4.9 real n x n arrays; keeping M_r
+    # and caching each operator read peaked at 5.8
     pair = discrete.build_operators(
         model.rectify_model(harmonic_model, 0),
         discrete.GridSpec(half_width=9.0, n=400, epsilon=0.5),
@@ -358,15 +358,33 @@ def test_frame_metric_forms_s_and_theta_on_read_and_no_m(harmonic_model):
     tracemalloc.start()
     try:
         res = _quiet_metric(es)
-        built = set(vars(res))
         res.Theta, res.S
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not built & {"S", "M", "Theta"}
-    assert "M" not in vars(res)
-    assert peak <= 7.5 * pair.n**2 * np.dtype(float).itemsize
-    assert res.M.shape == (es.m, es.m) and "M" in vars(res)
+    S_r, Theta_r = res.matrices
+    assert S_r is es.vector_gram and Theta_r.shape == (pair.n, pair.n)
+    assert peak <= 5.25 * pair.n**2 * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("case", ["hand", "harmonic_subset"])
+def test_metric_result_keeps_no_read_and_m_is_the_inverse_of_s(case, request):
+    es = _case(case, request)
+    res = _quiet_metric(es)
+    fields = set(vars(res))
+    first = {name: getattr(res, name) for name in ("S", "M", "Theta")}
+    assert set(vars(res)) == fields
+    for name, value in first.items():
+        again = getattr(res, name)
+        assert again is not value and again.tobytes() == value.tobytes()
+    # M = S^{-1} by the ?getrf/?getrs build_metric ran, to the bit
+    S = res.matrices[0]
+    M = metric._invert_full(S)
+    if es.phase is None:
+        assert np.array_equal(res.S, S) and res.M.tobytes() == M.tobytes()
+    else:
+        rephase = es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :]
+        assert res.M.tobytes() == np.multiply(M, rephase).tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False])

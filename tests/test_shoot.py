@@ -11,7 +11,12 @@ from reference_values import SPIKED_LOWEST
 
 from qtoboggan import shoot
 from qtoboggan.contour import ContourSpec
-from qtoboggan.errors import ConfigError, NoConvergenceWarning, StepTooCoarseWarning
+from qtoboggan.errors import (
+    ConfigError,
+    MergedRootWarning,
+    NoConvergenceWarning,
+    StepTooCoarseWarning,
+)
 from qtoboggan.model import ModelSpec
 
 LINE = ContourSpec(epsilon=0.5, winding=0)
@@ -64,7 +69,8 @@ def test_find_harmonic_ladder(harmonic_model):
 
 def test_duplicate_guesses_deduplicated(harmonic_model):
     cfg = _cfg(root_tol=1e-10)
-    roots = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [0.9, 0.95])
+    with pytest.warns(MergedRootWarning, match=r"guesses 0\.9\+0j, 0\.95\+0j .* as 1"):
+        roots = shoot.find_eigenvalues(harmonic_model, LINE, cfg, [0.9, 0.95])
     assert len(roots) == 1
     assert roots[0].real == pytest.approx(1.0, abs=1e-7)
 

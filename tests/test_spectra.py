@@ -2,6 +2,7 @@
 and the cached grid runs."""
 
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -311,8 +312,9 @@ def test_non_pt_and_weighted_pairs_keep_the_direct_eig(case, request):
     lam, VL, VR = scipy.linalg.eig(pair.H, pair.W if weighted else None, left=True, right=True)
     order = np.lexsort((lam.imag, lam.real))
     assert np.array_equal(es.lambdas, lam[order])
-    assert np.array_equal(es.right, spectra._normalize_columns(VR[:, order]))
-    assert np.array_equal(es.left, spectra._normalize_columns(VL[:, order]))
+    # the PT-symmetric cubic anchors each column on a mirror pair
+    assert np.array_equal(es.right, spectra._normalize_columns(VR[:, order], pair.pt_symmetric))
+    assert np.array_equal(es.left, spectra._normalize_columns(VL[:, order], pair.pt_symmetric))
 
 
 def test_pt_grid_pair_retains_exactly_real_modes(harmonic_small):
@@ -333,6 +335,62 @@ def test_pt_route_keeps_its_frame_real_once_filtered(harmonic_small):
     assert es_sub.phase is not None
     assert all(Y.dtype == float for Y in es_sub.vectors)
     assert np.all(np.abs(es_sub.phase) == pytest.approx(1.0, abs=1e-15))
+
+
+def test_pt_route_peaks_below_eight_arrays_and_unpacks_as_scipy_eig(harmonic_model):
+    # the harmonic line's grid at n = 400, where 30 modes are complex: ?geev's
+    # real packing is unpacked once, sorted, into the two kept complex
+    # families (4 real n x n arrays).  Through scipy.linalg.eig, which makes
+    # both families complex before the sort copies them, the peak was 10.6
+    pair = discrete.build_operators(
+        model.rectify_model(harmonic_model, 0),
+        discrete.GridSpec(half_width=9.0, n=400, epsilon=0.5),
+    )
+    spectra.solve_generalized(pair, tol=1e-12)  # loads scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        es = spectra.solve_generalized(pair, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * pair.n**2 * np.dtype(float).itemsize
+    lam, VL, VR = scipy.linalg.eig(spectra._pt_real_form(pair), left=True, right=True)
+    order = np.lexsort((lam.imag, lam.real))
+    assert lam.imag.any()
+    assert np.array_equal(es.lambdas, lam[order])
+    for got, want in zip(es.vectors, (VR[:, order], VL[:, order])):
+        assert got.tobytes() == want.tobytes() and got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("which", ["frame", "qz"])
+def test_blocked_max_offdiag_gram_is_the_full_gram_value(which, harmonic_small, cubic_model):
+    if which == "frame":
+        es = harmonic_small[2]
+    else:
+        rect = model.rectify_model(cubic_model, 1)
+        pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=300, epsilon=0.15))
+        es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair, 1e-12))
+    # more rows than one block, and not a multiple of it
+    assert es.m > discrete.BLOCK and es.m % discrete.BLOCK
+    assert (es.phase is not None) == (which == "frame")
+    gram_off = es.gram
+    gram_off[np.diag_indices_from(gram_off)] -= 1.0
+    assert es.max_offdiag_gram() == float(np.abs(gram_off).max())
+
+
+def test_pt_qz_kets_anchor_on_the_left_of_their_largest_mirror_pair():
+    # |v_i| and |v_{n-1-i}| agree up to rounding on a PT-symmetric pencil, so
+    # the first argmax of |v| would let rounding pick the anchor; the mirror
+    # pair's |v_i|^2 + |v_{n-1-i}|^2 is the same at both ends
+    pair = _weighted_cubic_pair()
+    assert pair.pt_symmetric
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    for V in (es.right, es.left):
+        mod = np.abs(V) ** 2
+        top = np.argmax(mod + mod[::-1], axis=0)
+        assert np.all(top <= pair.n - 1 - top)
+        anchor = V[top, np.arange(pair.n)]
+        assert np.all(np.abs(anchor.imag) <= 1e-14 * np.abs(anchor)) and anchor.real.min() > 0
 
 
 def test_frame_residuals_are_those_of_the_kets(harmonic_small):
