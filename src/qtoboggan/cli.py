@@ -282,11 +282,12 @@ def _grid_eigensystem(config: RunConfig, keep_raw: bool = False):
     """
     rect = model.rectify_model(config.model, config.contour.winding)
     pair = discrete.build_operators(rect, config.grid)
-    es_raw = spectra.solve_generalized(pair, tol=config.tolerances["pairing"])
-    es = spectra.filter_real(es_raw, tol_im=config.tolerances["filter_im"])
+    tol = config.tolerances
+    es_raw = spectra.solve_generalized(pair, tol=tol["pairing"])
+    es = spectra.filter_real(es_raw, tol_im=tol["filter_im"], tol_residual=tol["residual"])
     if not keep_raw:
         es_raw = None
-    es = spectra.normalize_biorthogonal(es, sigma_tol=config.tolerances["sigma_floor"])
+    es = spectra.normalize_biorthogonal(es, sigma_tol=tol["sigma_floor"])
     return es, es_raw
 
 

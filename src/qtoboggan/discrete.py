@@ -73,15 +73,17 @@ class OperatorPair:
 
     H is tridiagonal and complex-symmetric (H = H^T): `diag` is its diagonal
     and `off` (length n - 1) its off-diagonal, off[j] = H[j, j + 1] = H[j + 1, j].
-    `w_diag` is the diagonal of W.  `pt_symmetric` is the model's PT balance
-    carried onto the grid: P H P = conj(H) and P W P = conj(W) hold by
-    construction (real even and imaginary odd coefficients on a grid symmetric
-    about x = 0), so the eigensolver may rely on it without testing H.
+    `w_diag` is the diagonal of W and `s` that of dz/dr (s^2 = W, P s = conj(s),
+    exact ones at winding 0).  `pt_symmetric` is the model's PT balance carried
+    onto the grid: P H P = conj(H) and P W P = conj(W) hold by construction
+    (real even and imaginary odd coefficients on a grid symmetric about x = 0),
+    so the eigensolver may rely on it without testing H.
     """
 
     diag: np.ndarray
     off: np.ndarray
     w_diag: np.ndarray
+    s: np.ndarray
     pt_symmetric: bool = False
 
     @property
@@ -95,11 +97,6 @@ class OperatorPair:
         H = np.diag(self.diag)
         H.flat[1::n + 1] = H.flat[n::n + 1] = self.off
         return H
-
-    @property
-    def W(self) -> np.ndarray:
-        """Dense W, built on each access."""
-        return np.diag(self.w_diag)
 
     @property
     def H_norm(self) -> float:
@@ -144,7 +141,7 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
     """Assemble the diagonal and off-diagonal of H and the diagonal of W for a rectified model.
 
     H = (-1/h^2) tridiag(1, -2, 1) + diag(V_rect(r_j)) with Dirichlet ends;
-    W_jj = W(r_j) = (2N+1)^2 r_j^(4N).
+    W_jj = W(r_j) = (2N+1)^2 r_j^(4N), and s_j = dz/dr at r_j.
     """
     if grid.epsilon == 0.0 and (model.winding > 0 or model.spec.has_centrifugal):
         raise ConfigError(
@@ -156,7 +153,7 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
     w = model.weight(r)
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
-    return OperatorPair(diag=diag, off=off, w_diag=w, pt_symmetric=model.pt_flag)
+    return OperatorPair(diag=diag, off=off, w_diag=w, s=model.dzdr(r), pt_symmetric=model.pt_flag)
 
 
 def pt_residual(pair: OperatorPair) -> float:

@@ -105,6 +105,10 @@ class RectifiedModel:
         r = np.asarray(r, dtype=complex)
         return (2 * self.winding + 1) ** 2 * r ** (4 * self.winding)
 
+    def dzdr(self, r: np.ndarray) -> np.ndarray:
+        """dz/dr = (2N+1)(i r)^(2N), the square root of `weight` with no branch cut, vectorized."""
+        return (2 * self.winding + 1) * (1j * np.asarray(r, dtype=complex)) ** (2 * self.winding)
+
 
 def rectify_model(spec: ModelSpec, winding: int) -> RectifiedModel:
     """The rectified model at winding N."""

@@ -7,21 +7,21 @@ completeness and spectral-decomposition identities of the pencil an
 Eigensystem carries.  The kappa-rescaling freedom |lam> -> |lam>/kappa,
 <<lam| -> kappa*<<lam| is first-class.
 
-The dense solve takes one of three routes.  A W != I pencil goes through QZ.
-With W = I the problem is standard; if the pair is also PT-symmetric
-(P H P = conj(H), P the index reversal), U = (I + iP)/sqrt(2) is unitary and
-U^dag H U = Re H - (Im H) P is real, so one real eigensolve yields the same
-eigenpairs.  The similarity is exact, not a perturbation: only rounding
-separates the two, and real eigenvalues come out exactly real.  Other W = I
-pairs take the complex standard eigensolve.
+The dense solve is standard: W = s^2 with s = dz/dr diagonal, and
+B = s^-1 H s^-1 keeps H's structure (B = H at W = I).  If the pair is
+PT-symmetric (P H P = conj(H), P the index reversal), U = (I + iP)/sqrt(2) is
+unitary and U^dag B U = Re B - (Im B) P is real, so one real eigensolve yields
+the same eigenpairs, exactly: real eigenvalues come out exactly real.  Other
+pairs take the complex eigensolve of B.
 
-QZ and the complex eigensolve store the kets.  The PT route calls LAPACK's
-?geev itself and stores its frame: the eigenvectors Y of A, unpacked once and
-sorted from ?geev's real packing, real for every real eigenvalue, and one
-unit phase p per mode, each ket being U y p.  Residuals (BLOCK columns at a
-time), sigma and the Gram run on Y, filtering keeps Y real, and the metric
-takes the frame's Gram as its S; the kets and their Gram are built only when
-a caller reads `right`, `left` or `gram`.
+At W = I the PT route stores its frame: the eigenvectors Y of A, unpacked
+once from ?geev's real packing, real for every real eigenvalue, and one unit
+phase p per mode, each ket being U y p.  Residuals (BLOCK columns at a time),
+sigma and the Gram run on Y, and the metric takes the frame's Gram as its S;
+the kets are built only when a caller reads `right`, `left` or `gram`.  Every
+other solve stores the kets x / s of B's eigenvectors x.  B's rounding,
+eps ||B||, exceeds H's by up to 1/min|w|, so `filter_real` refines each mode it
+keeps from a W != I solve on (H, W) itself.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ INVERSE_ITERATION_STEPS = 100
 # quasiparity_leftkets raises VanishingParityOverlap below this |<n|P W|n>|
 PARITY_OVERLAP_FLOOR = 1e-12
 
+# filter_real's gates.  Winding-1 grids, n = 300-900: |sigma| >= 1.4e-7 genuine, <= 1.4e-11
+# near an exceptional point; residual / median <= 25 genuine, >= 5,200 spurious (box top)
+SIGMA_CERTIFY_FLOOR = 1e-9
+SPURIOUS_RESIDUAL_RATIO = 300.0
+
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
@@ -78,7 +83,7 @@ class Eigensystem:
     may be smaller than `pair.n` after filtering.
 
     `vectors` holds (right, left) as solved: the kets themselves, or, with
-    `phase` (the PT route), the eigenvectors Y_R, Y_L of the real
+    `phase` (the PT route at W = I), the eigenvectors Y_R, Y_L of the real
     A = U^dag H U, real exactly when every lambda is, each ket U Y diag(phase)
     with U = (I + iP)/sqrt(2).  Such a system computes in that frame, with
     W = I as real ones (`weights`); `right` and `left` build the kets on first
@@ -278,13 +283,10 @@ def _frame_eigensystem(
 def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:
     """All n eigenpairs with right kets and left double-kets, index-paired.
 
-    Three routes, by the structure of the pair.  W != I: QZ on (H, W).
-    W = I and PT-symmetric (the PT route): one real eigensolve of
-    A = Re H - (Im H) P, which is unitarily similar to H through
-    U = (I + iP)/sqrt(2); both of LAPACK's vector families of A are kept in
-    that frame (the left ones too, since u^dag A = lam u^dag gives
-    (U u)^dag H = lam (U u)^dag), and real modes carry Im lambda == 0
-    exactly.  Other W = I pairs: the complex standard eigensolve of H.
+    Symmetry alone picks the eigensolve of B (module docstring); the left
+    vectors u of A give (U u)^dag B = lam (U u)^dag.  With s ones a PT result
+    stays in its frame, else B's eigenvectors x, x_L become the pencil's kets
+    x / s and double-kets x_L / conj(s).
 
     `tol` is the pairing-ambiguity threshold: two eigenvalues closer than
     tol*max(1, |lambda|) make the left/right pairing non-canonical and raise
@@ -293,25 +295,26 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     """
     import scipy.linalg
 
-    w, n = operators.w_diag, operators.n
-    pt_route = operators.pt_symmetric and np.all(w == 1.0)
+    s, w, n = operators.s, operators.w_diag, operators.n
+    scaled = not np.all(s == 1.0)
+    B = operators
+    if scaled:  # diag / w, not diag / (s s), whose rounding moves ill-conditioned modes
+        B = replace(operators, diag=operators.diag / w, off=operators.off / (s[:-1] * s[1:]))
     try:
-        if pt_route:
+        if operators.pt_symmetric:
             # as scipy.linalg.eig calls it, but on the Fortran-ordered A in place
             geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=float)
             lwork = scipy.linalg.lapack._compute_lwork(geev_lwork, n, compute_vl=1, compute_vr=1)
-            A = _pt_real_form(operators)
+            A = _pt_real_form(B)
             wr, wi, VL, VR, info = geev(A, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=1)
             del A
             if info != 0:
                 raise SolverFailure(f"real eigensolver ?geev failed with info = {info}")
             lam = wr + 1j * wi
         else:
-            # with W = I the standard eigensolve avoids the ~10x cost of QZ with B = I
-            W = None if np.all(w == 1.0) else operators.W
-            lam, VL, VR = scipy.linalg.eig(operators.H, W, left=True, right=True)
+            lam, VL, VR = scipy.linalg.eig(B.H, left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
-        raise SolverFailure(f"generalized eigensolver failed: {exc}") from exc
+        raise SolverFailure(f"eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(lam)):
         raise SolverFailure("non-finite eigenvalues returned (W effectively singular)")
 
@@ -322,20 +325,26 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     scale = np.maximum(1.0, np.abs(lam))
     for k in range(1, min(4, n)):
         d = np.abs(lam[k:] - lam[:-k])
-        s = np.maximum(scale[k:], scale[:-k])
-        if np.any(d < tol * s):
-            j = int(np.argmin(d / s))
+        m = np.maximum(scale[k:], scale[:-k])
+        if np.any(d < tol * m):
+            j = int(np.argmin(d / m))
             raise DegeneratePairing(
                 f"eigenvalues {lam[j]} and {lam[j + k]} coincide within tol={tol}"
             )
-    if pt_route:
+    if operators.pt_symmetric:
         # each unpacked family replaces LAPACK's, which is freed as it goes
         VR = _unpack_columns(VR, wi, order)
         VL = _unpack_columns(VL, wi, order)
-        return _frame_eigensystem(operators, lam, VR, VL)
-
-    VR = _normalize_columns(VR[:, order], operators.pt_symmetric)
-    VL = _normalize_columns(VL[:, order], operators.pt_symmetric)
+        if not scaled:
+            return _frame_eigensystem(operators, lam, VR, VL)
+        # U y, up to the 1/sqrt(2) that _normalize_columns removes
+        VR, VL = VR + 1j * VR[::-1], VL + 1j * VL[::-1]
+    else:
+        VR, VL = VR[:, order], VL[:, order]
+    if scaled:
+        VR, VL = VR / s[:, np.newaxis], VL / s.conj()[:, np.newaxis]
+    VR = _normalize_columns(VR, operators.pt_symmetric)
+    VL = _normalize_columns(VL, operators.pt_symmetric)
     WVR = w[:, np.newaxis] * VR
     WVL = w.conj()[:, np.newaxis] * VL
     HVR = band_matmul(operators.diag, operators.off, VR)
@@ -491,13 +500,48 @@ def is_real(lambdas: np.ndarray, tol_im: float) -> np.ndarray:
     return np.abs(lambdas.imag) < tol_im * np.maximum(1.0, np.abs(lambdas.real))
 
 
-def filter_real(es: Eigensystem, tol_im: float = 1e-6) -> Eigensystem:
-    """Retain the modes `is_real` accepts, sorted by Re lambda."""
-    idx = np.where(is_real(es.lambdas, tol_im))[0]
+def filter_real(es: Eigensystem, tol_im: float = 1e-6, tol_residual: float = 1e-8) -> Eigensystem:
+    """Retain the modes `is_real` accepts that pass two gates, sorted by Re lambda.
+
+    Also discarded: a mode whose |sigma| as solved (unit vectors) is below
+    SIGMA_CERTIFY_FLOOR, too ill-conditioned to certify as real, and one whose
+    max(residual_right, residual_left) exceeds `tol_residual` and
+    SPURIOUS_RESIDUAL_RATIO times the median of the real modes within it.
+    On a W != I pencil each retained mode is then refined on (H, W) (`_polish`).
+    """
+    keep = is_real(es.lambdas, tol_im)
+    res = np.maximum(es.residual_right, es.residual_left)
+    sound = res[keep & (res <= tol_residual)]  # spurious modes alone set no bound
+    ratio_bound = SPURIOUS_RESIDUAL_RATIO * np.median(sound) if len(sound) else 0.0
+    keep &= (res <= max(tol_residual, ratio_bound)) & (np.abs(es.sigmas) >= SIGMA_CERTIFY_FLOOR)
+    idx = np.flatnonzero(keep)
     if not len(idx):
-        raise EmptySpectrum(f"no modes pass |Im| < {tol_im}*max(1,|Re|)")
+        raise EmptySpectrum(f"no modes pass |Im| < {tol_im}*max(1,|Re|) and the two gates")
     idx = idx[np.argsort(es.lambdas.real[idx], kind="stable")]
-    return es.take(idx, discarded=es.m - len(idx))
+    kept = es.take(idx, discarded=es.m - len(idx))
+    return kept if np.all(es.pair.s == 1.0) else _polish(kept)
+
+
+def _polish(es: Eigensystem) -> Eigensystem:
+    """Each mode of a W != I solve replaced by the tridiagonal pencil's own eigenpair near it.
+
+    B = s^-1 H s^-1 is larger than H by up to 1/min|w|, so B's eigenpairs are
+    exact only for a B perturbed by eps ||B||: the cubic at n = 900 shows
+    residuals <= 3e-9 on (H, W), yet its fifth eigenvalue moves by 4.9e-8 and
+    its eighth by 2.5e-5 between one and two BLAS threads.  Inverse iteration
+    at each eigenvalue on H - lam W (`nearest_eigenpairs`) takes the ket to
+    rounding level on (H, W) itself.  As H = H^T and W is diagonal, conj(ket)
+    is the double-ket, with the same residual.  The grid is PT-symmetric only
+    to rounding, so a real mode keeps the small imaginary part of the pencil's
+    own eigenvalue (up to 2e-7 on the winding-1 grids at n = 300-900).
+    """
+    pair = es.pair
+    lam, X, res = nearest_eigenpairs(pair, es.lambdas)
+    L = _normalize_columns(X.conj(), pair.pt_symmetric)
+    sigmas = np.einsum("ij,ij->j", L.conj(), pair.w_diag[:, np.newaxis] * X)
+    return replace(
+        es, lambdas=lam, vectors=(X, L), sigmas=sigmas, residual_right=res, residual_left=res
+    )
 
 
 def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensystem:

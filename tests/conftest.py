@@ -146,11 +146,14 @@ def hermitian_full():
 def cubic_run(cubic_model):
     """Winding-1 rectified cubic at the pinned grid (n=900, X=2.2, eps=0.15).
 
+    Solved in the real PT frame of B = s^-1 H s^-1, s = dz/dr (about 1 s).
     Only the real-filtered subset is normalized: the top of this steep
-    (degree-7 rectified) spectrum contains complex pairs sitting numerically
-    at exceptional points, whose self-orthogonal vectors cannot be
-    biorthogonally normalized -- full-basis identities are exercised on
-    vehicles with clean complete spectra instead.  Returns (pair, None, es_sub).
+    (degree-7 rectified) spectrum holds modes sitting numerically at
+    exceptional points, whose self-orthogonal vectors cannot be
+    biorthogonally normalized.  filter_real's sigma gate drops the real ones
+    among them and its residual gate the two spurious box-top modes, which
+    leaves 8, each refined on (H, W); full-basis identities are exercised on vehicles with clean
+    complete spectra instead.  Returns (pair, None, es_sub).
     """
     rect = model.rectify_model(cubic_model, 1)
     pair = discrete.build_operators(

@@ -14,6 +14,19 @@ of the package code, then frozen:
   the spiked oscillator x^2 + l(l+1)/x^2 on a shifted line supports both
   quasi-parity branches E = 4k + 2 +/- (2l+1).
 
+* ``HARMONIC_TOBOGGAN_LOWEST`` — the toboggan of V = omega^2 z^2 +
+  ell(ell+1)/z^2 at every winding N has the N = 0 spectrum
+  omega(4k + 2 ell + 3) and omega(4k - 2 ell + 1), k = 0, 1, ... (Znojil,
+  Phys. Lett. A 259, 220, 1999), unless (2N+1)(2 ell+1) is even.  V is even,
+  so the solution recessive around arg z = k pi is psi_0(z e^{-ik pi}), with
+  psi_0 = e^{-omega z^2/2} (A z^{ell+1} F_1 + B z^{-ell} F_2), F_1, F_2
+  Kummer functions of omega z^2, A ~ 1/Gamma(a - b + 1), B ~ 1/Gamma(a),
+  a = (2 ell + 3)/4 - E/(4 omega), b = ell + 3/2 (DLMF 13.2.42).  The spiral
+  joins wedges k and k + 2N + 1, and the matching determinant is
+  AB (1 - e^{i pi (2N+1)(2 ell+1)}) up to a phase: it vanishes where
+  a = -k or a - b + 1 = -k, the two families.  The lowest five at
+  ell = 0.3, omega = 1.
+
 * ``CUBIC_TOBOGGAN_GRID_LOWEST`` — lowest real modes of the rectified
   winding-1 imaginary-cubic problem at the pinned grid (n=900, X=2.2,
   eps=0.15), frozen from ``scripts/run_rectification_check.py``.  At ell = 0
@@ -40,6 +53,14 @@ HARMONIC_LOWEST = [1.0, 3.0, 5.0, 7.0, 9.0]
 LINEAR_SHIFT_LOWEST = [1.25, 3.25, 5.25, 7.25, 9.25]
 SPIKED_ELL = 0.3
 SPIKED_LOWEST = [0.4, 3.6, 4.4, 7.6, 8.4]
+
+# Harmonic toboggan, ell = 0.3, omega = 1 (exact at any non-degenerate winding).
+HARMONIC_TOBOGGAN_ELL = 0.3
+HARMONIC_TOBOGGAN_LOWEST = sorted(
+    e
+    for k in range(3)
+    for e in (4 * k + 2 * HARMONIC_TOBOGGAN_ELL + 3, 4 * k - 2 * HARMONIC_TOBOGGAN_ELL + 1)
+)[:5]
 
 # Winding-1 imaginary cubic (omega=1), rectified grid route at the pinned
 # configuration n=900, X=2.2, eps=0.15 (regression freeze; grid truncation at

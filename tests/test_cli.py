@@ -296,6 +296,19 @@ def test_metric_failing_its_limits_exits_2(tmp_path, capsys):
     assert "quasiH" in err and "min_eig" in err
 
 
+def test_spectrum_of_spurious_modes_alone_exits_3(tmp_path, capsys):
+    # a non-PT winding-1 cubic (c3 = 0.3 + i) at n = 300: its only real modes
+    # are two box-top ones (-3.5e5, 1.1e6) with residuals 9e-8 and 4e-7,
+    # which spectrum used to write as the whole spectrum
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cubic_winding1.json")
+    out = tmp_path / "s"
+    argv = ["--config", config, "--command", "spectrum", "--out", str(out),
+            "--override", "grid.n=300", "--override", "model.coeffs=[[3, 0.3, 1.0]]"]
+    assert cli.main(argv) == 3
+    assert "no modes pass" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_shoot_command(tmp_path):
     cfg = base_config(
         command="shoot",

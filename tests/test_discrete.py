@@ -23,7 +23,23 @@ def test_free_laplacian_instance():
     pair = discrete.build_operators(rect, grid)
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     assert np.allclose(pair.H, expected)
-    assert np.allclose(pair.W, np.eye(3))
+    assert np.allclose(np.diag(pair.w_diag), np.eye(3))
+
+
+@pytest.mark.parametrize("winding", [0, 1, 2])
+def test_s_is_the_square_root_of_w_without_a_branch_cut(winding):
+    # s = dz/dr is a polynomial: s^2 = W and P s = conj(s) to rounding at
+    # every grid point, while the principal sqrt(W) is s on part of the grid
+    # and -s on the rest
+    pair = _pair(model.ModelSpec(coeffs={3: 1j}, omega=1.0), winding, 2.2, 300, 0.15)
+    s, w = pair.s, pair.w_diag
+    if winding == 0:
+        assert np.all(s == 1.0)
+        return
+    assert np.abs(s * s - w).max() <= 4 * np.finfo(float).eps * np.abs(w).max()
+    assert np.abs(s[::-1] - s.conj()).max() <= 4 * np.finfo(float).eps * np.abs(s).max()
+    flipped = np.isclose(np.sqrt(w), -s, rtol=1e-12, atol=0)
+    assert flipped.any() and not flipped.all()
 
 
 def test_grid_geometry():
@@ -97,9 +113,9 @@ def test_pt_residual_equals_dense_parity_reference():
     for pair in [
         _pair(model.ModelSpec(coeffs={3: 1j}, omega=1.0), 1, 3.0, 41, 0.4),
         _pair(model.ModelSpec(coeffs={3: 1.0}), 0, 3.0, 41, 0.4),
-        discrete.OperatorPair(diag=diag, off=off, w_diag=w),
+        discrete.OperatorPair(diag=diag, off=off, w_diag=w, s=np.sqrt(w)),
     ]:
-        H, W, P = pair.H, pair.W, np.eye(pair.n)[::-1]
+        H, W, P = pair.H, np.diag(pair.w_diag), np.eye(pair.n)[::-1]
         assert np.array_equal(P @ H @ P, H[::-1, ::-1])
         dH = np.linalg.norm(P @ H @ P - H.conj().T)
         dW = np.linalg.norm(P @ W @ P - W.conj().T)

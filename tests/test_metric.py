@@ -38,6 +38,7 @@ def hand_pair():
         diag=np.array([1.0 + 0.6j, 1.0 - 0.6j]),
         off=np.array([1.0 + 0j]),
         w_diag=np.ones(2, dtype=complex),
+        s=np.ones(2, dtype=complex),
     )
 
 
@@ -471,7 +472,7 @@ def test_singular_overlap_fails_the_gate_without_a_lu_warning(harmonic_small, mo
 def test_zero_theta_eigenvalue_reads_infinite_cond_without_a_warning(monkeypatch):
     # H = diag(1, 2) has the unit vectors for L, so M = diag(1, 0) makes
     # Theta = L diag(1, 0) L^dag = diag(1, 0), with an exact zero eigenvalue
-    pair = OperatorPair(diag=np.array([1.0, 2.0]), off=np.zeros(1), w_diag=np.ones(2))
+    pair = OperatorPair(diag=np.array([1.0, 2.0]), off=np.zeros(1), w_diag=np.ones(2), s=np.ones(2))
     es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair, tol=1e-12))
     monkeypatch.setattr(metric, "_invert_full", lambda S: np.diag([1.0, 0.0]).astype(complex))
     with warnings.catch_warnings():

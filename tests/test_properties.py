@@ -142,10 +142,10 @@ def test_banded_products_match_dense(data, n):
     off = data.draw(hnp.arrays(complex, n - 1, elements=entries))
     w = data.draw(hnp.arrays(complex, n, elements=coeff_vals))
     X = data.draw(hnp.arrays(complex, (n, 3), elements=entries))
-    pair = discrete.OperatorPair(diag=diag, off=off, w_diag=w)
+    pair = discrete.OperatorPair(diag=diag, off=off, w_diag=w, s=np.sqrt(w))
     H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     assert np.array_equal(pair.H, H)
-    assert np.array_equal(pair.W, np.diag(w))
+    assert np.array_equal(np.diag(pair.w_diag), np.diag(w))
     # ||H||_F over the (1, 1) band storage, zero corners included
     assert pair.H_norm == np.linalg.norm(np.array([0.0, *off, *diag, *off, 0.0]))
     assert pair.H_norm == pytest.approx(np.linalg.norm(H), rel=1e-14)
@@ -169,7 +169,8 @@ def test_pt_real_basis_matches_complex_eigensolve(data, n):
     off[n // 2:] = off[: (n - 1) // 2][::-1]  # palindromic, so P maps H = H^T onto conj(H)
     diag = (a + a[::-1]) + 1j * (b - b[::-1])
     pair = discrete.OperatorPair(
-        diag=diag, off=off.astype(complex), w_diag=np.ones(n, dtype=complex), pt_symmetric=True
+        diag=diag, off=off.astype(complex), w_diag=np.ones(n, dtype=complex),
+        s=np.ones(n, dtype=complex), pt_symmetric=True,
     )
     H = pair.H
     assert np.array_equal(H[::-1, ::-1], H.conj()) and np.array_equal(H, H.T)
@@ -226,7 +227,7 @@ def test_rescaling_moves_gram_predictably(harmonic_small, data):
     )
     kappa = np.array(mags) * np.exp(1j * np.array(phases))
     es_k = spectra.apply_kappa(es_sub, kappa)
-    gram_k = es_k.left.conj().T @ (pair.W @ es_k.right)
+    gram_k = es_k.left.conj().T @ (np.diag(pair.w_diag) @ es_k.right)
     predicted = (kappa[:, None] / kappa[None, :]) * es_sub.gram
     assert np.abs(gram_k - predicted).max() < 1e-11
     assert np.array_equal(es_k.lambdas, es_sub.lambdas)

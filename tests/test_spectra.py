@@ -20,7 +20,12 @@ from qtoboggan.errors import (
     VanishingParityOverlap,
     ZeroKappa,
 )
-from reference_values import CUBIC_TOBOGGAN_GRID_LOWEST, CUBIC_TOBOGGAN_SHOOT_LOWEST
+from reference_values import (
+    CUBIC_TOBOGGAN_GRID_LOWEST,
+    CUBIC_TOBOGGAN_SHOOT_LOWEST,
+    HARMONIC_TOBOGGAN_ELL,
+    HARMONIC_TOBOGGAN_LOWEST,
+)
 
 
 
@@ -28,7 +33,8 @@ def _pair(diag, off=None):
     """W = I pair whose H = H^T has the given diagonal and off-diagonal (zero if None)."""
     diag = np.asarray(diag, dtype=complex)
     off = np.zeros(len(diag) - 1, dtype=complex) if off is None else np.asarray(off, dtype=complex)
-    return OperatorPair(diag=diag, off=off, w_diag=np.ones(len(diag), dtype=complex))
+    ones = np.ones(len(diag), dtype=complex)
+    return OperatorPair(diag=diag, off=off, w_diag=ones, s=ones)
 
 
 # Hand-worked non-normal pair: H = [[1 + 0.6i, 1], [1, 1 - 0.6i]] = H^T, W = I.
@@ -51,7 +57,7 @@ def _angle(u, v):
 
 
 def test_hand_eigenvalues_and_vectors(hand):
-    assert np.array_equal(PAIR2.H, H2) and np.array_equal(PAIR2.W, np.eye(2))
+    assert np.array_equal(PAIR2.H, H2) and np.array_equal(np.diag(PAIR2.w_diag), np.eye(2))
     assert np.allclose(hand.lambdas, [0.2, 1.8], atol=1e-12)
     # arccos of a rounded unit overlap cannot resolve angles below ~2e-8,
     # so exactly-collinear vectors still report up to that much.
@@ -165,7 +171,7 @@ def test_apply_kappa_gram_moves_by_exact_ratio(harmonic_small):
         2j * np.pi * rng.uniform(size=es_sub.m)
     )
     es_k = spectra.apply_kappa(es_sub, kappa)
-    gram_k = es_k.left.conj().T @ (pair.W @ es_k.right)
+    gram_k = es_k.left.conj().T @ (np.diag(pair.w_diag) @ es_k.right)
     predicted = (kappa[:, None] / kappa[None, :]) * es_sub.gram
     assert np.abs(gram_k - predicted).max() < 1e-12
 
@@ -268,7 +274,7 @@ def test_weight_scaling_matches_dense_weight_products(cubic_model):
     # W is diagonal, so W @ V is a row scaling; check it against the product
     rect = model.rectify_model(cubic_model, 1)
     pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=80, epsilon=0.15))
-    W = pair.W
+    W = np.diag(pair.w_diag)
     es = spectra.solve_generalized(pair, tol=1e-12)
     lam, VR, VL = es.lambdas, es.right, es.left
     HVR = discrete.band_matmul(pair.diag, pair.off, VR)
@@ -297,8 +303,10 @@ def _weighted_cubic_pair():
 
 @pytest.mark.parametrize("case", ["hand", "hand_complex_diagonal", "hermitian_full", "weighted_cubic"])
 def test_non_pt_and_weighted_pairs_keep_the_direct_eig(case, request):
-    # only a PT-symmetric W = I pair takes the real basis; every other pair
-    # gives exactly what the direct LAPACK call gives, sorted and phase-fixed
+    # a W = I pair that is not PT-symmetric gives exactly what the direct
+    # LAPACK call gives, sorted and phase-fixed; a W != I pair solves
+    # B = s^-1 H s^-1 instead, and meets the pencil's QZ (a reference only
+    # the test computes) to the condition 1/|sigma| of each mode
     pair = {
         "hand": lambda: PAIR2,
         "hand_complex_diagonal": lambda: _pair([3.0, 1.0 + 0.5j, 2.0]),
@@ -309,12 +317,104 @@ def test_non_pt_and_weighted_pairs_keep_the_direct_eig(case, request):
     assert weighted == (case == "weighted_cubic")
     assert pair.pt_symmetric == weighted  # the cubic is PT-symmetric, but W != I
     es = spectra.solve_generalized(pair, tol=1e-12)
-    lam, VL, VR = scipy.linalg.eig(pair.H, pair.W if weighted else None, left=True, right=True)
+    if weighted:
+        lam = scipy.linalg.eig(pair.H, np.diag(pair.w_diag), right=False)
+        gap = np.abs(es.lambdas[:, np.newaxis] - lam[np.newaxis, :])
+        assert np.unique(gap.argmin(axis=1)).size == pair.n  # one QZ value per mode
+        scale = pair.H_norm + np.abs(es.lambdas) * np.linalg.norm(pair.w_diag)
+        bound = pair.n * np.finfo(float).eps * scale / np.abs(es.sigmas)
+        assert np.all(gap.min(axis=1) <= bound)
+        return
+    lam, VL, VR = scipy.linalg.eig(pair.H, left=True, right=True)
     order = np.lexsort((lam.imag, lam.real))
     assert np.array_equal(es.lambdas, lam[order])
-    # the PT-symmetric cubic anchors each column on a mirror pair
-    assert np.array_equal(es.right, spectra._normalize_columns(VR[:, order], pair.pt_symmetric))
-    assert np.array_equal(es.left, spectra._normalize_columns(VL[:, order], pair.pt_symmetric))
+    assert np.array_equal(es.right, spectra._normalize_columns(VR[:, order]))
+    assert np.array_equal(es.left, spectra._normalize_columns(VL[:, order]))
+
+
+def _raw_solve(spec, winding, half_width, n, epsilon):
+    rect = model.rectify_model(spec, winding)
+    pair = discrete.build_operators(rect, discrete.GridSpec(half_width, n, epsilon))
+    return spectra.solve_generalized(pair, tol=1e-12)
+
+
+def _max_residual(es):
+    return max(es.residual_right.max(), es.residual_left.max())
+
+
+def test_filter_real_drops_the_spurious_box_top_modes(cubic_model):
+    # the cubic at n = 300 has 18 real modes; two sit at the top of the box
+    # with residuals 1e3-1e5 times the others'
+    raw = _raw_solve(cubic_model, 1, 2.2, 300, 0.15)
+    real = raw.lambdas[spectra.is_real(raw.lambdas, 1e-6)].real
+    assert len(real) == 18 and real.min() < -3e5 and real.max() > 1e6
+    es = spectra.filter_real(raw)
+    assert (es.m, es.discarded) == (16, 284)
+    assert es.lambdas.real.min() > 0 and es.lambdas.real.max() < 1e3
+    assert _max_residual(es) <= 1e-8
+
+
+def test_filter_real_needs_both_gates_on_the_cubic_at_n_900(cubic_model, monkeypatch):
+    raw = _raw_solve(cubic_model, 1, 2.2, 900, 0.15)
+    es = spectra.normalize_biorthogonal(spectra.filter_real(raw))
+    assert (es.m, es.discarded) == (8, 892)
+    assert _max_residual(es) <= 1e-8
+    low = es.lambdas.real
+    assert np.abs(low[:3] - CUBIC_TOBOGGAN_GRID_LOWEST[:3]).max() <= 1e-8
+    assert np.abs(low[:5] - CUBIC_TOBOGGAN_GRID_LOWEST).max() <= 3e-8
+    # without the sigma gate, modes near an exceptional point reach normalization,
+    # which either refuses them or is swamped by their 1/|sigma| ~ 1e12; which of
+    # the two (and which modes) depends on the rounding of the eigensolve
+    monkeypatch.setattr(spectra, "SIGMA_CERTIFY_FLOOR", 0.0)
+    ungated = spectra.filter_real(raw)
+    assert ungated.m > 8 and np.abs(ungated.sigmas).min() < 1e-11
+    try:
+        gram = spectra.normalize_biorthogonal(ungated).max_offdiag_gram()
+    except SelfOrthogonalMode:
+        gram = np.inf
+    assert gram > 1e-3
+    # without the residual gate as well, a box-top mode reads as the ground state
+    monkeypatch.setattr(spectra, "SPURIOUS_RESIDUAL_RATIO", np.inf)
+    assert spectra.filter_real(raw).lambdas[0].real < -3e6
+
+
+def test_filter_real_refines_weighted_modes_on_the_pencil(cubic_model):
+    # B = s^-1 H s^-1 rounds at eps ||B||: as solved, the cubic's kept residuals reach
+    # 3e-9 and its fifth mode lies 2e-8 to 5e-8 off, by the BLAS thread count
+    raw = _raw_solve(cubic_model, 1, 2.2, 900, 0.15)
+    es = spectra.filter_real(raw)
+    assert np.array_equal(es.residual_left, es.residual_right)
+    assert _max_residual(es) <= 1e-10
+    # the frozen values carry 8 decimals
+    assert np.abs(es.lambdas[:5].real - CUBIC_TOBOGGAN_GRID_LOWEST).max() <= 5e-9
+    assert np.abs(es.lambdas.imag).max() <= 1e-7
+
+
+def test_filter_real_gates_keep_every_real_mode_of_the_harmonic_line(harmonic_model):
+    # configs/harmonic_line.json at n = 900 (W = I): the gates drop nothing
+    raw = _raw_solve(harmonic_model, 0, 9.0, 900, 0.5)
+    real = np.flatnonzero(spectra.is_real(raw.lambdas, 1e-6))
+    es = spectra.filter_real(raw)
+    assert es.m == real.size == 870
+    assert np.array_equal(es.lambdas, raw.lambdas[real])
+
+
+def test_harmonic_toboggan_meets_its_exact_ladder(monkeypatch):
+    # an exact W != I referee: the winding-1 toboggan of x^2 + ell(ell+1)/x^2
+    spec = model.ModelSpec(ell=HARMONIC_TOBOGGAN_ELL, omega=1.0)
+    raw = _raw_solve(spec, 1, 2.2, 900, 0.15)
+    real = spectra.is_real(raw.lambdas, 1e-6)
+    es = spectra.normalize_biorthogonal(spectra.filter_real(raw))
+    rel = np.abs(es.lambdas[:5] - HARMONIC_TOBOGGAN_LOWEST) / HARMONIC_TOBOGGAN_LOWEST
+    assert rel.max() <= 2e-4
+    assert es.m == real.sum() - 1 and _max_residual(es) <= 1e-8
+    # the one real mode dropped is a box-top mode the residual gate drops alone
+    monkeypatch.setattr(spectra, "SIGMA_CERTIFY_FLOOR", 0.0)
+    kept = spectra.filter_real(raw).lambdas
+    # filter_real refines each kept eigenvalue, by far less than the ladder's spacing
+    solved = raw.lambdas[real]
+    dropped = solved[np.abs(solved[:, np.newaxis] - kept).min(axis=1) > 1e-3]
+    assert dropped.size == 1 and dropped[0].real == pytest.approx(1.258e7, rel=1e-3)
 
 
 def test_pt_grid_pair_retains_exactly_real_modes(harmonic_small):
@@ -362,7 +462,7 @@ def test_pt_route_peaks_below_eight_arrays_and_unpacks_as_scipy_eig(harmonic_mod
         assert got.tobytes() == want.tobytes() and got.flags.f_contiguous
 
 
-@pytest.mark.parametrize("which", ["frame", "qz"])
+@pytest.mark.parametrize("which", ["frame", "weighted"])
 def test_blocked_max_offdiag_gram_is_the_full_gram_value(which, harmonic_small, cubic_model):
     if which == "frame":
         es = harmonic_small[2]
@@ -378,19 +478,50 @@ def test_blocked_max_offdiag_gram_is_the_full_gram_value(which, harmonic_small, 
     assert es.max_offdiag_gram() == float(np.abs(gram_off).max())
 
 
-def test_pt_qz_kets_anchor_on_the_left_of_their_largest_mirror_pair():
-    # |v_i| and |v_{n-1-i}| agree up to rounding on a PT-symmetric pencil, so
-    # the first argmax of |v| would let rounding pick the anchor; the mirror
-    # pair's |v_i|^2 + |v_{n-1-i}|^2 is the same at both ends
+def test_weighted_pt_kets_anchor_on_the_left_of_their_largest_mirror_pair():
+    # the kets x / s of a PT-symmetric W != I pair keep |v_i| = |v_{n-1-i}| up
+    # to rounding (P s = conj(s)), so the first argmax of |v| would let
+    # rounding pick the anchor; the mirror pair's |v_i|^2 + |v_{n-1-i}|^2 is
+    # the same at both ends
     pair = _weighted_cubic_pair()
-    assert pair.pt_symmetric
+    assert pair.pt_symmetric and not np.all(pair.s == 1.0)
     es = spectra.solve_generalized(pair, tol=1e-12)
+    assert es.phase is None
+    real = es.lambdas.imag == 0
     for V in (es.right, es.left):
         mod = np.abs(V) ** 2
+        assert np.abs(mod - mod[::-1])[:, real].max() <= 1e-12
         top = np.argmax(mod + mod[::-1], axis=0)
         assert np.all(top <= pair.n - 1 - top)
         anchor = V[top, np.arange(pair.n)]
         assert np.all(np.abs(anchor.imag) <= 1e-14 * np.abs(anchor)) and anchor.real.min() > 0
+
+
+def test_weighted_kets_are_the_pencils_own():
+    # psi = x / s and chi = x_L / conj(s) from the eigenvectors x of B: unit
+    # columns; the real modes below the box top reach rounding-level
+    # residuals on (H, W)
+    pair = _weighted_cubic_pair()
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    assert np.abs(np.linalg.norm(es.right, axis=0) - 1.0).max() <= 1e-13
+    assert np.abs(np.linalg.norm(es.left, axis=0) - 1.0).max() <= 1e-13
+    low = es.take(np.flatnonzero((es.lambdas.imag == 0) & (np.abs(es.lambdas) < 100.0)))
+    assert low.m >= 5 and _max_residual(low) <= 1e-10
+    assert np.allclose(
+        es.sigmas, np.einsum("ij,ij->j", es.left.conj(), pair.w_diag[:, np.newaxis] * es.right)
+    )
+
+
+def test_unit_s_keeps_the_pt_frame_on_h_itself(harmonic_small, monkeypatch):
+    # at winding 0 build_operators carries s as exact ones: no B is formed
+    # (dividing by ones would flip signed zeros) and the result stays in its frame
+    pair = harmonic_small[0]
+    assert pair.s.dtype == complex and np.all(pair.s == 1.0)
+    solved = []
+    real_form = spectra._pt_real_form
+    monkeypatch.setattr(spectra, "_pt_real_form", lambda p: solved.append(p) or real_form(p))
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    assert len(solved) == 1 and solved[0] is pair and es.phase is not None
 
 
 def test_frame_residuals_are_those_of_the_kets(harmonic_small):
