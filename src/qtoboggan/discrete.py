@@ -75,9 +75,10 @@ class OperatorPair:
     and `off` (length n - 1) its off-diagonal, off[j] = H[j, j + 1] = H[j + 1, j].
     `w_diag` is the diagonal of W and `s` that of dz/dr (s^2 = W, P s = conj(s),
     exact ones at winding 0).  `pt_symmetric` is the model's PT balance carried
-    onto the grid: P H P = conj(H) and P W P = conj(W) hold by construction
-    (real even and imaginary odd coefficients on a grid symmetric about x = 0),
-    so the eigensolver may rely on it without testing H.
+    onto the grid (real even and imaginary odd coefficients on a grid symmetric
+    about x = 0); the eigensolver relies on P H P = conj(H) and P W P = conj(W)
+    without testing H.  They hold to rounding only: `off` mirrors exactly, `diag`
+    to 9.1e-13 at harmonic n = 900 and 9.6e-10 on the winding-1 cubic at n = 900.
     """
 
     diag: np.ndarray

@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .discrete import BLOCK, OperatorPair, band_matmul
 from .errors import IllConditionedS, IncompleteBasisWarning, NonPositiveTheta, SingularTheta
-from .spectra import Eigensystem, _operator_from_real_basis
+from .spectra import Eigensystem, _operator_from_real_basis, _rephased
 
 __all__ = [
     "MetricResult",
@@ -85,24 +85,17 @@ class MetricResult:
     @property
     def S(self) -> np.ndarray:
         S = self.matrices[0]
-        return S.copy() if self.phase is None else self._rephased(S)
+        return S.copy() if self.phase is None else _rephased(S, self.phase)
 
     @property
     def M(self) -> np.ndarray:
         M = _invert_full(self.matrices[0])
-        return M if self.phase is None else self._rephased(M)
+        return M if self.phase is None else _rephased(M, self.phase)
 
     @property
     def Theta(self) -> np.ndarray:
         X = self.matrices[1]
         return X.copy() if self.phase is None else _operator_from_real_basis(X)
-
-    def _rephased(self, X: np.ndarray) -> np.ndarray:
-        """diag(conj p) X diag(p) as a new array, X the first factor of each product."""
-        rephase = self.phase.conj()[:, np.newaxis] * self.phase[np.newaxis, :]
-        # not X * (...): NumPy would reuse the temporary as rephase *= X, whose
-        # swapped complex product rounds differently
-        return np.multiply(X, rephase, out=rephase)
 
 
 def build_S(es: Eigensystem) -> np.ndarray:
@@ -260,8 +253,7 @@ def quasi_hermiticity_residuals(
         w = pair.w_diag
     rH = np.linalg.norm(D) / (tnorm * pair.H_norm)
     D = np.multiply(w.conj()[:, np.newaxis], theta, out=D)
-    for j in range(0, len(w), BLOCK):
-        D[:, j : j + BLOCK] -= theta[:, j : j + BLOCK] * w[j : j + BLOCK]
+    D -= theta * w
     rW = np.linalg.norm(D) / (tnorm * np.linalg.norm(w))
     return float(rH), float(rW)
 

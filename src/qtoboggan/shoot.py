@@ -127,18 +127,16 @@ def _continuous_sqrt(vals: np.ndarray) -> np.ndarray:
 class _HalfPath:
     """Integration grid and ODE coefficients for one half-path.
 
-    The nodes run from the outer end to the match point.  Step i takes its
-    RK4 stages A and B from nodes i and i+1, and its stage M from midpoint i.
+    The nodes run from the outer end to the match point.  The coefficients sit
+    on one interleaved grid, node i at entry 2i and the midpoint of step i at
+    2i+1, so step i takes its RK4 stages A, M and B from entries 2i to 2i+2.
     """
 
     side: str
-    dg: np.ndarray
-    acc: np.ndarray  # z''/z' at the nodes
-    cc: np.ndarray  # (z')^2 at the nodes
-    U: np.ndarray  # potential at the nodes
-    accM: np.ndarray  # the same three at the midpoints
-    ccM: np.ndarray
-    UM: np.ndarray
+    dg: np.ndarray  # the N step widths
+    acc: np.ndarray  # z''/z' on the interleaved grid
+    cc: np.ndarray  # (z')^2 on it
+    U: np.ndarray  # potential on it
     zdot0: complex  # z' at the outer end
     max_phase: float
 
@@ -215,25 +213,15 @@ def _build_halfpath(
 
     g = (sgn * nodes_t)[::-1].copy()  # integrate from the outer end toward the match
     dg = np.diff(g)
-    z, zd, acc = spiral(g, contour.epsilon, contour.degree)
-    zM, zdM, accM = spiral(0.5 * (g[:-1] + g[1:]), contour.epsilon, contour.degree)
+    grid = np.repeat(g, 2)[:-1]  # node i at entry 2i; each odd entry becomes a midpoint
+    grid[1::2] = 0.5 * (g[:-1] + g[1:])
+    z, zd, acc = spiral(grid, contour.epsilon, contour.degree)
     cc = zd * zd
     U = model.potential(z)
     max_phase = float(
-        np.max(np.abs(np.sqrt(U[:-1] - E_ref)) * np.abs(np.sqrt(cc[:-1])) * np.abs(dg))
+        np.max(np.abs(np.sqrt(U[:-2:2] - E_ref)) * np.abs(np.sqrt(cc[:-2:2])) * np.abs(dg))
     )
-    return _HalfPath(
-        side=side,
-        dg=dg,
-        acc=acc,
-        cc=cc,
-        U=U,
-        accM=accM,
-        ccM=zdM * zdM,
-        UM=model.potential(zM),
-        zdot0=complex(zd[0]),
-        max_phase=max_phase,
-    )
+    return _HalfPath(side, dg, acc, cc, U, complex(zd[0]), max_phase)
 
 
 def _step_matrices(half: _HalfPath, E: np.ndarray) -> np.ndarray:
@@ -243,25 +231,25 @@ def _step_matrices(half: _HalfPath, E: np.ndarray) -> np.ndarray:
     vectors e1 and e2 at once; the results are the matrix columns.
     """
     h = half.dg
-    cA = half.cc[:-1] * (half.U[:-1] - E[:, None])
-    cM = half.ccM * (half.UM - E[:, None])
-    cB = half.cc[1:] * (half.U[1:] - E[:, None])
+    acc = half.acc  # stages A, M and B read the grid as [:-2:2], [1::2] and [2::2]
+    c = half.cc * (half.U - E[:, None])  # (z')^2 (U - E), once per grid point
+    cA, cM, cB = c[:, :-2:2], c[:, 1::2], c[:, 2::2]
     y1 = np.array([1.0, 0.0]).reshape(2, 1, 1)  # leading axis: basis vector (column)
     y2 = np.array([0.0, 1.0]).reshape(2, 1, 1)
     k1_1 = y2
-    k1_2 = half.acc[:-1] * y2 + cA * y1
+    k1_2 = acc[:-2:2] * y2 + cA * y1
     t1 = y1 + 0.5 * h * k1_1
     t2 = y2 + 0.5 * h * k1_2
     k2_1 = t2
-    k2_2 = half.accM * t2 + cM * t1
+    k2_2 = acc[1::2] * t2 + cM * t1
     t1 = y1 + 0.5 * h * k2_1
     t2 = y2 + 0.5 * h * k2_2
     k3_1 = t2
-    k3_2 = half.accM * t2 + cM * t1
+    k3_2 = acc[1::2] * t2 + cM * t1
     t1 = y1 + h * k3_1
     t2 = y2 + h * k3_2
     k4_1 = t2
-    k4_2 = half.acc[1:] * t2 + cB * t1
+    k4_2 = acc[2::2] * t2 + cB * t1
     M = np.empty((2, 2) + cA.shape, dtype=complex)
     M[0] = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
     M[1] = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
@@ -397,13 +385,10 @@ def find_eigenvalues(
         E0 = np.where(active, E1, E0)
         F0 = np.where(active, F1, F0)
         E1 = np.where(active, E2, E1)
-        F_new = _mismatch(halfL, halfR, E1[active]) if np.any(active) else None
-        if F_new is not None:
-            F1 = F1.copy()
-            F1[active] = F_new
+        if np.any(active):
+            F1[active] = _mismatch(halfL, halfR, E1[active])
         converged |= np.abs(F1) < cfg.root_tol
-    failed |= ~converged
-    for j in np.nonzero(failed & ~converged)[0]:
+    for j in np.nonzero(~converged)[0]:
         warnings.warn(
             f"guess {guesses[j]} did not converge (last |F|={abs(F1[j]):.3e})",
             NoConvergenceWarning,

@@ -127,13 +127,9 @@ class Eigensystem:
         return float(np.max(worst))
 
     def _gram_rows(self, rows: slice) -> np.ndarray:
-        g = self.vector_gram[rows]
         if self.phase is None:
-            return g.copy()
-        rephase = self.phase[rows].conj()[:, np.newaxis] * self.phase[np.newaxis, :]
-        # (conj p p^T) *= g, as NumPy evaluates g * (conj p p^T) on a large
-        # temporary; the other operand order rounds the complex products differently
-        return np.multiply(rephase, g, out=rephase)
+            return self.vector_gram[rows].copy()
+        return _rephased(self.vector_gram, self.phase, rows)
 
     @property
     def weights(self) -> np.ndarray:
@@ -175,8 +171,8 @@ def _normalize_columns(V: np.ndarray, pt_symmetric: bool = False) -> np.ndarray:
     """Unit 2-norm columns, each rotated so its anchor entry is real-positive.
 
     The anchor is the first entry of largest modulus, or on a PT-symmetric
-    pencil, where |v_i| = |v_{n-1-i}| up to rounding, the left member of the
-    mirror pair of largest |v_i|^2 + |v_{n-1-i}|^2 (as in _frame_eigensystem).
+    pencil the left member of the mirror pair of largest |v_i|^2 + |v_{n-1-i}|^2,
+    for complex modes too (a real mode has |v_i| = |v_{n-1-i}| up to rounding).
     """
     V = V / np.linalg.norm(V, axis=0, keepdims=True)
     mod = np.abs(V)
@@ -210,11 +206,18 @@ def _unpack_columns(V: np.ndarray, wi: np.ndarray, order: np.ndarray) -> np.ndar
     Y = np.zeros(V.shape, dtype=complex, order="F")
     imag = wi[order]
     lead = order - (imag < 0)  # the column holding x
-    for j in range(0, len(order), BLOCK):
-        Y.real[:, j : j + BLOCK] = V[:, lead[j : j + BLOCK]]
+    Y.real[:] = V[:, lead]
     pairs = np.flatnonzero(imag)
     Y.imag[:, pairs] = V[:, lead[pairs] + 1] * np.sign(imag[pairs])
     return Y
+
+
+def _rephased(X: np.ndarray, phase: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of diag(conj p) X diag(p) as a new array, X the first factor of each product."""
+    rephase = phase[rows].conj()[:, np.newaxis] * phase[np.newaxis, :]
+    # not X * (...): NumPy would reuse the temporary as rephase *= X, whose
+    # swapped complex product rounds differently
+    return np.multiply(X[rows], rephase, out=rephase)
 
 
 def _kets_from_frame(Y: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -247,9 +250,10 @@ def _frame_eigensystem(
 
     YR, YL are LAPACK's unit eigenvectors of A = U^dag H U (W = I).  Each
     column's phase p makes real-positive the entry of its ket U y_R at the
-    first argmax of |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2), as
-    `_normalize_columns` does; for real y that is hypot(y_i, y_{n-1-i}), the
-    same at i and n-1-i.  U y_L carries the same p, so sigma = y_L^dag y_R.
+    first argmax of |(U y)_i| = |y_i + i y_{n-1-i}| / sqrt(2), computed for
+    real y as hypot(y_i, y_{n-1-i}), the same at i and n-1-i.  A complex mode
+    takes that plain argmax, not `_normalize_columns`' mirror-pair rule.
+    U y_L carries the same p, so sigma = y_L^dag y_R.
     Residuals ||A y - lam y|| / ||y|| and ||A^T y - conj(lam) y|| / ||y|| are
     the kets' own (U is unitary); the modes of real lambda run in real
     arithmetic, BLOCK columns at a time.

@@ -310,9 +310,11 @@ def test_build_S_and_gram_are_bitwise_the_formulas(case, request):
         assert np.array_equal(metric.build_S(each), L.conj().T @ (w * (w * R)))
     es = normed
     # the kets' Gram as normalize_biorthogonal stored it, rephased in the frame
+    # with the Gram the first factor of each product, as MetricResult.S has it
     gram = L.conj().T @ (w * R)
     if in_frame:
-        gram = gram * (es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :])
+        rephase = es.phase.conj()[:, np.newaxis] * es.phase[np.newaxis, :]
+        gram = gram * rephase
     assert np.array_equal(es.gram, gram)
     if in_frame:
         # a normalized frame system's S_r is its stored Gram, not a new m x m array
@@ -323,7 +325,10 @@ def test_build_S_and_gram_are_bitwise_the_formulas(case, request):
         finally:
             tracemalloc.stop()
         assert S is es.vector_gram and peak < es.m * es.m
-        assert np.array_equal(_quiet_metric(es).matrices[0], S)
+        res = _quiet_metric(es)
+        assert np.array_equal(res.matrices[0], S)
+        # at W = I the kets' S is their Gram, read through the same rephasing
+        assert np.array_equal(res.S, es.gram)
 
 
 @pytest.mark.parametrize("real", [True, False])

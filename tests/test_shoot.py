@@ -152,23 +152,23 @@ def _sequential_rk4(half, Es, renorm_limit=1e50):
     y2 = s * slope
     renorms = 0
     for i, h in enumerate(half.dg):
-        uA = half.U[i] - E
-        uM = half.UM[i] - E
-        uB = half.U[i + 1] - E
+        uA = half.U[2 * i] - E
+        uM = half.U[2 * i + 1] - E
+        uB = half.U[2 * i + 2] - E
         k1_1 = y2
-        k1_2 = half.acc[i] * y2 + half.cc[i] * uA * y1
+        k1_2 = half.acc[2 * i] * y2 + half.cc[2 * i] * uA * y1
         t1 = y1 + 0.5 * h * k1_1
         t2 = y2 + 0.5 * h * k1_2
         k2_1 = t2
-        k2_2 = half.accM[i] * t2 + half.ccM[i] * uM * t1
+        k2_2 = half.acc[2 * i + 1] * t2 + half.cc[2 * i + 1] * uM * t1
         t1 = y1 + 0.5 * h * k2_1
         t2 = y2 + 0.5 * h * k2_2
         k3_1 = t2
-        k3_2 = half.accM[i] * t2 + half.ccM[i] * uM * t1
+        k3_2 = half.acc[2 * i + 1] * t2 + half.cc[2 * i + 1] * uM * t1
         t1 = y1 + h * k3_1
         t2 = y2 + h * k3_2
         k4_1 = t2
-        k4_2 = half.acc[i + 1] * t2 + half.cc[i + 1] * uB * t1
+        k4_2 = half.acc[2 * i + 2] * t2 + half.cc[2 * i + 2] * uB * t1
         y1 = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
         y2 = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
         mm = np.maximum(np.abs(y1), np.abs(y2))
