@@ -644,7 +644,10 @@ def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str]
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; expected one of {_COMMANDS}")
     target = out_dir or config.output_dir
-    os.makedirs(target, exist_ok=True)
+    try:
+        os.makedirs(target, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target!r}: {exc}") from exc
     handler = {
         "spectrum": _cmd_spectrum,
         "metric": _cmd_metric,

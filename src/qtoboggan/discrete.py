@@ -50,6 +50,12 @@ class GridSpec:
             raise ConfigError(f"grid needs n >= 3 interior points, got {self.n}")
         if not (self.half_width > 0):
             raise ConfigError(f"half_width must be positive, got {self.half_width}")
+        hh = self.h * self.h  # build_operators divides 2 by it
+        if not (0.0 < hh < np.inf and 2.0 / hh < np.inf):
+            raise ConfigError(
+                f"half_width {self.half_width!r} at n = {self.n} gives a grid step h = "
+                f"{self.h!r} whose h*h or 2/h^2 is not a positive finite float"
+            )
         if not (self.epsilon >= 0):
             raise ConfigError(f"epsilon must be non-negative, got {self.epsilon}")
 

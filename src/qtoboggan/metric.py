@@ -288,9 +288,7 @@ def physical_operators(pair: OperatorPair, theta: np.ndarray) -> Tuple[float, fl
     Omega_inv = (Q / root[np.newaxis, :]) @ Q.conj().T
     h = Omega @ band_matmul(pair.diag, pair.off, Omega_inv)
     w = (Omega * pair.w_diag[np.newaxis, :]) @ Omega_inv
-    rh = float(np.linalg.norm(h - h.conj().T) / np.linalg.norm(h))
-    rw = float(np.linalg.norm(w - w.conj().T) / np.linalg.norm(w))
-    return rh, rw
+    return _hermiticity(h), _hermiticity(w)
 
 
 def single_series_theta(es: Eigensystem) -> np.ndarray:

@@ -80,7 +80,7 @@ class Eigensystem:
 
     `right[:, j]` is the ket |lambda_j> and `left[:, j]` the vector whose
     conjugate transpose is the double-ket bra <<lambda_j|.  m = len(lambdas)
-    may be smaller than `pair.n` after filtering.
+    may be smaller than `pair.n` after filtering, by `discarded`.
 
     `vectors` holds (right, left) as solved: the kets themselves, or, with
     `phase` (the PT route at W = I), the eigenvectors Y_R, Y_L of the real
@@ -102,12 +102,15 @@ class Eigensystem:
     residual_right: np.ndarray
     residual_left: np.ndarray
     phase: Optional[np.ndarray] = None
-    discarded: int = 0
     vector_gram: Optional[np.ndarray] = None
 
     @property
     def m(self) -> int:
         return len(self.lambdas)
+
+    @property
+    def discarded(self) -> int:
+        return self.pair.n - self.m
 
     @property
     def gram(self) -> Optional[np.ndarray]:
@@ -147,7 +150,7 @@ class Eigensystem:
         L = self.vectors[1]
         return L if self.phase is None else _kets_from_frame(L, self.phase)
 
-    def take(self, idx: np.ndarray, discarded: int = 0) -> "Eigensystem":
+    def take(self, idx: np.ndarray) -> "Eigensystem":
         R, L = self.vectors
         phase = self.phase
         if phase is not None:
@@ -162,7 +165,6 @@ class Eigensystem:
             sigmas=self.sigmas[idx],
             residual_right=self.residual_right[idx],
             residual_left=self.residual_left[idx],
-            discarded=self.discarded + discarded,
             vector_gram=None,
         )
 
@@ -294,8 +296,8 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
 
     `tol` is the pairing-ambiguity threshold: two eigenvalues closer than
     tol*max(1, |lambda|) make the left/right pairing non-canonical and raise
-    DegeneratePairing.  Per-mode residuals ||H v - lam W v|| / ||W v|| (and the
-    left analogue) are reported, not gated.
+    DegeneratePairing.  Residuals ||H v - lam W v|| / ||W v|| and the left ones,
+    formed one family at a time on the ket route, are reported, not gated.
     """
     import scipy.linalg
 
@@ -349,14 +351,13 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
         VR, VL = VR / s[:, np.newaxis], VL / s.conj()[:, np.newaxis]
     VR = _normalize_columns(VR, operators.pt_symmetric)
     VL = _normalize_columns(VL, operators.pt_symmetric)
-    WVR = w[:, np.newaxis] * VR
-    WVL = w.conj()[:, np.newaxis] * VL
-    HVR = band_matmul(operators.diag, operators.off, VR)
-    HdVL = band_matmul(operators.diag.conj(), operators.off.conj(), VL)
-    res_r = np.linalg.norm(HVR - WVR * lam, axis=0) / np.linalg.norm(WVR, axis=0)
-    res_l = np.linalg.norm(HdVL - WVL * lam.conj(), axis=0) / np.linalg.norm(WVL, axis=0)
-    sig = np.einsum("ij,ij->j", VL.conj(), WVR)
-    return Eigensystem(operators, lam, (VR, VL), sig, res_r, res_l)
+    residuals = []  # one family at a time, the left on conj(H) = H^dag as H = H^T
+    for V, part in ((VR, np.asarray), (VL, np.conj)):
+        WV = part(w)[:, np.newaxis] * V
+        HV = band_matmul(part(operators.diag), part(operators.off), V)
+        residuals.append(np.linalg.norm(HV - WV * part(lam), axis=0) / np.linalg.norm(WV, axis=0))
+    sig = np.einsum("ij,ij->j", VL.conj(), w[:, np.newaxis] * VR)
+    return Eigensystem(operators, lam, (VR, VL), sig, *residuals)
 
 
 def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0) -> np.ndarray:
@@ -522,7 +523,7 @@ def filter_real(es: Eigensystem, tol_im: float = 1e-6, tol_residual: float = 1e-
     if not len(idx):
         raise EmptySpectrum(f"no modes pass |Im| < {tol_im}*max(1,|Re|) and the two gates")
     idx = idx[np.argsort(es.lambdas.real[idx], kind="stable")]
-    kept = es.take(idx, discarded=es.m - len(idx))
+    kept = es.take(idx)
     return kept if np.all(es.pair.s == 1.0) else _polish(kept)
 
 

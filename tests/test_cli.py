@@ -1,5 +1,6 @@
 """Config schema validation, report formatting, and end-to-end CLI commands."""
 
+import csv
 import json
 import os
 import subprocess
@@ -220,6 +221,52 @@ def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "half_width, code",
+    [("1e160", 4), ("1e-200", 4), ("9.0", 0)],
+    ids=["h_squared_overflows", "h_squared_underflows", "harmonic_own"],
+)
+def test_extreme_half_width_exits_4(tmp_path, capsys, half_width, code):
+    # finite half-widths whose h*h overflows or underflows used to raise
+    # OverflowError or ZeroDivisionError in build_operators (exit 1)
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", "spectrum", "--override",
+            f"grid.half_width={half_width}", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    assert ("h*h or 2/h^2 is not a positive finite float" in capsys.readouterr().err) == (code == 4)
+
+
+def test_out_directory_that_cannot_be_created_exits_4(tmp_path, capsys):
+    # os.makedirs under a regular file used to raise NotADirectoryError (exit 1)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    assert cli.main(["--config", write_config(tmp_path, base_config()), "--out", target]) == 4
+    assert f"cannot create output directory {target!r}" in capsys.readouterr().err
+
+
+def test_commands_missing_their_sections_exit_4(tmp_path, capsys):
+    no_grid = base_config()
+    del no_grid["grid"]
+    no_guesses = base_config(command="compare", shoot={"guesses": []})
+    runs = [
+        (no_grid, "spectrum", "needs a 'grid' section"),
+        (base_config(), "shoot", "needs a 'shoot' section"),
+        (no_guesses, "compare", "needs shoot.guesses"),
+    ]
+    for cfg, command, message in runs:
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["--config", path, "--command", command, "--out", str(tmp_path)]) == 4
+        assert message in capsys.readouterr().err
+
+
+def test_run_without_a_command_raises_config_error(tmp_path):
+    cfg = base_config()
+    del cfg["command"]
+    with pytest.raises(ConfigError, match="no command given"):
+        cli.run(cli.parse_config_dict(cfg), out_dir=str(tmp_path))
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -328,6 +375,20 @@ def test_shoot_command(tmp_path):
     scan = (out / "scan.csv").read_text().splitlines()
     assert scan[0] == "re_E,im_E,abs_F"
     assert len(scan) == 6
+
+
+def test_shoot_without_a_scan_spans_the_roots(tmp_path):
+    cfg = base_config(command="shoot", shoot={"guesses": [0.9, 2.8], "root_tol": 1e-9})
+    del cfg["grid"]
+    out = tmp_path / "s"
+    assert cli.main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "roots.csv", newline="") as fh:
+        roots = [float(row["re_E"]) for row in csv.DictReader(fh)]
+    with open(out / "scan.csv", newline="") as fh:
+        energies = [float(row["re_E"]) for row in csv.DictReader(fh)]
+    assert roots == pytest.approx([1.0, 3.0], abs=1e-7)
+    assert len(energies) == 101
+    assert (energies[0], energies[-1]) == (min(roots) - 1.0, max(roots) + 1.0)
 
 
 def test_compare_command_pass_and_fail(tmp_path):

@@ -67,6 +67,11 @@ def test_find_harmonic_ladder(harmonic_model):
     assert np.abs(roots.imag).max() < 1e-7
 
 
+def test_no_guesses_find_no_roots(harmonic_model):
+    roots = shoot.find_eigenvalues(harmonic_model, LINE, _cfg(), [])
+    assert roots.shape == (0,) and roots.dtype == complex
+
+
 def test_duplicate_guesses_deduplicated(harmonic_model):
     cfg = _cfg(root_tol=1e-10)
     with pytest.warns(MergedRootWarning, match=r"guesses 0\.9\+0j, 0\.95\+0j .* as 1"):
