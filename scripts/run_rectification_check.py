@@ -34,7 +34,7 @@ def main() -> None:
     ):
         roots = shoot.find_eigenvalues(spec, CONTOUR, cfg, guesses).real
         pair = discrete.build_operators(model.rectify_model(spec, 1), GRID)
-        grid = spectra.nearest_eigenpairs(pair, roots)[0].real
+        grid = spectra.nearest_eigenpairs(pair, roots).lambdas.real
         rel = np.abs(grid - roots) / np.abs(roots)
         print(f"{name}:\n  spiral {np.array2string(roots, precision=8)}")
         print(f"  grid   {np.array2string(grid, precision=8)}   max rel dev {rel.max():.1e}")

@@ -39,6 +39,7 @@ from .errors import (
     StepTooCoarseWarning,
     UnverifiedMode,
     require_int,
+    require_keys,
     require_real,
 )
 
@@ -114,14 +115,6 @@ def _apply_override(raw: Dict[str, Any], spec: str) -> None:
     node[parts[-1]] = value
 
 
-def _check_keys(section: str, payload: Any, allowed: set) -> None:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{section} section must be an object, got {payload!r}")
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-
-
 def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
     """Validate the raw config mapping and build the typed RunConfig."""
     if not isinstance(raw, dict):
@@ -133,14 +126,14 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
         raise SchemaMismatch(
             f"config schema version {raw['version']!r} != supported {SCHEMA_VERSION}"
         )
-    _check_keys("config", raw, _TOP_KEYS)
+    require_keys("config", raw, _TOP_KEYS)
     if "model" not in raw:
         raise ConfigError("config is missing the 'model' section")
     model_spec, contour = model.model_from_dict(raw["model"])
 
     grid = None
     if "grid" in raw:
-        _check_keys("grid", raw["grid"], _GRID_KEYS)
+        require_keys("grid", raw["grid"], _GRID_KEYS)
         try:
             grid = discrete.GridSpec(
                 half_width=require_real("grid.half_width", raw["grid"]["half_width"]),
@@ -156,7 +149,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
 
     tolerances = dict(DEFAULT_TOLERANCES)
     tol_raw = raw.get("tolerances", {})
-    _check_keys("tolerances", tol_raw, set(DEFAULT_TOLERANCES))
+    require_keys("tolerances", tol_raw, set(DEFAULT_TOLERANCES))
     for key, val in tol_raw.items():
         tolerances[key] = require_real(f"tolerances.{key}", val)
         if not tolerances[key] > 0:
@@ -166,7 +159,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
     guesses: List[complex] = []
     scan = None
     if "shoot" in raw:
-        _check_keys("shoot", raw["shoot"], _SHOOT_KEYS)
+        require_keys("shoot", raw["shoot"], _SHOOT_KEYS)
         section = dict(raw["shoot"])
         raw_guesses = section.pop("guesses", [])
         if not isinstance(raw_guesses, list):
@@ -177,7 +170,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
             guesses.append(complex(*(require_real(f"shoot.guesses[{j}]", p) for p in parts)))
         if "scan" in section:
             scan_raw = section.pop("scan")
-            _check_keys("shoot.scan", scan_raw, _SCAN_KEYS)
+            require_keys("shoot.scan", scan_raw, _SCAN_KEYS)
             try:
                 scan = {
                     "start": require_real("shoot.scan.start", scan_raw["start"]),
@@ -189,10 +182,7 @@ def parse_config_dict(raw: Dict[str, Any]) -> RunConfig:
             require_int("shoot.scan.count", scan["count"])
             if scan["count"] < 2:
                 raise ConfigError("shoot.scan.count must be >= 2")
-        try:
-            shoot_cfg = shoot.ShootConfig(**section)
-        except TypeError as exc:
-            raise ConfigError(f"malformed shoot section: {exc}") from exc
+        shoot_cfg = shoot.ShootConfig(**section)
 
     seed = raw.get("seed", 0)
     require_int("seed", seed)
@@ -353,11 +343,10 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _shoot_roots(config: RunConfig):
-    roots = shoot.find_eigenvalues(
+def _shoot_roots(config: RunConfig) -> np.ndarray:
+    return shoot.find_eigenvalues(
         config.model, config.contour, config.shoot_cfg, search=config.guesses
     )
-    return np.asarray(roots)
 
 
 def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
@@ -408,7 +397,8 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
     rect = model.rectify_model(config.model, config.contour.winding)
     pair = discrete.build_operators(rect, config.grid)
     roots = _shoot_roots(config)
-    lams, _, residuals = spectra.nearest_eigenpairs(pair, roots)
+    grid = spectra.nearest_eigenpairs(pair, roots)
+    lams, residuals = grid.lambdas, grid.residual_right
     real = spectra.is_real(lams, tol["filter_im"])
     for root, lam, res, ok in zip(roots, lams, residuals, real):
         if not res <= tol["residual"]:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, require_real
 from .model import RectifiedModel
 
 __all__ = [
@@ -46,6 +46,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         require_int("grid n", self.n)
+        require_real("grid n", self.n)  # h divides by n + 1 as a float
         if self.n < 3:
             raise ConfigError(f"grid needs n >= 3 interior points, got {self.n}")
         if not (self.half_width > 0):
@@ -160,6 +161,8 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
     w = model.weight(r)
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
+    if not np.all(np.isfinite(diag)):
+        raise ConfigError("rectified potential is non-finite on this grid")
     return OperatorPair(diag=diag, off=off, w_diag=w, s=model.dzdr(r), pt_symmetric=model.pt_flag)
 
 

@@ -23,6 +23,15 @@ def require_int(name: str, value: object) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_keys(section: str, payload: object, allowed: set) -> None:
+    """Raise ConfigError unless `payload` is a mapping whose keys all lie in `allowed`."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{section} section must be an object, got {payload!r}")
+    unknown = set(payload) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+
+
 def require_real(name: str, value: object) -> float:
     """`value` as a float; ConfigError unless it is a finite real number, and bools are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .contour import ContourSpec, unrectify
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, require_int, require_keys, require_real
 
 __all__ = [
     "ModelSpec",
@@ -120,12 +120,7 @@ def rectify_model(spec: ModelSpec, winding: int) -> RectifiedModel:
 
 def model_from_dict(payload: dict) -> Tuple[ModelSpec, ContourSpec]:
     """Build (ModelSpec, ContourSpec) from a config's model section; unknown keys are errors."""
-    if not isinstance(payload, dict):
-        raise ConfigError(f"model section must be an object, got {payload!r}")
-    allowed = {"ell", "omega", "coeffs", "winding", "epsilon"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+    require_keys("model", payload, {"ell", "omega", "coeffs", "winding", "epsilon"})
     try:
         coeffs = {}
         for k, re, im in payload.get("coeffs", []):

@@ -20,8 +20,10 @@ phase p per mode, each ket being U y p.  Residuals (BLOCK columns at a time),
 sigma and the Gram run on Y, and the metric takes the frame's Gram as its S;
 the kets are built only when a caller reads `right`, `left` or `gram`.  Every
 other solve stores the kets x / s of B's eigenvectors x.  B's rounding,
-eps ||B||, exceeds H's by up to 1/min|w|, so `filter_real` refines each mode it
-keeps from a W != I solve on (H, W) itself.
+eps ||B||, exceeds H's by up to 1/min|w|, so on a W != I pencil `filter_real`
+keeps only the eigenvalues of the modes it retains and returns the pencil's own
+eigenpairs at them (`nearest_eigenpairs`: inverse iteration on (H, W), the
+conjugate ket as double-ket).
 """
 
 from __future__ import annotations
@@ -390,7 +392,7 @@ def lowest_eigenvalues(operators: OperatorPair, k: int = 5, sigma: complex = 0.0
         raise SolverFailure(f"shift-invert Arnoldi did not converge: {exc}") from exc
     # Arnoldi stops anywhere within its tolerance on ill-conditioned modes;
     # inverse iteration at its values takes each to rounding level
-    lam = nearest_eigenpairs(operators, lam)[0]
+    lam = nearest_eigenpairs(operators, lam).lambdas
     gap = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
     np.fill_diagonal(gap, np.inf)
     if np.any(gap < 1e-8 * np.maximum(1.0, np.abs(lam))[:, np.newaxis]):
@@ -448,20 +450,26 @@ def _tridiagonal_solve(lu: Tuple[List[complex], ...], b: np.ndarray) -> np.ndarr
     return np.array(x[:n])
 
 
-def nearest_eigenpairs(
-    pair: OperatorPair, shifts: Sequence[complex]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each shift, the eigenpair of H psi = E W psi nearest it.
+def nearest_eigenpairs(pair: OperatorPair, shifts: Sequence[complex]) -> Eigensystem:
+    """For each shift, the eigenpair of H psi = E W psi nearest it, as an Eigensystem of `pair`.
 
-    Returns (lambdas, right, residuals): the eigenvalues, the right kets as
-    unit columns, and ||H psi - E W psi|| / ||W psi|| per shift.  Inverse
-    iteration at the fixed shift on the grid structure (tridiagonal H,
+    Inverse iteration at the fixed shift on the grid structure (tridiagonal H,
     diagonal W): H - shift W is factored once per shift by a pivoted
     tridiagonal LU in O(n), and each step is one O(n) forward and back
     substitution, started from a fixed vector so the result is deterministic.
     It stops once the residual reaches rounding level, else after
-    INVERSE_ITERATION_STEPS steps with the best iterate; the residual is
-    reported, not gated.
+    INVERSE_ITERATION_STEPS steps with the best iterate; the residual
+    ||H psi - E W psi|| / ||W psi|| is reported, not gated.  The kets are unit
+    columns; as H = H^T and W is diagonal, each double-ket is the conjugate
+    ket, with the same residual.
+
+    It is the pencil's own eigenpair, also where the dense solve's is not:
+    B = s^-1 H s^-1 is larger than H by up to 1/min|w|, so B's eigenpairs are
+    exact only for a B perturbed by eps ||B||, and the cubic's eighth mode at
+    n = 900 moved 2.5e-5 between one and two BLAS threads.  The grid is
+    PT-symmetric only to rounding, so a real mode keeps the small imaginary
+    part of the pencil's own eigenvalue (up to 2e-7 on the winding-1 grids at
+    n = 300-900).
     """
     w, n = pair.w_diag, pair.n
 
@@ -497,7 +505,10 @@ def nearest_eigenpairs(
             if res <= np.finfo(float).eps * (norm_H + abs(lam) * norm_W) / norm_Wx:
                 break
         residuals[j], right[:, j], lambdas[j] = best
-    return lambdas, _normalize_columns(right, pair.pt_symmetric), residuals
+    right = _normalize_columns(right, pair.pt_symmetric)
+    left = _normalize_columns(right.conj(), pair.pt_symmetric)
+    sigmas = np.einsum("ij,ij->j", left.conj(), w[:, np.newaxis] * right)
+    return Eigensystem(pair, lambdas, (right, left), sigmas, residuals, residuals)
 
 
 def is_real(lambdas: np.ndarray, tol_im: float) -> np.ndarray:
@@ -512,7 +523,8 @@ def filter_real(es: Eigensystem, tol_im: float = 1e-6, tol_residual: float = 1e-
     SIGMA_CERTIFY_FLOOR, too ill-conditioned to certify as real, and one whose
     max(residual_right, residual_left) exceeds `tol_residual` and
     SPURIOUS_RESIDUAL_RATIO times the median of the real modes within it.
-    On a W != I pencil each retained mode is then refined on (H, W) (`_polish`).
+    At W = I the result holds the kept modes as solved; on a W != I pencil it
+    is `nearest_eigenpairs` at their eigenvalues, each mode refined on (H, W).
     """
     keep = is_real(es.lambdas, tol_im)
     res = np.maximum(es.residual_right, es.residual_left)
@@ -523,30 +535,7 @@ def filter_real(es: Eigensystem, tol_im: float = 1e-6, tol_residual: float = 1e-
     if not len(idx):
         raise EmptySpectrum(f"no modes pass |Im| < {tol_im}*max(1,|Re|) and the two gates")
     idx = idx[np.argsort(es.lambdas.real[idx], kind="stable")]
-    kept = es.take(idx)
-    return kept if np.all(es.pair.s == 1.0) else _polish(kept)
-
-
-def _polish(es: Eigensystem) -> Eigensystem:
-    """Each mode of a W != I solve replaced by the tridiagonal pencil's own eigenpair near it.
-
-    B = s^-1 H s^-1 is larger than H by up to 1/min|w|, so B's eigenpairs are
-    exact only for a B perturbed by eps ||B||: the cubic at n = 900 shows
-    residuals <= 3e-9 on (H, W), yet its fifth eigenvalue moves by 4.9e-8 and
-    its eighth by 2.5e-5 between one and two BLAS threads.  Inverse iteration
-    at each eigenvalue on H - lam W (`nearest_eigenpairs`) takes the ket to
-    rounding level on (H, W) itself.  As H = H^T and W is diagonal, conj(ket)
-    is the double-ket, with the same residual.  The grid is PT-symmetric only
-    to rounding, so a real mode keeps the small imaginary part of the pencil's
-    own eigenvalue (up to 2e-7 on the winding-1 grids at n = 300-900).
-    """
-    pair = es.pair
-    lam, X, res = nearest_eigenpairs(pair, es.lambdas)
-    L = _normalize_columns(X.conj(), pair.pt_symmetric)
-    sigmas = np.einsum("ij,ij->j", L.conj(), pair.w_diag[:, np.newaxis] * X)
-    return replace(
-        es, lambdas=lam, vectors=(X, L), sigmas=sigmas, residual_right=res, residual_left=res
-    )
+    return es.take(idx) if np.all(es.pair.s == 1.0) else nearest_eigenpairs(es.pair, es.lambdas[idx])
 
 
 def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensystem:

@@ -149,7 +149,7 @@ def test_criterion_5_rectification_consistency(cubic_run, cubic_roots, cubic_mod
         model.rectify_model(branch_model, 1),
         discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15),
     )
-    branch_grid = spectra.nearest_eigenpairs(branch_pair, branch_roots)[0].real
+    branch_grid = spectra.nearest_eigenpairs(branch_pair, branch_roots).lambdas.real
     branch_rel = np.abs(branch_grid - branch_roots) / np.abs(branch_roots)
     branch_consistent = len(branch_roots) == 3 and bool(np.all(branch_rel < 1e-3))
 

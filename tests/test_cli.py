@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qtoboggan import cli
-from qtoboggan.errors import ConfigError, IncompleteBasisWarning, SchemaMismatch
+from qtoboggan.errors import ConfigError, IllConditionedS, IncompleteBasisWarning, SchemaMismatch
 
 
 def base_config(**extra):
@@ -68,6 +69,10 @@ def test_wrong_version_is_schema_mismatch():
         lambda c: c.update(version=1.0),
         lambda c: c.update(shoot={"guesses": ["0.9", 2.8]}),
         lambda c: c.update(shoot={"guesses": [[0.9, 0.0, 1.0]]}),
+        lambda c: c.update(shoot={"guesses": 2.8}),
+        lambda c: c.update(shoot={"scan": {"start": 0.0, "count": 5}}),
+        lambda c: c.pop("model"),
+        lambda c: c["grid"].pop("n"),
     ],
 )
 def test_malformed_sections_rejected(mutate):
@@ -97,9 +102,11 @@ def test_override_paths():
     cli._apply_override(raw, "grid.n=500")
     cli._apply_override(raw, "model.epsilon=0.25")
     cli._apply_override(raw, "tolerances.compare_rel=1e-4")
+    cli._apply_override(raw, "output_dir=out/x")  # not JSON: kept as the string
     assert raw["grid"]["n"] == 500
     assert raw["model"]["epsilon"] == 0.25
     assert raw["tolerances"]["compare_rel"] == 1e-4
+    assert raw["output_dir"] == "out/x"
     with pytest.raises(ConfigError):
         cli._apply_override(raw, "no-equals-sign")
     with pytest.raises(ConfigError):
@@ -116,8 +123,10 @@ def test_override_paths():
         (base_config(shoot={"scan": 7}), []),
         (base_config(), ["grid=3"]),
         ([1], ["a.b=1"]),
+        ([1], []),
     ],
-    ids=["grid", "model", "shoot", "tolerances", "shoot.scan", "override-grid", "list-root"],
+    ids=["grid", "model", "shoot", "tolerances", "shoot.scan", "override-grid", "list-root",
+         "list-root-alone"],
 )
 def test_non_object_section_exits_4(tmp_path, raw, overrides):
     argv = ["--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
@@ -181,13 +190,15 @@ def test_bool_in_a_real_field_exits_4(tmp_path, capsys, override):
         ("cubic_winding1.json", "compare", "tolerances.compare_rel=Infinity"),
         # an integer literal too large for a float
         ("harmonic_line.json", "spectrum", "grid.half_width=1" + "0" * 400),
+        ("harmonic_line.json", "shoot", "grid.n=1" + "0" * 400),
     ],
-    ids=["root_tol", "half_width", "compare_rel", "half_width_integer"],
+    ids=["root_tol", "half_width", "compare_rel", "half_width_integer", "n_integer"],
 )
 def test_non_finite_real_exits_4(tmp_path, capsys, config, command, override):
     # JSON 1e400 reads as inf: root_tol=1e400 returned the secant's starting
-    # points as roots, half_width=1e400 failed in the eigensolver (exit 3), and
-    # an infinite compare_rel was written to compare.json as bare Infinity
+    # points as roots, half_width=1e400 failed in the eigensolver (exit 3), an
+    # infinite compare_rel was written to compare.json as bare Infinity, and
+    # n = 10^400 raised OverflowError in the grid step, whatever the command (exit 1)
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", config)
     argv = ["--config", path, "--command", command, "--override", override,
             "--out", str(tmp_path / "out")]
@@ -218,6 +229,28 @@ def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
     argv = ["--config", config, "--command", "shoot", "--override", f"model.coeffs={coeffs}",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        (command, "model.coeffs=[[330, 1.0, 0.0]]", "rectified potential is non-finite")
+        for command in ("spectrum", "metric", "validate", "compare")
+    ]
+    + [
+        ("spectrum", "model.winding=200", "weight matrix is singular"),
+        ("shoot", "shoot.seed_ratio=1e300", "cannot reach the requested seed ratio"),
+    ],
+)
+def test_out_of_range_model_values_exit_4(tmp_path, capsys, command, override, message):
+    # x^330 overflows on the grid: spectrum, metric and validate used to hand the
+    # non-finite H to ?geev and exit 3 (solver error)
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", command, "--override", override,
+            "--out", str(tmp_path / "out")]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == 4
     assert message in capsys.readouterr().err
 
 
@@ -263,8 +296,11 @@ def test_commands_missing_their_sections_exit_4(tmp_path, capsys):
 def test_run_without_a_command_raises_config_error(tmp_path):
     cfg = base_config()
     del cfg["command"]
+    config = cli.parse_config_dict(cfg)
     with pytest.raises(ConfigError, match="no command given"):
-        cli.run(cli.parse_config_dict(cfg), out_dir=str(tmp_path))
+        cli.run(config, out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+        cli.run(config, command="bogus", out_dir=str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +653,46 @@ def test_validate_reports_a_self_orthogonal_full_set(tmp_path, capsys, monkeypat
     assert stdout == "FAIL full_set_biorthogonal: inf <= 1.000000e-08\n"
 
 
+def test_validate_reports_an_ill_conditioned_full_set_metric(tmp_path, capsys, monkeypatch):
+    from qtoboggan import metric
+
+    build = metric.build_metric
+
+    def build_but_on_the_full_set(es, *args, **kwargs):
+        if es.m == es.pair.n:
+            raise IllConditionedS("cond(S) above the threshold")
+        return build(es, *args, **kwargs)
+
+    monkeypatch.setattr(metric, "build_metric", build_but_on_the_full_set)
+    with pytest.warns(IncompleteBasisWarning):
+        code, entries, stdout = run_validate(tmp_path, capsys)
+    assert code == 2
+    assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)[:14] + [
+        "full_set_metric_conditioning"
+    ]
+    assert entries[-1] == {
+        "name": "full_set_metric_conditioning", "value": float("inf"),
+        "limit": metric.COND_S_THRESHOLD, "pass": False,
+    }
+    assert stdout.splitlines()[-1].startswith("FAIL full_set_metric_conditioning: inf <= ")
+
+
+def test_validate_fails_refinement_order_on_too_coarse_grids(tmp_path, capsys, monkeypatch):
+    # 100 steps per half-path do not pass the integrator's phase gate on the
+    # harmonic line, so no order is certified
+    monkeypatch.setattr(cli, "_REFINEMENT_STEPS", (100, 200, 400))
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    out = tmp_path / "v"
+    with pytest.warns(IncompleteBasisWarning):
+        assert cli.main(["--config", config, "--command", "validate", "--out", str(out)]) == 2
+    checks = json.loads((out / "validate.json").read_text())["checks"]
+    assert [item["name"] for item in checks] == list(VALIDATE_CHECKS)
+    assert checks[-1] == {
+        "name": "shoot_refinement_order", "value": 0.0, "limit": 6.0, "pass": False
+    }
+    assert "validate: 100-step refinement grid too coarse" in capsys.readouterr().err
+
+
 def test_validate_kappa_gram_check_catches_a_conjugation_slip(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
 
@@ -749,6 +825,8 @@ def test_exit_codes(tmp_path):
     )
     assert code == 4
     assert cli.main(["--config", str(tmp_path / "missing.json")]) == 4
+    (tmp_path / "bad.json").write_text('{"version": 1,')
+    assert cli.main(["--config", str(tmp_path / "bad.json")]) == 4
 
 
 IMPORT_PROBE = """

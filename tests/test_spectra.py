@@ -566,15 +566,20 @@ def test_frame_kets_are_built_once_on_first_read(harmonic_small, monkeypatch):
 def test_nearest_eigenpairs_match_dense_solve(harmonic_small):
     pair, es_full, es_sub = harmonic_small
     shifts = [0.9, 2.8, 5.2, 7.3, 1.2 + 0.1j]
-    lam, right, res = spectra.nearest_eigenpairs(pair, shifts)
+    near = spectra.nearest_eigenpairs(pair, shifts)
+    lam, right, res = near.lambdas, near.right, near.residual_right
     for j, shift in enumerate(shifts):
         k = np.argmin(np.abs(es_full.lambdas - shift))
         assert abs(lam[j] - es_full.lambdas[k]) <= 1e-10 * abs(es_full.lambdas[k])
         # same ket up to phase: both are unit columns
         assert abs(np.vdot(right[:, j], es_full.right[:, k])) == pytest.approx(1.0, abs=1e-10)
+        if shift.imag == 0:
+            # the conjugate ket is collinear with the solved double-ket
+            left = es_full.left[:, k] / np.linalg.norm(es_full.left[:, k])
+            assert abs(np.vdot(near.left[:, j], left)) == pytest.approx(1.0, abs=1e-10)
     assert res.max() < 1e-10
     again = spectra.nearest_eigenpairs(pair, shifts)
-    assert np.array_equal(again[0], lam) and np.array_equal(again[1], right)
+    assert np.array_equal(again.lambdas, lam) and np.array_equal(again.right, right)
 
 
 def test_nearest_eigenpairs_on_weighted_pencil(cubic_model):
@@ -582,7 +587,8 @@ def test_nearest_eigenpairs_on_weighted_pencil(cubic_model):
     pair = discrete.build_operators(
         rect, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15)
     )
-    lam, _, res = spectra.nearest_eigenpairs(pair, CUBIC_TOBOGGAN_SHOOT_LOWEST[:3])
+    near = spectra.nearest_eigenpairs(pair, CUBIC_TOBOGGAN_SHOOT_LOWEST[:3])
+    lam, res = near.lambdas, near.residual_right
     assert np.allclose(lam.real, CUBIC_TOBOGGAN_GRID_LOWEST[:3], rtol=1e-6, atol=0)
     assert np.abs(lam.imag).max() < 1e-9
     assert res.max() < 1e-8
@@ -592,8 +598,7 @@ def test_nearest_eigenpairs_reports_unconverged_residual(harmonic_small):
     # equidistant from two modes, inverse iteration cannot pick one
     pair, es_full, es_sub = harmonic_small
     midpoint = 0.5 * (es_sub.lambdas[0] + es_sub.lambdas[1])
-    lam, _, res = spectra.nearest_eigenpairs(pair, [midpoint])
-    assert res[0] > 1e-3
+    assert spectra.nearest_eigenpairs(pair, [midpoint]).residual_right[0] > 1e-3
 
 
 def test_nearest_eigenpairs_raises_at_an_exact_eigenvalue():
