@@ -4,9 +4,8 @@ Commands: spectrum, metric, shoot, compare, validate.  Exit codes: 0 success,
 2 validation failure, 3 solver error, 4 config error, 5 a compared grid mode
 failed its residual or reality gate.
 
-validate takes its identity checks from one ordered, lazy sequence
-(`_validate_checks`), prints a PASS/FAIL line per check, stops at the first
-failure, and writes every check it ran to validate.json.
+validate prints a PASS/FAIL line for every check of its problem's class,
+whether or not an earlier one failed, and writes them all to validate.json.
 
 The BLAS thread count is capped, if at all, by OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS or MKL_NUM_THREADS set before launch.
@@ -25,7 +24,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -477,39 +476,46 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
     return code
 
 
-def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, bool]]:
-    """validate's checks in order, as (name, value, limit, larger_ok).
+def _validate_checks(config: RunConfig, check: Callable[[str, float, float, bool], None]) -> None:
+    """Report each check of the problem's class, in order, to check(name, value, limit, larger_ok).
 
-    Lazy: each stage runs only when the check before it has been consumed, so
-    a caller that stops at a failure runs nothing after it.  The failure-only
-    checks (full_set_biorthogonal, full_set_metric_conditioning) and the
-    failing branches of the shooting checks end the sequence.
+    A check whose input cannot be built fails: with inf, or with 0.0 for the
+    refinement order, which must exceed its limit.  The reason goes to stderr.
     """
     from . import metric  # loads scipy.linalg, which compare and shoot never load
 
     tol = config.tolerances
     rng = np.random.default_rng(config.seed)
     es, es_raw = _grid_eigensystem(config, keep_raw=True)
-    # The complete mode set (no reality filter) supports resolution-of-identity
-    # checks; normalization of it can fail on defective pairs, which we report
-    # as a failed check rather than a crash.
+    # The complete mode set (no reality filter) feeds the resolution-of-identity
+    # checks, which fail when a defective pair leaves it unnormalizable.
     try:
         es_all = spectra.normalize_biorthogonal(es_raw, sigma_tol=tol["sigma_floor"])
-    except SelfOrthogonalMode:
-        yield "full_set_biorthogonal", math.inf, tol["gram"], False
-        return
+    except SelfOrthogonalMode as exc:
+        sys.stderr.write(f"validate: the full mode set cannot be normalized: {exc}\n")
+        es_all = None
 
     if config.model.pt_flag:
-        yield "pt_residual", discrete.pt_residual(es.pair), tol["pt"], False
+        check("pt_residual", discrete.pt_residual(es.pair), tol["pt"], False)
     residual = max(es.residual_right.max(), es.residual_left.max())
-    yield "max_mode_residual", residual, tol["residual"], False
-    yield "gram_offdiag", es.max_offdiag_gram(), tol["gram"], False
-    yield "completeness", spectra.completeness_residual(es_all), tol["completeness"], False
-    rebuild = spectra.spectral_rebuild_residual(es_all)
-    yield "rebuild", rebuild, tol["rebuild"], False
+    check("max_mode_residual", residual, tol["residual"], False)
+    check("gram_offdiag", es.max_offdiag_gram(), tol["gram"], False)
 
-    # kappa invariance of spectrum-level quantities
+    # kappa invariance of spectrum-level quantities: the retained set's kappa
+    # is drawn first, and the full set's only when there is a full set
     kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
+    completeness = rebuild = drift = math.inf
+    if es_all is not None:
+        completeness = spectra.completeness_residual(es_all)
+        rebuild = spectra.spectral_rebuild_residual(es_all)
+        kappa_all = rng.uniform(0.5, 2.0, es_all.m) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, es_all.m)
+        )
+        drift = abs(
+            spectra.spectral_rebuild_residual(spectra.apply_kappa(es_all, kappa_all)) - rebuild
+        )
+    check("completeness", completeness, tol["completeness"], False)
+    check("rebuild", rebuild, tol["rebuild"], False)
     es_k = spectra.apply_kappa(es, kappa)
     gram, gram_k = es.gram, es_k.left.conj().T @ (es.pair.w_diag[:, np.newaxis] * es_k.right)
     # Rescaling moves each gram entry by exactly kappa_i / kappa_j.  Undoing
@@ -518,48 +524,43 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
     undressed = gram_k * (kappa[np.newaxis, :] / kappa[:, np.newaxis])
     gram_drift = float(np.abs(undressed - gram).max())
     del gram
-    yield "kappa_gram_drift", gram_drift, tol["kappa_invariance"], False
-    kappa_all = rng.uniform(0.5, 2.0, es_all.m) * np.exp(
-        1j * rng.uniform(0, 2 * np.pi, es_all.m)
-    )
-    drift = abs(
-        spectra.spectral_rebuild_residual(spectra.apply_kappa(es_all, kappa_all)) - rebuild
-    )
-    yield "kappa_rebuild_drift", drift, tol["kappa_invariance"], False
+    check("kappa_gram_drift", gram_drift, tol["kappa_invariance"], False)
+    check("kappa_rebuild_drift", drift, tol["kappa_invariance"], False)
 
     result = metric.build_metric(es)
     ms = float(np.linalg.norm(result.M @ result.S - np.eye(es.m)) / np.linalg.norm(np.eye(es.m)))
-    yield "ms_identity", ms, tol["ms_identity"], False
+    check("ms_identity", ms, tol["ms_identity"], False)
     theta = result.Theta  # each read builds it anew: read once for the three checks
     delta = metric.delta_identity_residual(es, theta)
-    yield "delta_identity", delta, tol["delta_identity"], False
+    check("delta_identity", delta, tol["delta_identity"], False)
     for name, key, limit, larger_ok in _metric_gates(tol):
-        yield name, result.diagnostics[key], limit, larger_ok
+        check(name, result.diagnostics[key], limit, larger_ok)
 
     # uniform-kappa homogeneity: Theta[c kappa] = |c|^2 Theta[kappa]
     c = _HOMOGENEITY_SCALE
     theta_c = metric.build_metric(es, kappa=c * result.kappa_used).Theta
     hom = float(np.linalg.norm(theta_c - abs(c) ** 2 * theta) / np.linalg.norm(theta))
     del theta_c
-    yield "kappa_homogeneity", hom, tol["kappa_invariance"], False
+    check("kappa_homogeneity", hom, tol["kappa_invariance"], False)
 
-    try:
-        result_full = metric.build_metric(es_all)
-    except IllConditionedS:
-        yield "full_set_metric_conditioning", math.inf, metric.COND_S_THRESHOLD, False
-        return
-    if config.contour.winding == 0:
-        off = result_full.S - np.diag(np.diag(result_full.S))
-        ratio = float(np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(result_full.S))))
-        yield "degeneration_S_offdiag", ratio, tol["w_identity_offdiag"], False
-        theta_full = result_full.Theta
-        del result_full
-        single = metric.single_series_theta(es_all)
-        dd = float(np.linalg.norm(theta_full - single) / np.linalg.norm(single))
-        yield "degeneration_theta", dd, tol["degeneration"], False
+    if config.contour.winding == 0:  # the one place the full-set metric is read
+        ratio = dd = math.inf
+        try:  # build_metric alone raises IllConditionedS
+            if es_all is not None:
+                result_full = metric.build_metric(es_all)
+                off = result_full.S - np.diag(np.diag(result_full.S))
+                ratio = float(np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(result_full.S))))
+                theta_full = result_full.Theta
+                del result_full
+                single = metric.single_series_theta(es_all)
+                dd = float(np.linalg.norm(theta_full - single) / np.linalg.norm(single))
+        except IllConditionedS as exc:
+            sys.stderr.write(f"validate: the full-set metric is ill-conditioned: {exc}\n")
+        check("degeneration_S_offdiag", ratio, tol["w_identity_offdiag"], False)
+        check("degeneration_theta", dd, tol["degeneration"], False)
 
     similarity = metric.theta_eigenvector_residual(es, theta)
-    yield "theta_similarity_spectrum", similarity, tol["quasi_hermiticity"], False
+    check("theta_similarity_spectrum", similarity, tol["quasi_hermiticity"], False)
 
     if config.shoot_cfg is None or not config.guesses:
         return
@@ -571,19 +572,18 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
     partner = _pair_guesses(roots1, roots2)
     lonely = [r for i, r in enumerate(roots1) if i not in partner]
     lonely += [r for j, r in enumerate(roots2) if j not in partner.values()]
-    if lonely or not partner:
-        guesses = np.asarray(config.guesses, dtype=complex)
-        for root in lonely:
-            g = guesses[np.argmin(np.abs(guesses - root))]
-            sys.stderr.write(
-                f"validate: guess {g:g} converged to {root:g} at only one of the "
-                "shifts epsilon, 2*epsilon\n"
-            )
-        yield "shoot_epsilon_independence", math.inf, tol["epsilon_independence"], False
-        return
-    i, j = np.array(list(partner)), np.array(list(partner.values()))
-    rel = float(np.max(np.abs(roots1[i] - roots2[j]) / np.maximum(1.0, np.abs(roots1[i]))))
-    yield "shoot_epsilon_independence", rel, tol["epsilon_independence"], False
+    guesses = np.asarray(config.guesses, dtype=complex)
+    for root in lonely:
+        g = guesses[np.argmin(np.abs(guesses - root))]
+        sys.stderr.write(
+            f"validate: guess {g:g} converged to {root:g} at only one of the "
+            "shifts epsilon, 2*epsilon\n"
+        )
+    rel = math.inf
+    if partner and not lonely:
+        i, j = np.array(list(partner)), np.array(list(partner.values()))
+        rel = float(np.max(np.abs(roots1[i] - roots2[j]) / np.maximum(1.0, np.abs(roots1[i]))))
+    check("shoot_epsilon_independence", rel, tol["epsilon_independence"], False)
 
     # refinement order: RK4's error in y'/y of the right half-path at a
     # fixed energy falls ~16x per halving of a uniform step; the grids
@@ -600,18 +600,18 @@ def _validate_checks(config: RunConfig) -> Iterator[Tuple[str, float, float, boo
                 seq.append(dy / y)
         except StepTooCoarseWarning as exc:
             sys.stderr.write(f"validate: {steps}-step refinement grid too coarse: {exc}\n")
-    if len(seq) < len(_REFINEMENT_STEPS):
-        yield "shoot_refinement_order", 0.0, 6.0, True
-        return
-    ratio = abs(seq[0] - seq[1]) / max(abs(seq[1] - seq[2]), 1e-300)
-    yield "shoot_refinement_order", ratio, 6.0, True
+    ratio = 0.0
+    if len(seq) == len(_REFINEMENT_STEPS):
+        ratio = abs(seq[0] - seq[1]) / max(abs(seq[1] - seq[2]), 1e-300)
+    check("shoot_refinement_order", ratio, 6.0, True)
 
 
 def _cmd_validate(config: RunConfig, out_dir: str) -> int:
-    """Run the module invariant suite on the configured problem; stop on first failure."""
+    """Run the module invariant suite on the configured problem; a failure stops nothing."""
     _require_grid(config)
     checks: List[Dict[str, Any]] = []
-    for name, value, limit, larger_ok in _validate_checks(config):
+
+    def check(name: str, value: float, limit: float, larger_ok: bool) -> None:
         ok = _passes(value, limit, larger_ok)
         checks.append(
             {"name": name, "value": float(value), "limit": float(limit), "pass": bool(ok)}
@@ -619,8 +619,8 @@ def _cmd_validate(config: RunConfig, out_dir: str) -> int:
         word = "PASS" if ok else "FAIL"
         cmp = ">" if larger_ok else "<="
         sys.stdout.write(f"{word} {name}: {value:.6e} {cmp} {limit:.6e}\n")
-        if not ok:
-            break
+
+    _validate_checks(config, check)
     passed = all(item["pass"] for item in checks)
     _json_dump({"checks": checks, "passed": passed}, os.path.join(out_dir, "validate.json"))
     return 0 if passed else 2

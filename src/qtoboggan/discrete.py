@@ -157,8 +157,10 @@ def build_operators(model: RectifiedModel, grid: GridSpec) -> OperatorPair:
         )
     h, r = grid.h, grid.r
     off = np.full(grid.n - 1, -1.0 / h**2, dtype=complex)
-    diag = 2.0 / h**2 + model.potential(r)
-    w = model.weight(r)
+    # an overflow is refused below, by name, so numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = 2.0 / h**2 + model.potential(r)
+        w = model.weight(r)
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix is singular or non-finite on this grid")
     if not np.all(np.isfinite(diag)):

@@ -183,33 +183,36 @@ def _build_halfpath(
     model: ModelSpec, contour: ContourSpec, side: str, E_ref: complex, cfg: ShootConfig
 ) -> _HalfPath:
     sgn = 1.0 if side == "right" else -1.0  # t = sgn*gamma ascends outward on both sides
-    t, w, zdot, rate = _profile(model, contour, sgn, E_ref)
-    if cfg.gamma_max is not None:
-        t_end = cfg.gamma_max
-    else:
-        t_end = float(t[_truncation(t, rate, cfg.seed_ratio)[1]])
+    # a path too stiff to shoot overflows here; the step budget below refuses it by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, w, zdot, rate = _profile(model, contour, sgn, E_ref)
+        if cfg.gamma_max is not None:
+            t_end = cfg.gamma_max
+        else:
+            t_end = float(t[_truncation(t, rate, cfg.seed_ratio)[1]])
 
-    if cfg.phase_resolution is None:
-        nodes_t = np.linspace(0.0, t_end, cfg.steps + 1)
-    else:
-        mask = t <= t_end + 1e-12
-        tm = t[mask]
-        span = max(t_end, 1e-6)
-        dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(
-            300.0, cfg.steps / span
-        )
-        ncum = _cumulative_trapezoid(dens, tm)
-        total = max(np.ceil(ncum[-1]), cfg.steps)
-        if not total <= _MAX_NODES:  # refused before anything of that size is allocated
-            raise ConfigError(
-                f"{side} half-path needs {total:,.0f} integration steps, over the budget of "
-                f"{_MAX_NODES:,}: the spiral's reach grows as rho^(2N+1), so this winding "
-                "and epsilon are too stiff to shoot"
+        if cfg.phase_resolution is None:
+            nodes_t = np.linspace(0.0, t_end, cfg.steps + 1)
+        else:
+            mask = t <= t_end + 1e-12
+            tm = t[mask]
+            span = max(t_end, 1e-6)
+            dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(
+                300.0, cfg.steps / span
             )
-        targets = np.linspace(0.0, ncum[-1], int(total) + 1)
-        nodes_t = np.interp(targets, ncum, tm)
-        nodes_t[0] = 0.0
-        nodes_t[-1] = t_end
+            ncum = _cumulative_trapezoid(dens, tm)
+            total = max(np.ceil(ncum[-1]), cfg.steps)
+            if not total <= _MAX_NODES:  # refused before anything of that size is allocated
+                count = f"{total:,.0f}" if np.isfinite(total) else "an overflowing count of"
+                raise ConfigError(
+                    f"{side} half-path needs {count} integration steps, over the budget of "
+                    f"{_MAX_NODES:,}: the spiral's reach grows as rho^(2N+1), so this winding "
+                    "and epsilon are too stiff to shoot"
+                )
+            targets = np.linspace(0.0, ncum[-1], int(total) + 1)
+            nodes_t = np.interp(targets, ncum, tm)
+            nodes_t[0] = 0.0
+            nodes_t[-1] = t_end
 
     g = (sgn * nodes_t)[::-1].copy()  # integrate from the outer end toward the match
     dg = np.diff(g)

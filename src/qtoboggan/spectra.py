@@ -288,7 +288,7 @@ def _frame_eigensystem(
     return Eigensystem(pair, lam, (YR, YL), sigmas, res_r, res_l, phase=phase)
 
 
-def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensystem:
+def solve_generalized(operators: OperatorPair, tol: float = 1e-12) -> Eigensystem:
     """All n eigenpairs with right kets and left double-kets, index-paired.
 
     Symmetry alone picks the eigensolve of B (module docstring); the left
@@ -296,9 +296,9 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-10) -> Eigensyste
     stays in its frame, else B's eigenvectors x, x_L become the pencil's kets
     x / s and double-kets x_L / conj(s).
 
-    `tol` is the pairing-ambiguity threshold: two eigenvalues closer than
-    tol*max(1, |lambda|) make the left/right pairing non-canonical and raise
-    DegeneratePairing.  Residuals ||H v - lam W v|| / ||W v|| and the left ones,
+    `tol` is the pairing-ambiguity threshold, by default the CLI's
+    `tolerances.pairing`: two eigenvalues closer than tol*max(1, |lambda|)
+    make the left/right pairing non-canonical and raise DegeneratePairing.  Residuals ||H v - lam W v|| / ||W v|| and the left ones,
     formed one family at a time on the ket route, are reported, not gated.
     """
     import scipy.linalg

@@ -111,7 +111,7 @@ def _solve_full_and_subset(spec, winding, half_width, n, epsilon):
     pair = discrete.build_operators(
         rect, discrete.GridSpec(half_width=half_width, n=n, epsilon=epsilon)
     )
-    es_raw = spectra.solve_generalized(pair, tol=1e-12)
+    es_raw = spectra.solve_generalized(pair)
     es_full = spectra.normalize_biorthogonal(es_raw)
     es_sub = spectra.normalize_biorthogonal(spectra.filter_real(es_raw, tol_im=1e-6))
     return pair, es_full, es_sub
@@ -159,7 +159,7 @@ def cubic_run(cubic_model):
     pair = discrete.build_operators(
         rect, discrete.GridSpec(half_width=2.2, n=900, epsilon=0.15)
     )
-    es_raw = spectra.solve_generalized(pair, tol=1e-12)
+    es_raw = spectra.solve_generalized(pair)
     es_sub = spectra.normalize_biorthogonal(spectra.filter_real(es_raw, tol_im=1e-6))
     return pair, None, es_sub
 

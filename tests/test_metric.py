@@ -45,7 +45,7 @@ def hand_pair():
 
 @pytest.fixture()
 def hand_result(hand_pair):
-    es = spectra.solve_generalized(hand_pair, tol=1e-12)
+    es = spectra.solve_generalized(hand_pair)
     es = spectra.normalize_biorthogonal(es)
     return es, metric.build_metric(es)
 
@@ -161,7 +161,7 @@ def cubic_coarse(cubic_model):
     """The steep winding-1 cubic on a coarse grid: an indefinite, non-intertwining Theta."""
     rect = model.rectify_model(cubic_model, 1)
     pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=200, epsilon=0.15))
-    es = spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
+    es = spectra.filter_real(spectra.solve_generalized(pair))
     return spectra.normalize_biorthogonal(es)
 
 
@@ -267,7 +267,7 @@ def _case(case, request):
         # real modes of a PT-symmetric W = I pair, but sigma != 1: ket and
         # double-ket phases are unrelated, so no real basis holds both
         pair = request.getfixturevalue("harmonic_small")[0]
-        return spectra.filter_real(spectra.solve_generalized(pair, tol=1e-12))
+        return spectra.filter_real(spectra.solve_generalized(pair))
     return request.getfixturevalue("cubic_coarse")
 
 
@@ -357,7 +357,7 @@ def _harmonic_line_es(harmonic_model, n):
         model.rectify_model(harmonic_model, 0),
         discrete.GridSpec(half_width=9.0, n=n, epsilon=0.5),
     )
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     return spectra.normalize_biorthogonal(spectra.filter_real(es))
 
 
@@ -522,7 +522,7 @@ def test_zero_theta_eigenvalue_reads_infinite_cond_without_a_warning(monkeypatch
     # H = diag(1, 2) has the unit vectors for L, so M = diag(1, 0) makes
     # Theta = L diag(1, 0) L^dag = diag(1, 0), with an exact zero eigenvalue
     pair = OperatorPair(diag=np.array([1.0, 2.0]), off=np.zeros(1), w_diag=np.ones(2), s=np.ones(2))
-    es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair, tol=1e-12))
+    es = spectra.normalize_biorthogonal(spectra.solve_generalized(pair))
     monkeypatch.setattr(metric, "_invert_full", lambda S: np.diag([1.0, 0.0]).astype(complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -180,7 +180,7 @@ def test_pt_real_basis_matches_complex_eigensolve(data, n):
     assert np.abs(U.conj().T @ H @ U - A).max() <= 8 * eps * np.abs(H).max()
 
     try:
-        es = spectra.solve_generalized(pair, tol=1e-12)
+        es = spectra.solve_generalized(pair)
     except DegeneratePairing:
         reject()
     lam_c, VL, VR = scipy.linalg.eig(H, left=True, right=True)

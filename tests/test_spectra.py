@@ -2,6 +2,7 @@
 and the cached grid runs."""
 
 import csv
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -47,7 +48,7 @@ PAIR2 = _pair([1.0 + 0.6j, 1.0 - 0.6j], [1.0])
 
 @pytest.fixture()
 def hand():
-    es = spectra.solve_generalized(PAIR2, tol=1e-12)
+    es = spectra.solve_generalized(PAIR2)
     return spectra.normalize_biorthogonal(es)
 
 
@@ -97,14 +98,26 @@ def test_degenerate_pairing_detected():
         spectra.solve_generalized(_pair([1.0, 1.0]), tol=1e-10)
 
 
+def test_pairing_tolerance_defaults_to_the_cli_value():
+    from qtoboggan import cli
+
+    tol = inspect.signature(spectra.solve_generalized).parameters["tol"].default
+    assert tol == cli.DEFAULT_TOLERANCES["pairing"]
+    # 1e-11 apart: two modes at the default, one ambiguous pair at 1e-10
+    es = spectra.solve_generalized(_pair([1.0, 1.0 + 1e-11]))
+    assert np.array_equal(es.lambdas.real, [1.0, 1.0 + 1e-11])
+    with pytest.raises(DegeneratePairing):
+        spectra.solve_generalized(_pair([1.0, 1.0 + 1e-11]), tol=1e-10)
+
+
 def test_solver_reports_sorted_spectrum():
-    es = spectra.solve_generalized(_pair([3.0, 1.0, 2.0]), tol=1e-12)
+    es = spectra.solve_generalized(_pair([3.0, 1.0, 2.0]))
     assert np.allclose(es.lambdas, [1.0, 2.0, 3.0])
     assert es.pair.n == 3 and es.m == 3
 
 
 def test_filter_real_keeps_and_sorts():
-    es = spectra.solve_generalized(_pair([3.0, 1.0 + 0.5j, 2.0]), tol=1e-12)
+    es = spectra.solve_generalized(_pair([3.0, 1.0 + 0.5j, 2.0]))
     sub = spectra.filter_real(es, tol_im=1e-6)
     assert np.allclose(sub.lambdas, [2.0, 3.0])
     assert sub.discarded == 1
@@ -114,12 +127,12 @@ def test_filter_real_keeps_and_sorts():
 def test_is_real_is_the_filter_rule():
     lam = np.array([1.0 + 1e-7j, 1.0 + 1e-5j, 100.0 + 9e-5j, 100.0 + 1e-4j])
     assert spectra.is_real(lam, 1e-6).tolist() == [True, False, True, False]
-    es = spectra.solve_generalized(_pair(lam), tol=1e-12)
+    es = spectra.solve_generalized(_pair(lam))
     assert np.array_equal(spectra.filter_real(es, tol_im=1e-6).lambdas, lam[[0, 2]])
 
 
 def test_eigensystem_keeps_its_pencil():
-    es = spectra.solve_generalized(PAIR2, tol=1e-12)
+    es = spectra.solve_generalized(PAIR2)
     assert es.pair is PAIR2
     assert spectra.filter_real(es).pair is PAIR2
     assert spectra.normalize_biorthogonal(es).pair is PAIR2
@@ -128,7 +141,7 @@ def test_eigensystem_keeps_its_pencil():
 
 
 def test_filter_real_empty_raises():
-    es = spectra.solve_generalized(_pair([1.0 + 1.0j, 2.0 - 1.0j]), tol=1e-12)
+    es = spectra.solve_generalized(_pair([1.0 + 1.0j, 2.0 - 1.0j]))
     with pytest.raises(EmptySpectrum):
         spectra.filter_real(es, tol_im=1e-6)
 
@@ -137,14 +150,14 @@ def test_self_orthogonal_mode_detected():
     # the exceptional point of H = H^T: lambda = 1 twice, one ket (1, -i)
     # with v^T v = 0; LAPACK splits it by ~sqrt(eps), leaving |sigma| ~ 1e-8
     pair = _pair([1.0 + 1.0j, 1.0 - 1.0j], [1.0])
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     with pytest.raises(SelfOrthogonalMode):
         spectra.normalize_biorthogonal(es, sigma_tol=1e-6)
 
 
 def test_completeness_requires_full_set():
     pair = _pair([1.0, 2.0 + 1.0j, 3.0])
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     sub = spectra.normalize_biorthogonal(spectra.filter_real(es))
     with pytest.raises(IncompleteBasis):
         spectra.completeness_residual(sub)
@@ -204,7 +217,7 @@ def test_apply_kappa_rejects_zero(hand):
 
 def test_quasiparity_vanishing_overlap():
     # the reversal of two entries swaps them, and (1,0) is orthogonal to (0,1)
-    es = spectra.normalize_biorthogonal(spectra.solve_generalized(_pair([1.0, 2.0]), tol=1e-12))
+    es = spectra.normalize_biorthogonal(spectra.solve_generalized(_pair([1.0, 2.0])))
     with pytest.raises(VanishingParityOverlap):
         spectra.quasiparity_leftkets(es)
 
@@ -275,7 +288,7 @@ def test_weight_scaling_matches_dense_weight_products(cubic_model):
     rect = model.rectify_model(cubic_model, 1)
     pair = discrete.build_operators(rect, discrete.GridSpec(half_width=2.2, n=80, epsilon=0.15))
     W = np.diag(pair.w_diag)
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     lam, VR, VL = es.lambdas, es.right, es.left
     HVR = discrete.band_matmul(pair.diag, pair.off, VR)
     HdVL = discrete.band_matmul(pair.diag.conj(), pair.off.conj(), VL)
@@ -316,7 +329,7 @@ def test_non_pt_and_weighted_pairs_keep_the_direct_eig(case, request):
     weighted = not np.all(pair.w_diag == 1.0)
     assert weighted == (case == "weighted_cubic")
     assert pair.pt_symmetric == weighted  # the cubic is PT-symmetric, but W != I
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     if weighted:
         lam = scipy.linalg.eig(pair.H, np.diag(pair.w_diag), right=False)
         gap = np.abs(es.lambdas[:, np.newaxis] - lam[np.newaxis, :])
@@ -335,7 +348,7 @@ def test_non_pt_and_weighted_pairs_keep_the_direct_eig(case, request):
 def _raw_solve(spec, winding, half_width, n, epsilon):
     rect = model.rectify_model(spec, winding)
     pair = discrete.build_operators(rect, discrete.GridSpec(half_width, n, epsilon))
-    return spectra.solve_generalized(pair, tol=1e-12)
+    return spectra.solve_generalized(pair)
 
 
 def _max_residual(es):
@@ -422,7 +435,7 @@ def test_pt_grid_pair_retains_exactly_real_modes(harmonic_small):
     assert pair.pt_symmetric
     assert np.all(es_sub.lambdas.imag == 0.0)
     complex_route = spectra.filter_real(
-        spectra.solve_generalized(replace(pair, pt_symmetric=False), tol=1e-12)
+        spectra.solve_generalized(replace(pair, pt_symmetric=False))
     )
     assert complex_route.m == es_sub.m
     assert np.allclose(es_sub.lambdas, complex_route.lambdas, rtol=1e-10, atol=0)
@@ -446,10 +459,10 @@ def test_pt_route_peaks_below_eight_arrays_and_unpacks_as_scipy_eig(harmonic_mod
         model.rectify_model(harmonic_model, 0),
         discrete.GridSpec(half_width=9.0, n=400, epsilon=0.5),
     )
-    spectra.solve_generalized(pair, tol=1e-12)  # loads scipy.linalg outside the trace
+    spectra.solve_generalized(pair)  # loads scipy.linalg outside the trace
     tracemalloc.start()
     try:
-        es = spectra.solve_generalized(pair, tol=1e-12)
+        es = spectra.solve_generalized(pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,7 +498,7 @@ def test_weighted_pt_kets_anchor_on_the_left_of_their_largest_mirror_pair():
     # the same at both ends
     pair = _weighted_cubic_pair()
     assert pair.pt_symmetric and not np.all(pair.s == 1.0)
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     assert es.phase is None
     real = es.lambdas.imag == 0
     for V in (es.right, es.left):
@@ -502,7 +515,7 @@ def test_weighted_kets_are_the_pencils_own():
     # columns; the real modes below the box top reach rounding-level
     # residuals on (H, W)
     pair = _weighted_cubic_pair()
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     assert np.abs(np.linalg.norm(es.right, axis=0) - 1.0).max() <= 1e-13
     assert np.abs(np.linalg.norm(es.left, axis=0) - 1.0).max() <= 1e-13
     low = es.take(np.flatnonzero((es.lambdas.imag == 0) & (np.abs(es.lambdas) < 100.0)))
@@ -520,7 +533,7 @@ def test_unit_s_keeps_the_pt_frame_on_h_itself(harmonic_small, monkeypatch):
     solved = []
     real_form = spectra._pt_real_form
     monkeypatch.setattr(spectra, "_pt_real_form", lambda p: solved.append(p) or real_form(p))
-    es = spectra.solve_generalized(pair, tol=1e-12)
+    es = spectra.solve_generalized(pair)
     assert len(solved) == 1 and solved[0] is pair and es.phase is not None
 
 
