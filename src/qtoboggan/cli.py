@@ -4,8 +4,7 @@ Commands: spectrum, metric, shoot, compare, validate.  Exit codes: 0 success,
 2 validation failure, 3 solver error, 4 config error, 5 a compared grid mode
 failed its residual or reality gate.
 
-validate prints a PASS/FAIL line for every check of its problem's class,
-whether or not an earlier one failed, and writes them all to validate.json.
+validate's checks are the table in qtoboggan.validate.
 
 The BLAS thread count is capped, if at all, by OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS or MKL_NUM_THREADS set before launch.
@@ -14,28 +13,22 @@ OPENBLAS_NUM_THREADS or MKL_NUM_THREADS set before launch.
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import csv
 import ctypes
 import json
-import math
 import os
 import sys
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import discrete, model, shoot, spectra
 from .errors import (
     ConfigError,
-    IllConditionedS,
     QTobogganError,
     SchemaMismatch,
-    SelfOrthogonalMode,
-    StepTooCoarseWarning,
     UnverifiedMode,
     require_int,
     require_keys,
@@ -51,12 +44,6 @@ _SHOOT_KEYS = {f.name for f in fields(shoot.ShootConfig)} | {"guesses", "scan"}
 _SCAN_KEYS = {"start", "stop", "count"}
 _COMMANDS = ("spectrum", "metric", "shoot", "compare", "validate")
 _DIAG_SCHEMA = ("quasiH", "quasiW", "hermiticity", "min_eig", "cond_S", "cond_Theta")
-# validate's refinement-order grids: uniform steps per half-path, halving the
-# step twice; the coarsest passes the phase gate on configs/harmonic_line.json
-_REFINEMENT_STEPS = (1900, 3800, 7600)
-# validate's kappa_homogeneity scale: complex, so kappa in place of conj(kappa)
-# fails, and not a power of two, whose scaling is exact in floating point
-_HOMOGENEITY_SCALE = cmath.rect(1.5, 0.7)
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "filter_im": 1e-6,
@@ -308,14 +295,19 @@ def _passes(value: float, limit: float, larger_ok: bool) -> bool:
     return value > limit if larger_ok else value <= limit
 
 
-def _metric_gates(tol: Dict[str, float]) -> List[Tuple[str, str, float, bool]]:
-    """(check name, diagnostics key, limit, larger_ok) for each limit a metric must meet."""
-    return [
-        ("quasiH", "quasiH", tol["quasi_hermiticity"], False),
-        ("quasiW", "quasiW", tol["quasi_hermiticity"], False),
-        ("theta_hermiticity", "hermiticity", tol["theta_hermiticity"], False),
-        ("theta_min_eig", "min_eig", 0.0, True),
-    ]
+# (check name, diagnostics key, limit: a tolerances key or a fixed number,
+# larger_ok) for each limit a metric must meet
+_METRIC_GATES = (
+    ("quasiH", "quasiH", "quasi_hermiticity", False),
+    ("quasiW", "quasiW", "quasi_hermiticity", False),
+    ("theta_hermiticity", "hermiticity", "theta_hermiticity", False),
+    ("theta_min_eig", "min_eig", 0.0, True),
+)
+
+
+def _limit(tol: Dict[str, float], limit: Union[str, float]) -> float:
+    """A limit given as a tolerances key, or as a fixed number."""
+    return tol[limit] if isinstance(limit, str) else limit
 
 
 def _cmd_metric(config: RunConfig, out_dir: str) -> int:
@@ -332,8 +324,8 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     _json_dump(result.diagnostics, os.path.join(out_dir, "diagnostics.json"))
     sys.stdout.write(report_render(result.diagnostics))
     failed = []
-    for _, key, limit, larger_ok in _metric_gates(config.tolerances):
-        value = result.diagnostics[key]
+    for _, key, limit, larger_ok in _METRIC_GATES:
+        limit, value = _limit(config.tolerances, limit), result.diagnostics[key]
         if not _passes(value, limit, larger_ok):
             failed.append(f"{key} {value:.3e} {'<=' if larger_ok else '>'} {limit:.1e}")
     if failed:
@@ -476,154 +468,11 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
     return code
 
 
-def _validate_checks(config: RunConfig, check: Callable[[str, float, float, bool], None]) -> None:
-    """Report each check of the problem's class, in order, to check(name, value, limit, larger_ok).
-
-    A check whose input cannot be built fails: with inf, or with 0.0 for the
-    refinement order, which must exceed its limit.  The reason goes to stderr.
-    """
-    from . import metric  # loads scipy.linalg, which compare and shoot never load
-
-    tol = config.tolerances
-    rng = np.random.default_rng(config.seed)
-    es, es_raw = _grid_eigensystem(config, keep_raw=True)
-    # The complete mode set (no reality filter) feeds the resolution-of-identity
-    # checks, which fail when a defective pair leaves it unnormalizable.
-    try:
-        es_all = spectra.normalize_biorthogonal(es_raw, sigma_tol=tol["sigma_floor"])
-    except SelfOrthogonalMode as exc:
-        sys.stderr.write(f"validate: the full mode set cannot be normalized: {exc}\n")
-        es_all = None
-
-    if config.model.pt_flag:
-        check("pt_residual", discrete.pt_residual(es.pair), tol["pt"], False)
-    residual = max(es.residual_right.max(), es.residual_left.max())
-    check("max_mode_residual", residual, tol["residual"], False)
-    check("gram_offdiag", es.max_offdiag_gram(), tol["gram"], False)
-
-    # kappa invariance of spectrum-level quantities: the retained set's kappa
-    # is drawn first, and the full set's only when there is a full set
-    kappa = rng.uniform(0.5, 2.0, es.m) * np.exp(1j * rng.uniform(0, 2 * np.pi, es.m))
-    completeness = rebuild = drift = math.inf
-    if es_all is not None:
-        completeness = spectra.completeness_residual(es_all)
-        rebuild = spectra.spectral_rebuild_residual(es_all)
-        kappa_all = rng.uniform(0.5, 2.0, es_all.m) * np.exp(
-            1j * rng.uniform(0, 2 * np.pi, es_all.m)
-        )
-        drift = abs(
-            spectra.spectral_rebuild_residual(spectra.apply_kappa(es_all, kappa_all)) - rebuild
-        )
-    check("completeness", completeness, tol["completeness"], False)
-    check("rebuild", rebuild, tol["rebuild"], False)
-    es_k = spectra.apply_kappa(es, kappa)
-    gram, gram_k = es.gram, es_k.left.conj().T @ (es.pair.w_diag[:, np.newaxis] * es_k.right)
-    # Rescaling moves each gram entry by exactly kappa_i / kappa_j.  Undoing
-    # that on gram_k, rather than dressing the Gram with it, cancels solver noise
-    # in the off-diagonals without amplifying rounding by |kappa_i / kappa_j|.
-    undressed = gram_k * (kappa[np.newaxis, :] / kappa[:, np.newaxis])
-    gram_drift = float(np.abs(undressed - gram).max())
-    del gram
-    check("kappa_gram_drift", gram_drift, tol["kappa_invariance"], False)
-    check("kappa_rebuild_drift", drift, tol["kappa_invariance"], False)
-
-    result = metric.build_metric(es)
-    ms = float(np.linalg.norm(result.M @ result.S - np.eye(es.m)) / np.linalg.norm(np.eye(es.m)))
-    check("ms_identity", ms, tol["ms_identity"], False)
-    theta = result.Theta  # each read builds it anew: read once for the three checks
-    delta = metric.delta_identity_residual(es, theta)
-    check("delta_identity", delta, tol["delta_identity"], False)
-    for name, key, limit, larger_ok in _metric_gates(tol):
-        check(name, result.diagnostics[key], limit, larger_ok)
-
-    # uniform-kappa homogeneity: Theta[c kappa] = |c|^2 Theta[kappa]
-    c = _HOMOGENEITY_SCALE
-    theta_c = metric.build_metric(es, kappa=c * result.kappa_used).Theta
-    hom = float(np.linalg.norm(theta_c - abs(c) ** 2 * theta) / np.linalg.norm(theta))
-    del theta_c
-    check("kappa_homogeneity", hom, tol["kappa_invariance"], False)
-
-    if config.contour.winding == 0:  # the one place the full-set metric is read
-        ratio = dd = math.inf
-        try:  # build_metric alone raises IllConditionedS
-            if es_all is not None:
-                result_full = metric.build_metric(es_all)
-                off = result_full.S - np.diag(np.diag(result_full.S))
-                ratio = float(np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(result_full.S))))
-                theta_full = result_full.Theta
-                del result_full
-                single = metric.single_series_theta(es_all)
-                dd = float(np.linalg.norm(theta_full - single) / np.linalg.norm(single))
-        except IllConditionedS as exc:
-            sys.stderr.write(f"validate: the full-set metric is ill-conditioned: {exc}\n")
-        check("degeneration_S_offdiag", ratio, tol["w_identity_offdiag"], False)
-        check("degeneration_theta", dd, tol["degeneration"], False)
-
-    similarity = metric.theta_eigenvector_residual(es, theta)
-    check("theta_similarity_spectrum", similarity, tol["quasi_hermiticity"], False)
-
-    if config.shoot_cfg is None or not config.guesses:
-        return
-    roots1 = _shoot_roots(config)
-    contour2 = replace(config.contour, epsilon=2.0 * config.contour.epsilon)
-    roots2 = _shoot_roots(replace(config, contour=contour2))
-    # each root against its nearest partner at the doubled shift; a root
-    # without one is a mode that only one of the two contours finds
-    partner = _pair_guesses(roots1, roots2)
-    lonely = [r for i, r in enumerate(roots1) if i not in partner]
-    lonely += [r for j, r in enumerate(roots2) if j not in partner.values()]
-    guesses = np.asarray(config.guesses, dtype=complex)
-    for root in lonely:
-        g = guesses[np.argmin(np.abs(guesses - root))]
-        sys.stderr.write(
-            f"validate: guess {g:g} converged to {root:g} at only one of the "
-            "shifts epsilon, 2*epsilon\n"
-        )
-    rel = math.inf
-    if partner and not lonely:
-        i, j = np.array(list(partner)), np.array(list(partner.values()))
-        rel = float(np.max(np.abs(roots1[i] - roots2[j]) / np.maximum(1.0, np.abs(roots1[i]))))
-    check("shoot_epsilon_independence", rel, tol["epsilon_independence"], False)
-
-    # refinement order: RK4's error in y'/y of the right half-path at a
-    # fixed energy falls ~16x per halving of a uniform step; the grids
-    # must pass the integrator's own phase gate, else no order is certified
-    seq = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", StepTooCoarseWarning)
-        try:
-            for steps in _REFINEMENT_STEPS:
-                cfg_u = replace(config.shoot_cfg, steps=steps, phase_resolution=None)
-                y, dy = shoot.integrate_halfpath(
-                    config.model, config.guesses[0], "right", cfg_u, config.contour
-                )
-                seq.append(dy / y)
-        except StepTooCoarseWarning as exc:
-            sys.stderr.write(f"validate: {steps}-step refinement grid too coarse: {exc}\n")
-    ratio = 0.0
-    if len(seq) == len(_REFINEMENT_STEPS):
-        ratio = abs(seq[0] - seq[1]) / max(abs(seq[1] - seq[2]), 1e-300)
-    check("shoot_refinement_order", ratio, 6.0, True)
-
-
 def _cmd_validate(config: RunConfig, out_dir: str) -> int:
-    """Run the module invariant suite on the configured problem; a failure stops nothing."""
+    from . import validate  # loads scipy.linalg, which compare and shoot never load
+
     _require_grid(config)
-    checks: List[Dict[str, Any]] = []
-
-    def check(name: str, value: float, limit: float, larger_ok: bool) -> None:
-        ok = _passes(value, limit, larger_ok)
-        checks.append(
-            {"name": name, "value": float(value), "limit": float(limit), "pass": bool(ok)}
-        )
-        word = "PASS" if ok else "FAIL"
-        cmp = ">" if larger_ok else "<="
-        sys.stdout.write(f"{word} {name}: {value:.6e} {cmp} {limit:.6e}\n")
-
-    _validate_checks(config, check)
-    passed = all(item["pass"] for item in checks)
-    _json_dump({"checks": checks, "passed": passed}, os.path.join(out_dir, "validate.json"))
-    return 0 if passed else 2
+    return validate.run(config, out_dir)
 
 
 def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str] = None) -> int:

@@ -539,13 +539,16 @@ def test_compare_mode_failing_its_residual_gate_exits_5(tmp_path, capsys, overri
 
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
 def test_validate_command(tmp_path):
+    # no shoot section: both shoot_* checks are recorded as not applicable
     path = write_config(tmp_path, base_config(command="validate"))
     out = tmp_path / "v"
     assert cli.main(["--config", path, "--out", str(out)]) == 0
     payload = json.loads((out / "validate.json").read_text())
     assert payload["passed"] is True
-    assert all(item["pass"] for item in payload["checks"])
-    assert len(payload["checks"]) >= 15
+    assert [item["name"] for item in payload["checks"]] == list(VALIDATE_CHECKS)
+    assert not_applicable(payload["checks"]) == ["shoot_epsilon_independence",
+                                                 "shoot_refinement_order"]
+    assert all(item["pass"] for item in payload["checks"] if "not_applicable" not in item)
 
 
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
@@ -554,9 +557,10 @@ def test_validate_fails_a_root_found_at_one_shift_only(tmp_path, monkeypatch, ca
 
     from qtoboggan import shoot
 
-    # the mode near 5 converges at epsilon = 0.5 but not at 2*epsilon
+    # the mode near 5 converges at epsilon = 0.5 but not at 2*epsilon, and the
+    # one near 3 lands 30 away there, yet is the nearest partner of 3
     def roots(model, contour, cfg, search):
-        found = [1.0, 3.0, 5.0] if contour.epsilon == 0.5 else [1.0, 3.0]
+        found = [1.0, 3.0, 5.0] if contour.epsilon == 0.5 else [1.0, -27.0]
         return np.array(found, dtype=complex)
 
     monkeypatch.setattr(shoot, "find_eigenvalues", roots)
@@ -564,9 +568,13 @@ def test_validate_fails_a_root_found_at_one_shift_only(tmp_path, monkeypatch, ca
     out = tmp_path / "v"
     assert cli.main(["--config", path, "--out", str(out), "--command", "validate"]) == 2
     payload = json.loads((out / "validate.json").read_text())
-    checks = {item["name"]: item["pass"] for item in payload["checks"]}
-    assert checks["shoot_epsilon_independence"] is False
-    assert "guess 5.2" in capsys.readouterr().err
+    checks = {item["name"]: item for item in payload["checks"]}
+    assert checks["shoot_epsilon_independence"]["pass"] is False
+    assert checks["shoot_epsilon_independence"]["value"] == float("inf")
+    err = capsys.readouterr().err
+    assert "guess 5.2" in err
+    assert "root 3+0j at epsilon has its nearest partner -27+0j at 2*epsilon" in err
+    assert "root 1+0j" not in err
 
 
 # validate's checks in order: name -> (tolerance key, or a fixed limit; comparison)
@@ -628,7 +636,64 @@ def test_validate_lists_its_checks_in_order_with_their_limits(tmp_path, capsys):
 
 def failing(entries):
     """The names of the checks that failed, in order."""
-    return [item["name"] for item in entries if not item["pass"]]
+    return [item["name"] for item in entries if item["pass"] is False]
+
+
+def not_applicable(entries):
+    """The names of the checks recorded as not applicable, in order."""
+    return [item["name"] for item in entries if "not_applicable" in item]
+
+
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
+@pytest.mark.parametrize(
+    "model, overrides, failed, unmet",
+    [
+        # a real odd coefficient breaks PT balance; the spectrum stays real
+        ({"coeffs": [[2, 1.0, 0.0], [1, 0.3, 0.0]]}, [], [],
+         {"pt_residual": "needs PT balance; the model is not PT-symmetric"}),
+        ({"coeffs": [[2, 1.0, 0.0], [1, 0.3, 0.0]]}, ["tolerances.gram=1e-30"], ["gram_offdiag"],
+         {"pt_residual": "needs PT balance; the model is not PT-symmetric"}),
+        # the winding-1 cubic at a small n; which of its checks fail is not pinned here
+        ({"coeffs": [[3, 0.0, 1.0]], "winding": 1, "epsilon": 0.15},
+         ["grid.half_width=2.2", "grid.n=120"], None,
+         {name: "needs winding 0; the winding is 1"
+          for name in ("degeneration_S_offdiag", "degeneration_theta")}),
+    ],
+    ids=["no_pt_balance", "no_pt_balance_failing", "winding_1"],
+)
+def test_validate_records_an_unmet_need_as_not_applicable(
+    tmp_path, capsys, model, overrides, failed, unmet
+):
+    cfg = base_config(command="validate")
+    cfg["model"].update(model)
+    out = tmp_path / "v"
+    argv = ["--config", write_config(tmp_path, cfg), "--out", str(out)]
+    for spec in overrides:
+        argv += ["--override", spec]
+    code = cli.main(argv)
+    payload = json.loads((out / "validate.json").read_text())
+    entries = payload["checks"]
+    assert [item["name"] for item in entries] == list(VALIDATE_CHECKS)
+    # without shoot.guesses neither shoot_* check applies
+    unmet = dict(unmet, **{name: "needs shooting guesses; the config has no shoot.guesses"
+                           for name in ("shoot_epsilon_independence", "shoot_refinement_order")})
+    tol = cli.load_config(argv[1], overrides=overrides).tolerances
+    for item in entries:
+        key = VALIDATE_CHECKS[item["name"]][0]
+        assert item["limit"] == (tol[key] if isinstance(key, str) else key)
+        if item["name"] in unmet:
+            assert item == {"name": item["name"], "value": None, "limit": item["limit"],
+                            "pass": None, "not_applicable": unmet[item["name"]]}
+    assert not_applicable(entries) == [name for name in VALIDATE_CHECKS if name in unmet]
+    if failed is not None:
+        assert failing(entries) == failed
+    # an unmet need is neither a pass nor a failure: only a failed check fails the run
+    assert payload["passed"] is (not failing(entries))
+    assert code == (0 if payload["passed"] else 2)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("N/A ")] == [
+        f"N/A {name}: {unmet[name]}" for name in VALIDATE_CHECKS if name in unmet
+    ]
 
 
 def test_validate_runs_on_past_a_failure(tmp_path, capsys):
@@ -700,9 +765,11 @@ def test_validate_reports_an_ill_conditioned_full_set_metric(tmp_path, capsys, m
 
 
 def test_validate_fails_refinement_order_on_too_coarse_grids(tmp_path, capsys, monkeypatch):
+    from qtoboggan import validate
+
     # 100 steps per half-path do not pass the integrator's phase gate on the
     # harmonic line, so no order is certified
-    monkeypatch.setattr(cli, "_REFINEMENT_STEPS", (100, 200, 400))
+    monkeypatch.setattr(validate, "_REFINEMENT_STEPS", (100, 200, 400))
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
     out = tmp_path / "v"
     with pytest.warns(IncompleteBasisWarning):
@@ -939,6 +1006,38 @@ def test_compare_and_shoot_load_no_numpy_random(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[(0, False), (0, False)]"
+
+
+UNLOADED_PROBE = """
+import sys
+from qtoboggan import cli
+loaded = []
+for command in ("compare", "shoot", "spectrum", "metric"):
+    code = cli.main(["--config", sys.argv[1], "--command", command,
+                     "--out", f"{sys.argv[2]}/{command}"])
+    loaded.append((command, code, [m for m in ("qtoboggan.metric", "qtoboggan.validate")
+                                   if m in sys.modules]))
+print(loaded)
+"""
+
+
+def test_commands_other_than_validate_leave_its_module_unloaded(tmp_path):
+    # validate's table imports the metric layer; compare and shoot never need it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    config = os.path.join(root, "configs", "harmonic_line.json")
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", UNLOADED_PROBE, config, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([
+        ("compare", 0, []), ("shoot", 0, []), ("spectrum", 0, []),
+        ("metric", 0, ["qtoboggan.metric"]),
+    ])
 
 
 BRANCH_PROBE = """
