@@ -4,7 +4,8 @@ Commands: spectrum, metric, shoot, compare, validate.  Exit codes: 0 success,
 2 validation failure, 3 solver error, 4 config error, 5 a compared grid mode
 failed its residual or reality gate.
 
-validate's checks are the table in qtoboggan.validate.
+The metric's gates are in qtoboggan.metric, and validate's checks are the table
+in qtoboggan.validate, handed its eigensystems here.  No module imports this one.
 
 The BLAS thread count is capped, if at all, by OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS or MKL_NUM_THREADS set before launch.
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -290,30 +291,10 @@ def _cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _passes(value: float, limit: float, larger_ok: bool) -> bool:
-    """A value passes when it is at most its limit, or above it when `larger_ok`."""
-    return value > limit if larger_ok else value <= limit
-
-
-# (check name, diagnostics key, limit: a tolerances key or a fixed number,
-# larger_ok) for each limit a metric must meet
-_METRIC_GATES = (
-    ("quasiH", "quasiH", "quasi_hermiticity", False),
-    ("quasiW", "quasiW", "quasi_hermiticity", False),
-    ("theta_hermiticity", "hermiticity", "theta_hermiticity", False),
-    ("theta_min_eig", "min_eig", 0.0, True),
-)
-
-
-def _limit(tol: Dict[str, float], limit: Union[str, float]) -> float:
-    """A limit given as a tolerances key, or as a fixed number."""
-    return tol[limit] if isinstance(limit, str) else limit
-
-
 def _cmd_metric(config: RunConfig, out_dir: str) -> int:
+    _require_grid(config)
     from . import metric  # loads scipy.linalg, which compare and shoot never load
 
-    _require_grid(config)
     # no reference to the eigensystem is kept here, so build_metric frees its
     # vectors once read (Python >= 3.11 keeps no call's arguments on this stack)
     result = metric.build_metric(_write_spectrum_artifacts(out_dir, _grid_eigensystem(config)[0]))
@@ -324,9 +305,9 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
     _json_dump(result.diagnostics, os.path.join(out_dir, "diagnostics.json"))
     sys.stdout.write(report_render(result.diagnostics))
     failed = []
-    for _, key, limit, larger_ok in _METRIC_GATES:
-        limit, value = _limit(config.tolerances, limit), result.diagnostics[key]
-        if not _passes(value, limit, larger_ok):
+    for _, key, limit, larger_ok in metric.GATES:
+        limit, value = metric.gate_limit(config.tolerances, limit), result.diagnostics[key]
+        if not metric.passes(value, limit, larger_ok):
             failed.append(f"{key} {value:.3e} {'<=' if larger_ok else '>'} {limit:.1e}")
     if failed:
         sys.stderr.write(f"metric: diagnostics fail their limits: {', '.join(failed)}\n")
@@ -359,17 +340,6 @@ def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _pair_guesses(guesses, roots) -> Dict[int, int]:
-    """One root per guess, nearest pairs first: {guess index: root index}."""
-    dist = np.abs(guesses[:, np.newaxis] - roots[np.newaxis, :])
-    pairs: Dict[int, int] = {}
-    for flat in np.argsort(dist, axis=None, kind="stable"):
-        g, r = divmod(int(flat), len(roots))
-        if g not in pairs and r not in pairs.values():
-            pairs[g] = r
-    return pairs
-
-
 def _complex_json(z) -> List[float]:
     return [float(z.real), float(z.imag)]
 
@@ -400,7 +370,7 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
             raise UnverifiedMode(f"grid mode {lam} nearest root {root} is not real")
 
     guesses = np.asarray(config.guesses, dtype=complex)
-    root_of = _pair_guesses(guesses, roots)
+    root_of = shoot.pair_nearest(guesses, roots)
     unmatched = []
     claimed: List[int] = []  # roots holding a grid mode, nearest first
     for g in sorted(root_of, key=lambda g: abs(roots[root_of[g]] - lams[root_of[g]])):
@@ -469,10 +439,13 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_validate(config: RunConfig, out_dir: str) -> int:
+    _require_grid(config)
     from . import validate  # loads scipy.linalg, which compare and shoot never load
 
-    _require_grid(config)
-    return validate.run(config, out_dir)
+    records = validate.run(config, *_grid_eigensystem(config, keep_raw=True))
+    passed = all(item["pass"] is not False for item in records)
+    _json_dump({"checks": records, "passed": passed}, os.path.join(out_dir, "validate.json"))
+    return 0 if passed else 2
 
 
 def run(config: RunConfig, command: Optional[str] = None, out_dir: Optional[str] = None) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -55,6 +55,25 @@ __all__ = [
 COND_S_THRESHOLD = 1e12
 # physical_operators raises NonPositiveTheta above this Hermiticity residual
 HERMITICITY_TOL = 1e-6
+# (check name, diagnostics key, limit: a tolerances key or a fixed number,
+# larger_ok) for each limit a metric must meet, in the metric and validate
+# commands; out of __all__, whose functions perfbench's tracer wraps as layers
+GATES = (
+    ("quasiH", "quasiH", "quasi_hermiticity", False),
+    ("quasiW", "quasiW", "quasi_hermiticity", False),
+    ("theta_hermiticity", "hermiticity", "theta_hermiticity", False),
+    ("theta_min_eig", "min_eig", 0.0, True),
+)
+
+
+def gate_limit(tol: Dict[str, float], limit: Union[str, float]) -> float:
+    """A limit given as a tolerances key, or as a fixed number."""
+    return tol[limit] if isinstance(limit, str) else limit
+
+
+def passes(value: float, limit: float, larger_ok: bool) -> bool:
+    """A value passes when it is at most its limit, or above it when `larger_ok`."""
+    return value > limit if larger_ok else value <= limit
 
 
 @dataclass(frozen=True, eq=False)

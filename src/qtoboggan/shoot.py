@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -414,6 +414,17 @@ def find_eigenvalues(
             message = f"guesses {named} converged to one root; kept once as {root:g}"
             warnings.warn(message, MergedRootWarning, stacklevel=2)
     return np.array([root for root, _, _ in kept], dtype=complex)
+
+
+def pair_nearest(a: np.ndarray, b: np.ndarray) -> Dict[int, int]:
+    """One entry of b per entry of a, nearest pairs first: {index in a: index in b}."""
+    dist = np.abs(a[:, np.newaxis] - b[np.newaxis, :])
+    pairs: Dict[int, int] = {}
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), len(b))
+        if i not in pairs and j not in pairs.values():
+            pairs[i] = j
+    return pairs
 
 
 def scan_mismatch(

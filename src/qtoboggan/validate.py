@@ -1,5 +1,6 @@
 """The `validate` command: every identity of one run, as one table of checks.
 
+run is handed the run's grid eigensystems and returns a record of each check.
 A check whose need its problem lacks is recorded as not_applicable, with the
 reason, and neither passes nor fails.  One whose input cannot be built fails
 with inf (0.0 when it must exceed its limit), and the reason goes to stderr once.
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -18,8 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from . import discrete, metric, shoot, spectra
-from .cli import (_METRIC_GATES, RunConfig, _grid_eigensystem, _json_dump, _limit, _pair_guesses,
-                  _passes, _shoot_roots)
 from .errors import IllConditionedS, SelfOrthogonalMode, StepTooCoarseWarning
 
 # the refinement-order grids: uniform steps per half-path, halving the step
@@ -42,12 +40,12 @@ class Unbuildable(Exception):
 
 
 class Inputs:
-    """What the checks read: the retained mode set, and the rest built on first read."""
+    """What the checks read: the mode sets handed in, and the rest built on first read."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config, es, es_raw):
         self.config, self.tol = config, config.tolerances
         self.rng = np.random.default_rng(config.seed)
-        self.es, self.es_raw = _grid_eigensystem(config, keep_raw=True)
+        self.es, self.es_raw = es, es_raw
 
     def draw_kappa(self, m: int) -> np.ndarray:
         return self.rng.uniform(0.5, 2.0, m) * np.exp(1j * self.rng.uniform(0, 2 * np.pi, m))
@@ -80,8 +78,9 @@ class Inputs:
 
     @cached_property
     def roots(self):  # the shooting roots at epsilon and at 2 epsilon
-        twice = replace(self.config.contour, epsilon=2.0 * self.config.contour.epsilon)
-        return _shoot_roots(self.config), _shoot_roots(replace(self.config, contour=twice))
+        c, eps = self.config, self.config.contour.epsilon
+        return [shoot.find_eigenvalues(c.model, contour, c.shoot_cfg, search=c.guesses)
+                for contour in (c.contour, replace(c.contour, epsilon=2.0 * eps))]
 
     @cached_property
     def refinement(self):  # y'/y of the right half-path at the first guess on each grid
@@ -122,7 +121,7 @@ def _epsilon_independence(i: Inputs) -> float:
     # each root against its nearest partner at 2 epsilon; a root without one
     # reads inf, and it and each partner farther than the limit are named
     roots1, roots2 = i.roots
-    partner = _pair_guesses(roots1, roots2)
+    partner = shoot.pair_nearest(roots1, roots2)
     lonely = [r for k, r in enumerate(roots1) if k not in partner]
     lonely += [r for k, r in enumerate(roots2) if k not in partner.values()]
     guesses = np.asarray(i.config.guesses, dtype=complex)
@@ -163,7 +162,7 @@ CHECKS = (
     ("delta_identity", "delta_identity", False, None,
      lambda i: metric.delta_identity_residual(i.es, i.theta)),
     *((name, limit, larger_ok, None, lambda i, key=key: i.result.diagnostics[key])
-      for name, key, limit, larger_ok in _METRIC_GATES),
+      for name, key, limit, larger_ok in metric.GATES),
     ("kappa_homogeneity", "kappa_invariance", False, None, _kappa_homogeneity),
     ("degeneration_S_offdiag", "w_identity_offdiag", False, "winding 0",
      lambda i: _distance(i.full_result.S, np.diag(np.diag(i.full_result.S)))),
@@ -177,11 +176,11 @@ CHECKS = (
 )
 
 
-def run(config: RunConfig, out_dir: str) -> int:
-    """Print and record each check of CHECKS; exit code 2 when an applicable one fails."""
-    inputs, records, told = Inputs(config), [], set()
+def run(config, es: spectra.Eigensystem, es_raw: spectra.Eigensystem) -> list:
+    """Print and return a record of each check of CHECKS on `es` and its raw solve `es_raw`."""
+    inputs, records, told = Inputs(config, es, es_raw), [], set()
     for name, limit, larger_ok, need, measure in CHECKS:
-        record = {"name": name, "value": None, "limit": float(_limit(config.tolerances, limit))}
+        record = {"name": name, "value": None, "limit": float(metric.gate_limit(inputs.tol, limit))}
         unmet = need and NEEDS[need](config)
         if unmet:
             record.update({"pass": None, "not_applicable": f"needs {need}; {unmet}"})
@@ -194,11 +193,9 @@ def run(config: RunConfig, out_dir: str) -> int:
                 if str(exc) not in told:
                     told.add(str(exc))
                     sys.stderr.write(f"validate: {exc}\n")
-            ok = _passes(value, record["limit"], larger_ok)
+            ok = metric.passes(value, record["limit"], larger_ok)
             record.update({"value": float(value), "pass": bool(ok)})
             sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {value:.6e} "
                              f"{'>' if larger_ok else '<='} {record['limit']:.6e}\n")
         records.append(record)
-    passed = all(item["pass"] is not False for item in records)
-    _json_dump({"checks": records, "passed": passed}, os.path.join(out_dir, "validate.json"))
-    return 0 if passed else 2
+    return records

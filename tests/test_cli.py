@@ -37,6 +37,19 @@ def write_config(tmp_path, cfg, name="run.json"):
     return str(path)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_python(*args, **env):
+    """Run `python -W ignore *args` on this checkout's package; returns the process."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-W", "ignore", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 # ---------------------------------------------------------------------------
 # schema
 
@@ -884,17 +897,11 @@ def test_frame_route_commands_build_no_kets(tmp_path, monkeypatch):
 def test_kappa_gram_check_passes_at_a_draw_the_dressed_comparison_failed(tmp_path):
     # seed 12 draws the kappa that read 1.0147e-12 against the 1e-12 limit when
     # es.gram was dressed by kappa_i / kappa_j; one BLAS thread fixes the rounding
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
     out = tmp_path / "v"
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-m", "qtoboggan.cli",
-         "--config", os.path.join(root, "configs", "harmonic_line.json"),
-         "--command", "validate", "--override", "seed=12", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+    proc = run_python(
+        "-m", "qtoboggan.cli", "--config", os.path.join(ROOT, "configs", "harmonic_line.json"),
+        "--command", "validate", "--override", "seed=12", "--out", str(out),
+        OPENBLAS_NUM_THREADS="1",
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     checks = json.loads((out / "validate.json").read_text())["checks"]
@@ -937,16 +944,8 @@ print(codes, [m for m in heavy if m in sys.modules])
 def test_compare_and_metric_load_no_scipy_beyond_linalg(tmp_path):
     # each of these subpackages adds import time to every CLI process; the
     # shipped config runs at n=400
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    config = os.path.join(root, "configs", "harmonic_line.json")
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, config, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    config = os.path.join(ROOT, "configs", "harmonic_line.json")
+    proc = run_python("-c", IMPORT_PROBE, config, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
@@ -963,16 +962,8 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
 def test_compare_and_shoot_load_no_scipy(tmp_path):
     # the grid route of compare is inverse iteration on the bands and the
     # spiral route is numpy shooting, so neither needs scipy at all
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    config = os.path.join(root, "configs", "harmonic_line.json")
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", NO_SCIPY_PROBE, config, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    config = os.path.join(ROOT, "configs", "harmonic_line.json")
+    proc = run_python("-c", NO_SCIPY_PROBE, config, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
@@ -995,15 +986,7 @@ print(loaded)
 
 def test_compare_and_shoot_load_no_numpy_random(tmp_path):
     # numpy.random adds ~5 MB to the resident set of a process that draws nothing
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", NO_NUMPY_RANDOM_PROBE, root, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python("-c", NO_NUMPY_RANDOM_PROBE, ROOT, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[(0, False), (0, False)]"
 
@@ -1023,21 +1006,46 @@ print(loaded)
 
 def test_commands_other_than_validate_leave_its_module_unloaded(tmp_path):
     # validate's table imports the metric layer; compare and shoot never need it
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    config = os.path.join(root, "configs", "harmonic_line.json")
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", UNLOADED_PROBE, config, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    config = os.path.join(ROOT, "configs", "harmonic_line.json")
+    proc = run_python("-c", UNLOADED_PROBE, config, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str([
         ("compare", 0, []), ("shoot", 0, []), ("spectrum", 0, []),
         ("metric", 0, ["qtoboggan.metric"]),
     ])
+
+
+def test_validate_from_the_command_line_runs_cli_once(tmp_path):
+    # `-m qtoboggan.cli` runs cli.py as __main__, so any module importing
+    # qtoboggan.cli would compile and run it a second time
+    proc = run_python(
+        "-X", "importtime", "-m", "qtoboggan.cli",
+        "--config", os.path.join(ROOT, "configs", "harmonic_line.json"),
+        "--command", "validate", "--override", "grid.n=150", "--out", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "qtoboggan.validate" in imported
+    assert "qtoboggan.cli" not in imported
+
+
+GRIDLESS_PROBE = """
+import sys
+from qtoboggan import cli
+codes = [cli.main(["--config", sys.argv[1], "--command", c, "--out", sys.argv[2]])
+         for c in ("metric", "validate")]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_metric_and_validate_without_a_grid_exit_4_before_loading_scipy(tmp_path):
+    cfg = base_config()
+    del cfg["grid"]
+    proc = run_python("-c", GRIDLESS_PROBE, write_config(tmp_path, cfg), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[4, 4] []"
+    assert proc.stderr.count("needs a 'grid' section") == 2
 
 
 BRANCH_PROBE = """
@@ -1052,16 +1060,8 @@ print(code, delta, sorted(m for m in sys.modules if m == "scipy" or m.startswith
 def test_compare_on_the_branch_vehicle_meets_the_spiral(tmp_path):
     # ell = 0.3 at winding 1 (L = 1.9): the grid matches spiral shooting only
     # with the branch phase the spiral fixes; dropping it read 1.1e-2
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    config = os.path.join(root, "configs", "toboggan_branch.json")
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", BRANCH_PROBE, config, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    config = os.path.join(ROOT, "configs", "toboggan_branch.json")
+    proc = run_python("-c", BRANCH_PROBE, config, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     code, delta, loaded = proc.stdout.splitlines()[-1].split(" ", 2)
     assert (code, loaded) == ("0", "[]")
@@ -1070,9 +1070,8 @@ def test_compare_on_the_branch_vehicle_meets_the_spiral(tmp_path):
 
 def test_shoot_past_the_node_budget_exits_4(tmp_path, capsys):
     # winding 3 would need 10,671,752,298 nodes (79.5 GiB) per half-path
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = cli.main(
-        ["--config", os.path.join(root, "configs", "cubic_winding1.json"), "--command", "shoot",
+        ["--config", os.path.join(ROOT, "configs", "cubic_winding1.json"), "--command", "shoot",
          "--override", "model.winding=3", "--out", str(tmp_path)]
     )
     assert code == 4
