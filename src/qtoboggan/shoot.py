@@ -10,11 +10,12 @@ the contour.  Eigenvalues are the roots of the Wronskian mismatch of the two
 half-path solutions.
 
 The system is linear in (y1, y2), so each classical RK4 step is a 2x2 matrix.
-For a batch of energies all step matrices are built in one vectorized pass
-(the RK4 stages applied to the basis vectors), and their ordered product is
-reduced by pairwise tree multiplication, each partial product rescaled by its
-largest entry.  The mismatch is invariant under a positive scale of either
-half-path solution, so the rescaling changes nothing it reads.
+For a batch of energies the step matrices are built by the RK4 stages applied
+to the basis vectors, vectorized over blocks of `_BLOCK` steps, and their
+ordered product is reduced by pairwise tree multiplication, each partial
+product rescaled by its largest entry.  The mismatch is invariant under a
+positive scale of either half-path solution, so the rescaling changes nothing
+it reads.
 
 Truncation is chosen on a WKB growth estimate: the branch-continuous local
 rate Re(w z') with w = sqrt(U - E_ref) is integrated outward, and the end is
@@ -28,6 +29,8 @@ The turning angle, the truncation and the node density are all read off one
 angle profile per half-path: 6,001 uniform points up to the knee at
 |gamma| = 1.2 and 24,001 geometric ones from there to the cap.  The profile
 only places nodes; the integration runs on the 2,400-5,700 nodes it places.
+It is evaluated in blocks of `_BLOCK` points, with the square root's branch
+carried from one block to the next.
 On the harmonic line, the winding-1 cubic and the spiked oscillator, a
 profile ten times denser moves no root by more than 3e-11 relative.
 """
@@ -55,8 +58,12 @@ __all__ = [
 ]
 
 _GAMMA_CAP = np.pi / 2 - 0.015  # hard angle cap short of the coordinate singularity
-# energies per block of step matrices: bounds the temporaries (~20 MB at 5,700 steps)
+# energies per block of step matrices: with the step blocks, one batch of 8
+# energies traces 2.0x its step-matrix array (5.5 MiB at 5,655 steps)
 _ENERGY_BLOCK = 8
+# steps, or profile points, per block of the vectorized kernels: every entry is
+# elementwise in its block, so the block edges change no bits
+_BLOCK = 512
 # points of the angle profile per half-path: uniform up to the knee, then
 # geometric toward the cap (see the module docstring)
 _PROFILE_KNEE = 1.2
@@ -114,13 +121,19 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=acc.dtype), acc))
 
 
-def _continuous_sqrt(vals: np.ndarray) -> np.ndarray:
-    """Branch-tracked square root along a path (flips kept smaller than sums)."""
+def _continuous_sqrt(
+    vals: np.ndarray, carry: Tuple[Optional[complex], float]
+) -> Tuple[np.ndarray, Tuple[complex, float]]:
+    """Branch-tracked square root along a path (flips kept smaller than sums).
+
+    `carry` is (last raw root, running sign) of the path before `vals`, or
+    (None, 1.0) at its start; the carry past `vals` is returned with the roots.
+    """
     w = np.sqrt(vals)
-    flip = np.abs(np.diff(w)) > np.abs(w[1:] + w[:-1])
-    signs = np.ones(len(w))
-    signs[1:] = np.where(flip, -1.0, 1.0)
-    return w * np.cumprod(signs)
+    last, sign = carry
+    before = np.concatenate(([w[0] if last is None else last], w[:-1]))
+    signs = sign * np.cumprod(np.where(np.abs(w - before) > np.abs(w + before), -1.0, 1.0))
+    return w * signs, (w[-1], signs[-1])
 
 
 @dataclass(eq=False)
@@ -154,9 +167,16 @@ def _profile(
     head = np.linspace(1e-6, _PROFILE_KNEE, _PROFILE_HEAD)
     tail = np.pi / 2 - np.geomspace(np.pi / 2 - head[-1], np.pi / 2 - _GAMMA_CAP, _PROFILE_TAIL)
     t = np.concatenate([head, tail[1:]])
-    z, zdot, _ = spiral(sgn * t, contour.epsilon, contour.degree)
-    w = _continuous_sqrt(model.potential(z) - E_ref)
-    return t, w, zdot, np.real(w * zdot) * sgn
+    w = np.empty(len(t), dtype=complex)
+    zdot = np.empty_like(w)
+    rate = np.empty(len(t))
+    carry: Tuple[Optional[complex], float] = (None, 1.0)
+    for lo in range(0, len(t), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        z, zdot[blk], _ = spiral(sgn * t[blk], contour.epsilon, contour.degree)
+        w[blk], carry = _continuous_sqrt(model.potential(z) - E_ref, carry)
+        rate[blk] = np.real(w[blk] * zdot[blk]) * sgn
+    return t, w, zdot, rate
 
 
 def _truncation(t: np.ndarray, rate: np.ndarray, seed_ratio: float) -> Tuple[int, int]:
@@ -196,6 +216,11 @@ def _build_halfpath(
         else:
             mask = t <= t_end + 1e-12
             tm = t[mask]
+            if not len(tm):
+                raise ConfigError(
+                    f"gamma_max {t_end:g} lies below the first angle of the node profile, "
+                    f"{t[0]:g} (raise gamma_max, or set phase_resolution to null)"
+                )
             span = max(t_end, 1e-6)
             dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(
                 300.0, cfg.steps / span
@@ -228,34 +253,38 @@ def _build_halfpath(
 
 
 def _step_matrices(half: _HalfPath, E: np.ndarray) -> np.ndarray:
-    """RK4 step matrices M[:, :, b, i] (shape (2, 2, energies, steps)) in one pass.
+    """RK4 step matrices M[:, :, b, i] (shape (2, 2, energies, steps)).
 
     Each classical RK4 step of the linear system is applied to the basis
-    vectors e1 and e2 at once; the results are the matrix columns.
+    vectors e1 and e2 at once; the results are the matrix columns.  The steps
+    are taken `_BLOCK` at a time, which bounds the temporaries.
     """
-    h = half.dg
-    acc = half.acc  # stages A, M and B read the grid as [:-2:2], [1::2] and [2::2]
-    c = half.cc * (half.U - E[:, None])  # (z')^2 (U - E), once per grid point
-    cA, cM, cB = c[:, :-2:2], c[:, 1::2], c[:, 2::2]
     y1 = np.array([1.0, 0.0]).reshape(2, 1, 1)  # leading axis: basis vector (column)
     y2 = np.array([0.0, 1.0]).reshape(2, 1, 1)
-    k1_1 = y2
-    k1_2 = acc[:-2:2] * y2 + cA * y1
-    t1 = y1 + 0.5 * h * k1_1
-    t2 = y2 + 0.5 * h * k1_2
-    k2_1 = t2
-    k2_2 = acc[1::2] * t2 + cM * t1
-    t1 = y1 + 0.5 * h * k2_1
-    t2 = y2 + 0.5 * h * k2_2
-    k3_1 = t2
-    k3_2 = acc[1::2] * t2 + cM * t1
-    t1 = y1 + h * k3_1
-    t2 = y2 + h * k3_2
-    k4_1 = t2
-    k4_2 = acc[2::2] * t2 + cB * t1
-    M = np.empty((2, 2) + cA.shape, dtype=complex)
-    M[0] = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
-    M[1] = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
+    M = np.empty((2, 2, len(E), len(half.dg)), dtype=complex)
+    for lo in range(0, len(half.dg), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        h = half.dg[blk]
+        grid = slice(2 * lo, 2 * (lo + len(h)) + 1)  # the block's nodes and midpoints
+        acc = half.acc[grid]  # stages A, M and B read the grid as [:-2:2], [1::2] and [2::2]
+        c = half.cc[grid] * (half.U[grid] - E[:, None])  # (z')^2 (U - E), once per grid point
+        cA, cM, cB = c[:, :-2:2], c[:, 1::2], c[:, 2::2]
+        k1_1 = y2
+        k1_2 = acc[:-2:2] * y2 + cA * y1
+        t1 = y1 + 0.5 * h * k1_1
+        t2 = y2 + 0.5 * h * k1_2
+        k2_1 = t2
+        k2_2 = acc[1::2] * t2 + cM * t1
+        t1 = y1 + 0.5 * h * k2_1
+        t2 = y2 + 0.5 * h * k2_2
+        k3_1 = t2
+        k3_2 = acc[1::2] * t2 + cM * t1
+        t1 = y1 + h * k3_1
+        t2 = y2 + h * k3_2
+        k4_1 = t2
+        k4_2 = acc[2::2] * t2 + cB * t1
+        M[0, ..., blk] = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
+        M[1, ..., blk] = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
     return M
 
 

@@ -255,6 +255,9 @@ def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
         ("spectrum", "model.winding=200", "weight matrix is singular"),
         ("shoot", "shoot.seed_ratio=1e300", "cannot reach the requested seed ratio"),
         ("shoot", "model.winding=200", "half-path needs an overflowing count of integration steps"),
+        # below the profile's first angle, np.interp used to raise on an empty profile (exit 1)
+        ("shoot", "shoot.gamma_max=1e-7", "gamma_max 1e-07 lies below the first angle of the "
+         "node profile, 1e-06"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

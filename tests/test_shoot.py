@@ -1,8 +1,10 @@
 """Spiral shooting: mismatch zeros on analytic ladders, config validation,
 step refinement, warning paths, the step-matrix product against a
-sequential RK4 reference, and the angle profile against a dense one."""
+sequential RK4 reference, the blocked kernels against one-pass ones and the
+memory they trace, and the angle profile against a dense one."""
 
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from reference_values import SPIKED_LOWEST
 
 from qtoboggan import shoot
-from qtoboggan.contour import ContourSpec
+from qtoboggan.contour import ContourSpec, spiral
 from qtoboggan.errors import (
     ConfigError,
     MergedRootWarning,
@@ -212,7 +214,87 @@ def test_scan_over_several_blocks_equals_energy_by_energy(harmonic_model):
     vals = shoot.scan_mismatch(harmonic_model, LINE, _cfg(), energies)
     halfL, halfR = shoot._halfpaths(harmonic_model, LINE, _cfg(), complex(energies.max()))
     single = [abs(shoot._mismatch(halfL, halfR, np.array([E], dtype=complex))[0]) for E in energies]
-    assert vals == pytest.approx(single, rel=1e-13)
+    assert np.array_equal(vals, single)
+
+
+def _step_matrices_one_pass(half, E):
+    """The step matrices of all steps at once, as built before the step blocks."""
+    h = half.dg
+    acc = half.acc
+    c = half.cc * (half.U - E[:, None])
+    cA, cM, cB = c[:, :-2:2], c[:, 1::2], c[:, 2::2]
+    y1 = np.array([1.0, 0.0]).reshape(2, 1, 1)
+    y2 = np.array([0.0, 1.0]).reshape(2, 1, 1)
+    k1_1 = y2
+    k1_2 = acc[:-2:2] * y2 + cA * y1
+    t1 = y1 + 0.5 * h * k1_1
+    t2 = y2 + 0.5 * h * k1_2
+    k2_1 = t2
+    k2_2 = acc[1::2] * t2 + cM * t1
+    t1 = y1 + 0.5 * h * k2_1
+    t2 = y2 + 0.5 * h * k2_2
+    k3_1 = t2
+    k3_2 = acc[1::2] * t2 + cM * t1
+    t1 = y1 + h * k3_1
+    t2 = y2 + h * k3_2
+    k4_1 = t2
+    k4_2 = acc[2::2] * t2 + cB * t1
+    M = np.empty((2, 2) + cA.shape, dtype=complex)
+    M[0] = y1 + (h / 6.0) * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
+    M[1] = y2 + (h / 6.0) * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
+    return M
+
+
+def _profile_one_pass(spec, contour, sgn, E_ref):
+    """(t, w, z', rate) on all profile points at once, as built before the blocks."""
+    head = np.linspace(1e-6, shoot._PROFILE_KNEE, shoot._PROFILE_HEAD)
+    tail = np.pi / 2 - np.geomspace(
+        np.pi / 2 - head[-1], np.pi / 2 - shoot._GAMMA_CAP, shoot._PROFILE_TAIL
+    )
+    t = np.concatenate([head, tail[1:]])
+    z, zdot, _ = spiral(sgn * t, contour.epsilon, contour.degree)
+    w = np.sqrt(spec.potential(z) - E_ref)
+    flip = np.abs(np.diff(w)) > np.abs(w[1:] + w[:-1])
+    signs = np.ones(len(w))
+    signs[1:] = np.where(flip, -1.0, 1.0)
+    w = w * np.cumprod(signs)
+    return t, w, zdot, np.real(w * zdot) * sgn
+
+
+# the half-paths of the shipped harmonic and cubic guess sets
+@pytest.mark.parametrize(
+    "case, contour, E_ref, steps",
+    [("harmonic", LINE, 5.2, 2391), ("cubic", SPIRAL, 7.9, 5655)],
+    ids=["harmonic", "cubic-winding1"],
+)
+def test_block_edges_change_no_bits(case, contour, E_ref, steps, harmonic_model, cubic_model):
+    spec = {"harmonic": harmonic_model, "cubic": cubic_model}[case]
+    Es = np.array([0.9, 2.8 + 0.3j, 4.4 - 0.2j, E_ref], dtype=complex)
+    for half in shoot._halfpaths(spec, contour, _cfg(), complex(E_ref)):
+        assert len(half.dg) == steps and steps % shoot._BLOCK
+        assert np.array_equal(shoot._step_matrices(half, Es), _step_matrices_one_pass(half, Es))
+    for sgn in (1.0, -1.0):
+        blocked = shoot._profile(spec, contour, sgn, complex(E_ref))
+        assert len(blocked[0]) % shoot._BLOCK
+        for got, want in zip(blocked, _profile_one_pass(spec, contour, sgn, complex(E_ref))):
+            assert np.array_equal(got, want)
+
+
+def test_integrate_batch_traces_at_most_2_5_step_matrix_arrays(cubic_model):
+    # one-pass step matrices traced 6.6 times the (2, 2, 8, steps) array here
+    half = shoot._build_halfpath(cubic_model, SPIRAL, "right", 7.9, _cfg())
+    Es = np.linspace(1.3, 7.9, shoot._ENERGY_BLOCK) + 0.1j
+    array_bytes = 2 * 2 * len(Es) * len(half.dg) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        shoot._integrate_batch(half, Es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(half.dg) == 5655
+    assert peak - entry <= 2.5 * array_bytes, (peak - entry) / array_bytes
 
 
 def test_root_does_not_depend_on_the_other_guesses(harmonic_model):
