@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ _GRID_KEYS = {"half_width", "n"}
 _SHOOT_KEYS = {f.name for f in fields(shoot.ShootConfig)} | {"guesses", "scan"}
 _SCAN_KEYS = {"start", "stop", "count"}
 _COMMANDS = ("spectrum", "metric", "shoot", "compare", "validate")
-_DIAG_SCHEMA = ("quasiH", "quasiW", "hermiticity", "min_eig", "cond_S", "cond_Theta")
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "filter_im": 1e-6,
@@ -214,26 +213,17 @@ def _json_dump(payload: Dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def report_render(diagnostics: Dict[str, Any]) -> str:
-    """Deterministic text table of metric diagnostics (fixed order, 10 sig digits)."""
-    if not isinstance(diagnostics, dict):
-        raise SchemaMismatch("diagnostics must be a mapping")
-    unknown = set(diagnostics) - set(_DIAG_SCHEMA)
-    if unknown:
-        raise SchemaMismatch(f"unknown diagnostics keys: {sorted(unknown)}")
+def _write_csv(path: str, header: List[str], rows: Iterable[List[Any]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def report_render(diagnostics: Dict[str, float]) -> str:
+    """Deterministic text table of metric diagnostics (their own order, 10 sig digits)."""
     header = f"{'quantity':<14} {'value':>18}"
     lines = [header, "-" * len(header)]
-    for key in _DIAG_SCHEMA:
-        if key not in diagnostics:
-            continue
-        value = diagnostics[key]
-        if value is None:
-            text = "n/a"
-        elif isinstance(value, (int, float)):
-            text = format(float(value), ".10g")
-        else:
-            raise SchemaMismatch(f"diagnostics[{key!r}] must be numeric or null, got {value!r}")
-        lines.append(f"{key:<14} {text:>18}")
+    for key, value in diagnostics.items():
+        lines.append(f"{key:<14} {format(float(value), '.10g'):>18}")
     return "\n".join(lines) + "\n"
 
 
@@ -324,11 +314,8 @@ def _shoot_roots(config: RunConfig) -> np.ndarray:
 def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
     _require_shoot(config)
     roots = _shoot_roots(config)
-    with open(os.path.join(out_dir, "roots.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re_E", "im_E"])
-        for j, r in enumerate(roots):
-            writer.writerow([j, repr(float(r.real)), repr(float(r.imag))])
+    rows = ([j, repr(float(r.real)), repr(float(r.imag))] for j, r in enumerate(roots))
+    _write_csv(os.path.join(out_dir, "roots.csv"), ["index", "re_E", "im_E"], rows)
     if config.scan is not None:
         energies = np.linspace(config.scan["start"], config.scan["stop"], config.scan["count"])
     else:
@@ -336,7 +323,9 @@ def _cmd_shoot(config: RunConfig, out_dir: str) -> int:
         ref = (roots if len(roots) else np.asarray(config.guesses)).real
         energies = np.linspace(float(ref.min()) - 1.0, float(ref.max()) + 1.0, 101)
     abs_F = shoot.scan_mismatch(config.model, config.contour, config.shoot_cfg, energies)
-    shoot.save_scan_csv(os.path.join(out_dir, "scan.csv"), energies, abs_F)
+    rows = ([repr(float(E.real)), repr(float(E.imag)), repr(float(f))]
+            for E, f in zip(energies, abs_F))
+    _write_csv(os.path.join(out_dir, "scan.csv"), ["re_E", "im_E", "abs_F"], rows)
     return 0
 
 
@@ -408,10 +397,8 @@ def _cmd_compare(config: RunConfig, out_dir: str) -> int:
         rel = delta / max(1.0, abs(e_grid))
         worst = max(worst, rel)
         rows.append([j, repr(e_grid), repr(e_shoot), repr(delta), repr(rel)])
-    with open(os.path.join(out_dir, "delta.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re_E_grid", "re_E_shoot", "abs_delta", "rel_delta"])
-        writer.writerows(rows)
+    header = ["index", "re_E_grid", "re_E_shoot", "abs_delta", "rel_delta"]
+    _write_csv(os.path.join(out_dir, "delta.csv"), header, rows)
     rel_tol = tol["compare_rel"]
     _json_dump(
         {

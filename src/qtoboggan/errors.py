@@ -86,7 +86,7 @@ class NonPositiveTheta(QTobogganError):
 
 
 class SchemaMismatch(QTobogganError):
-    """A diagnostics payload does not match the documented schema."""
+    """The config's schema version is missing or not the supported one."""
 
 
 class UnverifiedMode(QTobogganError):

@@ -97,8 +97,7 @@ class MetricResult:
     """
 
     matrices: Tuple[np.ndarray, np.ndarray]
-    diagnostics: Dict[str, Optional[float]]
-    kappa_used: np.ndarray
+    diagnostics: Dict[str, float]
     phase: Optional[np.ndarray] = None
 
     @property
@@ -238,9 +237,7 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         "cond_S": cond_S,
         "cond_Theta": float(mag.max() / mag.min()) if mag.min() > 0 else np.inf,
     }
-    return MetricResult(
-        matrices=(S, Theta), diagnostics=diagnostics, kappa_used=kappa, phase=phase
-    )
+    return MetricResult(matrices=(S, Theta), diagnostics=diagnostics, phase=phase)
 
 
 def quasi_hermiticity_residuals(

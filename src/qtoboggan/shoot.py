@@ -37,7 +37,6 @@ profile ten times denser moves no root by more than 3e-11 relative.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,7 +53,6 @@ __all__ = [
     "integrate_halfpath",
     "find_eigenvalues",
     "scan_mismatch",
-    "save_scan_csv",
 ]
 
 _GAMMA_CAP = np.pi / 2 - 0.015  # hard angle cap short of the coordinate singularity
@@ -228,11 +226,14 @@ def _build_halfpath(
             ncum = _cumulative_trapezoid(dens, tm)
             total = max(np.ceil(ncum[-1]), cfg.steps)
             if not total <= _MAX_NODES:  # refused before anything of that size is allocated
-                count = f"{total:,.0f}" if np.isfinite(total) else "an overflowing count of"
+                if not np.isfinite(total):
+                    count = "an overflowing count of"
+                else:  # 16 or more digits read as a power of ten
+                    count = f"{total:.3g}" if total >= 1e15 else f"{total:,.0f}"
                 raise ConfigError(
                     f"{side} half-path needs {count} integration steps, over the budget of "
-                    f"{_MAX_NODES:,}: the spiral's reach grows as rho^(2N+1), so this winding "
-                    "and epsilon are too stiff to shoot"
+                    f"{_MAX_NODES:,}: this potential is too steep to shoot along the spiral "
+                    "of this winding and epsilon"
                 )
             targets = np.linspace(0.0, ncum[-1], int(total) + 1)
             nodes_t = np.interp(targets, ncum, tm)
@@ -467,12 +468,3 @@ def scan_mismatch(
     E_ref = complex(np.max(Es.real))
     halfL, halfR = _halfpaths(model, contour, cfg, E_ref)
     return np.abs(_mismatch(halfL, halfR, Es))
-
-
-def save_scan_csv(path: str, energies: Sequence[complex], abs_F: np.ndarray) -> None:
-    """CSV columns: re_E, im_E, abs_F."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_E", "im_E", "abs_F"])
-        for E, f in zip(energies, abs_F):
-            writer.writerow([repr(float(np.real(E))), repr(float(np.imag(E))), repr(float(f))])

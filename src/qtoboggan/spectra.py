@@ -586,20 +586,23 @@ def spectral_rebuild_residual(es: Eigensystem) -> float:
 def apply_kappa(es: Eigensystem, kappa: np.ndarray) -> Eigensystem:
     """|lam> -> |lam>/kappa and <<lam| -> kappa*<<lam| simultaneously.
 
-    sigma, Gram, completeness and rebuild residuals are invariant; the stored
-    kets change.  The result stores kets and the kets' Gram of `es`, also when
-    `es` is held in the PT frame.
+    sigma, completeness and rebuild residuals are invariant; the stored kets
+    change, and Gram entry (i, j) moves by kappa_i / kappa_j.  The result
+    stores kets and their Gram, also when `es` is held in the PT frame.
     """
     kappa = np.asarray(kappa, dtype=complex)
     if kappa.shape != (es.m,):
         raise ValueError(f"kappa must have shape ({es.m},), got {kappa.shape}")
     if np.any(np.abs(kappa) < 1e-300):
         raise ZeroKappa("kappa entries must be nonzero")
+    gram = es.gram  # a new array, rescaled in place with the Gram as first factor
+    if gram is not None:
+        gram *= kappa[:, np.newaxis] / kappa[np.newaxis, :]
     return replace(
         es,
         vectors=(es.right / kappa[np.newaxis, :], es.left * kappa.conj()[np.newaxis, :]),
         phase=None,
-        vector_gram=es.gram,
+        vector_gram=gram,
     )
 
 

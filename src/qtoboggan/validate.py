@@ -113,7 +113,7 @@ def _kappa_gram_drift(i: Inputs) -> float:
 
 def _kappa_homogeneity(i: Inputs) -> float:  # Theta[c kappa] = |c|^2 Theta[kappa]
     c = _HOMOGENEITY_SCALE
-    theta_c = metric.build_metric(i.es, kappa=c * i.result.kappa_used).Theta
+    theta_c = metric.build_metric(i.es, kappa=np.full(i.es.m, c)).Theta
     return float(np.linalg.norm(theta_c - abs(c) ** 2 * i.theta) / np.linalg.norm(i.theta))
 
 

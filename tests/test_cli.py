@@ -255,6 +255,9 @@ def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
         ("spectrum", "model.winding=200", "weight matrix is singular"),
         ("shoot", "shoot.seed_ratio=1e300", "cannot reach the requested seed ratio"),
         ("shoot", "model.winding=200", "half-path needs an overflowing count of integration steps"),
+        # its 145-digit step count used to be printed in full
+        ("shoot", "model.coeffs=[[330, 1.0, 0.0]]",
+         "left half-path needs 6.93e+144 integration steps"),
         # below the profile's first angle, np.interp used to raise on an empty profile (exit 1)
         ("shoot", "shoot.gamma_max=1e-7", "gamma_max 1e-07 lies below the first angle of the "
          "node profile, 1e-06"),
@@ -327,27 +330,13 @@ def test_run_without_a_command_raises_config_error(tmp_path):
 
 
 def test_report_render_format():
-    text = cli.report_render(
-        {"quasiH": 1.23456789012e-9, "min_eig": None, "cond_S": 5.0}
-    )
+    text = cli.report_render({"quasiH": 1.23456789012e-9, "cond_S": 5.0})
     lines = text.splitlines()
     assert lines[0].split() == ["quantity", "value"]
     assert set(lines[1]) == {"-"}
     assert lines[2].split() == ["quasiH", "1.23456789e-09"]
-    assert lines[3].split() == ["min_eig", "n/a"]
-    assert lines[4].split() == ["cond_S", "5"]
-    assert text == cli.report_render(
-        {"quasiH": 1.23456789012e-9, "min_eig": None, "cond_S": 5.0}
-    )
-
-
-def test_report_render_rejects_unknown_and_nonnumeric():
-    with pytest.raises(SchemaMismatch):
-        cli.report_render({"volume": 11})
-    with pytest.raises(SchemaMismatch):
-        cli.report_render({"quasiH": "tiny"})
-    with pytest.raises(SchemaMismatch):
-        cli.report_render([("quasiH", 1.0)])
+    assert lines[3].split() == ["cond_S", "5"]
+    assert text == cli.report_render({"quasiH": 1.23456789012e-9, "cond_S": 5.0})
 
 
 def test_report_render_empty_is_header_only():
@@ -381,7 +370,12 @@ def test_metric_command(tmp_path, capsys):
         assert (out / name).exists()
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["quasiH"] < 1e-8
-    assert "quasiH" in capsys.readouterr().out
+    # the table lists diagnostics.json's keys in build_metric's order (the file
+    # sorts them), each value to 10 significant digits
+    order = ["quasiH", "quasiW", "hermiticity", "min_eig", "cond_S", "cond_Theta"]
+    assert sorted(diag) == sorted(order)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [[key, format(diag[key], ".10g")] for key in order]
 
 
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
@@ -852,7 +846,7 @@ def test_validate_homogeneity_check_catches_a_conjugation_slip(tmp_path, capsys,
             return result
         # Theta is linear in the stored matrix, whether that is Theta or Theta_r
         S, Theta = result.matrices
-        return replace(result, matrices=(S, kappa[0] ** 2 * Theta), kappa_used=kappa)
+        return replace(result, matrices=(S, kappa[0] ** 2 * Theta))
 
     monkeypatch.setattr(metric, "build_metric", kappa_for_its_conjugate)
     with pytest.warns(IncompleteBasisWarning):

@@ -29,11 +29,6 @@ def run_script(tmp_path, argv):
     "argv, expected",
     [
         pytest.param(
-            ["run_metric_demo.py", "--n", "80"], "Hermiticity of the metric-dressed operators",
-            id="run_metric_demo",
-        ),
-        pytest.param(["run_spectrum_table.py"], "harmonic  V=x^2", id="run_spectrum_table"),
-        pytest.param(
             ["run_rectification_check.py"], "full-precision cubic grid values",
             id="run_rectification_check",
         ),

@@ -4,6 +4,7 @@ sequential RK4 reference, the blocked kernels against one-pass ones and the
 memory they trace, and the angle profile against a dense one."""
 
 import csv
+import os
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from reference_values import SPIKED_LOWEST
 
-from qtoboggan import shoot
+from qtoboggan import cli, shoot
 from qtoboggan.contour import ContourSpec, spiral
 from qtoboggan.errors import (
     ConfigError,
@@ -128,17 +129,22 @@ def test_nonconverging_guess_warns_and_is_dropped(harmonic_model):
     assert len(roots) == 0
 
 
-def test_scan_csv_round_trip(tmp_path, harmonic_model):
-    energies = [0.8, 1.0, 1.2]
-    vals = shoot.scan_mismatch(harmonic_model, LINE, _cfg(), energies)
-    assert vals[1] < vals[0] and vals[1] < vals[2]
-    out = tmp_path / "scan.csv"
-    shoot.save_scan_csv(str(out), energies, vals)
-    with open(out, newline="") as fh:
+def test_scan_csv_round_trip(tmp_path):
+    # the scan.csv that the shoot command writes for its shoot.scan section
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    overrides = ["shoot.guesses=[0.9]", 'shoot.scan={"start": 0.8, "stop": 1.2, "count": 3}']
+    argv = ["--config", config, "--command", "shoot", "--out", str(tmp_path)]
+    assert cli.main(argv + [a for o in overrides for a in ("--override", o)]) == 0
+    with open(tmp_path / "scan.csv", newline="") as fh:
+        assert fh.readline() == "re_E,im_E,abs_F\r\n"
+        fh.seek(0)
         rows = list(csv.DictReader(fh))
     assert [r["re_E"] for r in rows] == ["0.8", "1.0", "1.2"]
-    assert float(rows[1]["abs_F"]) == pytest.approx(vals[1], rel=1e-12)
     assert all(r["im_E"] == "0.0" for r in rows)
+    run = cli.load_config(config, overrides)
+    vals = shoot.scan_mismatch(run.model, run.contour, run.shoot_cfg, [0.8, 1.0, 1.2])
+    assert vals[1] < vals[0] and vals[1] < vals[2]
+    assert [float(r["abs_F"]) for r in rows] == pytest.approx(vals, rel=1e-12)
 
 
 def test_spiral_roots_are_real_and_ordered(cubic_roots):

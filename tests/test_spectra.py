@@ -190,13 +190,14 @@ def test_apply_kappa_gram_moves_by_exact_ratio(harmonic_small):
 
 
 def test_apply_kappa_carries_the_kets_gram_of_a_frame_system(harmonic_small):
-    # the result stores kets, so a frame Gram carried over would be read as theirs
+    # the result stores kets, so a frame Gram carried over would be read as
+    # theirs, and their Gram is the dressed one, entry (i, j) by kappa_i / kappa_j
     es_sub = harmonic_small[2]
     assert es_sub.phase is not None and es_sub.vector_gram.dtype == np.dtype(float)
     kappa = np.linspace(0.5, 2.0, es_sub.m) * np.exp(1j * np.linspace(0.0, 6.0, es_sub.m))
     es_k = spectra.apply_kappa(es_sub, kappa)
     assert es_k.phase is None
-    assert np.array_equal(es_k.gram, es_sub.gram)
+    assert np.array_equal(es_k.gram, es_sub.gram * (kappa[:, None] / kappa[None, :]))
 
 
 @pytest.mark.parametrize("case", ["hand", "frame"])
