@@ -9,6 +9,16 @@ from both truncated ends toward the matching angle g = 0, the lowest point of
 the contour.  Eigenvalues are the roots of the Wronskian mismatch of the two
 half-path solutions.
 
+A PT-symmetric model shoots along the right half-path only.  The spiral obeys
+z(-g) = -conj z(g), and such a model has U(-conj z) = conj U(z), so the left
+half-path is the mirror of the right one: its step widths are negated, z''/z'
+is -conj, (z')^2 and U are conj.  The left pair at E is then
+(v, d) = (conj v_R, -conj d_R) taken at conj(E), to the last bit.  A real E
+costs one integration, and an E off the real axis adds conj(E) to the batch of
+the right half-path.  The mirror needs the match at g = 0, the spiral's
+symmetry point, and a real reference energy; every other model builds both
+half-paths.
+
 The system is linear in (y1, y2), so each classical RK4 step is a 2x2 matrix.
 For a batch of energies the step matrices are built by the RK4 stages applied
 to the basis vectors, vectorized over blocks of `_BLOCK` steps, and their
@@ -29,8 +39,8 @@ The turning angle, the truncation and the node density are all read off one
 angle profile per half-path: 6,001 uniform points up to the knee at
 |gamma| = 1.2 and 24,001 geometric ones from there to the cap.  The profile
 only places nodes; the integration runs on the 2,400-5,700 nodes it places.
-It is evaluated in blocks of `_BLOCK` points, with the square root's branch
-carried from one block to the next.
+It is evaluated in blocks of `_PROFILE_BLOCK` points, with the square root's
+branch carried from one block to the next.
 On the harmonic line, the winding-1 cubic and the spiked oscillator, a
 profile ten times denser moves no root by more than 3e-11 relative.
 """
@@ -59,9 +69,12 @@ _GAMMA_CAP = np.pi / 2 - 0.015  # hard angle cap short of the coordinate singula
 # energies per block of step matrices: with the step blocks, one batch of 8
 # energies traces 2.0x its step-matrix array (5.5 MiB at 5,655 steps)
 _ENERGY_BLOCK = 8
-# steps, or profile points, per block of the vectorized kernels: every entry is
-# elementwise in its block, so the block edges change no bits
+# steps per block of the step-matrix kernel, and points per block of the angle
+# profile: every entry is elementwise in its block, so the block edges change no
+# bits.  The kernel's temporaries grow with energies x steps, so its blocks stay
+# smaller: 2,048 there raised harmonic `compare`'s peak and saved no time
 _BLOCK = 512
+_PROFILE_BLOCK = 2048
 # points of the angle profile per half-path: uniform up to the knee, then
 # geometric toward the cap (see the module docstring)
 _PROFILE_KNEE = 1.2
@@ -169,8 +182,8 @@ def _profile(
     zdot = np.empty_like(w)
     rate = np.empty(len(t))
     carry: Tuple[Optional[complex], float] = (None, 1.0)
-    for lo in range(0, len(t), _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
+    for lo in range(0, len(t), _PROFILE_BLOCK):
+        blk = slice(lo, lo + _PROFILE_BLOCK)
         z, zdot[blk], _ = spiral(sgn * t[blk], contour.epsilon, contour.degree)
         w[blk], carry = _continuous_sqrt(model.potential(z) - E_ref, carry)
         rate[blk] = np.real(w[blk] * zdot[blk]) * sgn
@@ -328,9 +341,22 @@ def _integrate_batch(half: _HalfPath, Es: np.ndarray) -> Tuple[np.ndarray, np.nd
     return y1, y2
 
 
-def _mismatch(halfL: _HalfPath, halfR: _HalfPath, Es: np.ndarray) -> np.ndarray:
-    vL, dL = _integrate_batch(halfL, Es)
-    vR, dR = _integrate_batch(halfR, Es)
+def _mismatch(halves: Tuple[_HalfPath, ...], Es: np.ndarray) -> np.ndarray:
+    """Normalized Wronskian mismatch F(E) of the (left, right) half-paths.
+
+    Handed the right half-path alone, it reads the left pair at E off the
+    right pair at conj(E) as its mirror (see the module docstring).
+    """
+    if len(halves) == 2:
+        vL, dL = _integrate_batch(halves[0], Es)
+        vR, dR = _integrate_batch(halves[1], Es)
+    else:
+        off = Es.imag != 0  # these add conj(E) to the batch
+        v, d = _integrate_batch(halves[0], np.concatenate((Es, Es[off].conj())))
+        n = len(Es)
+        vR, dR = v[:n], d[:n]
+        vL, dL = vR.conj(), -dR.conj()
+        vL[off], dL[off] = v[n:].conj(), -d[n:].conj()
     scale = np.hypot(np.abs(vL), np.abs(dL)) * np.hypot(np.abs(vR), np.abs(dR))
     return (vL * dR - vR * dL) / scale
 
@@ -340,18 +366,24 @@ def _halfpaths(
     contour: ContourSpec,
     cfg: ShootConfig,
     E_ref: complex,
-    sides: Tuple[str, ...] = ("left", "right"),
+    sides: Optional[Tuple[str, ...]] = None,
 ) -> Tuple[_HalfPath, ...]:
-    """Build the half-paths, warning once for each whose steps are too coarse.
+    """Build the half-paths of `sides`, warning once for each whose steps are too coarse.
 
-    The warning is attributed to the caller of the public function that
-    called this one.
+    By default a PT-symmetric model builds the right half-path alone, its
+    mirror standing in for the left one (E_ref must be real), and any other
+    model builds the left and the right one.  The warning is attributed to
+    the caller of the public function that called this one.
     """
+    mirrored = sides is None and model.pt_flag
+    if sides is None:
+        sides = ("right",) if mirrored else ("left", "right")
     halves = tuple(_build_halfpath(model, contour, side, E_ref, cfg) for side in sides)
     for half in halves:
         if half.max_phase > 0.7:
+            name = f"{half.side} half-path" + (" (the left one is its mirror)" if mirrored else "")
             warnings.warn(
-                f"{half.side} half-path: max local phase per step {half.max_phase:.2f} > 0.7, "
+                f"{name}: max local phase per step {half.max_phase:.2f} > 0.7, "
                 "results may be inaccurate (increase steps or decrease phase_resolution)",
                 StepTooCoarseWarning,
                 stacklevel=3,
@@ -394,12 +426,12 @@ def find_eigenvalues(
     if guesses.size == 0:
         return np.array([], dtype=complex)
     E_ref = complex(np.max(guesses.real))
-    halfL, halfR = _halfpaths(model, contour, cfg, E_ref)
+    halves = _halfpaths(model, contour, cfg, E_ref)
 
     E0 = guesses.copy()
     E1 = guesses * (1.0 + 1e-4) + 1e-4
-    F0 = _mismatch(halfL, halfR, E0)
-    F1 = _mismatch(halfL, halfR, E1)
+    F0 = _mismatch(halves, E0)
+    F1 = _mismatch(halves, E1)
     failed = np.zeros(len(guesses), dtype=bool)
     converged = np.abs(F1) < cfg.root_tol
     for _ in range(cfg.max_iter):
@@ -419,7 +451,7 @@ def find_eigenvalues(
         F0 = np.where(active, F1, F0)
         E1 = np.where(active, E2, E1)
         if np.any(active):
-            F1[active] = _mismatch(halfL, halfR, E1[active])
+            F1[active] = _mismatch(halves, E1[active])
         converged |= np.abs(F1) < cfg.root_tol
     for j in np.nonzero(~converged)[0]:
         warnings.warn(
@@ -466,5 +498,4 @@ def scan_mismatch(
     """|F(E)| over an energy grid (root-locus plotting; minima flag eigenvalues)."""
     Es = np.asarray(list(energies), dtype=complex)
     E_ref = complex(np.max(Es.real))
-    halfL, halfR = _halfpaths(model, contour, cfg, E_ref)
-    return np.abs(_mismatch(halfL, halfR, Es))
+    return np.abs(_mismatch(_halfpaths(model, contour, cfg, E_ref), Es))

@@ -257,7 +257,7 @@ def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
         ("shoot", "model.winding=200", "half-path needs an overflowing count of integration steps"),
         # its 145-digit step count used to be printed in full
         ("shoot", "model.coeffs=[[330, 1.0, 0.0]]",
-         "left half-path needs 6.93e+144 integration steps"),
+         "right half-path needs 6.93e+144 integration steps"),
         # below the profile's first angle, np.interp used to raise on an empty profile (exit 1)
         ("shoot", "shoot.gamma_max=1e-7", "gamma_max 1e-07 lies below the first angle of the "
          "node profile, 1e-06"),

@@ -24,6 +24,12 @@ from qtoboggan.model import ModelSpec
 
 LINE = ContourSpec(epsilon=0.5, winding=0)
 SPIRAL = ContourSpec(epsilon=0.15, winding=1)
+BOTH = ("left", "right")
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# V = x^2 + x/2 = (x + 1/4)^2 - 1/16 has a real odd coefficient, so it is not
+# PT-symmetric; its exact ladder is 2k + 15/16
+SHIFTED_HARMONIC = ModelSpec(coeffs={2: 1.0, 1: 0.5})
+SHIFTED_HARMONIC_LOWEST = [2 * k + 15 / 16 for k in range(3)]
 
 
 def _cfg(**kw):
@@ -131,7 +137,7 @@ def test_nonconverging_guess_warns_and_is_dropped(harmonic_model):
 
 def test_scan_csv_round_trip(tmp_path):
     # the scan.csv that the shoot command writes for its shoot.scan section
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    config = os.path.join(CONFIGS, "harmonic_line.json")
     overrides = ["shoot.guesses=[0.9]", 'shoot.scan={"start": 0.8, "stop": 1.2, "count": 3}']
     argv = ["--config", config, "--command", "shoot", "--out", str(tmp_path)]
     assert cli.main(argv + [a for o in overrides for a in ("--override", o)]) == 0
@@ -207,7 +213,7 @@ def test_step_matrix_product_matches_sequential_rk4(
 ):
     spec = {"harmonic": harmonic_model, "cubic": cubic_model}[case]
     Es = np.asarray(energies, dtype=complex)
-    halves = shoot._halfpaths(spec, contour, _cfg(**cfg_kw), complex(Es.real.max()))
+    halves = shoot._halfpaths(spec, contour, _cfg(**cfg_kw), complex(Es.real.max()), BOTH)
     for half in halves:
         v, d = shoot._integrate_batch(half, Es)
         v_ref, d_ref, renorms = _sequential_rk4(half, Es)
@@ -218,8 +224,8 @@ def test_step_matrix_product_matches_sequential_rk4(
 def test_scan_over_several_blocks_equals_energy_by_energy(harmonic_model):
     energies = np.linspace(0.2, 6.5, 2 * shoot._ENERGY_BLOCK + 3)
     vals = shoot.scan_mismatch(harmonic_model, LINE, _cfg(), energies)
-    halfL, halfR = shoot._halfpaths(harmonic_model, LINE, _cfg(), complex(energies.max()))
-    single = [abs(shoot._mismatch(halfL, halfR, np.array([E], dtype=complex))[0]) for E in energies]
+    halves = shoot._halfpaths(harmonic_model, LINE, _cfg(), complex(energies.max()))
+    single = [abs(shoot._mismatch(halves, np.array([E], dtype=complex))[0]) for E in energies]
     assert np.array_equal(vals, single)
 
 
@@ -276,12 +282,12 @@ def _profile_one_pass(spec, contour, sgn, E_ref):
 def test_block_edges_change_no_bits(case, contour, E_ref, steps, harmonic_model, cubic_model):
     spec = {"harmonic": harmonic_model, "cubic": cubic_model}[case]
     Es = np.array([0.9, 2.8 + 0.3j, 4.4 - 0.2j, E_ref], dtype=complex)
-    for half in shoot._halfpaths(spec, contour, _cfg(), complex(E_ref)):
+    for half in shoot._halfpaths(spec, contour, _cfg(), complex(E_ref), BOTH):
         assert len(half.dg) == steps and steps % shoot._BLOCK
         assert np.array_equal(shoot._step_matrices(half, Es), _step_matrices_one_pass(half, Es))
     for sgn in (1.0, -1.0):
         blocked = shoot._profile(spec, contour, sgn, complex(E_ref))
-        assert len(blocked[0]) % shoot._BLOCK
+        assert len(blocked[0]) % shoot._PROFILE_BLOCK
         for got, want in zip(blocked, _profile_one_pass(spec, contour, sgn, complex(E_ref))):
             assert np.array_equal(got, want)
 
@@ -313,14 +319,89 @@ def test_root_does_not_depend_on_the_other_guesses(harmonic_model):
     assert alone[0] == pytest.approx(top, rel=1e-13)
 
 
+class _TwoSided(ModelSpec):
+    """The same potential, shot along both half-paths as a model without PT symmetry is."""
+
+    pt_flag = False
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(PT flag, side) of every half-path that shooting builds."""
+    built = []
+    build = shoot._build_halfpath
+
+    def counting(model, contour, side, E_ref, cfg):
+        built.append((model.pt_flag, side))
+        return build(model, contour, side, E_ref, cfg)
+
+    monkeypatch.setattr(shoot, "_build_halfpath", counting)
+    return built
+
+
+def _shipped(name):
+    run = cli.load_config(os.path.join(CONFIGS, name))
+    guesses = np.asarray(run.guesses, dtype=complex)
+    return run, guesses, complex(guesses.real.max())
+
+
+SHIPPED = ["harmonic_line.json", "cubic_winding1.json", "toboggan_branch.json"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_left_half_path_is_the_mirror_of_the_right_one(name):
+    run, guesses, E_ref = _shipped(name)
+    assert run.model.pt_flag
+    left, right = (
+        shoot._build_halfpath(run.model, run.contour, side, E_ref, run.shoot_cfg) for side in BOTH
+    )
+    assert np.array_equal(left.dg, -right.dg)
+    assert np.array_equal(left.acc, -right.acc.conj())
+    assert np.array_equal(left.cc, right.cc.conj())
+    assert np.array_equal(left.U, right.U.conj())
+    assert left.zdot0 == right.zdot0.conjugate()
+    Es = np.concatenate((guesses, [2.3 + 0.5j, 4.4 - 0.3j, 7.9 + 2j]))
+    vL, dL = shoot._integrate_batch(left, Es)
+    vR, dR = shoot._integrate_batch(right, Es.conj())
+    assert np.array_equal(vL, vR.conj())
+    assert np.array_equal(dL, -dR.conj())
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_mirrored_shooting_equals_the_two_sided_one(name, builds):
+    run, guesses, _ = _shipped(name)
+    spec, contour, cfg = run.model, run.contour, run.shoot_cfg
+    two_sided = _TwoSided(ell=spec.ell, coeffs=spec.coeffs, omega=spec.omega)
+    energies = np.concatenate((guesses, guesses + 0.2j, guesses - 0.4j))
+    for call, args in ((shoot.find_eigenvalues, guesses), (shoot.scan_mismatch, energies)):
+        builds.clear()
+        got = call(spec, contour, cfg, args)
+        assert builds == [(True, "right")]
+        want = call(two_sided, contour, cfg, args)
+        assert builds[1:] == [(False, "left"), (False, "right")]
+        assert np.array_equal(got, want)
+    assert len(got) == len(energies)
+
+
+def test_model_without_pt_symmetry_builds_both_half_paths(builds):
+    assert not SHIFTED_HARMONIC.pt_flag
+    roots = shoot.find_eigenvalues(SHIFTED_HARMONIC, LINE, _cfg(root_tol=1e-10), [0.9, 2.9, 4.9])
+    assert builds == [(False, "left"), (False, "right")]
+    assert len(roots) == 3
+    assert np.all(np.abs(roots - SHIFTED_HARMONIC_LOWEST) <= 1e-7)
+
+
 def test_coarse_steps_warn_once_per_half_path(harmonic_model):
     cfg = _cfg(steps=100, phase_resolution=None, max_iter=3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shoot.find_eigenvalues(harmonic_model, LINE, cfg, [400.0])
-    coarse = [w for w in caught if issubclass(w.category, StepTooCoarseWarning)]
-    assert len(coarse) == 2
-    assert {w.filename for w in coarse} == {__file__}
+    for spec, built in ((harmonic_model, 1), (SHIFTED_HARMONIC, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shoot.find_eigenvalues(spec, LINE, cfg, [400.0])
+        coarse = [w for w in caught if issubclass(w.category, StepTooCoarseWarning)]
+        assert len(coarse) == built
+        assert {w.filename for w in coarse} == {__file__}
+        mirrored = ["the left one is its mirror" in str(w.message) for w in coarse]
+        assert mirrored == [spec.pt_flag] * built
 
 
 # the profile the package used before it was sized to the nodes it places
