@@ -239,12 +239,13 @@ def _require_shoot(config: RunConfig) -> None:
         raise ConfigError("this command needs shoot.guesses in the config")
 
 
-def _grid_eigensystem(config: RunConfig, keep_raw: bool = False):
+def _grid_eigensystem(config: RunConfig, out_dir: Optional[str] = None, keep_raw: bool = False):
     """Rectify, discretize, solve, filter, and normalize; returns (es, es_raw).
 
-    es_raw is the unfiltered, unnormalized solve, so a caller can normalize the
-    complete mode set without solving twice; without `keep_raw` it is None,
-    dropped as soon as it is filtered.
+    Given `out_dir`, spectrum.csv is written there before normalization, with
+    sigma on unit vectors.  es_raw is the unfiltered, unnormalized solve, so a
+    caller can normalize the complete mode set without solving twice; without
+    `keep_raw` it is None, dropped as soon as it is filtered.
     """
     rect = model.rectify_model(config.model, config.contour.winding)
     pair = discrete.build_operators(rect, config.grid)
@@ -253,14 +254,15 @@ def _grid_eigensystem(config: RunConfig, keep_raw: bool = False):
     es = spectra.filter_real(es_raw, tol_im=tol["filter_im"], tol_residual=tol["residual"])
     if not keep_raw:
         es_raw = None
+    if out_dir is not None:
+        spectra.save_spectrum_csv(es, os.path.join(out_dir, "spectrum.csv"))
     es = spectra.normalize_biorthogonal(es, sigma_tol=tol["sigma_floor"])
     return es, es_raw
 
 
-def _write_spectrum_artifacts(out_dir: str, es):
-    """Write spectrum.csv and residuals.json; returns es, for a caller to hand on."""
+def _write_residuals(out_dir: str, es):
+    """Write residuals.json; returns es, for a caller to hand on."""
     pair = es.pair
-    spectra.save_spectrum_csv(es, os.path.join(out_dir, "spectrum.csv"))
     payload = {
         "n": pair.n,
         "retained_modes": es.m,
@@ -277,7 +279,7 @@ def _write_spectrum_artifacts(out_dir: str, es):
 
 def _cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     _require_grid(config)
-    _write_spectrum_artifacts(out_dir, _grid_eigensystem(config)[0])
+    _write_residuals(out_dir, _grid_eigensystem(config, out_dir)[0])
     return 0
 
 
@@ -287,7 +289,7 @@ def _cmd_metric(config: RunConfig, out_dir: str) -> int:
 
     # no reference to the eigensystem is kept here, so build_metric frees its
     # vectors once read (Python >= 3.11 keeps no call's arguments on this stack)
-    result = metric.build_metric(_write_spectrum_artifacts(out_dir, _grid_eigensystem(config)[0]))
+    result = metric.build_metric(_write_residuals(out_dir, _grid_eigensystem(config, out_dir)[0]))
     h = config.grid.h
     eps = config.grid.epsilon
     discrete.save_matrix_bin(result.Theta, os.path.join(out_dir, "theta.bin"), h, eps)

@@ -94,8 +94,10 @@ class ShootConfig:
         [100, _MAX_NODES].
     root_tol: convergence threshold on the normalized mismatch |F(E)|.
     max_iter: secant iteration cap per guess.
-    phase_resolution: target local phase per step for the adaptive grid;
-        None disables adaptivity (uniform grid with exactly `steps` steps).
+    phase_resolution: target local phase per step, a positive number.  The
+        one node grid has density |w z'|/phase_resolution + max(300,
+        steps/span) per unit angle, so halving it with `steps` doubled
+        doubles the density once steps >= 300 * span.
     seed_ratio: dominant/subdominant magnitude ratio the truncation must
         reach beyond the last WKB turning angle.
     """
@@ -104,7 +106,7 @@ class ShootConfig:
     steps: int = 800
     root_tol: float = 1e-9
     max_iter: int = 40
-    phase_resolution: Optional[float] = 0.02
+    phase_resolution: float = 0.02
     seed_ratio: float = 1e12
 
     def __post_init__(self) -> None:
@@ -119,9 +121,8 @@ class ShootConfig:
             raise ConfigError("root_tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        resolution = self.phase_resolution
-        if resolution is not None and not require_real("phase_resolution", resolution) > 0:
-            raise ConfigError("phase_resolution must be positive or None")
+        if not require_real("phase_resolution", self.phase_resolution) > 0:
+            raise ConfigError("phase_resolution must be positive")
         if not require_real("seed_ratio", self.seed_ratio) > 1:
             raise ConfigError("seed_ratio must exceed 1")
 
@@ -222,36 +223,31 @@ def _build_halfpath(
         else:
             t_end = float(t[_truncation(t, rate, cfg.seed_ratio)[1]])
 
-        if cfg.phase_resolution is None:
-            nodes_t = np.linspace(0.0, t_end, cfg.steps + 1)
-        else:
-            mask = t <= t_end + 1e-12
-            tm = t[mask]
-            if not len(tm):
-                raise ConfigError(
-                    f"gamma_max {t_end:g} lies below the first angle of the node profile, "
-                    f"{t[0]:g} (raise gamma_max, or set phase_resolution to null)"
-                )
-            span = max(t_end, 1e-6)
-            dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(
-                300.0, cfg.steps / span
+        mask = t <= t_end + 1e-12
+        tm = t[mask]
+        if not len(tm):
+            raise ConfigError(
+                f"gamma_max {t_end:g} lies below the first angle of the node profile, "
+                f"{t[0]:g} (raise gamma_max)"
             )
-            ncum = _cumulative_trapezoid(dens, tm)
-            total = max(np.ceil(ncum[-1]), cfg.steps)
-            if not total <= _MAX_NODES:  # refused before anything of that size is allocated
-                if not np.isfinite(total):
-                    count = "an overflowing count of"
-                else:  # 16 or more digits read as a power of ten
-                    count = f"{total:.3g}" if total >= 1e15 else f"{total:,.0f}"
-                raise ConfigError(
-                    f"{side} half-path needs {count} integration steps, over the budget of "
-                    f"{_MAX_NODES:,}: this potential is too steep to shoot along the spiral "
-                    "of this winding and epsilon"
-                )
-            targets = np.linspace(0.0, ncum[-1], int(total) + 1)
-            nodes_t = np.interp(targets, ncum, tm)
-            nodes_t[0] = 0.0
-            nodes_t[-1] = t_end
+        span = max(t_end, 1e-6)
+        dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(300.0, cfg.steps / span)
+        ncum = _cumulative_trapezoid(dens, tm)
+        total = max(np.ceil(ncum[-1]), cfg.steps)
+        if not total <= _MAX_NODES:  # refused before anything of that size is allocated
+            if not np.isfinite(total):
+                count = "an overflowing count of"
+            else:  # 16 or more digits read as a power of ten
+                count = f"{total:.3g}" if total >= 1e15 else f"{total:,.0f}"
+            raise ConfigError(
+                f"{side} half-path needs {count} integration steps, over the budget of "
+                f"{_MAX_NODES:,}: this potential is too steep to shoot along the spiral "
+                "of this winding and epsilon"
+            )
+        targets = np.linspace(0.0, ncum[-1], int(total) + 1)
+        nodes_t = np.interp(targets, ncum, tm)
+        nodes_t[0] = 0.0
+        nodes_t[-1] = t_end
 
     g = (sgn * nodes_t)[::-1].copy()  # integrate from the outer end toward the match
     dg = np.diff(g)

@@ -18,11 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import discrete, metric, shoot, spectra
-from .errors import IllConditionedS, SelfOrthogonalMode, StepTooCoarseWarning
+from .errors import ConfigError, IllConditionedS, SelfOrthogonalMode, StepTooCoarseWarning
 
-# the refinement-order grids: uniform steps per half-path, halving the step
-# twice; the coarsest passes the phase gate on configs/harmonic_line.json
-_REFINEMENT_STEPS = (1900, 3800, 7600)
 # kappa_homogeneity's scale: complex, so kappa in place of conj(kappa) fails,
 # and not a power of two, whose scaling is exact in floating point
 _HOMOGENEITY_SCALE = cmath.rect(1.5, 0.7)
@@ -83,16 +80,19 @@ class Inputs:
                 for contour in (c.contour, replace(c.contour, epsilon=2.0 * eps))]
 
     @cached_property
-    def refinement(self):  # y'/y of the right half-path at the first guess on each grid
+    def refinement(self):
+        """y'/y of the right half-path at the first guess, at 1, 2 and 4x the node density."""
         c, seq = self.config, []
         with warnings.catch_warnings():
             warnings.simplefilter("error", StepTooCoarseWarning)
-            for steps in _REFINEMENT_STEPS:
-                cfg = replace(c.shoot_cfg, steps=steps, phase_resolution=None)
+            for k in (1, 2, 4):
+                resolution, steps = c.shoot_cfg.phase_resolution / k, c.shoot_cfg.steps * k
                 try:
+                    cfg = replace(c.shoot_cfg, steps=steps, phase_resolution=resolution)
                     y, dy = shoot.integrate_halfpath(c.model, c.guesses[0], "right", cfg, c.contour)
-                except StepTooCoarseWarning as exc:
-                    raise Unbuildable(f"{steps}-step refinement grid too coarse: {exc}") from exc
+                except (StepTooCoarseWarning, ConfigError) as exc:
+                    raise Unbuildable(f"refinement grid at phase_resolution {resolution:g} and "
+                                      f"{steps} steps: {exc}") from exc
                 seq.append(dy / y)
         return seq
 
@@ -138,7 +138,7 @@ def _epsilon_independence(i: Inputs) -> float:
     return float(rel.max()) if partner and not lonely else math.inf
 
 
-def _refinement_order(i: Inputs) -> float:  # RK4's error falls ~16x per halving of the step
+def _refinement_order(i: Inputs) -> float:  # RK4's error falls ~16x per doubling of the nodes
     y1, y2, y3 = i.refinement
     return abs(y1 - y2) / max(abs(y2 - y3), 1e-300)
 

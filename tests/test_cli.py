@@ -179,6 +179,7 @@ def test_non_integer_in_an_integer_field_exits_4(tmp_path, capsys, override):
         "shoot.root_tol=true",
         "shoot.gamma_max=true",
         "shoot.phase_resolution=true",
+        "shoot.phase_resolution=null",
         "shoot.scan.start=true",
         "model.omega=true",
         "model.coeffs=[[2, true, 0.0]]",
@@ -359,6 +360,24 @@ def test_spectrum_command_and_determinism(tmp_path):
     assert residuals["n"] == 240
     assert residuals["max_offdiag_gram"] < 1e-8
     assert residuals["discarded_modes"] >= 0
+
+
+@pytest.mark.parametrize("name, n", [("harmonic_line", 400), ("cubic_winding1", 300)])
+def test_spectrum_csv_holds_each_modes_sigma_on_unit_vectors(tmp_path, name, n):
+    # each mode's sigma on unit vectors, not the 1 that normalization sets
+    from qtoboggan import spectra
+
+    config = os.path.join(ROOT, "configs", f"{name}.json")
+    out = tmp_path / "s"
+    argv = ["--config", config, "--command", "spectrum", "--out", str(out),
+            "--override", f"grid.n={n}"]
+    assert cli.main(argv) == 0
+    with open(out / "spectrum.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    sigma = np.array([complex(float(r["sigma_re"]), float(r["sigma_im"])) for r in rows])
+    assert np.all(np.abs(sigma) >= spectra.SIGMA_CERTIFY_FLOOR)
+    if name == "harmonic_line":  # W = I: unit kets overlap by less than 1, and unevenly
+        assert len(set(sigma)) > 1 and np.abs(sigma).max() < 1.0
 
 
 @pytest.mark.filterwarnings("ignore::qtoboggan.errors.IncompleteBasisWarning")
@@ -774,22 +793,56 @@ def test_validate_reports_an_ill_conditioned_full_set_metric(tmp_path, capsys, m
     assert "validate: the full-set metric is ill-conditioned: cond(S) above the threshold" in stderr
 
 
-def test_validate_fails_refinement_order_on_too_coarse_grids(tmp_path, capsys, monkeypatch):
-    from qtoboggan import validate
-
-    # 100 steps per half-path do not pass the integrator's phase gate on the
-    # harmonic line, so no order is certified
-    monkeypatch.setattr(validate, "_REFINEMENT_STEPS", (100, 200, 400))
-    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
-    out = tmp_path / "v"
+@pytest.mark.filterwarnings("ignore::qtoboggan.errors.StepTooCoarseWarning")
+def test_validate_fails_refinement_order_on_too_coarse_grids(tmp_path, capsys):
+    # at phase_resolution 4 the config's own node grid, the coarsest of the
+    # three, does not pass the integrator's phase gate, so no order is certified
     with pytest.warns(IncompleteBasisWarning):
-        assert cli.main(["--config", config, "--command", "validate", "--out", str(out)]) == 2
-    checks = json.loads((out / "validate.json").read_text())["checks"]
+        code, checks, _, stderr = run_validate(tmp_path, capsys, "shoot.phase_resolution=4")
+    assert code == 2
     assert [item["name"] for item in checks] == list(VALIDATE_CHECKS)
     assert checks[-1] == {
         "name": "shoot_refinement_order", "value": 0.0, "limit": 6.0, "pass": False
     }
-    assert "validate: 100-step refinement grid too coarse" in capsys.readouterr().err
+    assert "validate: refinement grid at phase_resolution 4 and 800 steps: right half-path: " \
+        "max local phase per step" in stderr
+
+
+def test_validate_fails_refinement_order_over_the_step_range(tmp_path, capsys):
+    # 30,000 steps shoot; the finest refinement grid's 120,000 are over the
+    # range of steps, which fails the check and stops nothing else
+    with pytest.warns(IncompleteBasisWarning):
+        code, checks, _, stderr = run_validate(tmp_path, capsys, "shoot.steps=30000")
+    assert code == 2
+    assert [item["name"] for item in checks] == list(VALIDATE_CHECKS)
+    assert failing(checks) == ["shoot_refinement_order"]
+    assert checks[-1]["value"] == 0.0
+    reasons = [line for line in stderr.splitlines() if line.startswith("validate: ")]
+    assert reasons == ["validate: refinement grid at phase_resolution 0.005 and 120000 steps: "
+                       "steps must lie in [100, 100,000], got 120000"]
+
+
+def _heun_step_matrices(half, E):
+    """Heun's second-order step matrices, I + h/2 (A0 + A1) + h^2/2 A1 A0, for RK4's."""
+    h = half.dg
+    A = np.zeros((2, 2, len(E), len(h) + 1), dtype=complex)  # y' = A y at each node
+    A[0, 1] = 1.0
+    A[1, 0] = half.cc[::2] * (half.U[::2] - E[:, np.newaxis])
+    A[1, 1] = half.acc[::2]
+    A0, A1 = A[..., :-1], A[..., 1:]
+    step = h / 2 * (A0 + A1) + h**2 / 2 * np.einsum("ikbn,kjbn->ijbn", A1, A0)
+    return np.eye(2).reshape(2, 2, 1, 1) + step
+
+
+@pytest.mark.parametrize("name", ["harmonic_line", "cubic_winding1", "toboggan_branch"])
+def test_refinement_order_certifies_rk4_and_catches_a_second_order_step(monkeypatch, name):
+    from qtoboggan import shoot, validate
+
+    config = cli.load_config(os.path.join(ROOT, "configs", f"{name}.json"))
+    # RK4's error falls 16x per doubling of the nodes on each shooting config
+    assert 12.0 < validate._refinement_order(validate.Inputs(config, None, None)) < 20.0
+    monkeypatch.setattr(shoot, "_step_matrices", _heun_step_matrices)
+    assert validate._refinement_order(validate.Inputs(config, None, None)) < 6.0
 
 
 def test_validate_kappa_gram_check_catches_a_conjugation_slip(tmp_path, capsys, monkeypatch):

@@ -53,6 +53,7 @@ def _cfg(**kw):
         {"steps": 150.5},
         {"steps": True},
         {"steps": 100_001},
+        {"phase_resolution": None},
     ],
 )
 def test_shoot_config_validation(kw):
@@ -94,35 +95,35 @@ def test_bad_side_rejected(harmonic_model):
         shoot.integrate_halfpath(harmonic_model, 1.0, "up", _cfg(), LINE)
 
 
-@pytest.mark.filterwarnings("ignore::qtoboggan.errors.StepTooCoarseWarning")
-def test_uniform_step_refinement_is_high_order(harmonic_model):
+def test_step_refinement_is_high_order(harmonic_model):
     # F(E) at a fixed off-eigenvalue energy against a much denser reference:
-    # classical fourth-order error decay until the truncation floor.
+    # classical fourth-order error decay until the truncation floor.  Halving
+    # phase_resolution with steps doubled doubles the node density.
     E = 1.7
     results = {}
-    for steps in (200, 400, 800, 3200):
-        cfg = _cfg(steps=steps, phase_resolution=None)
+    for k in (1, 2, 4, 16):
+        cfg = _cfg(phase_resolution=0.08 / k, steps=500 * k)
         vL, dL = shoot.integrate_halfpath(harmonic_model, E, "left", cfg, LINE)
         vR, dR = shoot.integrate_halfpath(harmonic_model, E, "right", cfg, LINE)
-        results[steps] = (vL * dR - vR * dL) / (
+        results[k] = (vL * dR - vR * dL) / (
             np.hypot(abs(vL), abs(dL)) * np.hypot(abs(vR), abs(dR))
         )
-    ref = results[3200]
-    e200, e400, e800 = (abs(results[s] - ref) for s in (200, 400, 800))
-    assert e400 < e200
-    assert e200 / e400 > 6.0 or e400 < 1e-13
-    assert e400 / e800 > 6.0 or e800 < 1e-13
+    ref = results[16]
+    e1, e2, e4 = (abs(results[k] - ref) for k in (1, 2, 4))
+    assert e2 < e1
+    assert e1 / e2 > 6.0 or e2 < 1e-13
+    assert e2 / e4 > 6.0 or e4 < 1e-13
 
 
 def test_coarse_steps_warn(harmonic_model):
-    cfg = _cfg(steps=100, phase_resolution=None)
+    cfg = _cfg(steps=100, phase_resolution=1.0)
     with pytest.warns(StepTooCoarseWarning):
         shoot.integrate_halfpath(harmonic_model, 400.0, "left", cfg, LINE)
 
 
 def test_free_model_integrates_finite():
     free = ModelSpec(ell=0.0, coeffs={}, omega=0.0)
-    cfg = _cfg(gamma_max=1.0, phase_resolution=None, steps=200)
+    cfg = _cfg(gamma_max=1.0, steps=200)
     v, d = shoot.integrate_halfpath(free, 1.0 + 1.0j, "right", cfg, LINE)
     assert np.isfinite(v) and np.isfinite(d)
     assert v != 0
@@ -392,7 +393,7 @@ def test_model_without_pt_symmetry_builds_both_half_paths(builds):
 
 
 def test_coarse_steps_warn_once_per_half_path(harmonic_model):
-    cfg = _cfg(steps=100, phase_resolution=None, max_iter=3)
+    cfg = _cfg(steps=100, phase_resolution=1.0, max_iter=3)
     for spec, built in ((harmonic_model, 1), (SHIFTED_HARMONIC, 2)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
