@@ -112,6 +112,11 @@ class OperatorPair:
         return float(np.linalg.norm(np.concatenate([[0], self.off, self.diag, self.off, [0]])))
 
     @property
+    def unit_weight(self) -> bool:
+        """W = I: every entry of s, and so of W = s^2, is exactly one, as at winding 0."""
+        return bool(np.all(self.s == 1.0))
+
+    @property
     def weight_condition(self) -> float:
         d = np.abs(self.w_diag)
         return float(d.max() / d.min())

@@ -202,7 +202,7 @@ def build_metric(es: Eigensystem, kappa: Optional[np.ndarray] = None) -> MetricR
         raise IllConditionedS(f"cond_S = {cond_S:.3e} exceeds {COND_S_THRESHOLD:.1e}")
     # Theta = A M B as NumPy evaluates it, (A M) B, with M and then A M freed as soon
     # as read; at unit w and kappa, A and B are L and L^dag (the formulas' bits, no copies)
-    unit = np.all(w == 1.0) and np.all(k == 1.0)
+    unit = pair.unit_weight and np.all(k == 1.0)
     AM = (L if unit else (w.conj()[:, np.newaxis] * L) * k.conj()[np.newaxis, :]) @ M
     del M
     B = L.conj().T if unit else k[:, np.newaxis] * (L.conj().T * w[np.newaxis, :])

@@ -27,13 +27,13 @@ product rescaled by its largest entry.  The mismatch is invariant under a
 positive scale of either half-path solution, so the rescaling changes nothing
 it reads.
 
-Truncation is chosen on a WKB growth estimate: the branch-continuous local
-rate Re(w z') with w = sqrt(U - E_ref) is integrated outward, and the end is
-placed past the last oscillatory-to-growing transition, deep enough that the
-dominant/subdominant seed magnitude ratio exceeds `seed_ratio`.  E_ref is the
-largest real part among the energies asked for, the most demanding one.  Node
-density follows the same local rate, so oscillatory and stiff stretches are
-resolved uniformly in phase.
+Truncation follows one rule, on a WKB growth estimate: the branch-continuous
+local rate Re(w z') with w = sqrt(U - E_ref) is integrated outward, and each
+half-path ends at the first profile point past the last oscillatory-to-growing
+transition deep enough that the dominant/subdominant seed magnitude ratio
+reaches `_SEED_RATIO`.  E_ref is the largest real part among the energies
+asked for, the most demanding one.  Node density follows the same local rate,
+so oscillatory and stiff stretches are resolved uniformly in phase.
 
 The turning angle, the truncation and the node density are all read off one
 angle profile per half-path: 6,001 uniform points up to the knee at
@@ -82,14 +82,15 @@ _PROFILE_HEAD = 6001
 _PROFILE_TAIL = 24001
 # integration steps per half-path; the shipped configs take 2,400-5,700
 _MAX_NODES = 100_000
+# dominant/subdominant seed magnitude ratio each half-path's end must reach
+# past its last WKB turning angle
+_SEED_RATIO = 1e12
 
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """Controls one shooting run.
+    """Controls one shooting run; each half-path ends where `_SEED_RATIO` is reached.
 
-    gamma_max: explicit truncation angle in (0, pi/2); None selects it
-        automatically from the seed-ratio rule at the reference energy.
     steps: minimum number of integration steps per half-path, in
         [100, _MAX_NODES].
     root_tol: convergence threshold on the normalized mismatch |F(E)|.
@@ -98,21 +99,14 @@ class ShootConfig:
         one node grid has density |w z'|/phase_resolution + max(300,
         steps/span) per unit angle, so halving it with `steps` doubled
         doubles the density once steps >= 300 * span.
-    seed_ratio: dominant/subdominant magnitude ratio the truncation must
-        reach beyond the last WKB turning angle.
     """
 
-    gamma_max: Optional[float] = None
     steps: int = 800
     root_tol: float = 1e-9
     max_iter: int = 40
     phase_resolution: float = 0.02
-    seed_ratio: float = 1e12
 
     def __post_init__(self) -> None:
-        gamma_max = self.gamma_max
-        if gamma_max is not None and not 0.0 < require_real("gamma_max", gamma_max) < np.pi / 2:
-            raise ConfigError(f"gamma_max must lie in (0, pi/2), got {gamma_max}")
         require_int("steps", self.steps)
         require_int("max_iter", self.max_iter)
         if not 100 <= self.steps <= _MAX_NODES:
@@ -123,8 +117,6 @@ class ShootConfig:
             raise ConfigError("max_iter must be >= 1")
         if not require_real("phase_resolution", self.phase_resolution) > 0:
             raise ConfigError("phase_resolution must be positive")
-        if not require_real("seed_ratio", self.seed_ratio) > 1:
-            raise ConfigError("seed_ratio must exceed 1")
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -191,22 +183,21 @@ def _profile(
     return t, w, zdot, rate
 
 
-def _truncation(t: np.ndarray, rate: np.ndarray, seed_ratio: float) -> Tuple[int, int]:
+def _truncation(t: np.ndarray, rate: np.ndarray) -> Tuple[int, int]:
     """Profile indices (i_star, j) of the last oscillatory-to-growing transition
     and of the first point past it where the rate integrated from i_star
-    reaches log(seed_ratio)."""
+    reaches log(_SEED_RATIO)."""
     cum = _cumulative_trapezoid(rate, t)
     flips = np.nonzero(rate[:-1] * rate[1:] < 0)[0]
     i_star = int(flips[-1]) + 1 if len(flips) else 0
     depth = np.abs(cum - cum[i_star])
     depth[: i_star + 1] = 0.0
-    margin = np.log(seed_ratio)
+    margin = np.log(_SEED_RATIO)
     j = int(np.argmax(depth >= margin))
     if depth[j] < margin:
         raise ConfigError(
-            "cannot reach the requested seed ratio before the angle cap; "
-            "the asymptotic growth is too weak (reduce seed_ratio, supply "
-            "gamma_max explicitly, or use a complex reference energy)"
+            f"cannot reach a seed ratio of {_SEED_RATIO:g} before the angle cap: the "
+            "potential grows too weakly along this path to shoot it"
         )
     return i_star, j
 
@@ -218,20 +209,10 @@ def _build_halfpath(
     # a path too stiff to shoot overflows here; the step budget below refuses it by name
     with np.errstate(over="ignore", invalid="ignore"):
         t, w, zdot, rate = _profile(model, contour, sgn, E_ref)
-        if cfg.gamma_max is not None:
-            t_end = cfg.gamma_max
-        else:
-            t_end = float(t[_truncation(t, rate, cfg.seed_ratio)[1]])
-
-        mask = t <= t_end + 1e-12
-        tm = t[mask]
-        if not len(tm):
-            raise ConfigError(
-                f"gamma_max {t_end:g} lies below the first angle of the node profile, "
-                f"{t[0]:g} (raise gamma_max)"
-            )
-        span = max(t_end, 1e-6)
-        dens = np.abs(w[mask] * zdot[mask]) / cfg.phase_resolution + max(300.0, cfg.steps / span)
+        end = _truncation(t, rate)[1] + 1
+        tm = t[:end]
+        t_end = t[end - 1]
+        dens = np.abs(w[:end] * zdot[:end]) / cfg.phase_resolution + max(300.0, cfg.steps / t_end)
         ncum = _cumulative_trapezoid(dens, tm)
         total = max(np.ceil(ncum[-1]), cfg.steps)
         if not total <= _MAX_NODES:  # refused before anything of that size is allocated

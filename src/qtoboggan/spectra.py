@@ -304,7 +304,7 @@ def solve_generalized(operators: OperatorPair, tol: float = 1e-12) -> Eigensyste
     import scipy.linalg
 
     s, w, n = operators.s, operators.w_diag, operators.n
-    scaled = not np.all(s == 1.0)
+    scaled = not operators.unit_weight
     B = operators
     if scaled:  # diag / w, not diag / (s s), whose rounding moves ill-conditioned modes
         B = replace(operators, diag=operators.diag / w, off=operators.off / (s[:-1] * s[1:]))
@@ -535,7 +535,7 @@ def filter_real(es: Eigensystem, tol_im: float = 1e-6, tol_residual: float = 1e-
     if not len(idx):
         raise EmptySpectrum(f"no modes pass |Im| < {tol_im}*max(1,|Re|) and the two gates")
     idx = idx[np.argsort(es.lambdas.real[idx], kind="stable")]
-    return es.take(idx) if np.all(es.pair.s == 1.0) else nearest_eigenpairs(es.pair, es.lambdas[idx])
+    return es.take(idx) if es.pair.unit_weight else nearest_eigenpairs(es.pair, es.lambdas[idx])
 
 
 def normalize_biorthogonal(es: Eigensystem, sigma_tol: float = 1e-12) -> Eigensystem:

@@ -177,7 +177,6 @@ def test_non_integer_in_an_integer_field_exits_4(tmp_path, capsys, override):
         "grid.half_width=true",
         "model.epsilon=true",
         "shoot.root_tol=true",
-        "shoot.gamma_max=true",
         "shoot.phase_resolution=true",
         "shoot.phase_resolution=null",
         "shoot.scan.start=true",
@@ -229,6 +228,17 @@ def test_negative_seed_exits_4(tmp_path, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["shoot.gamma_max=1.0", "shoot.seed_ratio=1e12"])
+def test_removed_shoot_keys_exit_4(tmp_path, capsys, override):
+    # each half-path ends where the WKB depth reaches one fixed seed ratio, so
+    # neither an explicit truncation angle nor a ratio can be set
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
+    argv = ["--config", config, "--command", "shoot", "--override", override,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert "unknown shoot keys" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "coeffs, message",
     [
@@ -254,14 +264,12 @@ def test_bad_coeffs_power_exits_4(tmp_path, capsys, coeffs, message):
     ]
     + [
         ("spectrum", "model.winding=200", "weight matrix is singular"),
-        ("shoot", "shoot.seed_ratio=1e300", "cannot reach the requested seed ratio"),
+        # U = 0 never grows: no half-path end reaches the seed ratio
+        ("shoot", "model.coeffs=[]", "cannot reach a seed ratio of 1e+12 before the angle cap"),
         ("shoot", "model.winding=200", "half-path needs an overflowing count of integration steps"),
         # its 145-digit step count used to be printed in full
         ("shoot", "model.coeffs=[[330, 1.0, 0.0]]",
          "right half-path needs 6.93e+144 integration steps"),
-        # below the profile's first angle, np.interp used to raise on an empty profile (exit 1)
-        ("shoot", "shoot.gamma_max=1e-7", "gamma_max 1e-07 lies below the first angle of the "
-         "node profile, 1e-06"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

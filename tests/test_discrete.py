@@ -1,12 +1,13 @@
 """Grid discretization: operator assembly, parity residual, matrix IO."""
 
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qtoboggan import discrete, model
+from qtoboggan import cli, discrete, model
 from qtoboggan.errors import ConfigError
 
 
@@ -24,6 +25,23 @@ def test_free_laplacian_instance():
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     assert np.allclose(pair.H, expected)
     assert np.allclose(np.diag(pair.w_diag), np.eye(3))
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize(
+    "name", ["harmonic_line", "cubic_winding1", "toboggan_branch", "harmonic_toboggan"]
+)
+def test_unit_weight_holds_exactly_at_winding_0(name):
+    # the one place the solve, the filter and the metric learn that W = I
+    config = cli.load_config(os.path.join(CONFIGS, f"{name}.json"), ["grid.n=60"])
+    for winding in sorted({0, config.contour.winding}):
+        rect = model.rectify_model(config.model, winding)
+        pair = discrete.build_operators(rect, config.grid)
+        assert pair.unit_weight == (winding == 0)
+        if winding == 0:  # 1 + 0j to the last bit
+            assert np.all(pair.s == 1.0) and np.all(pair.w_diag == 1.0)
 
 
 @pytest.mark.parametrize("winding", [0, 1, 2])

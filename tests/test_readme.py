@@ -1,16 +1,24 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its command line
+section names every shooting setting."""
 
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
+
+from qtoboggan import shoot
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
-def python_blocks():
+def read_readme():
     with open(README, encoding="utf-8") as fh:
-        return re.findall(r"```python\n(.*?)```", fh.read(), flags=re.DOTALL)
+        return fh.read()
+
+
+def python_blocks():
+    return re.findall(r"```python\n(.*?)```", read_readme(), flags=re.DOTALL)
 
 
 def test_readme_quickstart_runs():
@@ -23,3 +31,9 @@ def test_readme_quickstart_runs():
     assert np.allclose(namespace["grid"], namespace["lam"], rtol=1e-10)
     assert np.all(namespace["residuals"] < 1e-8)
     assert namespace["res"].diagnostics["min_eig"] > 0
+
+
+def test_readme_command_line_names_every_shoot_setting():
+    section = read_readme().split("## Command line\n")[1].split("\n## ")[0]
+    missing = [f.name for f in fields(shoot.ShootConfig) if f"shoot.{f.name}" not in section]
+    assert not missing, missing

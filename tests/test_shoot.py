@@ -40,20 +40,20 @@ def _cfg(**kw):
     "kw",
     [
         {"steps": 50},
-        {"gamma_max": 0.0},
-        {"gamma_max": -0.2},
         {"root_tol": 0.0},
         {"max_iter": 0},
         {"phase_resolution": -0.01},
-        {"seed_ratio": 0.5},
-        {"gamma_max": 1.7},
-        {"gamma_max": np.pi / 2},
         {"max_iter": 2.5},
         {"max_iter": True},
         {"steps": 150.5},
         {"steps": True},
         {"steps": 100_001},
         {"phase_resolution": None},
+        {"root_tol": float("nan")},
+        {"root_tol": -1e-9},
+        {"phase_resolution": float("inf")},
+        {"phase_resolution": True},
+        {"max_iter": -3},
     ],
 )
 def test_shoot_config_validation(kw):
@@ -121,12 +121,12 @@ def test_coarse_steps_warn(harmonic_model):
         shoot.integrate_halfpath(harmonic_model, 400.0, "left", cfg, LINE)
 
 
-def test_free_model_integrates_finite():
+def test_free_model_is_refused_by_name():
+    # U = 0 never grows, so no end reaches the seed ratio; it has no bound states anyway
     free = ModelSpec(ell=0.0, coeffs={}, omega=0.0)
-    cfg = _cfg(gamma_max=1.0, steps=200)
-    v, d = shoot.integrate_halfpath(free, 1.0 + 1.0j, "right", cfg, LINE)
-    assert np.isfinite(v) and np.isfinite(d)
-    assert v != 0
+    message = r"cannot reach a seed ratio of 1e\+12 before the angle cap"
+    with pytest.raises(ConfigError, match=message):
+        shoot.integrate_halfpath(free, 1.0 + 1.0j, "right", _cfg(steps=200), LINE)
 
 
 def test_nonconverging_guess_warns_and_is_dropped(harmonic_model):
@@ -201,20 +201,23 @@ def _sequential_rk4(half, Es, renorm_limit=1e50):
 
 
 @pytest.mark.parametrize(
-    "case, contour, cfg_kw, energies, grows_past_1e50",
+    "case, contour, seed_ratio, energies, grows_past_1e50",
     [
-        ("harmonic", LINE, {}, [1.7, 1.7 + 0.4j, 5.2], False),
-        ("cubic", SPIRAL, {}, [4.4, 4.4 - 0.3j, 7.9], False),
-        ("harmonic", LINE, {"gamma_max": 1.55}, [1.0, 2.3 + 0.5j], True),
+        ("harmonic", LINE, None, [1.7, 1.7 + 0.4j, 5.2], False),
+        ("cubic", SPIRAL, None, [4.4, 4.4 - 0.3j, 7.9], False),
+        # ends each half-path near |gamma| = 1.541, after about 7,800 steps
+        ("harmonic", LINE, 1e60, [1.0, 2.3 + 0.5j], True),
     ],
     ids=["harmonic", "cubic-winding1", "harmonic-long-path"],
 )
 def test_step_matrix_product_matches_sequential_rk4(
-    case, contour, cfg_kw, energies, grows_past_1e50, harmonic_model, cubic_model
+    case, contour, seed_ratio, energies, grows_past_1e50, harmonic_model, cubic_model, monkeypatch
 ):
     spec = {"harmonic": harmonic_model, "cubic": cubic_model}[case]
+    if seed_ratio is not None:
+        monkeypatch.setattr(shoot, "_SEED_RATIO", seed_ratio)
     Es = np.asarray(energies, dtype=complex)
-    halves = shoot._halfpaths(spec, contour, _cfg(**cfg_kw), complex(Es.real.max()), BOTH)
+    halves = shoot._halfpaths(spec, contour, _cfg(), complex(Es.real.max()), BOTH)
     for half in halves:
         v, d = shoot._integrate_batch(half, Es)
         v_ref, d_ref, renorms = _sequential_rk4(half, Es)
@@ -409,10 +412,10 @@ def test_coarse_steps_warn_once_per_half_path(harmonic_model):
 DENSE_PROFILE = {"_PROFILE_HEAD": 60001, "_PROFILE_TAIL": 240001}
 
 
-def _profile_and_truncation(spec, contour, side, E_ref, seed_ratio):
+def _profile_and_truncation(spec, contour, side, E_ref):
     sgn = 1.0 if side == "right" else -1.0
     t, w, _, rate = shoot._profile(spec, contour, sgn, E_ref)
-    i_star, j = shoot._truncation(t, rate, seed_ratio)
+    i_star, j = shoot._truncation(t, rate)
     return t, w, rate, i_star, j
 
 
@@ -433,8 +436,7 @@ def test_profile_agrees_with_the_dense_reference(
     cfg = _cfg(**cfg_kw)
     E_ref = complex(max(guesses))
     coarse = {
-        side: _profile_and_truncation(spec, contour, side, E_ref, cfg.seed_ratio)
-        for side in ("left", "right")
+        side: _profile_and_truncation(spec, contour, side, E_ref) for side in ("left", "right")
     }
     roots = shoot.find_eigenvalues(spec, contour, cfg, guesses)
     for name, size in DENSE_PROFILE.items():
@@ -445,14 +447,14 @@ def test_profile_agrees_with_the_dense_reference(
 
     for side, (t, w, _, _, j) in coarse.items():
         t_ref, w_ref, rate_ref, i_star_ref, j_ref = _profile_and_truncation(
-            spec, contour, side, E_ref, cfg.seed_ratio
+            spec, contour, side, E_ref
         )
         # t_end within one coarse cell of the dense truncation
         assert abs(t[j] - t_ref[j_ref]) <= np.diff(t)[j - 1 : j + 1].max()
         # the seed ratio, integrated on the dense profile, is still reached at t_end
         cum_ref = shoot._cumulative_trapezoid(rate_ref, t_ref)
         depth = abs(np.interp(t[j], t_ref, cum_ref) - cum_ref[i_star_ref])
-        assert depth >= np.log(cfg.seed_ratio)
+        assert depth >= np.log(shoot._SEED_RATIO)
         # the coarse square root stays on the dense one's branch everywhere
         w_dense = np.interp(t, t_ref, w_ref.real) + 1j * np.interp(t, t_ref, w_ref.imag)
         assert np.all(np.abs(w - w_dense) < np.abs(w + w_dense))
