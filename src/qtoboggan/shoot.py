@@ -32,8 +32,8 @@ local rate Re(w z') with w = sqrt(U - E_ref) is integrated outward, and each
 half-path ends at the first profile point past the last oscillatory-to-growing
 transition deep enough that the dominant/subdominant seed magnitude ratio
 reaches `_SEED_RATIO`.  E_ref is the largest real part among the energies
-asked for, the most demanding one.  Node density follows the same local rate,
-so oscillatory and stiff stretches are resolved uniformly in phase.
+asked for, the most demanding one.  Node density follows the same local rate
+and 1/phase_resolution, so stretches are resolved uniformly in phase.
 
 The turning angle, the truncation and the node density are all read off one
 angle profile per half-path: 6,001 uniform points up to the knee at
@@ -82,6 +82,7 @@ _PROFILE_HEAD = 6001
 _PROFILE_TAIL = 24001
 # integration steps per half-path; the shipped configs take 2,400-5,700
 _MAX_NODES = 100_000
+_PHASE_FLOOR = 16.0  # least phase per half-path, in rad: 800 nodes at the default 0.02
 # dominant/subdominant seed magnitude ratio each half-path's end must reach
 # past its last WKB turning angle
 _SEED_RATIO = 1e12
@@ -91,28 +92,23 @@ _SEED_RATIO = 1e12
 class ShootConfig:
     """Controls one shooting run; each half-path ends where `_SEED_RATIO` is reached.
 
-    steps: minimum number of integration steps per half-path, in
-        [100, _MAX_NODES].
-    root_tol: convergence threshold on the normalized mismatch |F(E)|.
+    root_tol: convergence threshold on the normalized mismatch |F(E)|, in
+        (0, 1).  |F| <= 1 by Cauchy-Schwarz, so a threshold of 1 or more
+        would pass every guess at its second secant point, uniterated.
     max_iter: secant iteration cap per guess.
     phase_resolution: target local phase per step, a positive number.  The
-        one node grid has density |w z'|/phase_resolution + max(300,
-        steps/span) per unit angle, so halving it with `steps` doubled
-        doubles the density once steps >= 300 * span.
+        nodes have density |w z'|/phase_resolution + _PHASE_FLOOR/phase_resolution/span
+        per unit angle, so halving it doubles the node density.
     """
 
-    steps: int = 800
     root_tol: float = 1e-9
     max_iter: int = 40
     phase_resolution: float = 0.02
 
     def __post_init__(self) -> None:
-        require_int("steps", self.steps)
         require_int("max_iter", self.max_iter)
-        if not 100 <= self.steps <= _MAX_NODES:
-            raise ConfigError(f"steps must lie in [100, {_MAX_NODES:,}], got {self.steps}")
-        if not require_real("root_tol", self.root_tol) > 0:
-            raise ConfigError("root_tol must be positive")
+        if not 0 < require_real("root_tol", self.root_tol) < 1:
+            raise ConfigError(f"root_tol must lie in (0, 1) as |F| <= 1, got {self.root_tol}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if not require_real("phase_resolution", self.phase_resolution) > 0:
@@ -212,9 +208,10 @@ def _build_halfpath(
         end = _truncation(t, rate)[1] + 1
         tm = t[:end]
         t_end = t[end - 1]
-        dens = np.abs(w[:end] * zdot[:end]) / cfg.phase_resolution + max(300.0, cfg.steps / t_end)
+        res = cfg.phase_resolution
+        dens = np.abs(w[:end] * zdot[:end]) / res + _PHASE_FLOOR / res / t_end
         ncum = _cumulative_trapezoid(dens, tm)
-        total = max(np.ceil(ncum[-1]), cfg.steps)
+        total = np.ceil(ncum[-1])
         if not total <= _MAX_NODES:  # refused before anything of that size is allocated
             if not np.isfinite(total):
                 count = "an overflowing count of"
@@ -361,7 +358,7 @@ def _halfpaths(
             name = f"{half.side} half-path" + (" (the left one is its mirror)" if mirrored else "")
             warnings.warn(
                 f"{name}: max local phase per step {half.max_phase:.2f} > 0.7, "
-                "results may be inaccurate (increase steps or decrease phase_resolution)",
+                "results may be inaccurate (decrease phase_resolution)",
                 StepTooCoarseWarning,
                 stacklevel=3,
             )

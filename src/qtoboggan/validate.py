@@ -86,13 +86,13 @@ class Inputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", StepTooCoarseWarning)
             for k in (1, 2, 4):
-                resolution, steps = c.shoot_cfg.phase_resolution / k, c.shoot_cfg.steps * k
+                resolution = c.shoot_cfg.phase_resolution / k
                 try:
-                    cfg = replace(c.shoot_cfg, steps=steps, phase_resolution=resolution)
+                    cfg = replace(c.shoot_cfg, phase_resolution=resolution)
                     y, dy = shoot.integrate_halfpath(c.model, c.guesses[0], "right", cfg, c.contour)
                 except (StepTooCoarseWarning, ConfigError) as exc:
-                    raise Unbuildable(f"refinement grid at phase_resolution {resolution:g} and "
-                                      f"{steps} steps: {exc}") from exc
+                    raise Unbuildable(f"refinement grid at phase_resolution {resolution:g}: "
+                                      f"{exc}") from exc
                 seq.append(dy / y)
         return seq
 

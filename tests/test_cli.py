@@ -152,7 +152,6 @@ def test_non_object_section_exits_4(tmp_path, raw, overrides):
     "override",
     [
         "shoot.max_iter=2.5",
-        "shoot.steps=150.5",
         "shoot.max_iter=true",
         "grid.n=400.5",
         "model.winding=true",
@@ -219,6 +218,18 @@ def test_non_finite_real_exits_4(tmp_path, capsys, config, command, override):
     assert "must be a finite real number" in capsys.readouterr().err
 
 
+def test_root_tol_of_one_exits_4(tmp_path, capsys):
+    # the normalized mismatch never exceeds 1, so at root_tol=1 every guess
+    # passed at its second secant point: this run wrote 2.0003, 6.0007 and
+    # 9.50105, the perturbed guesses, to roots.csv and exited 0
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cubic_winding1.json")
+    argv = ["--config", config, "--command", "shoot", "--override", "shoot.root_tol=1",
+            "--override", "shoot.guesses=[2.0, 6.0, 9.5]", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    assert "root_tol must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "roots.csv").exists()
+
+
 def test_negative_seed_exits_4(tmp_path, capsys):
     # numpy.random.default_rng(-1) used to raise ValueError out of validate (exit 1)
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
@@ -228,10 +239,13 @@ def test_negative_seed_exits_4(tmp_path, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["shoot.gamma_max=1.0", "shoot.seed_ratio=1e12"])
+@pytest.mark.parametrize(
+    "override", ["shoot.gamma_max=1.0", "shoot.seed_ratio=1e12", "shoot.steps=800"]
+)
 def test_removed_shoot_keys_exit_4(tmp_path, capsys, override):
     # each half-path ends where the WKB depth reaches one fixed seed ratio, so
-    # neither an explicit truncation angle nor a ratio can be set
+    # neither an explicit truncation angle nor a ratio can be set; and
+    # phase_resolution alone sets the node density, so neither can a step count
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "harmonic_line.json")
     argv = ["--config", config, "--command", "shoot", "--override", override,
             "--out", str(tmp_path / "out")]
@@ -812,22 +826,24 @@ def test_validate_fails_refinement_order_on_too_coarse_grids(tmp_path, capsys):
     assert checks[-1] == {
         "name": "shoot_refinement_order", "value": 0.0, "limit": 6.0, "pass": False
     }
-    assert "validate: refinement grid at phase_resolution 4 and 800 steps: right half-path: " \
+    assert "validate: refinement grid at phase_resolution 4: right half-path: " \
         "max local phase per step" in stderr
 
 
-def test_validate_fails_refinement_order_over_the_step_range(tmp_path, capsys):
-    # 30,000 steps shoot; the finest refinement grid's 120,000 are over the
-    # range of steps, which fails the check and stops nothing else
+def test_validate_fails_refinement_order_over_the_node_budget(tmp_path, capsys):
+    # about 28,000 nodes per half-path shoot; the finest refinement grid's
+    # 111,823 are over the node budget, which fails the check and stops nothing else
     with pytest.warns(IncompleteBasisWarning):
-        code, checks, _, stderr = run_validate(tmp_path, capsys, "shoot.steps=30000")
+        code, checks, _, stderr = run_validate(tmp_path, capsys, "shoot.phase_resolution=0.0016")
     assert code == 2
     assert [item["name"] for item in checks] == list(VALIDATE_CHECKS)
     assert failing(checks) == ["shoot_refinement_order"]
     assert checks[-1]["value"] == 0.0
     reasons = [line for line in stderr.splitlines() if line.startswith("validate: ")]
-    assert reasons == ["validate: refinement grid at phase_resolution 0.005 and 120000 steps: "
-                       "steps must lie in [100, 100,000], got 120000"]
+    assert reasons == ["validate: refinement grid at phase_resolution 0.0004: right half-path "
+                       "needs 111,823 integration steps, over the budget of 100,000: this "
+                       "potential is too steep to shoot along the spiral of this winding and "
+                       "epsilon"]
 
 
 def _heun_step_matrices(half, E):

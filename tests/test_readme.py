@@ -1,5 +1,5 @@
 """The README's library quickstart runs as written, and its command line
-section names every shooting setting."""
+section names every shooting setting and no other."""
 
 import os
 import re
@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from qtoboggan import shoot
+from qtoboggan import cli, shoot
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
@@ -33,7 +33,17 @@ def test_readme_quickstart_runs():
     assert namespace["res"].diagnostics["min_eig"] > 0
 
 
+def command_line_section():
+    return read_readme().split("## Command line\n")[1].split("\n## ")[0]
+
+
 def test_readme_command_line_names_every_shoot_setting():
-    section = read_readme().split("## Command line\n")[1].split("\n## ")[0]
+    section = command_line_section()
     missing = [f.name for f in fields(shoot.ShootConfig) if f"shoot.{f.name}" not in section]
     assert not missing, missing
+
+
+def test_readme_command_line_names_no_unknown_shoot_key():
+    # a key the shoot section does not accept exits 4, so the README must not offer it
+    named = set(re.findall(r"(?<![\w.])shoot\.(\w+)", command_line_section()))
+    assert named and not named - cli._SHOOT_KEYS, sorted(named - cli._SHOOT_KEYS)

@@ -39,15 +39,15 @@ def _cfg(**kw):
 @pytest.mark.parametrize(
     "kw",
     [
-        {"steps": 50},
+        {"root_tol": 1.0},
         {"root_tol": 0.0},
         {"max_iter": 0},
         {"phase_resolution": -0.01},
         {"max_iter": 2.5},
         {"max_iter": True},
-        {"steps": 150.5},
-        {"steps": True},
-        {"steps": 100_001},
+        {"root_tol": 2.5},
+        {"root_tol": float("inf")},
+        {"phase_resolution": 0.0},
         {"phase_resolution": None},
         {"root_tol": float("nan")},
         {"root_tol": -1e-9},
@@ -98,11 +98,11 @@ def test_bad_side_rejected(harmonic_model):
 def test_step_refinement_is_high_order(harmonic_model):
     # F(E) at a fixed off-eigenvalue energy against a much denser reference:
     # classical fourth-order error decay until the truncation floor.  Halving
-    # phase_resolution with steps doubled doubles the node density.
+    # phase_resolution doubles the node density.
     E = 1.7
     results = {}
     for k in (1, 2, 4, 16):
-        cfg = _cfg(phase_resolution=0.08 / k, steps=500 * k)
+        cfg = _cfg(phase_resolution=0.08 / k)
         vL, dL = shoot.integrate_halfpath(harmonic_model, E, "left", cfg, LINE)
         vR, dR = shoot.integrate_halfpath(harmonic_model, E, "right", cfg, LINE)
         results[k] = (vL * dR - vR * dL) / (
@@ -115,8 +115,22 @@ def test_step_refinement_is_high_order(harmonic_model):
     assert e2 / e4 > 6.0 or e4 < 1e-13
 
 
+def test_halving_phase_resolution_alone_doubles_the_nodes(harmonic_model, cubic_model):
+    # phase_resolution is the one density knob: both terms of the node
+    # density scale with its inverse, so each half-path's node count doubles
+    # to within the one node its ceiling adds
+    counts = {}
+    for spec, contour, E_ref in ((harmonic_model, LINE, 5.2), (cubic_model, SPIRAL, 7.9)):
+        for side in BOTH:
+            cfgs = [_cfg(phase_resolution=0.02 / k) for k in (1, 2, 4)]
+            n = [len(shoot._build_halfpath(spec, contour, side, E_ref, cfg).dg) for cfg in cfgs]
+            assert abs(n[1] - 2 * n[0]) <= 1 and abs(n[2] - 2 * n[1]) <= 1, (side, n)
+            counts[spec is harmonic_model, side] = n
+    assert counts[True, "right"] == [2391, 4781, 9562]
+
+
 def test_coarse_steps_warn(harmonic_model):
-    cfg = _cfg(steps=100, phase_resolution=1.0)
+    cfg = _cfg(phase_resolution=1.0)
     with pytest.warns(StepTooCoarseWarning):
         shoot.integrate_halfpath(harmonic_model, 400.0, "left", cfg, LINE)
 
@@ -126,7 +140,7 @@ def test_free_model_is_refused_by_name():
     free = ModelSpec(ell=0.0, coeffs={}, omega=0.0)
     message = r"cannot reach a seed ratio of 1e\+12 before the angle cap"
     with pytest.raises(ConfigError, match=message):
-        shoot.integrate_halfpath(free, 1.0 + 1.0j, "right", _cfg(steps=200), LINE)
+        shoot.integrate_halfpath(free, 1.0 + 1.0j, "right", _cfg(), LINE)
 
 
 def test_nonconverging_guess_warns_and_is_dropped(harmonic_model):
@@ -396,7 +410,7 @@ def test_model_without_pt_symmetry_builds_both_half_paths(builds):
 
 
 def test_coarse_steps_warn_once_per_half_path(harmonic_model):
-    cfg = _cfg(steps=100, phase_resolution=1.0, max_iter=3)
+    cfg = _cfg(phase_resolution=1.0, max_iter=3)
     for spec, built in ((harmonic_model, 1), (SHIFTED_HARMONIC, 2)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
